@@ -94,9 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stableprob",
         description="Stable-marriage computations under preference uncertainty.",
     )
-    parser.add_argument(
-        "--json", action="store_true", help="compact JSON output (the default)"
-    )
     parser.add_argument("--pretty", action="store_true", help="indented JSON output")
     parser.add_argument(
         "--cap",

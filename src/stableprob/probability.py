@@ -1,10 +1,16 @@
 """Stability probability of a matching under uncertain preferences.
 
-Exact values are computed as fractions. Specialized routines cover the joint
-model (weigh the stable profiles) and instances where one side is certain
-(per-agent factors multiply). The general engine enumerates realizations of
-the uncertain agents with pruning, and decision shortcuts answer the
-probability-one and probability-nonzero questions without enumeration.
+Exact values are computed as fractions. For the independent models, one
+matching compiles to a single weighted constraint problem over dense integer
+agent ids: each agent picks a realizable order, and each pair that can block
+either deletes picks up front or forbids combinations of two agents' picks.
+One iterative search over that model gives the exact probability (the
+weighted count of the allowed assignments) and the nonzero decision (the
+first one, as a witness); with one lottery side certain every pair is a
+deletion and the answer is the free product alone. The joint model weighs
+its stable profiles, compact one-side instances have a closed form that
+avoids enumerating tie-breaks, binary supports decide nonzero by 2-SAT, and
+probability one is certain stability.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_CAP,
@@ -139,61 +146,170 @@ class ProbabilityEstimate:
     samples: int
 
 
+class _Model(NamedTuple):
+    """One matching's stability question compiled over dense agent ids.
+
+    Man m is agent m and woman w is agent n_men + w. Every list is indexed
+    by agent id.
+    """
+
+    supports: list  # realizable (order, weight) pairs
+    allowed: list[int]  # bitmask of picks that no pair rules out on its own
+    adjacency: list[list[tuple[int, int, int]]]  # (other, my_mask, other_mask)
+    order: list[int]  # constrained agents in search order
+    numerators: list[list[int]]  # weights scaled by the agent's lcm
+    denominator: int  # product of those lcms
+    free_product: int  # scaled allowed weight of the unconstrained agents
+
+
 def _pair_masks(instance: Instance, matching: Matching, supports):
-    """Yield (man, woman, a_mask, b_mask) for each pair that can block.
+    """Yield (man id, woman id, a_mask, b_mask) for each pair that can block.
 
     Bit i of a_mask is set when support order i of the man prefers the woman
     over his assigned partner (any acceptable woman when unmatched); b_mask
     is the mirror for the woman. Pairs with an empty mask never block.
     """
-    for m in range(instance.n_men):
+    n_men = instance.n_men
+    for m in range(n_men):
         partner_m = matching.partner_of_man(m)
-        man = AgentId(Side.MEN, m)
         for w in sorted(instance.acceptable_men[m]):
             if partner_m == w:
                 continue
             a_mask = 0
-            for i, (order, _) in enumerate(supports[man]):
+            for i, (order, _) in enumerate(supports[m]):
                 if order.prefers_over_partner(w, partner_m):
                     a_mask |= 1 << i
             if not a_mask:
                 continue
-            woman = AgentId(Side.WOMEN, w)
             partner_w = matching.partner_of_woman(w)
             b_mask = 0
-            for j, (order, _) in enumerate(supports[woman]):
+            for j, (order, _) in enumerate(supports[n_men + w]):
                 if order.prefers_over_partner(m, partner_w):
                     b_mask |= 1 << j
             if b_mask:
-                yield m, w, a_mask, b_mask
+                yield m, n_men + w, a_mask, b_mask
 
 
-def _blocking_structure(instance: Instance, matching: Matching, supports):
-    """Split blocking pairs into forced deletions and two-sided constraints.
+def _compile(instance: Instance, matching: Matching) -> _Model | None:
+    """The weighted constraint problem whose solutions keep the matching stable.
 
-    A pair whose mask covers an agent's whole support blocks whenever the
+    A pair whose mask covers one agent's whole support blocks whenever the
     other agent picks an order from the opposite mask, so those picks are
-    removed up front. Returns None when stability is impossible, otherwise
-    (allowed choice bitmask per agent, list of (a, a_mask, b, b_mask)).
+    deleted up front; the remaining pairs become two-sided constraints.
+    Returns None as soon as stability is impossible, before any weight is
+    scaled, because most matchings a search scores fail that way.
     """
-    allowed = {agent: (1 << len(supports[agent])) - 1 for agent in supports}
-    constraints = []
-    for m, w, a_mask, b_mask in _pair_masks(instance, matching, supports):
-        man = AgentId(Side.MEN, m)
-        woman = AgentId(Side.WOMEN, w)
-        full_a = (1 << len(supports[man])) - 1
-        full_b = (1 << len(supports[woman])) - 1
-        if a_mask == full_a and b_mask == full_b:
+    supports = [agent_support(instance, agent) for agent in instance.agents()]
+    allowed = [(1 << len(support)) - 1 for support in supports]
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in supports]
+    for a, b, a_mask, b_mask in _pair_masks(instance, matching, supports):
+        a_full = a_mask == (1 << len(supports[a])) - 1
+        b_full = b_mask == (1 << len(supports[b])) - 1
+        if a_full and b_full:
             return None
-        if a_mask == full_a:
-            allowed[woman] &= ~b_mask
-        elif b_mask == full_b:
-            allowed[man] &= ~a_mask
+        if a_full:
+            agent, mask = b, b_mask
+        elif b_full:
+            agent, mask = a, a_mask
         else:
-            constraints.append((man, a_mask, woman, b_mask))
-    if any(not bits for bits in allowed.values()):
-        return None
-    return allowed, constraints
+            adjacency[a].append((b, a_mask, b_mask))
+            adjacency[b].append((a, b_mask, a_mask))
+            continue
+        allowed[agent] &= ~mask
+        if not allowed[agent]:
+            return None
+    order = [agent for agent, edges in enumerate(adjacency) if edges]
+    order.sort(key=lambda agent: (-len(adjacency[agent]), agent))
+    numerators = []
+    denominator = 1
+    free_product = 1
+    for agent, support in enumerate(supports):
+        scale = math.lcm(*(weight.denominator for _, weight in support))
+        scaled = [w.numerator * (scale // w.denominator) for _, w in support]
+        numerators.append(scaled)
+        denominator *= scale
+        if not adjacency[agent]:
+            bits = allowed[agent]
+            free_product *= sum(n for i, n in enumerate(scaled) if bits >> i & 1)
+    return _Model(
+        supports, allowed, adjacency, order, numerators, denominator, free_product
+    )
+
+
+def _walk(model: _Model, choice: list[int], node_budget: int | None = None):
+    """Yield the scaled weight of each blocking-free pick of the constrained agents.
+
+    Depth first along ``model.order``, each agent trying its allowed picks
+    in index order; ``choice[agent]`` holds the pick of every agent on the
+    current path, so after a yield it describes the assignment just found.
+    Every entered node, the root and the leaves included, counts against
+    ``node_budget``. The loop keeps its own stack, so depth is not bounded
+    by Python's recursion limit.
+    """
+    order = model.order
+    last = len(order)
+    position = {agent: depth for depth, agent in enumerate(order)}
+    # per depth, per allowed pick: (pick, numerator, conflicts), a conflict
+    # (other, other_mask) naming an agent placed earlier whose picks in
+    # other_mask block together with this one
+    options = []
+    for depth, agent in enumerate(order):
+        earlier = [e for e in model.adjacency[agent] if position[e[0]] < depth]
+        bits = model.allowed[agent]
+        options.append(
+            [
+                (i, n, tuple((b, mask) for b, mine, mask in earlier if mine >> i & 1))
+                for i, n in enumerate(model.numerators[agent])
+                if bits >> i & 1
+            ]
+        )
+    weights = [model.free_product] * (last + 1)
+    cursor = [0] * (last + 1)
+    visited = 0
+    depth = 0
+    while True:
+        visited += 1
+        if node_budget is not None and visited > node_budget:
+            raise ResourceLimitError(
+                f"more than {node_budget} search nodes; raise the budget to proceed"
+            )
+        if depth == last:
+            yield weights[last]
+            depth -= 1
+        # advance to the next unblocked pick, backtracking past exhausted depths
+        while depth >= 0:
+            k = cursor[depth]
+            if k == len(options[depth]):
+                depth -= 1
+                continue
+            cursor[depth] = k + 1
+            pick, numerator, conflicts = options[depth][k]
+            for other, other_mask in conflicts:
+                if other_mask >> choice[other] & 1:
+                    break
+            else:
+                choice[order[depth]] = pick
+                weights[depth + 1] = weights[depth] * numerator
+                depth += 1
+                cursor[depth] = 0
+                break
+        else:
+            return
+
+
+def _count(model: _Model | None) -> Fraction:
+    """Total weight of the blocking-free realizations of a compiled model."""
+    if model is None:
+        return Fraction(0)
+    choice = [0] * len(model.supports)
+    return Fraction(sum(_walk(model, choice)), model.denominator)
+
+
+def _verified(profile: Profile, matching: Matching) -> Profile:
+    """The witness profile, after checking that it keeps the matching stable."""
+    if not is_stable(profile, matching):
+        raise RuntimeError("internal error: the witness profile has a blocking pair")
+    return profile
 
 
 def stability_probability_joint(instance: Instance, matching: Matching) -> Fraction:
@@ -216,45 +332,20 @@ def stability_probability_lottery_one_side_certain(
 ) -> Fraction:
     """Closed form for lottery instances where one side is certain.
 
-    With, say, the men certain, each woman blocks independently of the
-    others: her factor is the weight of her orders that rank no interested
-    man above her partner. An unmatched woman with an interested man forces
-    probability zero.
+    A certain agent's blocking mask is all or nothing, so every pair that
+    can block either blocks outright (probability zero) or deletes the
+    other agent's orders that rank this partner higher. The agents then
+    block independently, and the answer is the product of each agent's
+    remaining weight: the compiled model's free product.
     """
     if not isinstance(instance.model, LotteryModel):
         raise ValidationError("requires a lottery-model instance")
     instance.validate_matching(matching)
-    if side_is_certain(instance, Side.MEN):
-        pass
-    elif side_is_certain(instance, Side.WOMEN):
-        instance = instance.transposed()
-        matching = matching.transposed()
-    else:
+    if not (
+        side_is_certain(instance, Side.MEN) or side_is_certain(instance, Side.WOMEN)
+    ):
         raise ValidationError("requires one side with certain preferences")
-    model = instance.model
-    men_orders = [
-        certain_order(instance, AgentId(Side.MEN, m)) for m in range(instance.n_men)
-    ]
-    result = Fraction(1)
-    for w in range(instance.n_women):
-        partner_w = matching.partner_of_woman(w)
-        interested = [
-            m
-            for m in sorted(instance.acceptable_women[w])
-            if men_orders[m].prefers_over_partner(w, matching.partner_of_man(m))
-        ]
-        if not interested:
-            continue
-        if partner_w is None:
-            return Fraction(0)
-        factor = Fraction(0)
-        for order, weight in model.women[w].support:
-            if not any(order.prefers(m, partner_w) for m in interested):
-                factor += weight
-        if factor == 0:
-            return Fraction(0)
-        result *= factor
-    return result
+    return _count(_compile(instance, matching))
 
 
 def stability_probability_compact_one_side_certain(
@@ -315,69 +406,14 @@ def stability_probability_exact(
     if isinstance(instance.model, JointModel):
         return stability_probability_joint(instance, matching)
     instance.validate_matching(matching)
-    agents = tuple(instance.agents())
     count = 1
-    for agent in agents:
+    for agent in instance.agents():
         count *= support_size(instance, agent)
         if cap is not None and count > cap:
             raise ResourceLimitError(
                 f"more than {cap} preference realizations; raise the cap to proceed"
             )
-    supports = {agent: agent_support(instance, agent) for agent in agents}
-    numerators: dict[AgentId, list[int]] = {}
-    denominator = 1
-    for agent in agents:
-        weights = [weight for _, weight in supports[agent]]
-        scale = math.lcm(*(weight.denominator for weight in weights))
-        numerators[agent] = [int(weight * scale) for weight in weights]
-        denominator *= scale
-    structure = _blocking_structure(instance, matching, supports)
-    if structure is None:
-        return Fraction(0)
-    allowed, constraints = structure
-
-    adjacency: dict[AgentId, list] = {agent: [] for agent in agents}
-    for a, a_mask, b, b_mask in constraints:
-        adjacency[a].append((b, a_mask, b_mask))
-        adjacency[b].append((a, b_mask, a_mask))
-    order = [agent for agent in agents if adjacency[agent]]
-    order.sort(key=lambda a: (-len(adjacency[a]), a.side.value, a.index))
-    free_product = 1
-    for agent in agents:
-        if adjacency[agent]:
-            continue
-        free_product *= sum(
-            n for i, n in enumerate(numerators[agent]) if allowed[agent] >> i & 1
-        )
-
-    assigned: dict[AgentId, int] = {}
-    total = 0
-
-    def search(depth: int, weight: int) -> None:
-        nonlocal total
-        if depth == len(order):
-            total += weight
-            return
-        agent = order[depth]
-        bits = allowed[agent]
-        for i, numerator in enumerate(numerators[agent]):
-            if not bits >> i & 1:
-                continue
-            blocked = False
-            for other, my_mask, other_mask in adjacency[agent]:
-                if my_mask >> i & 1:
-                    j = assigned.get(other)
-                    if j is not None and other_mask >> j & 1:
-                        blocked = True
-                        break
-            if blocked:
-                continue
-            assigned[agent] = i
-            search(depth + 1, weight * numerator)
-            del assigned[agent]
-
-    search(0, free_product)
-    return Fraction(total, denominator)
+    return _count(_compile(instance, matching))
 
 
 def stability_probability(
@@ -477,42 +513,33 @@ def _nonzero_2sat_parts(instance: Instance, matching: Matching):
     Each agent with two support orders gets one variable per order plus an
     exactly-one pair of clauses; a single-support agent gets one variable
     forced true. Every jointly blocking combination contributes the clause
-    forbidding both picks.
+    forbidding both picks. Also returns the (agent id, pick) of each
+    variable and the supports by agent id.
     """
     if not isinstance(instance.model, LotteryModel):
         raise ValidationError("requires a lottery-model instance")
-    agents = tuple(instance.agents())
-    supports = {agent: agent_support(instance, agent) for agent in agents}
-    if any(len(supports[agent]) > 2 for agent in agents):
+    supports = [agent_support(instance, agent) for agent in instance.agents()]
+    if any(len(support) > 2 for support in supports):
         raise ValidationError("requires support of at most two orders per agent")
-    variable_of: dict[tuple[AgentId, int], int] = {}
-    choices: list[tuple[AgentId, int]] = []
+    first: list[int] = []
+    choices: list[tuple[int, int]] = []
     clauses: list[tuple[Literal, Literal]] = []
-    for agent in agents:
-        for i in range(len(supports[agent])):
-            variable_of[(agent, i)] = len(choices)
-            choices.append((agent, i))
-        if len(supports[agent]) == 1:
-            v = variable_of[(agent, 0)]
+    for agent, support in enumerate(supports):
+        v = len(choices)
+        first.append(v)
+        choices += [(agent, i) for i in range(len(support))]
+        if len(support) == 1:
             clauses.append(((v, True), (v, True)))
         else:
-            v1, v2 = variable_of[(agent, 0)], variable_of[(agent, 1)]
-            clauses.append(((v1, True), (v2, True)))
-            clauses.append(((v1, False), (v2, False)))
-    for m, w, a_mask, b_mask in _pair_masks(instance, matching, supports):
-        man = AgentId(Side.MEN, m)
-        woman = AgentId(Side.WOMEN, w)
-        for i in range(len(supports[man])):
+            clauses.append(((v, True), (v + 1, True)))
+            clauses.append(((v, False), (v + 1, False)))
+    for a, b, a_mask, b_mask in _pair_masks(instance, matching, supports):
+        for i in range(len(supports[a])):
             if not a_mask >> i & 1:
                 continue
-            for j in range(len(supports[woman])):
+            for j in range(len(supports[b])):
                 if b_mask >> j & 1:
-                    clauses.append(
-                        (
-                            (variable_of[(man, i)], False),
-                            (variable_of[(woman, j)], False),
-                        )
-                    )
+                    clauses.append(((first[a] + i, False), (first[b] + j, False)))
     formula = TwoSatInstance(num_variables=len(choices), clauses=tuple(clauses))
     return formula, choices, supports
 
@@ -528,78 +555,24 @@ def build_nonzero_2sat(instance: Instance, matching: Matching) -> TwoSatInstance
     return formula
 
 
-def _profile_from_choices(instance: Instance, supports, pick) -> Profile:
-    men = tuple(
-        supports[AgentId(Side.MEN, m)][pick(AgentId(Side.MEN, m))][0]
-        for m in range(instance.n_men)
-    )
-    women = tuple(
-        supports[AgentId(Side.WOMEN, w)][pick(AgentId(Side.WOMEN, w))][0]
-        for w in range(instance.n_women)
-    )
-    return Profile(men=men, women=women)
+def _profile_from_choices(instance: Instance, supports, choice: list[int]) -> Profile:
+    orders = [support[i][0] for support, i in zip(supports, choice)]
+    n_men = instance.n_men
+    return Profile(men=tuple(orders[:n_men]), women=tuple(orders[n_men:]))
 
 
 def _nonzero_backtracking(
     instance: Instance, matching: Matching, node_budget: int
 ) -> tuple[bool, Profile | None]:
-    agents = tuple(instance.agents())
-    supports = {agent: agent_support(instance, agent) for agent in agents}
-    structure = _blocking_structure(instance, matching, supports)
-    if structure is None:
+    model = _compile(instance, matching)
+    if model is None:
         return False, None
-    allowed, constraints = structure
-    adjacency: dict[AgentId, list] = {agent: [] for agent in agents}
-    for a, a_mask, b, b_mask in constraints:
-        adjacency[a].append((b, a_mask, b_mask))
-        adjacency[b].append((a, b_mask, a_mask))
-    order = [agent for agent in agents if adjacency[agent]]
-    order.sort(key=lambda a: (-len(adjacency[a]), a.side.value, a.index))
-
-    assigned: dict[AgentId, int] = {}
-    visited = 0
-
-    def search(depth: int) -> bool:
-        nonlocal visited
-        visited += 1
-        if visited > node_budget:
-            raise ResourceLimitError(
-                f"more than {node_budget} search nodes; raise the budget to proceed"
-            )
-        if depth == len(order):
-            return True
-        agent = order[depth]
-        bits = allowed[agent]
-        for i in range(len(supports[agent])):
-            if not bits >> i & 1:
-                continue
-            blocked = False
-            for other, my_mask, other_mask in adjacency[agent]:
-                if my_mask >> i & 1:
-                    j = assigned.get(other)
-                    if j is not None and other_mask >> j & 1:
-                        blocked = True
-                        break
-            if blocked:
-                continue
-            assigned[agent] = i
-            if search(depth + 1):
-                return True
-            del assigned[agent]
-        return False
-
-    if not search(0):
+    # agents outside every constraint keep their first allowed pick
+    choice = [(bits & -bits).bit_length() - 1 for bits in model.allowed]
+    if next(_walk(model, choice, node_budget), None) is None:
         return False, None
-
-    def pick(agent: AgentId) -> int:
-        if agent in assigned:
-            return assigned[agent]
-        bits = allowed[agent]
-        return (bits & -bits).bit_length() - 1
-
-    profile = _profile_from_choices(instance, supports, pick)
-    assert is_stable(profile, matching)
-    return True, profile
+    profile = _profile_from_choices(instance, model.supports, choice)
+    return True, _verified(profile, matching)
 
 
 def is_stability_probability_nonzero(
@@ -623,19 +596,16 @@ def is_stability_probability_nonzero(
         model = instance.model
         if not is_weakly_stable(model.men, model.women, matching):
             return False, None
-        profile = _compact_witness(model, matching)
-        assert is_stable(profile, matching)
-        return True, profile
-    agents = tuple(instance.agents())
-    if all(support_size(instance, agent) <= 2 for agent in agents):
+        return True, _verified(_compact_witness(model, matching), matching)
+    if all(support_size(instance, agent) <= 2 for agent in instance.agents()):
         formula, choices, supports = _nonzero_2sat_parts(instance, matching)
         assignment = solve_2sat(formula)
         if assignment is None:
             return False, None
-        chosen = {
-            agent: i for (agent, i), value in zip(choices, assignment) if value
-        }
-        profile = _profile_from_choices(instance, supports, chosen.__getitem__)
-        assert is_stable(profile, matching)
-        return True, profile
+        choice = [0] * len(supports)
+        for (agent, i), value in zip(choices, assignment):
+            if value:
+                choice[agent] = i
+        profile = _profile_from_choices(instance, supports, choice)
+        return True, _verified(profile, matching)
     return _nonzero_backtracking(instance, matching, node_budget)

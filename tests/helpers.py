@@ -151,6 +151,125 @@ def truth_table_count(formula: TwoSatInstance) -> int:
     return count
 
 
+# -- reference engines -------------------------------------------------------
+#
+# The package's earlier exact engine and lottery one-side closed form, kept
+# as slow references: hashed AgentId keys, a recursive search, and a direct
+# per-woman product. They reach sizes the exhaustive oracle cannot.
+
+
+def _reference_pair_masks(instance: Instance, matching: Matching, supports):
+    for m in range(instance.n_men):
+        partner_m = matching.partner_of_man(m)
+        man = AgentId(Side.MEN, m)
+        for w in sorted(instance.acceptable_men[m]):
+            if partner_m == w:
+                continue
+            a_mask = 0
+            for i, (o, _) in enumerate(supports[man]):
+                if o.prefers_over_partner(w, partner_m):
+                    a_mask |= 1 << i
+            if not a_mask:
+                continue
+            woman = AgentId(Side.WOMEN, w)
+            partner_w = matching.partner_of_woman(w)
+            b_mask = 0
+            for j, (o, _) in enumerate(supports[woman]):
+                if o.prefers_over_partner(m, partner_w):
+                    b_mask |= 1 << j
+            if b_mask:
+                yield man, woman, a_mask, b_mask
+
+
+def reference_exact_probability(instance: Instance, matching: Matching) -> Fraction:
+    """Recursive pruned search over the uncertain agents' picks (independent models)."""
+    agents = tuple(instance.agents())
+    supports = {agent: agent_support(instance, agent) for agent in agents}
+    allowed = {agent: (1 << len(supports[agent])) - 1 for agent in agents}
+    adjacency = {agent: [] for agent in agents}
+    masks = _reference_pair_masks(instance, matching, supports)
+    for man, woman, a_mask, b_mask in masks:
+        full_a = a_mask == (1 << len(supports[man])) - 1
+        full_b = b_mask == (1 << len(supports[woman])) - 1
+        if full_a and full_b:
+            return Fraction(0)
+        if full_a:
+            allowed[woman] &= ~b_mask
+        elif full_b:
+            allowed[man] &= ~a_mask
+        else:
+            adjacency[man].append((woman, a_mask, b_mask))
+            adjacency[woman].append((man, b_mask, a_mask))
+    if any(not bits for bits in allowed.values()):
+        return Fraction(0)
+    order = [agent for agent in agents if adjacency[agent]]
+    order.sort(key=lambda a: (-len(adjacency[a]), a.side.value, a.index))
+    free = Fraction(1)
+    for agent in agents:
+        if not adjacency[agent]:
+            bits = allowed[agent]
+            free *= sum(
+                (wt for i, (_, wt) in enumerate(supports[agent]) if bits >> i & 1),
+                Fraction(0),
+            )
+    assigned = {}
+
+    def search(depth: int) -> Fraction:
+        if depth == len(order):
+            return Fraction(1)
+        agent = order[depth]
+        total = Fraction(0)
+        for i, (_, weight) in enumerate(supports[agent]):
+            if not allowed[agent] >> i & 1:
+                continue
+            if any(
+                my_mask >> i & 1
+                and other in assigned
+                and other_mask >> assigned[other] & 1
+                for other, my_mask, other_mask in adjacency[agent]
+            ):
+                continue
+            assigned[agent] = i
+            total += weight * search(depth + 1)
+            del assigned[agent]
+        return total
+
+    return free * search(0)
+
+
+def reference_lottery_one_side(instance: Instance, matching: Matching) -> Fraction:
+    """Per-woman product for lotteries with the men certain (transposing if needed)."""
+    if all(len(entry.support) == 1 for entry in instance.model.men):
+        pass
+    elif all(len(entry.support) == 1 for entry in instance.model.women):
+        instance = instance.transposed()
+        matching = matching.transposed()
+    else:
+        raise ValueError("requires one certain side")
+    men_orders = [entry.support[0][0] for entry in instance.model.men]
+    result = Fraction(1)
+    for w, entry in enumerate(instance.model.women):
+        partner_w = matching.partner_of_woman(w)
+        interested = [
+            m
+            for m in sorted(instance.acceptable_women[w])
+            if men_orders[m].prefers_over_partner(w, matching.partner_of_man(m))
+        ]
+        if not interested:
+            continue
+        if partner_w is None:
+            return Fraction(0)
+        result *= sum(
+            (
+                weight
+                for o, weight in entry.support
+                if not any(o.prefers(m, partner_w) for m in interested)
+            ),
+            Fraction(0),
+        )
+    return result
+
+
 # -- random generators -------------------------------------------------------
 
 
@@ -195,6 +314,41 @@ def random_lottery_instance(
         for w in range(n_women)
     ]
     return lottery_instance(men, women)
+
+
+def random_perturbed_lottery_instance(
+    rng, n: int, min_orders: int, max_orders: int
+) -> Instance:
+    """Complete n x n lottery market: each agent has a random base order plus
+    variants that are each one adjacent swap away from an earlier order."""
+
+    def agent(k: int) -> AgentLottery:
+        orders = [tuple(rng.sample(range(n), n))]
+        k = min(k, math.factorial(n))
+        while len(orders) < k:
+            ranking = list(rng.choice(orders))
+            i = rng.randrange(n - 1)
+            ranking[i], ranking[i + 1] = ranking[i + 1], ranking[i]
+            if tuple(ranking) not in orders:
+                orders.append(tuple(ranking))
+        weights = random_weights(rng, len(orders))
+        return AgentLottery(tuple((order(*r), wt) for r, wt in zip(orders, weights)))
+
+    men = [agent(rng.randint(min_orders, max_orders)) for _ in range(n)]
+    women = [agent(rng.randint(min_orders, max_orders)) for _ in range(n)]
+    return lottery_instance(men, women)
+
+
+def modal_profile(instance: Instance) -> Profile:
+    """Each agent's heaviest support order (first one on ties)."""
+
+    def heaviest(entry):
+        return max(entry.support, key=lambda item: item[1])[0]
+
+    return Profile(
+        men=tuple(heaviest(e) for e in instance.model.men),
+        women=tuple(heaviest(e) for e in instance.model.women),
+    )
 
 
 def random_weak_order(rng, candidates, max_tie: int = 3) -> WeakOrder:

@@ -17,12 +17,16 @@ from helpers import (
     joint_instance,
     lottery,
     lottery_instance,
+    modal_profile,
     order,
     random_compact_instance,
     random_formula,
     random_joint_instance,
     random_lottery_instance,
     random_maximal_matching,
+    random_perturbed_lottery_instance,
+    reference_exact_probability,
+    reference_lottery_one_side,
     truth_table_count,
 )
 from stableprob import (
@@ -38,6 +42,7 @@ from stableprob import (
     agent_support,
     build_nonzero_2sat,
     estimate_stability_probability,
+    gale_shapley,
     is_stability_probability_nonzero,
     is_stability_probability_one,
     is_stable,
@@ -49,6 +54,7 @@ from stableprob import (
     stability_probability_joint,
     stability_probability_lottery_one_side_certain,
 )
+from stableprob import probability
 
 
 def satisfies(formula: TwoSatInstance, assignment) -> bool:
@@ -632,6 +638,130 @@ class TestNonzero:
             is_stability_probability_nonzero(inst, mu, node_budget=0)
         decision, _ = is_stability_probability_nonzero(inst, mu)
         assert decision == (stability_probability_exact(inst, mu) > 0)
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # 700 rungs: man k ranks w_k, w_{k+1} and a private, unmatched z_k
+        # three ways; woman w_{k+1} ranks m_k and m_{k+1} both ways. Each
+        # (m_k, w_{k+1}) pair is a two-sided constraint, so the search
+        # places 1400 agents, one level each.
+        rungs = 700
+
+        def z(k):
+            return rungs + 1 + k
+
+        men = [
+            lottery(
+                ((k + 1, k, z(k)), "1/3"),
+                ((k, k + 1, z(k)), "1/3"),
+                ((z(k), k, k + 1), "1/3"),
+            )
+            for k in range(rungs)
+        ] + [certain(rungs)]
+        women = (
+            [certain(0)]
+            + [lottery(((k, k + 1), "1/2"), ((k + 1, k), "1/2")) for k in range(rungs)]
+            + [certain(k) for k in range(rungs)]
+        )
+        inst = lottery_instance(men, women)
+        mu = Matching.from_pairs((k, k) for k in range(rungs + 1))
+        decision, witness = is_stability_probability_nonzero(inst, mu)
+        assert decision
+        assert is_stable(witness, mu)
+
+    @pytest.mark.parametrize("path", ["2sat", "backtracking", "compact"])
+    def test_unstable_witness_is_an_error(self, path, monkeypatch):
+        mu = MU_IDENTITY
+        if path == "2sat":
+            inst = example_market()
+        elif path == "backtracking":
+            inst = lottery_instance(
+                men=[
+                    lottery(((0, 1, 2), "1/3"), ((1, 0, 2), "1/3"), ((2, 1, 0), "1/3")),
+                    certain(1, 0, 2),
+                    certain(2, 0, 1),
+                ],
+                women=[certain(0, 1, 2), certain(1, 0, 2), certain(2, 0, 1)],
+            )
+            mu = Matching.from_pairs([(0, 0), (1, 1), (2, 2)])
+        else:
+            inst = compact_instance([[[0, 1]], [[0, 1]]], [[[0, 1]], [[0, 1]]])
+        assert is_stability_probability_nonzero(inst, mu)[0]
+        monkeypatch.setattr(probability, "is_stable", lambda profile, matching: False)
+        with pytest.raises(RuntimeError, match="witness"):
+            is_stability_probability_nonzero(inst, mu)
+
+
+class TestAgainstReferenceEngine:
+    """The compiled engine against the recursive reference, at sizes the
+    exhaustive oracle cannot reach."""
+
+    @staticmethod
+    def perturbed_cases(seed: int, count: int):
+        rng = random.Random(seed)
+        for _ in range(count):
+            inst = random_perturbed_lottery_instance(rng, rng.randint(8, 16), 3, 4)
+            if rng.random() < 0.75:
+                matching = gale_shapley(modal_profile(inst))
+            else:
+                matching = random_maximal_matching(rng, inst)
+            yield inst, matching
+
+    def test_references_agree_with_exhaustive_oracle(self):
+        rng = random.Random(40)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            inst = random_lottery_instance(rng, n, n, complete=rng.random() < 0.5)
+            matching = random_maximal_matching(rng, inst)
+            expected = exhaustive_probability(inst, matching)
+            assert reference_exact_probability(inst, matching) == expected
+            pinned = [certain(*e.support[0][0].ranking) for e in inst.model.men]
+            one_side = lottery_instance(pinned, list(inst.model.women))
+            assert reference_lottery_one_side(
+                one_side, matching
+            ) == exhaustive_probability(one_side, matching)
+
+    def test_exact_on_perturbed_lotteries(self):
+        interior = 0
+        for inst, matching in self.perturbed_cases(41, 150):
+            value = stability_probability_exact(inst, matching, cap=None)
+            assert value == reference_exact_probability(inst, matching)
+            interior += 0 < value < 1
+        assert interior >= 50
+
+    def test_nonzero_on_the_backtracking_path(self):
+        outcomes = set()
+        for inst, matching in self.perturbed_cases(42, 150):
+            assert any(len(e.support) > 2 for e in inst.model.men + inst.model.women)
+            decision, witness = is_stability_probability_nonzero(inst, matching)
+            assert decision == (reference_exact_probability(inst, matching) > 0)
+            if decision:
+                assert is_stable(witness, matching)
+            outcomes.add(decision)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("certain_side", ["men", "women"])
+    def test_lottery_one_side_against_per_woman_product(self, certain_side):
+        rng = random.Random(43 if certain_side == "men" else 44)
+        interior = 0
+        for _ in range(60):
+            n = rng.randint(2, 32)
+            inst = random_perturbed_lottery_instance(rng, n, 1, 4)
+            model = inst.model
+            pinned = [
+                certain(*e.support[0][0].ranking) for e in getattr(model, certain_side)
+            ]
+            if certain_side == "men":
+                inst = lottery_instance(pinned, list(model.women))
+            else:
+                inst = lottery_instance(list(model.men), pinned)
+            if rng.random() < 0.75:
+                matching = gale_shapley(modal_profile(inst))
+            else:
+                matching = random_maximal_matching(rng, inst)
+            value = stability_probability_lottery_one_side_certain(inst, matching)
+            assert value == reference_lottery_one_side(inst, matching)
+            interior += 0 < value < 1
+        assert interior >= 10
 
 
 class TestBuildNonzero2Sat:
