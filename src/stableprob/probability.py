@@ -4,9 +4,11 @@ Exact values are computed as fractions. For the independent models, one
 matching compiles to a single weighted constraint problem over dense integer
 agent ids: each agent picks a realizable order, and each pair that can block
 either deletes picks up front or forbids combinations of two agents' picks.
-One iterative search over that model gives the exact probability (the
-weighted count of the allowed assignments) and the nonzero decision (the
-first one, as a witness); with one lottery side certain every pair is a
+Agents meet only through those constraints, so they split into connected
+components that are searched one at a time by one iterative search: the
+exact probability multiplies the components' weighted counts of allowed
+assignments, and the nonzero decision takes each component's first one
+as its part of the witness. With one lottery side certain every pair is a
 deletion and the answer is the free product alone. The joint model weighs
 its stable profiles, compact one-side instances have a closed form that
 avoids enumerating tie-breaks, binary supports decide nonzero by 2-SAT, and
@@ -149,14 +151,16 @@ class ProbabilityEstimate:
 class _Model(NamedTuple):
     """One matching's stability question compiled over dense agent ids.
 
-    Man m is agent m and woman w is agent n_men + w. Every list is indexed
-    by agent id.
+    Man m is agent m and woman w is agent n_men + w. Every list but
+    ``components`` is indexed by agent id. No constraint joins two
+    components, so the model's weight is the free product times the
+    product of the components' weights.
     """
 
     supports: list  # realizable (order, weight) pairs
     allowed: list[int]  # bitmask of picks that no pair rules out on its own
     adjacency: list[list[tuple[int, int, int]]]  # (other, my_mask, other_mask)
-    order: list[int]  # constrained agents in search order
+    components: list[list[int]]  # constrained agents by component, in search order
     numerators: list[list[int]]  # weights scaled by the agent's lcm
     denominator: int  # product of those lcms
     free_product: int  # scaled allowed weight of the unconstrained agents
@@ -220,6 +224,19 @@ def _compile(instance: Instance, matching: Matching) -> _Model | None:
             return None
     order = [agent for agent, edges in enumerate(adjacency) if edges]
     order.sort(key=lambda agent: (-len(adjacency[agent]), agent))
+    # each component keeps the global order restricted to its agents
+    label = [-1] * len(supports)
+    components: list[list[int]] = []
+    for agent in order:
+        if label[agent] < 0:
+            label[agent], stack = len(components), [agent]
+            components.append([])
+            while stack:
+                for other, _, _ in adjacency[stack.pop()]:
+                    if label[other] < 0:
+                        label[other] = label[agent]
+                        stack.append(other)
+        components[label[agent]].append(agent)
     numerators = []
     denominator = 1
     free_product = 1
@@ -232,21 +249,32 @@ def _compile(instance: Instance, matching: Matching) -> _Model | None:
             bits = allowed[agent]
             free_product *= sum(n for i, n in enumerate(scaled) if bits >> i & 1)
     return _Model(
-        supports, allowed, adjacency, order, numerators, denominator, free_product
+        supports, allowed, adjacency, components, numerators, denominator, free_product
     )
 
 
-def _walk(model: _Model, choice: list[int], node_budget: int | None = None):
-    """Yield the scaled weight of each blocking-free pick of the constrained agents.
+def _enter_node(budget: list[int]) -> None:
+    """Count one search node against ``budget``, a [nodes entered, limit] pair."""
+    budget[0] += 1
+    if budget[0] > budget[1]:
+        raise ResourceLimitError(
+            f"more than {budget[1]} search nodes; raise the budget to proceed"
+        )
 
-    Depth first along ``model.order``, each agent trying its allowed picks
-    in index order; ``choice[agent]`` holds the pick of every agent on the
-    current path, so after a yield it describes the assignment just found.
-    Every entered node, the root and the leaves included, counts against
-    ``node_budget``. The loop keeps its own stack, so depth is not bounded
-    by Python's recursion limit.
+
+def _walk(
+    model: _Model, order: list[int], choice: list[int], budget: list[int] | None = None
+):
+    """Yield the scaled weight of each blocking-free pick of one component.
+
+    Depth first along ``order``, one of ``model.components``, from weight 1;
+    each agent tries its allowed picks in index order. ``choice[agent]``
+    holds the pick of every agent on the current path, so after a yield it
+    describes the component's assignment just found. Every node entered
+    below the root, the leaves included, counts against ``budget``, which
+    the searches of all components share. The loop keeps its own stack, so
+    depth is not bounded by Python's recursion limit.
     """
-    order = model.order
     last = len(order)
     position = {agent: depth for depth, agent in enumerate(order)}
     # per depth, per allowed pick: (pick, numerator, conflicts), a conflict
@@ -263,16 +291,10 @@ def _walk(model: _Model, choice: list[int], node_budget: int | None = None):
                 if bits >> i & 1
             ]
         )
-    weights = [model.free_product] * (last + 1)
+    weights = [1] * (last + 1)
     cursor = [0] * (last + 1)
-    visited = 0
     depth = 0
     while True:
-        visited += 1
-        if node_budget is not None and visited > node_budget:
-            raise ResourceLimitError(
-                f"more than {node_budget} search nodes; raise the budget to proceed"
-            )
         if depth == last:
             yield weights[last]
             depth -= 1
@@ -292,17 +314,25 @@ def _walk(model: _Model, choice: list[int], node_budget: int | None = None):
                 weights[depth + 1] = weights[depth] * numerator
                 depth += 1
                 cursor[depth] = 0
+                if budget is not None:
+                    _enter_node(budget)
                 break
         else:
             return
 
 
 def _count(model: _Model | None) -> Fraction:
-    """Total weight of the blocking-free realizations of a compiled model."""
+    """Total weight of the blocking-free realizations of a compiled model:
+    the free product times each component's summed weight, up to a zero."""
     if model is None:
         return Fraction(0)
     choice = [0] * len(model.supports)
-    return Fraction(sum(_walk(model, choice)), model.denominator)
+    total = model.free_product
+    for order in model.components:
+        total *= sum(_walk(model, order, choice))
+        if not total:
+            break
+    return Fraction(total, model.denominator)
 
 
 def _verified(profile: Profile, matching: Matching) -> Profile:
@@ -401,7 +431,8 @@ def stability_probability_exact(
     Independent models are summed over realizations of the uncertain agents
     in integer arithmetic over a common denominator. Always-blocking picks
     are deleted up front, agents untouched by two-sided constraints
-    contribute a closed factor, and the rest are searched with pruning.
+    contribute a closed factor, and the rest are searched with pruning one
+    connected component at a time; the per-component sums are multiplied.
     """
     if isinstance(instance.model, JointModel):
         return stability_probability_joint(instance, matching)
@@ -445,7 +476,8 @@ def stability_probability(
         side_is_certain(instance, Side.MEN) or side_is_certain(instance, Side.WOMEN)
     ):
         if kind == "lottery":
-            return stability_probability_lottery_one_side_certain(instance, matching)
+            instance.validate_matching(matching)
+            return _count(_compile(instance, matching))
         return stability_probability_compact_one_side_certain(instance, matching)
     return stability_probability_exact(instance, matching, cap=cap)
 
@@ -567,10 +599,15 @@ def _nonzero_backtracking(
     model = _compile(instance, matching)
     if model is None:
         return False, None
-    # agents outside every constraint keep their first allowed pick
+    # agents outside every constraint keep their first allowed pick; no
+    # constraint joins two components, so each component's first solution
+    # is the restriction of the first solution along the global order
     choice = [(bits & -bits).bit_length() - 1 for bits in model.allowed]
-    if next(_walk(model, choice, node_budget), None) is None:
-        return False, None
+    budget = [0, node_budget]
+    _enter_node(budget)  # the root of the whole search
+    for order in model.components:
+        if next(_walk(model, order, choice, budget), None) is None:
+            return False, None
     profile = _profile_from_choices(instance, model.supports, choice)
     return True, _verified(profile, matching)
 

@@ -153,8 +153,9 @@ def truth_table_count(formula: TwoSatInstance) -> int:
 
 # -- reference engines -------------------------------------------------------
 #
-# The package's earlier exact engine and lottery one-side closed form, kept
-# as slow references: hashed AgentId keys, a recursive search, and a direct
+# The package's earlier exact engine, nonzero search and lottery one-side
+# closed form, kept as slow references: hashed AgentId keys, one recursive
+# search over all constrained agents in a single global order, and a direct
 # per-woman product. They reach sizes the exhaustive oracle cannot.
 
 
@@ -181,8 +182,9 @@ def _reference_pair_masks(instance: Instance, matching: Matching, supports):
                 yield man, woman, a_mask, b_mask
 
 
-def reference_exact_probability(instance: Instance, matching: Matching) -> Fraction:
-    """Recursive pruned search over the uncertain agents' picks (independent models)."""
+def _reference_structure(instance: Instance, matching: Matching):
+    """(agents, supports, allowed, adjacency, search order), or None when a
+    pair blocks outright or empties an agent's allowed picks."""
     agents = tuple(instance.agents())
     supports = {agent: agent_support(instance, agent) for agent in agents}
     allowed = {agent: (1 << len(supports[agent])) - 1 for agent in agents}
@@ -192,7 +194,7 @@ def reference_exact_probability(instance: Instance, matching: Matching) -> Fract
         full_a = a_mask == (1 << len(supports[man])) - 1
         full_b = b_mask == (1 << len(supports[woman])) - 1
         if full_a and full_b:
-            return Fraction(0)
+            return None
         if full_a:
             allowed[woman] &= ~b_mask
         elif full_b:
@@ -201,9 +203,25 @@ def reference_exact_probability(instance: Instance, matching: Matching) -> Fract
             adjacency[man].append((woman, a_mask, b_mask))
             adjacency[woman].append((man, b_mask, a_mask))
     if any(not bits for bits in allowed.values()):
-        return Fraction(0)
+        return None
     order = [agent for agent in agents if adjacency[agent]]
     order.sort(key=lambda a: (-len(adjacency[a]), a.side.value, a.index))
+    return agents, supports, allowed, adjacency, order
+
+
+def _reference_conflict(adjacency, assigned, agent, i) -> bool:
+    return any(
+        my_mask >> i & 1 and other in assigned and other_mask >> assigned[other] & 1
+        for other, my_mask, other_mask in adjacency[agent]
+    )
+
+
+def reference_exact_probability(instance: Instance, matching: Matching) -> Fraction:
+    """Recursive pruned search over the uncertain agents' picks (independent models)."""
+    structure = _reference_structure(instance, matching)
+    if structure is None:
+        return Fraction(0)
+    agents, supports, allowed, adjacency, order = structure
     free = Fraction(1)
     for agent in agents:
         if not adjacency[agent]:
@@ -222,12 +240,7 @@ def reference_exact_probability(instance: Instance, matching: Matching) -> Fract
         for i, (_, weight) in enumerate(supports[agent]):
             if not allowed[agent] >> i & 1:
                 continue
-            if any(
-                my_mask >> i & 1
-                and other in assigned
-                and other_mask >> assigned[other] & 1
-                for other, my_mask, other_mask in adjacency[agent]
-            ):
+            if _reference_conflict(adjacency, assigned, agent, i):
                 continue
             assigned[agent] = i
             total += weight * search(depth + 1)
@@ -235,6 +248,53 @@ def reference_exact_probability(instance: Instance, matching: Matching) -> Fract
         return total
 
     return free * search(0)
+
+
+def reference_first_witness(instance: Instance, matching: Matching) -> Profile | None:
+    """The first blocking-free realization along one global search order.
+
+    Constrained agents are placed by descending degree, men before women,
+    then by index, each trying its allowed picks in support order; every
+    other agent takes its first allowed pick. None when there is no such
+    realization (lottery instances).
+    """
+    structure = _reference_structure(instance, matching)
+    if structure is None:
+        return None
+    agents, supports, allowed, adjacency, order = structure
+    assigned = {
+        a: (allowed[a] & -allowed[a]).bit_length() - 1
+        for a in agents
+        if not adjacency[a]
+    }
+
+    def search(depth: int) -> bool:
+        if depth == len(order):
+            return True
+        agent = order[depth]
+        for i in range(len(supports[agent])):
+            if not allowed[agent] >> i & 1:
+                continue
+            if _reference_conflict(adjacency, assigned, agent, i):
+                continue
+            assigned[agent] = i
+            if search(depth + 1):
+                return True
+            del assigned[agent]
+        return False
+
+    if not search(0):
+        return None
+
+    def orders(side: Side, count: int):
+        return tuple(
+            supports[AgentId(side, k)][assigned[AgentId(side, k)]][0]
+            for k in range(count)
+        )
+
+    return Profile(
+        men=orders(Side.MEN, instance.n_men), women=orders(Side.WOMEN, instance.n_women)
+    )
 
 
 def reference_lottery_one_side(instance: Instance, matching: Matching) -> Fraction:
@@ -337,6 +397,49 @@ def random_perturbed_lottery_instance(
     men = [agent(rng.randint(min_orders, max_orders)) for _ in range(n)]
     women = [agent(rng.randint(min_orders, max_orders)) for _ in range(n)]
     return lottery_instance(men, women)
+
+
+def ladder_instance(rng, n: int, man_orders: int = 2) -> tuple[Instance, Matching]:
+    """n - 1 disjoint two-agent constraints under a stable matching.
+
+    Man k may rank woman k + 1 above his partner and woman k + 1 may rank
+    man k above hers, each with probability 1/2; the pair blocks only when
+    both do, so the answer is (3/4)^(n-1). With ``man_orders`` = 3 each
+    swapping man gets a third order that keeps his partner ahead, and the
+    answer is (5/6)^(n-1). Labels and list tails are shuffled by ``rng``.
+    """
+    man_label = rng.sample(range(n), n)
+    woman_label = rng.sample(range(n), n)
+
+    def others(*head: int) -> tuple:
+        rest = [j for j in range(n) if j not in head]
+        rng.shuffle(rest)
+        return tuple(rest)
+
+    men = [None] * n
+    women = [None] * n
+    for k in range(n):
+        mine, theirs = woman_label[k], man_label[k]
+        if k < n - 1:
+            nxt = woman_label[k + 1]
+            rest = others(mine, nxt)
+            rankings = [(mine, nxt) + rest, (nxt, mine) + rest]
+            if man_orders == 3:
+                rankings.append((mine,) + rest + (nxt,))
+            weight = Fraction(1, len(rankings))
+            men[theirs] = AgentLottery(tuple((order(*r), weight) for r in rankings))
+        else:
+            men[theirs] = certain(mine, *others(mine))
+        if k > 0:
+            prev = man_label[k - 1]
+            rest = others(theirs, prev)
+            women[mine] = lottery(
+                ((theirs, prev) + rest, "1/2"), ((prev, theirs) + rest, "1/2")
+            )
+        else:
+            women[mine] = certain(theirs, *others(theirs))
+    matching = Matching.from_pairs((man_label[k], woman_label[k]) for k in range(n))
+    return lottery_instance(men, women), matching
 
 
 def modal_profile(instance: Instance) -> Profile:

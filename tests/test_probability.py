@@ -15,6 +15,7 @@ from helpers import (
     example_market,
     exhaustive_probability,
     joint_instance,
+    ladder_instance,
     lottery,
     lottery_instance,
     modal_profile,
@@ -26,6 +27,7 @@ from helpers import (
     random_maximal_matching,
     random_perturbed_lottery_instance,
     reference_exact_probability,
+    reference_first_witness,
     reference_lottery_one_side,
     truth_table_count,
 )
@@ -739,6 +741,16 @@ class TestAgainstReferenceEngine:
             outcomes.add(decision)
         assert outcomes == {True, False}
 
+    def test_witness_matches_the_single_order_search(self):
+        outcomes = set()
+        for inst, matching in self.perturbed_cases(45, 150):
+            expected = reference_first_witness(inst, matching)
+            decision, witness = is_stability_probability_nonzero(inst, matching)
+            assert decision == (expected is not None)
+            assert witness == expected
+            outcomes.add(decision)
+        assert outcomes == {True, False}
+
     @pytest.mark.parametrize("certain_side", ["men", "women"])
     def test_lottery_one_side_against_per_woman_product(self, certain_side):
         rng = random.Random(43 if certain_side == "men" else 44)
@@ -762,6 +774,65 @@ class TestAgainstReferenceEngine:
             assert value == reference_lottery_one_side(inst, matching)
             interior += 0 < value < 1
         assert interior >= 10
+
+
+class TestComponents:
+    """Constraint components are counted and searched one at a time."""
+
+    @pytest.mark.parametrize("man_orders", [2, 3])
+    def test_forty_agent_ladder(self, man_orders):
+        # 39 two-agent components: a search over their product would
+        # visit 3^39 leaves with two orders per man
+        inst, mu = ladder_instance(random.Random(46), 40, man_orders)
+        per_rung = Fraction(3, 4) if man_orders == 2 else Fraction(5, 6)
+        assert stability_probability_exact(inst, mu, cap=None) == per_rung**39
+        decision, witness = is_stability_probability_nonzero(inst, mu)
+        assert decision
+        assert is_stable(witness, mu)
+        if man_orders == 3:  # two orders per agent go through 2-SAT
+            assert witness == reference_first_witness(inst, mu)
+
+    @staticmethod
+    def unsatisfiable_last_component():
+        # {m0, w1} and {m1, w0} are 2x2 rungs; in {m2, w3}, w4 and m4 delete
+        # every pick of m2 and w3 that keeps them from blocking each other
+        inst = lottery_instance(
+            men=[
+                lottery(((0, 1), "1/2"), ((1, 0), "1/2")),
+                lottery(((0, 1), "1/2"), ((1, 0), "1/2")),
+                lottery(((4, 2, 3), "1/3"), ((3, 2, 4), "1/3"), ((4, 3, 2), "1/3")),
+                certain(3),
+                certain(3, 4),
+            ],
+            women=[
+                lottery(((1, 0), "1/2"), ((0, 1), "1/2")),
+                lottery(((1, 0), "1/2"), ((0, 1), "1/2")),
+                certain(2),
+                lottery(((2, 3, 4), "1/2"), ((4, 3, 2), "1/2")),
+                certain(2, 4),
+            ],
+        )
+        return inst, Matching.from_pairs((k, k) for k in range(5))
+
+    def test_one_unsatisfiable_component_zeroes_the_product(self):
+        inst, mu = self.unsatisfiable_last_component()
+        model = probability._compile(inst, mu)
+        assert model.components == [[0, 6], [1, 5], [2, 8]]
+        assert exhaustive_probability(inst, mu) == 0
+        assert stability_probability_exact(inst, mu) == 0
+        assert is_stability_probability_nonzero(inst, mu) == (False, None)
+        assert reference_first_witness(inst, mu) is None
+
+    def test_node_budget_is_shared_by_the_components(self):
+        # the root, then a man and a woman per rung, each at its first pick
+        rungs = 6
+        inst, mu = ladder_instance(random.Random(47), rungs + 1, man_orders=3)
+        nodes = 1 + 2 * rungs
+        decision, witness = is_stability_probability_nonzero(inst, mu, nodes)
+        assert decision
+        assert witness == reference_first_witness(inst, mu)
+        with pytest.raises(ResourceLimitError):
+            is_stability_probability_nonzero(inst, mu, nodes - 1)
 
 
 class TestBuildNonzero2Sat:
