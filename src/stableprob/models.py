@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -239,6 +240,15 @@ class Instance:
             return tuple(o.candidates for o in self.model.profiles[0][0].women)
         return tuple(entry.candidates for entry in self.model.women)
 
+    @cached_property
+    def uncertain_men(self) -> tuple[bool, ...]:
+        """Per man, whether more than one order is realizable for him."""
+        return _uncertainty(self.model, Side.MEN)
+
+    @cached_property
+    def uncertain_women(self) -> tuple[bool, ...]:
+        return _uncertainty(self.model, Side.WOMEN)
+
     def acceptable(self, agent: AgentId) -> frozenset[int]:
         table = self.acceptable_men if agent.side is Side.MEN else self.acceptable_women
         if agent.index >= len(table):
@@ -375,15 +385,19 @@ def dominance_set(instance: Instance, agent: AgentId, candidate: int) -> frozens
     }
 
 
-def _agent_is_uncertain(instance: Instance, agent: AgentId) -> bool:
-    model = instance.model
+def _uncertainty(model: ModelPayload, side: Side) -> tuple[bool, ...]:
+    if isinstance(model, JointModel):
+        orders = (p.men if side is Side.MEN else p.women for p, _ in model.profiles)
+        return tuple(len(set(column)) > 1 for column in zip(*orders))
+    entries = model.men if side is Side.MEN else model.women
     if isinstance(model, LotteryModel):
-        entries = model.men if agent.side is Side.MEN else model.women
-        return not entries[agent.index].is_certain()
-    if isinstance(model, CompactModel):
-        entries = model.men if agent.side is Side.MEN else model.women
-        return not entries[agent.index].is_strict()
-    return len(_distinct_orders(instance, agent)) > 1
+        return tuple(not entry.is_certain() for entry in entries)
+    return tuple(not entry.is_strict() for entry in entries)
+
+
+def _agent_is_uncertain(instance: Instance, agent: AgentId) -> bool:
+    men = agent.side is Side.MEN
+    return (instance.uncertain_men if men else instance.uncertain_women)[agent.index]
 
 
 def uncertain_agents(instance: Instance) -> tuple[AgentId, ...]:
@@ -405,10 +419,8 @@ def certain_order(instance: Instance, agent: AgentId) -> LinearOrder | None:
 
 
 def side_is_certain(instance: Instance, side: Side) -> bool:
-    count = instance.n_men if side is Side.MEN else instance.n_women
-    return all(
-        not _agent_is_uncertain(instance, AgentId(side, i)) for i in range(count)
-    )
+    flags = instance.uncertain_men if side is Side.MEN else instance.uncertain_women
+    return not any(flags)
 
 
 def support_size(instance: Instance, agent: AgentId) -> int:
@@ -480,39 +492,63 @@ def lottery_to_joint(instance: Instance, cap: int = DEFAULT_CAP) -> Instance:
     return Instance(JointModel(tuple(profiles)))
 
 
-def _pick_weighted(rng: random.Random, entries) -> int:
-    roll = rng.random()
+def pick_thresholds(weights: Iterable) -> list[float]:
+    """Running float sums of the weights, the last one dropped.
+
+    A roll picks ``bisect_right(thresholds, roll)``: the first entry whose
+    running sum exceeds it, else the last entry. Every weighted draw in the
+    package maps its ``rng.random()`` through this rule.
+    """
     cumulative = 0.0
-    for i, (_, weight) in enumerate(entries):
+    thresholds = []
+    for weight in weights:
         cumulative += float(weight)
-        if roll < cumulative:
-            return i
-    return len(entries) - 1
+        thresholds.append(cumulative)
+    return thresholds[:-1]
+
+
+def _pick(entries, roll: float) -> int:
+    return bisect_right(pick_thresholds(w for _, w in entries), roll)
+
+
+def draw_rolls(rng: random.Random, model: LotteryModel) -> list[float]:
+    """A lottery sample's random numbers: one roll per agent, men then women."""
+    roll = rng.random
+    return [roll() for _ in range(len(model.men) + len(model.women))]
+
+
+def draw_shuffles(rng: random.Random, model: CompactModel) -> list[list[int]]:
+    """A compact sample's random numbers: every tier of every agent shuffled.
+
+    The tiers come men then women, each agent's best first; singleton tiers
+    are drawn too.
+    """
+    sample = rng.sample
+    return [
+        sample(tier, len(tier))
+        for weak in model.men + model.women
+        for tier in weak.tiers
+    ]
 
 
 def sample_profile(instance: Instance, rng: random.Random) -> Profile:
     """Draw one realization; deterministic given the generator state."""
     model = instance.model
     if isinstance(model, JointModel):
-        return model.profiles[_pick_weighted(rng, model.profiles)][0]
+        return model.profiles[_pick(model.profiles, rng.random())][0]
     if isinstance(model, LotteryModel):
-        men = tuple(
-            e.support[_pick_weighted(rng, e.support)][0] for e in model.men
+        rolls = draw_rolls(rng, model)
+        orders = tuple(
+            e.support[_pick(e.support, roll)][0]
+            for e, roll in zip(model.men + model.women, rolls)
         )
-        women = tuple(
-            e.support[_pick_weighted(rng, e.support)][0] for e in model.women
+    else:
+        shuffles = iter(draw_shuffles(rng, model))
+        orders = tuple(
+            LinearOrder(tuple(c for _ in weak.tiers for c in next(shuffles)))
+            for weak in model.men + model.women
         )
-        return Profile(men=men, women=women)
-
-    def break_ties(weak: WeakOrder) -> LinearOrder:
-        ranking = []
-        for tier in weak.tiers:
-            ranking.extend(rng.sample(tier, len(tier)))
-        return LinearOrder(tuple(ranking))
-
-    men = tuple(break_ties(e) for e in model.men)
-    women = tuple(break_ties(e) for e in model.women)
-    return Profile(men=men, women=women)
+    return Profile(men=orders[: instance.n_men], women=orders[instance.n_men :])
 
 
 @dataclass(frozen=True)

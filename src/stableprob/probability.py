@@ -13,12 +13,20 @@ deletion and the answer is the free product alone. The joint model weighs
 its stable profiles, compact one-side instances have a closed form that
 avoids enumerating tie-breaks, binary supports decide nonzero by 2-SAT, and
 probability one is certain stability.
+
+The Monte Carlo estimator compiles its question once per call too: lottery
+samples draw pick indices and test them against the compiled model's masks,
+and compact samples shuffle tiers and compare only the tied candidates that
+decide a pair; joint samples are tested as whole profiles. Every sample
+draws through the same ``models`` helpers as ``sample_profile``, so seeded
+estimates are those of testing sampled profiles one by one.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -42,6 +50,9 @@ from .models import (
     agent_support,
     as_probability,
     certain_order,
+    draw_rolls,
+    draw_shuffles,
+    pick_thresholds,
     sample_profile,
     side_is_certain,
     support_size,
@@ -482,6 +493,95 @@ def stability_probability(
     return stability_probability_exact(instance, matching, cap=cap)
 
 
+def _lottery_sampler(instance: Instance, matching: Matching, rng: random.Random):
+    lottery = instance.model
+    model = _compile(instance, matching)
+    if model is None:
+
+        def blocked() -> bool:
+            draw_rolls(rng, lottery)
+            return False
+
+        return blocked
+    # only agents with a deleted pick or a constraint need their pick
+    picked = [
+        (agent, pick_thresholds(w for _, w in support), model.allowed[agent])
+        for agent, support in enumerate(model.supports)
+        if model.adjacency[agent] or model.allowed[agent] != (1 << len(support)) - 1
+    ]
+    edges = [
+        (a, b, a_mask, b_mask)
+        for a, agent_edges in enumerate(model.adjacency)
+        for b, a_mask, b_mask in agent_edges
+        if a < b
+    ]
+    choice = [0] * len(model.supports)
+
+    def stable() -> bool:
+        rolls = draw_rolls(rng, lottery)
+        for agent, thresholds, allowed in picked:
+            pick = bisect_right(thresholds, rolls[agent])
+            if not allowed >> pick & 1:
+                return False
+            choice[agent] = pick
+        for a, b, a_mask, b_mask in edges:
+            if a_mask >> choice[a] & 1 and b_mask >> choice[b] & 1:
+                return False
+        return True
+
+    return stable
+
+
+def _compact_sampler(instance: Instance, matching: Matching, rng: random.Random):
+    model = instance.model
+    weak_orders = model.men + model.women
+    first_tier = []  # per agent, the index of its best tier in the shuffles
+    tier_count = 0
+    for weak in weak_orders:
+        first_tier.append(tier_count)
+        tier_count += len(weak.tiers)
+
+    def side(agent: int, candidate: int, partner: int | None):
+        """True when the agent prefers the candidate in every extension,
+        False in none, else (tier, candidate, partner): it does when the
+        candidate comes first in that tier's shuffle."""
+        if partner is None:
+            return True
+        tier_of = weak_orders[agent].tier_of
+        if tier_of[candidate] != tier_of[partner]:
+            return tier_of[candidate] < tier_of[partner]
+        return first_tier[agent] + tier_of[candidate], candidate, partner
+
+    n_men = instance.n_men
+    blocks = []  # per pair that can block, the shuffle outcomes it needs
+    for m in range(n_men):
+        partner_m = matching.partner_of_man(m)
+        for w in sorted(instance.acceptable_men[m]):
+            if partner_m == w:
+                continue
+            partner_w = matching.partner_of_woman(w)
+            sides = (side(m, w, partner_m), side(n_men + w, m, partner_w))
+            if False in sides:
+                continue
+            blocks.append(tuple(s for s in sides if s is not True))
+    # a pair that needs fewer outcomes blocks more often, so test it first;
+    # one that needs none blocks in every extension
+    blocks.sort(key=len)
+
+    def stable() -> bool:
+        shuffles = draw_shuffles(rng, model)
+        for needs in blocks:
+            for t, candidate, partner in needs:
+                shuffle = shuffles[t]
+                if shuffle.index(candidate) > shuffle.index(partner):
+                    break
+            else:
+                return False
+        return True
+
+    return stable
+
+
 def estimate_stability_probability(
     instance: Instance,
     matching: Matching,
@@ -492,7 +592,14 @@ def estimate_stability_probability(
     """Monte Carlo estimate within epsilon except with probability delta.
 
     The sample count ceil(ln(2/delta) / (2 epsilon^2)) comes from the
-    two-sided Hoeffding bound.
+    two-sided Hoeffding bound. The independent models compile the question
+    once: lottery samples draw each agent's pick index and test it against
+    the compiled model's masks, and compact samples shuffle each tier and
+    compare only the tied candidates that decide a pair. Joint samples test
+    the drawn profile with ``is_stable``. Each sample draws its random
+    numbers with ``sample_profile``'s own helpers (``draw_rolls``,
+    ``draw_shuffles``, ``pick_thresholds``), so the estimate, and the state
+    ``rng`` is left in, are those of testing ``sample_profile`` draws.
     """
     eps = as_probability(epsilon)
     err = as_probability(delta)
@@ -502,10 +609,13 @@ def estimate_stability_probability(
     samples = math.ceil(Fraction(math.log(2 / float(err))) / (2 * eps * eps))
     if rng is None:
         rng = random.Random(0)
-    hits = 0
-    for _ in range(samples):
-        if is_stable(sample_profile(instance, rng), matching):
-            hits += 1
+    if instance.kind == "lottery":
+        stable = _lottery_sampler(instance, matching, rng)
+    elif instance.kind == "compact":
+        stable = _compact_sampler(instance, matching, rng)
+    else:
+        stable = lambda: is_stable(sample_profile(instance, rng), matching)
+    hits = sum(1 for _ in range(samples) if stable())
     return ProbabilityEstimate(
         point_estimate=Fraction(hits, samples), epsilon=eps, delta=err, samples=samples
     )

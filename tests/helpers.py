@@ -21,11 +21,13 @@ from stableprob import (
     LinearOrder,
     LotteryModel,
     Matching,
+    ProbabilityEstimate,
     Profile,
     Side,
     TwoSatInstance,
     WeakOrder,
     agent_support,
+    is_stable,
 )
 
 
@@ -328,6 +330,50 @@ def reference_lottery_one_side(instance: Instance, matching: Matching) -> Fracti
             Fraction(0),
         )
     return result
+
+
+def _reference_pick(rng: random.Random, entries) -> int:
+    roll = rng.random()
+    cumulative = 0.0
+    for i, (_, weight) in enumerate(entries):
+        cumulative += float(weight)
+        if roll < cumulative:
+            return i
+    return len(entries) - 1
+
+
+def reference_sample_profile(instance: Instance, rng: random.Random) -> Profile:
+    """The sampler's earlier code: pick and tie-break agent by agent."""
+    model = instance.model
+    if isinstance(model, JointModel):
+        return model.profiles[_reference_pick(rng, model.profiles)][0]
+    if isinstance(model, LotteryModel):
+        orders = tuple(
+            e.support[_reference_pick(rng, e.support)][0]
+            for e in model.men + model.women
+        )
+    else:
+        orders = tuple(
+            LinearOrder(
+                tuple(c for tier in weak.tiers for c in rng.sample(tier, len(tier)))
+            )
+            for weak in model.men + model.women
+        )
+    return Profile(men=orders[: instance.n_men], women=orders[instance.n_men :])
+
+
+def reference_estimate(
+    instance: Instance, matching: Matching, epsilon, delta, rng: random.Random
+) -> ProbabilityEstimate:
+    """The estimator's earlier loop: build each sampled profile, test it whole."""
+    eps, err = Fraction(epsilon), Fraction(delta)
+    samples = math.ceil(Fraction(math.log(2 / float(err))) / (2 * eps * eps))
+    hits = sum(
+        1
+        for _ in range(samples)
+        if is_stable(reference_sample_profile(instance, rng), matching)
+    )
+    return ProbabilityEstimate(Fraction(hits, samples), eps, err, samples)
 
 
 # -- random generators -------------------------------------------------------

@@ -20,6 +20,7 @@ from helpers import (
     random_joint_instance,
     random_lottery_instance,
     random_maximal_matching,
+    reference_sample_profile,
 )
 from stableprob import (
     AgentId,
@@ -268,6 +269,28 @@ class TestUncertainAgents:
         assert side_is_certain(inst, Side.MEN)
         assert not side_is_certain(inst, Side.WOMEN)
 
+    def test_agree_with_the_count_of_realizable_orders(self):
+        rng = random.Random(61)
+        makers = (random_lottery_instance, random_compact_instance, random_joint_instance)
+        for make in makers:
+            for _ in range(10):
+                inst = make(rng, rng.randint(1, 4), rng.randint(1, 4), complete=False)
+                expected = tuple(
+                    a
+                    for a in inst.agents()
+                    if (
+                        len({p.order_of(a) for p, _ in inst.model.profiles})
+                        if inst.kind == "joint"
+                        else support_size(inst, a)
+                    )
+                    > 1
+                )
+                assert uncertain_agents(inst) == expected
+                for side in Side:
+                    assert side_is_certain(inst, side) == all(
+                        a.side is not side for a in expected
+                    )
+
 
 class TestSupport:
     def test_lottery_support_size(self):
@@ -440,6 +463,28 @@ class TestSampleProfile:
             sample_profile(inst, rng).men[0] == order(0, 1) for _ in range(draws)
         )
         assert abs(hits / draws - 0.75) < 0.01
+
+    @pytest.mark.parametrize("kind", ["lottery", "compact", "joint"])
+    def test_same_stream_as_reference_sampler(self, kind):
+        # seeded estimates and CLI bytes rest on this exact stream
+        rng = random.Random(61)
+        for seed in range(20):
+            n_men, n_women = rng.randint(1, 6), rng.randint(1, 6)
+            complete = seed % 2 == 0
+            if kind == "lottery":
+                inst = random_lottery_instance(rng, n_men, n_women, complete=complete)
+            elif kind == "compact":
+                inst = random_compact_instance(
+                    rng, n_men, n_women, max_tie=4, complete=complete
+                )
+            else:
+                inst = random_joint_instance(rng, n_men, n_women, 4, complete=complete)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(25):
+                assert sample_profile(inst, ours) == reference_sample_profile(
+                    inst, theirs
+                )
+            assert ours.getstate() == theirs.getstate()
 
 
 class TestCompletion:

@@ -26,6 +26,7 @@ from helpers import (
     random_lottery_instance,
     random_maximal_matching,
     random_perturbed_lottery_instance,
+    reference_estimate,
     reference_exact_probability,
     reference_first_witness,
     reference_lottery_one_side,
@@ -49,6 +50,7 @@ from stableprob import (
     is_stability_probability_one,
     is_stable,
     lottery_to_joint,
+    sample_profile,
     solve_2sat,
     stability_probability,
     stability_probability_compact_one_side_certain,
@@ -495,6 +497,123 @@ class TestEstimate:
     def test_rejects_degenerate_tolerances(self, eps, delta):
         with pytest.raises(ValidationError):
             estimate_stability_probability(example_market(), MU_IDENTITY, eps, delta)
+
+
+class TestCompiledEstimator:
+    """The compiled sampler against the loop over whole sampled profiles."""
+
+    EPS, DELTA = "1/6", "1/1000000"  # 261 samples
+
+    def assert_same_as_reference(self, inst, matching, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        estimate = estimate_stability_probability(
+            inst, matching, self.EPS, self.DELTA, ours
+        )
+        assert estimate == reference_estimate(
+            inst, matching, self.EPS, self.DELTA, theirs
+        )
+        assert ours.getstate() == theirs.getstate()
+        return estimate.point_estimate
+
+    @staticmethod
+    def matching_with_unmatched(rng, inst, seed):
+        """Stable in one sampled profile, or maximal less one pair."""
+        if seed % 3:
+            return gale_shapley(sample_profile(inst, rng))
+        pairs = sorted(random_maximal_matching(rng, inst).pairs)
+        if pairs:
+            pairs.pop(rng.randrange(len(pairs)))
+        return Matching.from_pairs(pairs)
+
+    def test_perturbed_lotteries(self):
+        rng = random.Random(50)
+        values = set()
+        for seed in range(12):
+            inst = random_perturbed_lottery_instance(rng, rng.randint(8, 24), 1, 4)
+            if seed % 3:
+                matching = gale_shapley(modal_profile(inst))
+            else:
+                matching = random_maximal_matching(rng, inst)
+            values.add(self.assert_same_as_reference(inst, matching, seed))
+        assert len(values) >= 4
+
+    def test_ragged_lists_with_unmatched_agents(self):
+        rng = random.Random(51)
+        values = set()
+        for seed in range(30):
+            n_men, n_women = rng.sample(range(1, 8), 2)
+            inst = random_lottery_instance(rng, n_men, n_women, complete=False)
+            matching = self.matching_with_unmatched(rng, inst, seed)
+            assert len(matching) < max(n_men, n_women)
+            values.add(self.assert_same_as_reference(inst, matching, seed))
+        assert len(values) >= 8
+
+    def test_matchings_that_block_outright(self):
+        rng = random.Random(52)
+        found = 0
+        for seed in range(40):
+            inst = random_lottery_instance(rng, 4, 4, max_support=2)
+            if rng.random() < 0.2:
+                matching = Matching.from_pairs([])
+            else:
+                matching = random_maximal_matching(rng, inst)
+            if probability._compile(inst, matching) is None:
+                found += 1
+                assert self.assert_same_as_reference(inst, matching, seed) == 0
+        assert found >= 10
+
+    @pytest.mark.parametrize("strict_side", [None, "men", "women"])
+    def test_compact_markets_with_ties(self, strict_side):
+        rng = random.Random(53)
+        values = set()
+        for seed in range(12):
+            n_men, n_women = rng.sample(range(2, 11), 2)
+            inst = random_compact_instance(
+                rng, n_men, n_women, max_tie=4, complete=seed % 2 == 0
+            )
+            if strict_side is not None:
+                sides = {"men": inst.model.men, "women": inst.model.women}
+                sides[strict_side] = tuple(
+                    WeakOrder(tuple((c,) for tier in weak.tiers for c in tier))
+                    for weak in sides[strict_side]
+                )
+                inst = Instance(CompactModel(**sides))
+            matching = self.matching_with_unmatched(rng, inst, seed)
+            values.add(self.assert_same_as_reference(inst, matching, seed))
+        assert len(values) >= 4
+
+    def test_joint_instances(self):
+        rng = random.Random(54)
+        values = set()
+        for seed in range(20):
+            n_men, n_women = rng.randint(1, 5), rng.randint(1, 5)
+            inst = random_joint_instance(
+                rng, n_men, n_women, rng.randint(1, 6), complete=seed % 2 == 0
+            )
+            matching = random_maximal_matching(rng, inst)
+            values.add(self.assert_same_as_reference(inst, matching, seed))
+        assert len(values) >= 8
+
+    def test_within_epsilon_of_exact(self):
+        # delta = 1e-6 and fixed seeds: a miss would be a defect, not chance
+        eps = Fraction(1, 20)
+        rng = random.Random(55)
+        cases = []
+        for n in (8, 10, 12, 14, 16):
+            inst = random_perturbed_lottery_instance(rng, n, 2, 4)
+            cases.append((inst, gale_shapley(modal_profile(inst))))
+        for n in (3, 4, 4, 5, 5, 5):
+            inst = random_compact_instance(rng, n, n, max_tie=3)
+            cases.append((inst, gale_shapley(sample_profile(inst, rng))))
+        interior = 0
+        for seed, (inst, matching) in enumerate(cases):
+            exact = stability_probability_exact(inst, matching, cap=None)
+            estimate = estimate_stability_probability(
+                inst, matching, eps, "1/1000000", random.Random(seed)
+            )
+            assert abs(estimate.point_estimate - exact) <= eps
+            interior += 0 < exact < 1
+        assert interior >= 6
 
 
 class TestIsOne:
