@@ -2,17 +2,16 @@
 
 Exact values are computed as fractions. For the independent models, one
 matching compiles to a single weighted constraint problem over dense integer
-agent ids: each agent picks a realizable order, and each pair that can block
-either deletes picks up front or forbids combinations of two agents' picks.
-Agents meet only through those constraints, so they split into connected
-components that are searched one at a time by one iterative search: the
-exact probability multiplies the components' weighted counts of allowed
-assignments, and the nonzero decision takes each component's first one
-as its part of the witness. With one lottery side certain every pair is a
-deletion and the answer is the free product alone. The joint model weighs
-its stable profiles, compact one-side instances have a closed form that
-avoids enumerating tie-breaks, binary supports decide nonzero by 2-SAT, and
-probability one is certain stability.
+agent ids: each agent takes a weighted pick (a lottery agent a support order,
+a compact agent the set of its partner's tier-mates ranked ahead of the
+partner), and each pair that can block deletes picks up front or forbids
+combinations of two agents' picks. Agents meet only through constraints, so
+they split into connected components searched one at a time by one iterative
+search: the exact probability multiplies the components' weighted counts, and
+the nonzero decision takes each one's first allowed assignment as its part of
+the witness. With one side certain every pair is a deletion and the answer is
+the free product alone. The joint model weighs its stable profiles, binary
+supports decide nonzero by 2-SAT, and probability one is certain stability.
 
 The Monte Carlo estimator compiles its question once per call too: lottery
 samples draw pick indices and test them against the compiled model's masks,
@@ -29,11 +28,11 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .core import (
     DEFAULT_CAP,
-    AgentId,
     LinearOrder,
     Matching,
     Profile,
@@ -47,9 +46,7 @@ from .models import (
     Instance,
     JointModel,
     LotteryModel,
-    agent_support,
     as_probability,
-    certain_order,
     draw_rolls,
     draw_shuffles,
     pick_thresholds,
@@ -168,7 +165,7 @@ class _Model(NamedTuple):
     product of the components' weights.
     """
 
-    supports: list  # realizable (order, weight) pairs
+    weights: list[list[Fraction]]  # the weight of each pick
     allowed: list[int]  # bitmask of picks that no pair rules out on its own
     adjacency: list[list[tuple[int, int, int]]]  # (other, my_mask, other_mask)
     components: list[list[int]]  # constrained agents by component, in search order
@@ -177,30 +174,71 @@ class _Model(NamedTuple):
     free_product: int  # scaled allowed weight of the unconstrained agents
 
 
-def _pair_masks(instance: Instance, matching: Matching, supports):
-    """Yield (man id, woman id, a_mask, b_mask) for each pair that can block.
+def _tie_side(weak, candidate: int, partner: int | None) -> bool | None:
+    """Whether an agent with this weak order prefers the candidate to its
+    partner: True in every linear extension, False in none, None when the
+    two share a tier and the tie-break decides."""
+    if partner is None:
+        return True
+    mine, theirs = weak.tier_of[candidate], weak.tier_of[partner]
+    return None if mine == theirs else mine < theirs
 
-    Bit i of a_mask is set when support order i of the man prefers the woman
-    over his assigned partner (any acceptable woman when unmatched); b_mask
-    is the mirror for the woman. Pairs with an empty mask never block.
+
+def _pick_tables(instance: Instance, matching: Matching):
+    """Per agent id, (weights, beats): each pick's weight, and per candidate
+    the bitmask of picks in which the agent prefers that candidate to its
+    partner (absent when none). A lottery agent picks a support order. A
+    compact agent's extensions are equally likely, so only the partner's
+    tier-mates are in doubt. Mates who never prefer the agent to their own
+    partner cannot block with it; of the other r, a given set S ranks ahead
+    of the partner with probability |S|! (r - |S|)! / (r + 1)!. A pick is
+    such an S of the mates whose own side is undecided too; no pick ranks a
+    mate who always prefers the agent ahead, since that would block.
     """
     n_men = instance.n_men
+    partners = [matching.partner_of_man(m) for m in range(n_men)]
+    partners += [matching.partner_of_woman(w) for w in range(instance.n_women)]
+    entries = instance.model.men + instance.model.women
+    tables = []
+    for agent, (entry, partner) in enumerate(zip(entries, partners)):
+        if isinstance(instance.model, LotteryModel):
+            beats: dict[int, int] = {}
+            for i, (order, _) in enumerate(entry.support):
+                for candidate in order.ranking[: order.rank.get(partner)]:
+                    beats[candidate] = beats.get(candidate, 0) | 1 << i
+            tables.append(([weight for _, weight in entry.support], beats))
+            continue
+        if partner is None:
+            tables.append(([Fraction(1)], dict.fromkeys(entry.tier_of, 1)))
+            continue
+        # a mate sits on the other side and knows this agent as `me`
+        me, base = (agent, n_men) if agent < n_men else (agent - n_men, 0)
+        tier = entry.tier_of[partner]
+        undecided, r = [], 0
+        for mate in entry.tiers[tier]:
+            side = _tie_side(entries[base + mate], me, partners[base + mate])
+            if mate != partner and side is not False:
+                r += 1
+                if side is None:
+                    undecided.append(mate)
+        picks = range(1 << len(undecided))
+        weights = [
+            Fraction(math.factorial(s) * math.factorial(r - s), math.factorial(r + 1))
+            for s in map(int.bit_count, picks)
+        ]
+        beats = dict.fromkeys(sum(entry.tiers[:tier], ()), (1 << len(picks)) - 1)
+        for j, mate in enumerate(undecided):
+            beats[mate] = sum(1 << k for k in picks if k >> j & 1)
+        tables.append((weights, beats))
+    return tables
+
+
+def _pair_masks(tables, n_men: int):
+    """Yield (man id, woman id, a_mask, b_mask) for each pair that can block,
+    by man, then woman: the pair's entries in the two agents' beats."""
     for m in range(n_men):
-        partner_m = matching.partner_of_man(m)
-        for w in sorted(instance.acceptable_men[m]):
-            if partner_m == w:
-                continue
-            a_mask = 0
-            for i, (order, _) in enumerate(supports[m]):
-                if order.prefers_over_partner(w, partner_m):
-                    a_mask |= 1 << i
-            if not a_mask:
-                continue
-            partner_w = matching.partner_of_woman(w)
-            b_mask = 0
-            for j, (order, _) in enumerate(supports[n_men + w]):
-                if order.prefers_over_partner(m, partner_w):
-                    b_mask |= 1 << j
+        for w, a_mask in sorted(tables[m][1].items()):
+            b_mask = tables[n_men + w][1].get(m)
             if b_mask:
                 yield m, n_men + w, a_mask, b_mask
 
@@ -208,18 +246,19 @@ def _pair_masks(instance: Instance, matching: Matching, supports):
 def _compile(instance: Instance, matching: Matching) -> _Model | None:
     """The weighted constraint problem whose solutions keep the matching stable.
 
-    A pair whose mask covers one agent's whole support blocks whenever the
-    other agent picks an order from the opposite mask, so those picks are
+    A pair whose mask covers one agent's every pick blocks whenever the
+    other agent takes a pick from the opposite mask, so those picks are
     deleted up front; the remaining pairs become two-sided constraints.
     Returns None as soon as stability is impossible, before any weight is
     scaled, because most matchings a search scores fail that way.
     """
-    supports = [agent_support(instance, agent) for agent in instance.agents()]
-    allowed = [(1 << len(support)) - 1 for support in supports]
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in supports]
-    for a, b, a_mask, b_mask in _pair_masks(instance, matching, supports):
-        a_full = a_mask == (1 << len(supports[a])) - 1
-        b_full = b_mask == (1 << len(supports[b])) - 1
+    tables = _pick_tables(instance, matching)
+    weights = [agent_weights for agent_weights, _ in tables]
+    allowed = [(1 << len(agent_weights)) - 1 for agent_weights in weights]
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in weights]
+    for a, b, a_mask, b_mask in _pair_masks(tables, instance.n_men):
+        a_full = a_mask == (1 << len(weights[a])) - 1
+        b_full = b_mask == (1 << len(weights[b])) - 1
         if a_full and b_full:
             return None
         if a_full:
@@ -236,7 +275,7 @@ def _compile(instance: Instance, matching: Matching) -> _Model | None:
     order = [agent for agent, edges in enumerate(adjacency) if edges]
     order.sort(key=lambda agent: (-len(adjacency[agent]), agent))
     # each component keeps the global order restricted to its agents
-    label = [-1] * len(supports)
+    label = [-1] * len(weights)
     components: list[list[int]] = []
     for agent in order:
         if label[agent] < 0:
@@ -251,16 +290,16 @@ def _compile(instance: Instance, matching: Matching) -> _Model | None:
     numerators = []
     denominator = 1
     free_product = 1
-    for agent, support in enumerate(supports):
-        scale = math.lcm(*(weight.denominator for _, weight in support))
-        scaled = [w.numerator * (scale // w.denominator) for _, w in support]
+    for agent, agent_weights in enumerate(weights):
+        scale = math.lcm(*(w.denominator for w in agent_weights))
+        scaled = [w.numerator * (scale // w.denominator) for w in agent_weights]
         numerators.append(scaled)
         denominator *= scale
         if not adjacency[agent]:
             bits = allowed[agent]
             free_product *= sum(n for i, n in enumerate(scaled) if bits >> i & 1)
     return _Model(
-        supports, allowed, adjacency, components, numerators, denominator, free_product
+        weights, allowed, adjacency, components, numerators, denominator, free_product
     )
 
 
@@ -337,7 +376,7 @@ def _count(model: _Model | None) -> Fraction:
     the free product times each component's summed weight, up to a zero."""
     if model is None:
         return Fraction(0)
-    choice = [0] * len(model.supports)
+    choice = [0] * len(model.weights)
     total = model.free_product
     for order in model.components:
         total *= sum(_walk(model, order, choice))
@@ -368,6 +407,15 @@ def stability_probability_joint(instance: Instance, matching: Matching) -> Fract
     )
 
 
+def _one_side_certain(instance, matching, kind: str, certain: str) -> Fraction:
+    if instance.kind != kind:
+        raise ValidationError(f"requires a {kind}-model instance")
+    instance.validate_matching(matching)
+    if not any(side_is_certain(instance, side) for side in Side):
+        raise ValidationError(f"requires one side with {certain} preferences")
+    return _count(_compile(instance, matching))
+
+
 def stability_probability_lottery_one_side_certain(
     instance: Instance, matching: Matching
 ) -> Fraction:
@@ -379,14 +427,7 @@ def stability_probability_lottery_one_side_certain(
     block independently, and the answer is the product of each agent's
     remaining weight: the compiled model's free product.
     """
-    if not isinstance(instance.model, LotteryModel):
-        raise ValidationError("requires a lottery-model instance")
-    instance.validate_matching(matching)
-    if not (
-        side_is_certain(instance, Side.MEN) or side_is_certain(instance, Side.WOMEN)
-    ):
-        raise ValidationError("requires one side with certain preferences")
-    return _count(_compile(instance, matching))
+    return _one_side_certain(instance, matching, "lottery", "certain")
 
 
 def stability_probability_compact_one_side_certain(
@@ -394,44 +435,12 @@ def stability_probability_compact_one_side_certain(
 ) -> Fraction:
     """Closed form for compact instances where one side is strict.
 
-    An interested man in a strictly better tier than a woman's partner blocks
-    in every extension; k interested men tied with the partner leave her a
-    1/(k+1) chance of drawing the partner first.
+    No tier-mate's own side is then undecided, so each agent has one pick
+    and every pair that can block is a deletion: the answer is the compiled
+    model's free product, with a factor 1/(k+1) for k interested candidates
+    tied with a partner and zero for one in a better tier.
     """
-    if not isinstance(instance.model, CompactModel):
-        raise ValidationError("requires a compact-model instance")
-    instance.validate_matching(matching)
-    if side_is_certain(instance, Side.MEN):
-        pass
-    elif side_is_certain(instance, Side.WOMEN):
-        instance = instance.transposed()
-        matching = matching.transposed()
-    else:
-        raise ValidationError("requires one side with strict preferences")
-    model = instance.model
-    men_orders = [
-        certain_order(instance, AgentId(Side.MEN, m)) for m in range(instance.n_men)
-    ]
-    result = Fraction(1)
-    for w in range(instance.n_women):
-        partner_w = matching.partner_of_woman(w)
-        interested = [
-            m
-            for m in sorted(instance.acceptable_women[w])
-            if men_orders[m].prefers_over_partner(w, matching.partner_of_man(m))
-        ]
-        if not interested:
-            continue
-        if partner_w is None:
-            return Fraction(0)
-        tier_of = model.women[w].tier_of
-        partner_tier = tier_of[partner_w]
-        if any(tier_of[m] < partner_tier for m in interested):
-            return Fraction(0)
-        tied = sum(1 for m in interested if tier_of[m] == partner_tier)
-        if tied:
-            result *= Fraction(1, tied + 1)
-    return result
+    return _one_side_certain(instance, matching, "compact", "strict")
 
 
 def stability_probability_exact(
@@ -439,11 +448,10 @@ def stability_probability_exact(
 ) -> Fraction:
     """Exact stability probability for any model.
 
-    Independent models are summed over realizations of the uncertain agents
-    in integer arithmetic over a common denominator. Always-blocking picks
-    are deleted up front, agents untouched by two-sided constraints
-    contribute a closed factor, and the rest are searched with pruning one
-    connected component at a time; the per-component sums are multiplied.
+    Independent models are summed over the agents' picks in integer
+    arithmetic over a common denominator. Always-blocking picks are deleted
+    up front, agents untouched by two-sided constraints contribute a closed
+    factor, and the rest are searched one connected component at a time.
     """
     if isinstance(instance.model, JointModel):
         return stability_probability_joint(instance, matching)
@@ -486,10 +494,8 @@ def stability_probability(
     if method == "auto" and (
         side_is_certain(instance, Side.MEN) or side_is_certain(instance, Side.WOMEN)
     ):
-        if kind == "lottery":
-            instance.validate_matching(matching)
-            return _count(_compile(instance, matching))
-        return stability_probability_compact_one_side_certain(instance, matching)
+        instance.validate_matching(matching)
+        return _count(_compile(instance, matching))
     return stability_probability_exact(instance, matching, cap=cap)
 
 
@@ -505,9 +511,9 @@ def _lottery_sampler(instance: Instance, matching: Matching, rng: random.Random)
         return blocked
     # only agents with a deleted pick or a constraint need their pick
     picked = [
-        (agent, pick_thresholds(w for _, w in support), model.allowed[agent])
-        for agent, support in enumerate(model.supports)
-        if model.adjacency[agent] or model.allowed[agent] != (1 << len(support)) - 1
+        (agent, pick_thresholds(weights), model.allowed[agent])
+        for agent, weights in enumerate(model.weights)
+        if model.adjacency[agent] or model.allowed[agent] != (1 << len(weights)) - 1
     ]
     edges = [
         (a, b, a_mask, b_mask)
@@ -515,7 +521,7 @@ def _lottery_sampler(instance: Instance, matching: Matching, rng: random.Random)
         for b, a_mask, b_mask in agent_edges
         if a < b
     ]
-    choice = [0] * len(model.supports)
+    choice = [0] * len(model.weights)
 
     def stable() -> bool:
         rolls = draw_rolls(rng, lottery)
@@ -535,23 +541,8 @@ def _lottery_sampler(instance: Instance, matching: Matching, rng: random.Random)
 def _compact_sampler(instance: Instance, matching: Matching, rng: random.Random):
     model = instance.model
     weak_orders = model.men + model.women
-    first_tier = []  # per agent, the index of its best tier in the shuffles
-    tier_count = 0
-    for weak in weak_orders:
-        first_tier.append(tier_count)
-        tier_count += len(weak.tiers)
-
-    def side(agent: int, candidate: int, partner: int | None):
-        """True when the agent prefers the candidate in every extension,
-        False in none, else (tier, candidate, partner): it does when the
-        candidate comes first in that tier's shuffle."""
-        if partner is None:
-            return True
-        tier_of = weak_orders[agent].tier_of
-        if tier_of[candidate] != tier_of[partner]:
-            return tier_of[candidate] < tier_of[partner]
-        return first_tier[agent] + tier_of[candidate], candidate, partner
-
+    # per agent, the index of its best tier in the shuffles
+    first_tier = list(accumulate((len(weak.tiers) for weak in weak_orders), initial=0))
     n_men = instance.n_men
     blocks = []  # per pair that can block, the shuffle outcomes it needs
     for m in range(n_men):
@@ -560,10 +551,17 @@ def _compact_sampler(instance: Instance, matching: Matching, rng: random.Random)
             if partner_m == w:
                 continue
             partner_w = matching.partner_of_woman(w)
-            sides = (side(m, w, partner_m), side(n_men + w, m, partner_w))
-            if False in sides:
-                continue
-            blocks.append(tuple(s for s in sides if s is not True))
+            sides = ((m, w, partner_m), (n_men + w, m, partner_w))
+            needs = []
+            for agent, candidate, partner in sides:
+                side = _tie_side(weak_orders[agent], candidate, partner)
+                if side is False:
+                    break
+                if side is None:  # the shuffle of that tier decides
+                    tier = first_tier[agent] + weak_orders[agent].tier_of[candidate]
+                    needs.append((tier, candidate, partner))
+            else:
+                blocks.append(tuple(needs))
     # a pair that needs fewer outcomes blocks more often, so test it first;
     # one that needs none blocks in every extension
     blocks.sort(key=len)
@@ -656,34 +654,35 @@ def _nonzero_2sat_parts(instance: Instance, matching: Matching):
     exactly-one pair of clauses; a single-support agent gets one variable
     forced true. Every jointly blocking combination contributes the clause
     forbidding both picks. Also returns the (agent id, pick) of each
-    variable and the supports by agent id.
+    variable.
     """
     if not isinstance(instance.model, LotteryModel):
         raise ValidationError("requires a lottery-model instance")
-    supports = [agent_support(instance, agent) for agent in instance.agents()]
-    if any(len(support) > 2 for support in supports):
+    tables = _pick_tables(instance, matching)
+    sizes = [len(weights) for weights, _ in tables]
+    if any(size > 2 for size in sizes):
         raise ValidationError("requires support of at most two orders per agent")
     first: list[int] = []
     choices: list[tuple[int, int]] = []
     clauses: list[tuple[Literal, Literal]] = []
-    for agent, support in enumerate(supports):
+    for agent, size in enumerate(sizes):
         v = len(choices)
         first.append(v)
-        choices += [(agent, i) for i in range(len(support))]
-        if len(support) == 1:
+        choices += [(agent, i) for i in range(size)]
+        if size == 1:
             clauses.append(((v, True), (v, True)))
         else:
             clauses.append(((v, True), (v + 1, True)))
             clauses.append(((v, False), (v + 1, False)))
-    for a, b, a_mask, b_mask in _pair_masks(instance, matching, supports):
-        for i in range(len(supports[a])):
+    for a, b, a_mask, b_mask in _pair_masks(tables, instance.n_men):
+        for i in range(sizes[a]):
             if not a_mask >> i & 1:
                 continue
-            for j in range(len(supports[b])):
+            for j in range(sizes[b]):
                 if b_mask >> j & 1:
                     clauses.append(((first[a] + i, False), (first[b] + j, False)))
     formula = TwoSatInstance(num_variables=len(choices), clauses=tuple(clauses))
-    return formula, choices, supports
+    return formula, choices
 
 
 def build_nonzero_2sat(instance: Instance, matching: Matching) -> TwoSatInstance:
@@ -693,12 +692,12 @@ def build_nonzero_2sat(instance: Instance, matching: Matching) -> TwoSatInstance
     orders each.
     """
     instance.validate_matching(matching)
-    formula, _, _ = _nonzero_2sat_parts(instance, matching)
-    return formula
+    return _nonzero_2sat_parts(instance, matching)[0]
 
 
-def _profile_from_choices(instance: Instance, supports, choice: list[int]) -> Profile:
-    orders = [support[i][0] for support, i in zip(supports, choice)]
+def _profile_from_choices(instance: Instance, choice: list[int]) -> Profile:
+    entries = instance.model.men + instance.model.women
+    orders = [entry.support[i][0] for entry, i in zip(entries, choice)]
     n_men = instance.n_men
     return Profile(men=tuple(orders[:n_men]), women=tuple(orders[n_men:]))
 
@@ -718,7 +717,7 @@ def _nonzero_backtracking(
     for order in model.components:
         if next(_walk(model, order, choice, budget), None) is None:
             return False, None
-    profile = _profile_from_choices(instance, model.supports, choice)
+    profile = _profile_from_choices(instance, choice)
     return True, _verified(profile, matching)
 
 
@@ -745,14 +744,14 @@ def is_stability_probability_nonzero(
             return False, None
         return True, _verified(_compact_witness(model, matching), matching)
     if all(support_size(instance, agent) <= 2 for agent in instance.agents()):
-        formula, choices, supports = _nonzero_2sat_parts(instance, matching)
+        formula, choices = _nonzero_2sat_parts(instance, matching)
         assignment = solve_2sat(formula)
         if assignment is None:
             return False, None
-        choice = [0] * len(supports)
+        choice = [0] * (instance.n_men + instance.n_women)
         for (agent, i), value in zip(choices, assignment):
             if value:
                 choice[agent] = i
-        profile = _profile_from_choices(instance, supports, choice)
+        profile = _profile_from_choices(instance, choice)
         return True, _verified(profile, matching)
     return _nonzero_backtracking(instance, matching, node_budget)

@@ -27,7 +27,9 @@ from stableprob import (
     TwoSatInstance,
     WeakOrder,
     agent_support,
+    certain_order,
     is_stable,
+    side_is_certain,
 )
 
 
@@ -155,10 +157,10 @@ def truth_table_count(formula: TwoSatInstance) -> int:
 
 # -- reference engines -------------------------------------------------------
 #
-# The package's earlier exact engine, nonzero search and lottery one-side
-# closed form, kept as slow references: hashed AgentId keys, one recursive
-# search over all constrained agents in a single global order, and a direct
-# per-woman product. They reach sizes the exhaustive oracle cannot.
+# The package's earlier exact engine, nonzero search and one-side closed
+# forms, kept as slow references: hashed AgentId keys, one recursive search
+# over all constrained agents in a single global order, and direct per-woman
+# products. They reach sizes the exhaustive oracle cannot.
 
 
 def _reference_pair_masks(instance: Instance, matching: Matching, supports):
@@ -252,6 +254,16 @@ def reference_exact_probability(instance: Instance, matching: Matching) -> Fract
     return free * search(0)
 
 
+def reference_search_size(instance: Instance, matching: Matching) -> int:
+    """Leaves the reference search may visit: the product of the constrained
+    agents' allowed pick counts (1 when a pair blocks outright)."""
+    structure = _reference_structure(instance, matching)
+    if structure is None:
+        return 1
+    _, _, allowed, _, order = structure
+    return math.prod(allowed[agent].bit_count() for agent in order)
+
+
 def reference_first_witness(instance: Instance, matching: Matching) -> Profile | None:
     """The first blocking-free realization along one global search order.
 
@@ -329,6 +341,46 @@ def reference_lottery_one_side(instance: Instance, matching: Matching) -> Fracti
             ),
             Fraction(0),
         )
+    return result
+
+
+def reference_compact_one_side(instance: Instance, matching: Matching) -> Fraction:
+    """Closed form for compact instances where one side is strict.
+
+    An interested man in a strictly better tier than a woman's partner blocks
+    in every extension; k interested men tied with the partner leave her a
+    1/(k+1) chance of drawing the partner first.
+    """
+    if side_is_certain(instance, Side.MEN):
+        pass
+    elif side_is_certain(instance, Side.WOMEN):
+        instance = instance.transposed()
+        matching = matching.transposed()
+    else:
+        raise ValueError("requires one strict side")
+    model = instance.model
+    men_orders = [
+        certain_order(instance, AgentId(Side.MEN, m)) for m in range(instance.n_men)
+    ]
+    result = Fraction(1)
+    for w in range(instance.n_women):
+        partner_w = matching.partner_of_woman(w)
+        interested = [
+            m
+            for m in sorted(instance.acceptable_women[w])
+            if men_orders[m].prefers_over_partner(w, matching.partner_of_man(m))
+        ]
+        if not interested:
+            continue
+        if partner_w is None:
+            return Fraction(0)
+        tier_of = model.women[w].tier_of
+        partner_tier = tier_of[partner_w]
+        if any(tier_of[m] < partner_tier for m in interested):
+            return Fraction(0)
+        tied = sum(1 for m in interested if tier_of[m] == partner_tier)
+        if tied:
+            result *= Fraction(1, tied + 1)
     return result
 
 

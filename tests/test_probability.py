@@ -1,6 +1,7 @@
 """Tests for exact, closed-form, and sampled stability probabilities."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,10 +27,12 @@ from helpers import (
     random_lottery_instance,
     random_maximal_matching,
     random_perturbed_lottery_instance,
+    reference_compact_one_side,
     reference_estimate,
     reference_exact_probability,
     reference_first_witness,
     reference_lottery_one_side,
+    reference_search_size,
     truth_table_count,
 )
 from stableprob import (
@@ -45,6 +48,7 @@ from stableprob import (
     agent_support,
     build_nonzero_2sat,
     estimate_stability_probability,
+    exists_certainly_stable_matching,
     gale_shapley,
     is_stability_probability_nonzero,
     is_stability_probability_one,
@@ -893,6 +897,101 @@ class TestAgainstReferenceEngine:
             assert value == reference_lottery_one_side(inst, matching)
             interior += 0 < value < 1
         assert interior >= 10
+
+    @staticmethod
+    def one_pick_each(inst, matching) -> bool:
+        model = probability._compile(inst, matching)
+        return model is None or (
+            all(len(weights) == 1 for weights in model.weights)
+            and not any(model.adjacency)
+        )
+
+    @pytest.mark.parametrize("strict_side", ["men", "women"])
+    def test_compact_one_side_against_closed_form(self, strict_side):
+        rng = random.Random(48 if strict_side == "men" else 49)
+        values = []
+        for seed in range(60):
+            n_men, n_women = rng.randint(2, 32), rng.randint(2, 32)
+            inst = random_compact_instance(
+                rng, n_men, n_women, max_tie=8, complete=seed % 3 == 0
+            )
+            sides = {"men": inst.model.men, "women": inst.model.women}
+            sides[strict_side] = tuple(
+                WeakOrder(tuple((c,) for tier in weak.tiers for c in tier))
+                for weak in sides[strict_side]
+            )
+            inst = Instance(CompactModel(**sides))
+            if seed % 4:
+                matching = gale_shapley(sample_profile(inst, rng))
+            else:
+                pairs = sorted(random_maximal_matching(rng, inst).pairs)
+                matching = Matching.from_pairs(pairs[: rng.randrange(len(pairs) + 1)])
+            expected = reference_compact_one_side(inst, matching)
+            value = stability_probability_compact_one_side_certain(inst, matching)
+            assert value == stability_probability(inst, matching) == expected
+            # no tier-mate is undecided, so every pair is a deletion
+            assert self.one_pick_each(inst, matching)
+            values.append(expected)
+        assert sum(0 < v < 1 for v in values) >= 20
+        assert sum(v == 0 for v in values) >= 5
+
+    @pytest.mark.parametrize("strict_side", ["men", "women"])
+    def test_compact_one_side_tie_of_26(self, strict_side):
+        # every man ranks woman 0 first and his partner second; woman 0 ties
+        # all 26 men, so the 25 she is not matched to always want her
+        rng = random.Random(50)
+        n = 26
+        men = [
+            [[0], [m]] + [[w] for w in rng.sample(range(1, n), n - 1) if w != m]
+            for m in range(1, n)
+        ]
+        women = [[list(range(n))]]
+        women += [[[m] for m in rng.sample(range(n), n)] for _ in range(1, n)]
+        inst = compact_instance([[[w] for w in range(n)]] + men, women)
+        matching = Matching.from_pairs((k, k) for k in range(n))
+        if strict_side == "women":
+            inst, matching = inst.transposed(), matching.transposed()
+        start = time.process_time()
+        value = stability_probability_compact_one_side_certain(inst, matching)
+        auto = stability_probability(inst, matching)
+        took = time.process_time() - start
+        assert value == auto == reference_compact_one_side(inst, matching)
+        assert value == Fraction(1, 26)
+        assert took < 1.0
+
+    def test_compact_ties_on_both_sides(self):
+        """Tier-mates told apart on both sides, against the reference that
+        enumerates every linear extension; nonzero and one must agree."""
+        rng = random.Random(51)
+        values = []
+        told_apart = 0
+        while len(values) < 80:
+            n = rng.randint(5, 8)
+            inst = random_compact_instance(
+                rng, n, n, max_tie=rng.randint(2, 5), complete=rng.random() < 0.5
+            )
+            kind = len(values) % 4
+            if kind >= 2:  # maximal, or maximal less one pair
+                pairs = sorted(random_maximal_matching(rng, inst).pairs)
+                matching = Matching.from_pairs(pairs[: len(pairs) + 2 - kind])
+            else:
+                matching = exists_certainly_stable_matching(inst) if kind == 0 else None
+                if matching is None:
+                    matching = gale_shapley(sample_profile(inst, rng))
+            if reference_search_size(inst, matching) > 20_000:
+                continue  # beyond the reference's reach
+            value = stability_probability_exact(inst, matching, cap=None)
+            assert value == reference_exact_probability(inst, matching)
+            decision, _ = is_stability_probability_nonzero(inst, matching)
+            assert decision == (value > 0)
+            assert is_stability_probability_one(inst, matching) == (value == 1)
+            model = probability._compile(inst, matching)
+            told_apart += model is not None and any(len(w) > 1 for w in model.weights)
+            values.append(value)
+        assert sum(0 < v < 1 for v in values) >= 30
+        assert sum(v == 0 for v in values) >= 10
+        assert sum(v == 1 for v in values) >= 3
+        assert told_apart >= 20
 
 
 class TestComponents:
