@@ -62,8 +62,11 @@ def _raw_listings(model: str, preferences, names, index_of, profiles=None):
     for name in names:
         label = f"preferences of '{name}'"
         if model == "joint":
-            entry = profiles[0]["orders"][name]
-            listings[name] = _candidate_set(entry, label, index_of)
+            # every profile's names are checked; the first one's set is kept
+            listings[name] = [
+                _candidate_set(profile["orders"][name], label, index_of)
+                for profile in profiles
+            ][0]
         elif model == "compact":
             entry = preferences[name]
             _require(
@@ -308,6 +311,10 @@ def matching_from_json(data, men_names, women_names) -> Matching:
             "each pair must be a [man, woman] array",
         )
         man, woman = item
+        _require(
+            isinstance(man, str) and isinstance(woman, str),
+            "each pair must name a man and a woman",
+        )
         _require(man in man_of, f"pair references unknown man '{man}'")
         _require(woman in woman_of, f"pair references unknown woman '{woman}'")
         pairs.append((man_of[man], woman_of[woman]))

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from operator import lt
 from typing import Iterable, Union
 
 from .core import (
@@ -347,31 +348,52 @@ def _distinct_orders(instance: Instance, agent: AgentId) -> tuple[LinearOrder, .
     raise ValidationError("compact agents enumerate extensions lazily")
 
 
+@dataclass(frozen=True)
+class _CertainRelation:
+    """``certainly_preferred`` evaluated per query, never materialized.
+
+    ``rank`` maps each candidate to its positions in the agent's distinct
+    orders (a compact agent's one position is its tier); ``a`` is above ``b``
+    iff every position of ``a`` is smaller.
+    """
+
+    rank: dict[int, tuple[int, ...]]
+
+    @property
+    def candidates(self):
+        return self.rank.keys()
+
+    def prefers(self, a: int, b: int) -> bool:
+        return all(map(lt, self.rank[a], self.rank[b]))
+
+    def maximal(self, among: Iterable[int] | None = None) -> list[int]:
+        """Candidates with nothing above them within ``among``, ascending."""
+        # a certainly preferred candidate sorts first, so a candidate is
+        # maximal iff no maximal candidate found before it is above it
+        top: list[int] = []
+        for a in sorted(self.rank if among is None else among, key=self.rank.get):
+            if not any(self.prefers(b, a) for b in top):
+                top.append(a)
+        return sorted(top)
+
+
+def _certain_relation(instance: Instance, agent: AgentId) -> _CertainRelation:
+    model = instance.model
+    if isinstance(model, CompactModel):
+        entries = model.men if agent.side is Side.MEN else model.women
+        return _CertainRelation(
+            {c: (tier,) for c, tier in entries[agent.index].tier_of.items()}
+        )
+    orders = _distinct_orders(instance, agent)
+    ranks = [order.rank for order in orders]
+    return _CertainRelation({c: tuple([r[c] for r in ranks]) for c in ranks[0]})
+
+
 def certainly_preferred(instance: Instance, agent: AgentId) -> PartialOrder:
     """The relation "ranked above in every realization" for one agent."""
     candidates = instance.acceptable(agent)
-    if isinstance(instance.model, CompactModel):
-        entries = instance.model.men if agent.side is Side.MEN else instance.model.women
-        weak = entries[agent.index]
-        pairs = frozenset(
-            (a, b)
-            for a in candidates
-            for b in candidates
-            if weak.tier_of[a] < weak.tier_of[b]
-        )
-        return PartialOrder(candidates, pairs)
-    orders = _distinct_orders(instance, agent)
-    pairs = {
-        (orders[0].ranking[i], orders[0].ranking[j])
-        for i in range(len(orders[0].ranking))
-        for j in range(i + 1, len(orders[0].ranking))
-    }
-    for order in orders[1:]:
-        pairs &= {
-            (order.ranking[i], order.ranking[j])
-            for i in range(len(order.ranking))
-            for j in range(i + 1, len(order.ranking))
-        }
+    relation = _certain_relation(instance, agent)
+    pairs = {(a, b) for a in candidates for b in candidates if relation.prefers(a, b)}
     return PartialOrder(candidates, frozenset(pairs))
 
 
@@ -410,12 +432,12 @@ def certain_order(instance: Instance, agent: AgentId) -> LinearOrder | None:
     if _agent_is_uncertain(instance, agent):
         return None
     model = instance.model
+    if isinstance(model, JointModel):
+        return _distinct_orders(instance, agent)[0]
     entries = model.men if agent.side is Side.MEN else model.women
     if isinstance(model, LotteryModel):
         return entries[agent.index].support[0][0]
-    if isinstance(model, CompactModel):
-        return LinearOrder(tuple(t[0] for t in entries[agent.index].tiers))
-    return _distinct_orders(instance, agent)[0]
+    return LinearOrder(tuple(t[0] for t in entries[agent.index].tiers))
 
 
 def side_is_certain(instance: Instance, side: Side) -> bool:

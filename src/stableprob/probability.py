@@ -67,6 +67,8 @@ class TwoSatInstance:
     clauses: tuple[tuple[Literal, Literal], ...]
 
     def __post_init__(self):
+        if not isinstance(self.num_variables, int):
+            raise ValidationError("variable count must be an integer")
         if self.num_variables < 0:
             raise ValidationError("variable count must be nonnegative")
         clauses = tuple(
@@ -75,7 +77,7 @@ class TwoSatInstance:
         object.__setattr__(self, "clauses", clauses)
         for clause in clauses:
             for variable, polarity in clause:
-                if not 0 <= variable < self.num_variables:
+                if not (isinstance(variable, int) and 0 <= variable < self.num_variables):
                     raise ValidationError(f"literal uses unknown variable {variable}")
                 if not isinstance(polarity, bool):
                     raise ValidationError("literal polarity must be a bool")

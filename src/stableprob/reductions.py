@@ -32,6 +32,8 @@ class X3cInstance:
     triples: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        if not isinstance(self.universe_size, int):
+            raise ValidationError("universe size must be an integer")
         if self.universe_size < 0 or self.universe_size % 3:
             raise ValidationError("universe size must be a nonnegative multiple of 3")
         triples = tuple(tuple(sorted(t)) for t in self.triples)
@@ -52,6 +54,8 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if not isinstance(self.vertex_count, int):
+            raise ValidationError("vertex count must be an integer")
         if self.vertex_count < 0:
             raise ValidationError("vertex count must be nonnegative")
         seen = set()

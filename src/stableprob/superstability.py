@@ -3,8 +3,10 @@
 For the independent models (lottery, compact), a matching has stability
 probability one exactly when no pair is very weakly blocking under the
 certainly-preferred relations, which reduces the question to finding a
-super-stable matching of a partial-order market. The joint model is
-dependent, so it is handled by intersecting per-profile stable sets instead.
+super-stable matching of a partial-order market. The queries evaluate the
+relation per pair and never materialize it (``smp_from_instance`` still
+does, for direct callers). The joint model is dependent, so it is handled
+by intersecting per-profile stable sets instead.
 """
 
 from __future__ import annotations
@@ -20,12 +22,19 @@ from .core import (
     is_stable,
 )
 from .errors import ValidationError
-from .models import Instance, JointModel, PartialOrder, certainly_preferred
+from .models import (
+    Instance,
+    JointModel,
+    PartialOrder,
+    _certain_relation,
+    certainly_preferred,
+)
 
 
 @dataclass(frozen=True)
 class SmpInstance:
-    """A market where every agent ranks candidates by a strict partial order."""
+    """A market where every agent ranks candidates by a strict partial order;
+    any entry with ``candidates``, ``prefers`` and ``maximal`` will do."""
 
     men: tuple[PartialOrder, ...]
     women: tuple[PartialOrder, ...]
@@ -59,34 +68,37 @@ class SmpInstance:
         return len(self.women)
 
 
-def smp_from_instance(instance: Instance) -> SmpInstance:
-    """Certainly-preferred partial orders of an independent-model instance."""
+def _reject_joint(instance: Instance) -> None:
     if isinstance(instance.model, JointModel):
         raise ValidationError(
             "the joint model is dependent; its certainly-preferred orders do "
             "not characterize certain stability"
         )
-    men = tuple(
-        certainly_preferred(instance, AgentId(Side.MEN, m))
-        for m in range(instance.n_men)
-    )
-    women = tuple(
-        certainly_preferred(instance, AgentId(Side.WOMEN, w))
-        for w in range(instance.n_women)
-    )
+
+
+def _market(instance: Instance, relation=_certain_relation) -> SmpInstance:
+    """Every agent's ``relation(instance, agent)``; independent models only."""
+    _reject_joint(instance)
+    men = [relation(instance, AgentId(Side.MEN, m)) for m in range(instance.n_men)]
+    women = [
+        relation(instance, AgentId(Side.WOMEN, w)) for w in range(instance.n_women)
+    ]
     return SmpInstance(men=men, women=women)
 
 
-def _very_weakly_blocking(
-    smp: SmpInstance, matching: Matching, man: int, woman: int
-) -> bool:
-    if woman not in smp.men[man].candidates:
+def smp_from_instance(instance: Instance) -> SmpInstance:
+    """Certainly-preferred partial orders of an independent-model instance."""
+    return _market(instance, certainly_preferred)
+
+
+def _very_weakly_blocking(his, hers, matching: Matching, man: int, woman: int) -> bool:
+    if woman not in his.candidates:
         return False
     partner_m = matching.partner_of_man(man)
-    if partner_m is not None and smp.men[man].prefers(partner_m, woman):
+    if partner_m is not None and his.prefers(partner_m, woman):
         return False
     partner_w = matching.partner_of_woman(woman)
-    return partner_w is None or not smp.women[woman].prefers(partner_w, man)
+    return partner_w is None or not hers.prefers(partner_w, man)
 
 
 def is_very_weakly_blocking(
@@ -102,8 +114,10 @@ def is_very_weakly_blocking(
         raise ValidationError(f"pair ({man}, {woman}) references unknown agents")
     if matching.partner_of_man(man) == woman:
         raise ValidationError(f"pair ({man}, {woman}) is matched, not blocking")
-    smp = smp_from_instance(instance)
-    return _very_weakly_blocking(smp, matching, man, woman)
+    _reject_joint(instance)
+    his = _certain_relation(instance, AgentId(Side.MEN, man))
+    hers = _certain_relation(instance, AgentId(Side.WOMEN, woman))
+    return _very_weakly_blocking(his, hers, matching, man, woman)
 
 
 def is_certainly_stable(instance: Instance, matching: Matching) -> bool:
@@ -113,14 +127,17 @@ def is_certainly_stable(instance: Instance, matching: Matching) -> bool:
         return all(
             is_stable(profile, matching) for profile, _ in instance.model.profiles
         )
-    smp = smp_from_instance(instance)
-    for m in range(instance.n_men):
-        for w in sorted(instance.acceptable_men[m]):
-            if matching.partner_of_man(m) == w:
-                continue
-            if _very_weakly_blocking(smp, matching, m, w):
-                return False
-    return True
+    return not _blocked(_market(instance), matching)
+
+
+def _blocked(smp: SmpInstance, matching: Matching) -> bool:
+    """True iff some unmatched pair very weakly blocks ``matching``."""
+    return any(
+        _very_weakly_blocking(his, smp.women[w], matching, m, w)
+        for m, his in enumerate(smp.men)
+        for w in his.candidates
+        if matching.partner_of_man(m) != w
+    )
 
 
 def super_stable_smp(smp: SmpInstance) -> Matching | None:
@@ -176,13 +193,7 @@ def super_stable_smp(smp: SmpInstance) -> Matching | None:
         if maximals:
             pairs.append((m, maximals[0]))
     candidate = Matching.from_pairs(pairs)
-    for m in range(smp.n_men):
-        for w in sorted(smp.men[m].candidates):
-            if candidate.partner_of_man(m) == w:
-                continue
-            if _very_weakly_blocking(smp, candidate, m, w):
-                return None
-    return candidate
+    return None if _blocked(smp, candidate) else candidate
 
 
 def exists_certainly_stable_matching(
@@ -191,8 +202,9 @@ def exists_certainly_stable_matching(
     """A certainly stable matching if one exists, else None.
 
     Independent models go through the super-stable reduction on the
-    certainly-preferred orders. The joint model enumerates the stable set of
-    its first profile and keeps the first matching stable everywhere.
+    certainly-preferred relations, evaluated per query. The joint model
+    enumerates the stable set of its first profile and keeps the first
+    matching stable everywhere.
     """
     if isinstance(instance.model, JointModel):
         profiles = instance.model.profiles
@@ -201,4 +213,4 @@ def exists_certainly_stable_matching(
             if all(is_stable(profile, candidate) for profile, _ in profiles[1:]):
                 return candidate
         return None
-    return super_stable_smp(smp_from_instance(instance))
+    return super_stable_smp(_market(instance))

@@ -21,9 +21,11 @@ from stableprob import (
     LinearOrder,
     LotteryModel,
     Matching,
+    PartialOrder,
     ProbabilityEstimate,
     Profile,
     Side,
+    SmpInstance,
     TwoSatInstance,
     WeakOrder,
     agent_support,
@@ -426,6 +428,74 @@ def reference_estimate(
         if is_stable(reference_sample_profile(instance, rng), matching)
     )
     return ProbabilityEstimate(Fraction(hits, samples), eps, err, samples)
+
+
+# -- reference certainly-preferred route ---------------------------------------
+
+
+def reference_certainly_preferred(instance: Instance, agent: AgentId) -> PartialOrder:
+    """The relation built the earlier way: the pair set of every distinct
+    order, intersected (compact agents compare tiers pair by pair)."""
+    candidates = instance.acceptable(agent)
+    model = instance.model
+    if isinstance(model, CompactModel):
+        weak = (model.men if agent.side is Side.MEN else model.women)[agent.index]
+        pairs = frozenset(
+            (a, b)
+            for a in candidates
+            for b in candidates
+            if weak.tier_of[a] < weak.tier_of[b]
+        )
+        return PartialOrder(candidates, pairs)
+    if isinstance(model, LotteryModel):
+        orders = [o for o, _ in agent_support(instance, agent)]
+    else:
+        orders = list(dict.fromkeys(p.order_of(agent) for p, _ in model.profiles))
+
+    def above(o: LinearOrder) -> set:
+        r = o.ranking
+        return {(r[i], r[j]) for i in range(len(r)) for j in range(i + 1, len(r))}
+
+    pairs = above(orders[0])
+    for o in orders[1:]:
+        pairs &= above(o)
+    return PartialOrder(candidates, frozenset(pairs))
+
+
+def reference_smp(instance: Instance) -> SmpInstance:
+    """Every agent's materialized relation, as ``smp_from_instance`` built it."""
+    return SmpInstance(
+        men=tuple(
+            reference_certainly_preferred(instance, AgentId(Side.MEN, m))
+            for m in range(instance.n_men)
+        ),
+        women=tuple(
+            reference_certainly_preferred(instance, AgentId(Side.WOMEN, w))
+            for w in range(instance.n_women)
+        ),
+    )
+
+
+def reference_very_weakly_blocking(
+    smp: SmpInstance, matching: Matching, man: int, woman: int
+) -> bool:
+    """Neither member has the partner in a materialized pair set above the other."""
+    if woman not in smp.men[man].candidates:
+        return False
+    pm = matching.partner_of_man(man)
+    if pm is not None and (pm, woman) in smp.men[man].strictly_before:
+        return False
+    pw = matching.partner_of_woman(woman)
+    return pw is None or (pw, man) not in smp.women[woman].strictly_before
+
+
+def reference_is_certainly_stable(smp: SmpInstance, matching: Matching) -> bool:
+    return not any(
+        reference_very_weakly_blocking(smp, matching, m, w)
+        for m in range(smp.n_men)
+        for w in sorted(smp.men[m].candidates)
+        if matching.partner_of_man(m) != w
+    )
 
 
 # -- random generators -------------------------------------------------------

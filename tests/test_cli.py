@@ -91,6 +91,12 @@ class TestValidate:
         assert code == 0
         assert doc["payload"]["designated_matching"] == MU1
 
+    @pytest.mark.parametrize("pair", [[["m1"], "w1"], [{}, "w1"], ["m1", ["w1"]]])
+    def test_designated_pair_must_hold_names(self, run_json, write, pair):
+        document = dict(EXAMPLE, designated_matching={"pairs": [pair]})
+        code, doc, _ = run_json("validate", write("i.json", document))
+        assert code == 2 and doc["status"] == "invalid-input"
+
     def test_weights_summing_short_are_rejected(self, run_json, write):
         bad = {
             "model": "lottery",
@@ -202,6 +208,16 @@ class TestProbability:
             write("i.json", EXAMPLE),
             "--matching",
             write("mu.json", bad),
+        )
+        assert code == 2 and doc["status"] == "invalid-input"
+
+    @pytest.mark.parametrize("pair", [[["m1"], "w1"], [{}, "w1"], ["m1", 0]])
+    def test_matching_pair_must_hold_names(self, run_json, write, pair):
+        code, doc, _ = run_json(
+            "one",
+            write("i.json", EXAMPLE),
+            "--matching",
+            write("mu.json", {"pairs": [pair]}),
         )
         assert code == 2 and doc["status"] == "invalid-input"
 
@@ -392,6 +408,26 @@ class TestMostStable:
         assert code == 0 and code2 == 0
         assert fast["payload"]["probability"] == brute["payload"]["probability"]
         assert fast["payload"]["algorithm"] == "constant-uncertain"
+
+    def test_constant_uncertain_on_joint_with_certain_women(self, run_json, write):
+        orders = {"m2": ["w2", "w1"], "w1": ["m1", "m2"], "w2": ["m2", "m1"]}
+        joint = {
+            "model": "joint",
+            "men": ["m1", "m2"],
+            "women": ["w1", "w2"],
+            "preferences": {
+                "profiles": [
+                    {"p": "1/2", "orders": {"m1": ["w1", "w2"], **orders}},
+                    {"p": "1/2", "orders": {"m1": ["w2", "w1"], **orders}},
+                ]
+            },
+        }
+        instance = write("i.json", joint)
+        code, fast, _ = run_json("most-stable", instance)
+        code2, brute, _ = run_json("most-stable", instance, "--algorithm", "brute")
+        assert code == 0 and code2 == 0
+        assert fast["payload"]["matching"] == brute["payload"]["matching"] == MU1
+        assert fast["payload"]["probability"] == brute["payload"]["probability"] == "1"
 
     def test_uncertain_side_assertion_fails_on_example(self, run_json, write):
         instance = write("i.json", EXAMPLE)

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -37,8 +37,10 @@ from helpers import (
 )
 from stableprob import (
     AgentId,
+    AgentLottery,
     CompactModel,
     Instance,
+    LinearOrder,
     Matching,
     ResourceLimitError,
     Side,
@@ -657,6 +659,44 @@ class TestIsOne:
             matching = random_maximal_matching(rng, inst)
             expected = stability_probability_exact(inst, matching) == 1
             assert is_stability_probability_one(inst, matching) == expected
+
+
+@st.composite
+def small_lottery_markets(draw):
+    """Lottery markets with n <= 5 a side, supports <= 3, incomplete lists,
+    and a partial matching."""
+    n_men, n_women = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    accept = [[draw(st.booleans()) for _ in range(n_women)] for _ in range(n_men)]
+
+    def agent(candidates) -> AgentLottery:
+        k = draw(st.integers(1, 3))
+        orders = [draw(st.permutations(candidates)) for _ in range(k)]
+        weights = [draw(st.integers(1, 4)) for _ in range(k)]
+        return AgentLottery(
+            tuple(
+                (LinearOrder(tuple(o)), Fraction(w, sum(weights)))
+                for o, w in zip(orders, weights)
+            )
+        )
+
+    men = [agent([w for w in range(n_women) if accept[m][w]]) for m in range(n_men)]
+    women = [agent([m for m in range(n_men) if accept[m][w]]) for w in range(n_women)]
+    pairs = [(m, w) for m in range(n_men) for w in range(n_women) if accept[m][w]]
+    chosen: list = []
+    for m, w in draw(st.permutations(pairs))[: draw(st.integers(0, len(pairs)))]:
+        if all(m != m2 and w != w2 for m2, w2 in chosen):
+            chosen.append((m, w))
+    return lottery_instance(men, women), Matching.from_pairs(chosen)
+
+
+class TestLotteryDecisionsAgainstExact:
+    @settings(deadline=None)
+    @given(small_lottery_markets())
+    def test_one_and_nonzero_match_exact(self, market):
+        inst, matching = market
+        exact = stability_probability_exact(inst, matching, cap=None)
+        assert is_stability_probability_one(inst, matching) == (exact == 1)
+        assert is_stability_probability_nonzero(inst, matching)[0] == (exact > 0)
 
 
 class TestNonzero:

@@ -19,15 +19,27 @@ from helpers import (
     random_joint_instance,
     random_lottery_instance,
     random_maximal_matching,
+    random_perturbed_lottery_instance,
+    random_weak_order,
+    reference_certainly_preferred,
+    reference_is_certainly_stable,
+    reference_smp,
+    reference_very_weakly_blocking,
 )
 from stableprob import (
     AgentId,
+    CompactModel,
+    Instance,
+    LinearOrder,
     Matching,
     PartialOrder,
+    Profile,
     ResourceLimitError,
     Side,
     SmpInstance,
     ValidationError,
+    WeakOrder,
+    certainly_preferred,
     dominance_set,
     exists_certainly_stable_matching,
     gale_shapley,
@@ -322,3 +334,124 @@ class TestExistsCertainlyStable:
                 found += 1
                 assert is_certainly_stable(inst, result)
         assert found  # the suite must exercise both branches
+
+
+def _strict(weak: WeakOrder) -> WeakOrder:
+    return WeakOrder(tuple((c,) for tier in weak.tiers for c in tier))
+
+
+def _tied_below_partners(rng, n: int) -> Instance:
+    """n x n compact market that has a certainly stable matching: strict
+    random lists, deferred acceptance on them, then ties of up to 3 among the
+    candidates each agent ranks below its partner."""
+    men = [rng.sample(range(n), n) for _ in range(n)]
+    women = [rng.sample(range(n), n) for _ in range(n)]
+    mu = gale_shapley(
+        Profile(
+            men=tuple(LinearOrder(tuple(r)) for r in men),
+            women=tuple(LinearOrder(tuple(r)) for r in women),
+        )
+    )
+
+    def weak(ranking: list, partner: int) -> WeakOrder:
+        cut = ranking.index(partner) + 1
+        tail = random_weak_order(rng, ranking[cut:], 3).tiers if cut < n else ()
+        return WeakOrder(tuple((c,) for c in ranking[:cut]) + tail)
+
+    return Instance(
+        CompactModel(
+            men=tuple(weak(r, mu.partner_of_man(m)) for m, r in enumerate(men)),
+            women=tuple(weak(r, mu.partner_of_woman(w)) for w, r in enumerate(women)),
+        )
+    )
+
+
+def _reference_markets():
+    """Seeded independent markets up to n = 48, each with its matchings to check.
+
+    Perturbed lotteries (3-4 orders per agent), compact markets with ties up
+    to 3 (also with the men made strict, or tied only below a stable
+    partner), ragged incomplete lotteries with
+    unequal sides, and many small markets. Each market is checked under a
+    matching stable in one sampled realization, under a random partial
+    matching and, where the reference route finds one, under its certainly
+    stable matching.
+    """
+    rng = random.Random(97)
+    markets = [
+        random_perturbed_lottery_instance(rng, n, 3, 4) for n in (5, 8, 12, 16, 24, 32, 48, 48)
+    ]
+    for n in (5, 8, 12, 24, 48):
+        inst = random_compact_instance(rng, n, n, 3, complete=n < 24)
+        men = tuple(_strict(weak) for weak in inst.model.men)
+        markets += [inst, Instance(CompactModel(men=men, women=inst.model.women))]
+    markets += [_tied_below_partners(rng, n) for n in (6, 12, 24, 48)]
+    for n_men, n_women in ((3, 5), (6, 4), (12, 9), (18, 24), (40, 48)):
+        markets.append(random_lottery_instance(rng, n_men, n_women, 3, complete=False))
+    for _ in range(150):
+        n_men, n_women, complete = rng.randint(1, 6), rng.randint(1, 6), rng.random() < 0.5
+        if rng.random() < 0.5:
+            markets.append(random_lottery_instance(rng, n_men, n_women, 3, complete))
+        else:
+            markets.append(random_compact_instance(rng, n_men, n_women, 3, complete))
+    cases = []
+    for inst in markets:
+        designated = gale_shapley(sample_profile(inst, rng))
+        maximal = random_maximal_matching(rng, inst)
+        partial = Matching.from_pairs(p for p in maximal.pairs if rng.random() < 0.7)
+        smp = reference_smp(inst)
+        certain = super_stable_smp(smp)
+        matchings = (designated, partial) + ((certain,) if certain else ())
+        cases.append((inst, matchings, smp))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def reference_cases():
+    return _reference_markets()
+
+
+class TestAgainstReferenceRoute:
+    """The lazily evaluated relation against the materialized pair sets."""
+
+    def test_is_certainly_stable(self, reference_cases):
+        verdicts = []
+        for inst, matchings, smp in reference_cases:
+            for mu in matchings:
+                expected = reference_is_certainly_stable(smp, mu)
+                assert is_certainly_stable(inst, mu) == expected
+                verdicts.append(expected)
+        assert 20 <= sum(verdicts) <= len(verdicts) - 20
+
+    def test_very_weakly_blocking_on_every_pair(self, reference_cases):
+        verdicts = []
+        for inst, matchings, smp in reference_cases:
+            for mu in matchings:
+                for m in range(inst.n_men):
+                    for w in sorted(inst.acceptable_men[m]):
+                        if mu.partner_of_man(m) == w:
+                            continue
+                        expected = reference_very_weakly_blocking(smp, mu, m, w)
+                        assert is_very_weakly_blocking(inst, mu, m, w) == expected
+                        verdicts.append(expected)
+        assert 1000 <= sum(verdicts) <= len(verdicts) - 1000
+
+    def test_exists_returns_the_same_matching(self, reference_cases):
+        found = 0
+        for inst, _, smp in reference_cases:
+            expected = super_stable_smp(smp)
+            assert exists_certainly_stable_matching(inst) == expected
+            found += expected is not None
+        assert 20 <= found <= len(reference_cases) - 20
+
+    def test_certainly_preferred(self, reference_cases):
+        rng = random.Random(101)
+        joint = [
+            random_joint_instance(rng, n, n + 1, rng.randint(1, 4), rng.random() < 0.5)
+            for n in (1, 2, 3, 4, 6, 12, 24)
+        ]
+        for inst in [case[0] for case in reference_cases] + joint:
+            for agent in inst.agents():
+                assert certainly_preferred(inst, agent) == reference_certainly_preferred(
+                    inst, agent
+                )
