@@ -99,7 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=None,
-        help=f"enumeration cap (default {DEFAULT_CAP}, or {CAP_ENV_VAR} if set)",
+        help=f"work cap (default {DEFAULT_CAP}, or {CAP_ENV_VAR} if set): search "
+        "nodes for probability, perfect matchings and each one's search nodes for "
+        "most-stable brute, a joint model's stable matchings for exists-certain",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

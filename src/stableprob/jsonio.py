@@ -48,10 +48,11 @@ def _candidate_set(order_names, label: str, index_of) -> set[int]:
         and all(isinstance(n, str) for n in order_names),
         f"{label} must be an array of names",
     )
-    indices = []
-    for name in order_names:
-        _require(name in index_of, f"{label} references unknown agent '{name}'")
-        indices.append(index_of[name])
+    try:  # runs once per support order: format the message only on failure
+        indices = [index_of[name] for name in order_names]
+    except KeyError as missing:
+        name = missing.args[0]
+        raise ValidationError(f"{label} references unknown agent '{name}'") from None
     _require(len(set(indices)) == len(indices), f"{label} repeats an agent")
     return set(indices)
 
@@ -245,10 +246,6 @@ def instance_to_json(
     if women_names is None:
         women_names = default_names(instance.n_women, "w")
     model = instance.model
-
-    def order_names(order: LinearOrder, names) -> list[str]:
-        return [names[i] for i in order.ranking]
-
     if isinstance(model, LotteryModel):
         kind = "lottery"
         preferences = {}
@@ -258,7 +255,10 @@ def instance_to_json(
         ):
             for name, agent in zip(names, agents):
                 preferences[name] = [
-                    {"order": order_names(order, other), "p": format_probability(p)}
+                    {
+                        "order": [other[i] for i in order.ranking],
+                        "p": format_probability(p),
+                    }
                     for order, p in agent.support
                 ]
     elif isinstance(model, CompactModel):
@@ -276,11 +276,7 @@ def instance_to_json(
         kind = "joint"
         entries = []
         for profile, weight in model.profiles:
-            orders = {}
-            for name, order in zip(men_names, profile.men):
-                orders[name] = order_names(order, women_names)
-            for name, order in zip(women_names, profile.women):
-                orders[name] = order_names(order, men_names)
+            orders = profile_to_json(profile, men_names, women_names)["orders"]
             entries.append({"p": format_probability(weight), "orders": orders})
         preferences = {"profiles": entries}
     return {

@@ -175,6 +175,15 @@ class JointModel:
 ModelPayload = Union[LotteryModel, CompactModel, JointModel]
 
 
+def _check_pairs(matching: Matching, n_men: int, n_women: int, acceptable_men):
+    """Reject a pair naming an agent outside the market or an unacceptable pair."""
+    for m, w in matching.pairs:
+        if m >= n_men or w >= n_women:
+            raise ValidationError(f"pair ({m}, {w}) references unknown agents")
+        if w not in acceptable_men[m]:
+            raise ValidationError(f"pair ({m}, {w}) is not mutually acceptable")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A market with one of the three uncertainty payloads."""
@@ -262,11 +271,7 @@ class Instance:
         )
 
     def validate_matching(self, matching: Matching) -> None:
-        for m, w in matching.pairs:
-            if m >= self.n_men or w >= self.n_women:
-                raise ValidationError(f"pair ({m}, {w}) references unknown agents")
-            if w not in self.acceptable_men[m]:
-                raise ValidationError(f"pair ({m}, {w}) is not mutually acceptable")
+        _check_pairs(matching, self.n_men, self.n_women, self.acceptable_men)
 
     def transposed(self) -> "Instance":
         if isinstance(self.model, LotteryModel):
@@ -687,11 +692,7 @@ def lift_matching(matching: Matching, padding: Padding) -> Matching:
     Leftover agents (unmatched originals plus the added padding agents) are
     paired in mutually ascending index order.
     """
-    for m, w in matching.pairs:
-        if m >= padding.n_men or w >= padding.n_women:
-            raise ValidationError(f"pair ({m}, {w}) references unknown agents")
-        if w not in padding.acceptable_men[m]:
-            raise ValidationError(f"pair ({m}, {w}) is not mutually acceptable")
+    _check_pairs(matching, padding.n_men, padding.n_women, padding.acceptable_men)
     total = padding.total
     free_men = [m for m in range(padding.n_men) if matching.partner_of_man(m) is None]
     free_men.extend(range(padding.n_men, total))

@@ -52,7 +52,6 @@ from .models import (
     pick_thresholds,
     sample_profile,
     side_is_certain,
-    support_size,
 )
 from .superstability import is_certainly_stable
 
@@ -373,15 +372,20 @@ def _walk(
             return
 
 
-def _count(model: _Model | None) -> Fraction:
+def _count(model: _Model | None, cap: int | None = None) -> Fraction:
     """Total weight of the blocking-free realizations of a compiled model:
-    the free product times each component's summed weight, up to a zero."""
+    the free product times each component's summed weight, up to a zero.
+    The root and every node the component searches enter count against
+    ``cap`` (None for no limit), as in the nonzero search."""
     if model is None:
         return Fraction(0)
     choice = [0] * len(model.weights)
+    budget = None if cap is None else [0, cap]
+    if budget is not None:
+        _enter_node(budget)  # the root of the whole search
     total = model.free_product
     for order in model.components:
-        total *= sum(_walk(model, order, choice))
+        total *= sum(_walk(model, order, choice, budget))
         if not total:
             break
     return Fraction(total, model.denominator)
@@ -454,18 +458,13 @@ def stability_probability_exact(
     arithmetic over a common denominator. Always-blocking picks are deleted
     up front, agents untouched by two-sided constraints contribute a closed
     factor, and the rest are searched one connected component at a time.
+    ``cap`` bounds the search nodes entered, the root included, over all
+    components (None for no limit), not the number of realizations.
     """
     if isinstance(instance.model, JointModel):
         return stability_probability_joint(instance, matching)
     instance.validate_matching(matching)
-    count = 1
-    for agent in instance.agents():
-        count *= support_size(instance, agent)
-        if cap is not None and count > cap:
-            raise ResourceLimitError(
-                f"more than {cap} preference realizations; raise the cap to proceed"
-            )
-    return _count(_compile(instance, matching))
+    return _count(_compile(instance, matching), cap)
 
 
 def stability_probability(
@@ -476,9 +475,10 @@ def stability_probability(
 ) -> Fraction:
     """Exact stability probability, dispatching on the model.
 
-    Methods: "auto" picks the cheapest applicable routine, "one-side" forces
-    the one-side-certain closed forms, "joint" the profile sum, "exact" the
-    general engine. Forcing an inapplicable method raises ValidationError.
+    Methods: "auto" and "exact" run ``stability_probability_exact``, whose
+    ``cap`` bounds search nodes; "one-side" forces the one-side-certain
+    closed forms and "joint" the profile sum, neither of which searches.
+    Forcing an inapplicable method raises ValidationError.
     """
     if method not in ("auto", "exact", "one-side", "joint"):
         raise ValidationError(f"unknown method {method!r}")
@@ -491,13 +491,6 @@ def stability_probability(
         if kind == "compact":
             return stability_probability_compact_one_side_certain(instance, matching)
         raise ValidationError("method 'one-side' requires an independent model")
-    if kind == "joint":
-        return stability_probability_joint(instance, matching)
-    if method == "auto" and (
-        side_is_certain(instance, Side.MEN) or side_is_certain(instance, Side.WOMEN)
-    ):
-        instance.validate_matching(matching)
-        return _count(_compile(instance, matching))
     return stability_probability_exact(instance, matching, cap=cap)
 
 
@@ -740,12 +733,12 @@ def is_stability_probability_nonzero(
             if is_stable(profile, matching):
                 return True, profile
         return False, None
-    if isinstance(instance.model, CompactModel):
-        model = instance.model
+    model = instance.model
+    if isinstance(model, CompactModel):
         if not is_weakly_stable(model.men, model.women, matching):
             return False, None
         return True, _verified(_compact_witness(model, matching), matching)
-    if all(support_size(instance, agent) <= 2 for agent in instance.agents()):
+    if all(len(entry.support) <= 2 for entry in model.men + model.women):
         formula, choices = _nonzero_2sat_parts(instance, matching)
         assignment = solve_2sat(formula)
         if assignment is None:

@@ -5,12 +5,15 @@ tests see exactly the bytes a shell user would.
 """
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import ladder_instance
 from stableprob.cli import main
-from stableprob.jsonio import instance_from_json
+from stableprob.jsonio import default_names, instance_from_json, instance_to_json
+from stableprob.jsonio import matching_to_json
 
 EXAMPLE = {
     "model": "lottery",
@@ -233,6 +236,19 @@ class TestProbability:
         assert code == 3
         assert doc["status"] == "resource-limit"
         assert doc["diagnostics"]
+
+    def test_ladder_is_answered_at_the_default_cap(self, run_json, write):
+        # 2^78 realizations; the cap bounds the 1 + 5 * 39 search nodes
+        inst, mu = ladder_instance(random.Random(46), 40)
+        men, women = default_names(40, "m"), default_names(40, "w")
+        code, doc, _ = run_json(
+            "probability",
+            write("i.json", instance_to_json(inst)),
+            "--matching",
+            write("mu.json", matching_to_json(mu, men, women)),
+        )
+        assert code == 0
+        assert doc["payload"]["probability"] == str(Fraction(3, 4) ** 39)
 
     def test_cap_env_var(self, run_json, write, monkeypatch):
         monkeypatch.setenv("STABLEPROB_CAP", "1")

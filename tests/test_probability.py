@@ -1,5 +1,6 @@
 """Tests for exact, closed-form, and sampled stability probabilities."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -36,6 +37,7 @@ from helpers import (
     truth_table_count,
 )
 from stableprob import (
+    DEFAULT_CAP,
     AgentId,
     AgentLottery,
     CompactModel,
@@ -51,6 +53,7 @@ from stableprob import (
     build_nonzero_2sat,
     estimate_stability_probability,
     exists_certainly_stable_matching,
+    expand_compact_to_lottery,
     gale_shapley,
     is_stability_probability_nonzero,
     is_stability_probability_one,
@@ -661,12 +664,32 @@ class TestIsOne:
             assert is_stability_probability_one(inst, matching) == expected
 
 
+def draw_partial_matching(draw, accept, maximal=st.just(False)) -> Matching:
+    """Greedy over a random prefix of the shuffled acceptable pairs, or over
+    all of them when ``maximal`` draws True."""
+    pairs = [(m, w) for m, row in enumerate(accept) for w, ok in enumerate(row) if ok]
+    tried = draw(st.permutations(pairs))
+    if not draw(maximal):
+        tried = tried[: draw(st.integers(0, len(pairs)))]
+    chosen: list = []
+    for m, w in tried:
+        if all(m != m2 and w != w2 for m2, w2 in chosen):
+            chosen.append((m, w))
+    return Matching.from_pairs(chosen)
+
+
+# three in four pairs acceptable, so that more agents meet in constraints
+MOSTLY = st.integers(0, 3).map(bool)
+
+
 @st.composite
-def small_lottery_markets(draw):
-    """Lottery markets with n <= 5 a side, supports <= 3, incomplete lists,
-    and a partial matching."""
-    n_men, n_women = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    accept = [[draw(st.booleans()) for _ in range(n_women)] for _ in range(n_men)]
+def small_lottery_markets(
+    draw, max_n: int = 5, accepted=st.booleans(), maximal=st.just(False)
+):
+    """Lottery markets with n <= max_n a side, supports <= 3, incomplete
+    lists, and a partial matching."""
+    n_men, n_women = draw(st.integers(1, max_n)), draw(st.integers(1, max_n))
+    accept = [[draw(accepted) for _ in range(n_women)] for _ in range(n_men)]
 
     def agent(candidates) -> AgentLottery:
         k = draw(st.integers(1, 3))
@@ -681,12 +704,29 @@ def small_lottery_markets(draw):
 
     men = [agent([w for w in range(n_women) if accept[m][w]]) for m in range(n_men)]
     women = [agent([m for m in range(n_men) if accept[m][w]]) for w in range(n_women)]
-    pairs = [(m, w) for m in range(n_men) for w in range(n_women) if accept[m][w]]
-    chosen: list = []
-    for m, w in draw(st.permutations(pairs))[: draw(st.integers(0, len(pairs)))]:
-        if all(m != m2 and w != w2 for m2, w2 in chosen):
-            chosen.append((m, w))
-    return lottery_instance(men, women), Matching.from_pairs(chosen)
+    return lottery_instance(men, women), draw_partial_matching(draw, accept, maximal)
+
+
+@st.composite
+def small_compact_markets(draw):
+    """Compact markets with n <= 3 a side, ties of up to 3, incomplete
+    lists, and a partial or maximal matching."""
+    n_men, n_women = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    accept = [[draw(MOSTLY) for _ in range(n_women)] for _ in range(n_men)]
+
+    def weak(candidates) -> WeakOrder:
+        ranking = draw(st.permutations(candidates))
+        tiers = []
+        while ranking:
+            size = draw(st.integers(1, min(3, len(ranking))))
+            tiers.append(tuple(ranking[:size]))
+            ranking = ranking[size:]
+        return WeakOrder(tuple(tiers))
+
+    men = [weak([w for w in range(n_women) if accept[m][w]]) for m in range(n_men)]
+    women = [weak([m for m in range(n_men) if accept[m][w]]) for w in range(n_women)]
+    matching = draw_partial_matching(draw, accept, st.booleans())
+    return Instance(CompactModel(tuple(men), tuple(women))), matching
 
 
 class TestLotteryDecisionsAgainstExact:
@@ -697,6 +737,29 @@ class TestLotteryDecisionsAgainstExact:
         exact = stability_probability_exact(inst, matching, cap=None)
         assert is_stability_probability_one(inst, matching) == (exact == 1)
         assert is_stability_probability_nonzero(inst, matching)[0] == (exact > 0)
+
+
+class TestExactAgainstExpansions:
+    """The compiled engine against the profile sum of the expanded model."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(small_lottery_markets(3, MOSTLY, st.booleans()))
+    def test_lottery_matches_the_joint_expansion(self, market):
+        # at most 3^6 = 729 profiles
+        inst, matching = market
+        joint = lottery_to_joint(inst)
+        assert stability_probability_exact(
+            inst, matching, cap=None
+        ) == stability_probability_joint(joint, matching)
+
+    @settings(deadline=None, max_examples=300)
+    @given(small_compact_markets())
+    def test_compact_matches_the_lottery_expansion(self, market):
+        inst, matching = market
+        lottery_form = expand_compact_to_lottery(inst)
+        assert stability_probability_exact(
+            inst, matching, cap=None
+        ) == stability_probability_exact(lottery_form, matching, cap=None)
 
 
 class TestNonzero:
@@ -1091,6 +1154,61 @@ class TestComponents:
         assert witness == reference_first_witness(inst, mu)
         with pytest.raises(ResourceLimitError):
             is_stability_probability_nonzero(inst, mu, nodes - 1)
+
+
+class TestWorkBudget:
+    """The cap bounds the search nodes the count enters, not realizations."""
+
+    @pytest.mark.parametrize("man_orders", [2, 3])
+    def test_forty_agent_ladder_at_the_default_cap(self, man_orders):
+        # 2^78 realizations or more, but 5 or 8 nodes per rung
+        inst, mu = ladder_instance(random.Random(46), 40, man_orders)
+        expected = stability_probability_exact(inst, mu, cap=None)
+        assert stability_probability_exact(inst, mu) == expected
+        assert stability_probability(inst, mu) == expected
+
+    def test_perturbed_lotteries_at_the_default_cap(self):
+        rng = random.Random(48)
+        values = []
+        for _ in range(5):
+            inst = random_perturbed_lottery_instance(rng, 8, 3, 4)
+            matching = gale_shapley(modal_profile(inst))
+            entries = inst.model.men + inst.model.women
+            assert math.prod(len(entry.support) for entry in entries) > DEFAULT_CAP
+            value = stability_probability_exact(inst, matching)
+            assert value == stability_probability_exact(inst, matching, cap=None)
+            values.append(value)
+        assert any(0 < value < 1 for value in values)
+
+    def test_cap_is_shared_by_the_components(self):
+        # the root, then per rung the man's three picks and, under them,
+        # the woman's two picks, the one that keeps the pair apart, and two
+        rungs = 6
+        inst, mu = ladder_instance(random.Random(47), rungs + 1, man_orders=3)
+        nodes = 1 + 8 * rungs
+        value = stability_probability_exact(inst, mu, cap=nodes)
+        assert value == Fraction(5, 6) ** rungs
+        with pytest.raises(ResourceLimitError):
+            stability_probability_exact(inst, mu, cap=nodes - 1)
+
+    def test_a_cap_above_the_realizations_can_refuse(self):
+        # four realizations; the root, the man's two picks, then three of
+        # the woman's picks, since one would block with his second
+        for cap in (4, 5):
+            with pytest.raises(ResourceLimitError):
+                stability_probability_exact(example_market(), MU_IDENTITY, cap=cap)
+        value = stability_probability_exact(example_market(), MU_IDENTITY, cap=6)
+        assert value == Fraction(13, 25)
+
+    def test_one_side_certain_costs_the_root_alone(self):
+        rng = random.Random(49)
+        for _ in range(5):
+            inst = random_perturbed_lottery_instance(rng, 8, 1, 4)
+            pinned = [certain(*e.support[0][0].ranking) for e in inst.model.men]
+            inst = lottery_instance(pinned, list(inst.model.women))
+            matching = gale_shapley(modal_profile(inst))
+            closed = stability_probability_lottery_one_side_certain(inst, matching)
+            assert stability_probability(inst, matching, cap=1) == closed
 
 
 class TestBuildNonzero2Sat:
