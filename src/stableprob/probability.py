@@ -185,7 +185,7 @@ def _tie_side(weak, candidate: int, partner: int | None) -> bool | None:
     return None if mine == theirs else mine < theirs
 
 
-def _pick_tables(instance: Instance, matching: Matching):
+def _pick_tables(instance: Instance, matching: Matching, budget: list[int] | None = None):
     """Per agent id, (weights, beats): each pick's weight, and per candidate
     the bitmask of picks in which the agent prefers that candidate to its
     partner (absent when none). A lottery agent picks a support order. A
@@ -194,7 +194,9 @@ def _pick_tables(instance: Instance, matching: Matching):
     partner cannot block with it; of the other r, a given set S ranks ahead
     of the partner with probability |S|! (r - |S|)! / (r + 1)!. A pick is
     such an S of the mates whose own side is undecided too; no pick ranks a
-    mate who always prefers the agent ahead, since that would block.
+    mate who always prefers the agent ahead, since that would block. The
+    u * 2^u mask entries of u undecided mates count as nodes against
+    ``budget`` before they are built.
     """
     n_men = instance.n_men
     partners = [matching.partner_of_man(m) for m in range(n_men)]
@@ -222,14 +224,17 @@ def _pick_tables(instance: Instance, matching: Matching):
                 r += 1
                 if side is None:
                     undecided.append(mate)
-        picks = range(1 << len(undecided))
-        weights = [
+        count = 1 << len(undecided)
+        if budget is not None:
+            _enter_node(budget, len(undecided) * count)
+        by_size = [
             Fraction(math.factorial(s) * math.factorial(r - s), math.factorial(r + 1))
-            for s in map(int.bit_count, picks)
+            for s in range(len(undecided) + 1)
         ]
-        beats = dict.fromkeys(sum(entry.tiers[:tier], ()), (1 << len(picks)) - 1)
-        for j, mate in enumerate(undecided):
-            beats[mate] = sum(1 << k for k in picks if k >> j & 1)
+        weights = [by_size[k.bit_count()] for k in range(count)]
+        beats = dict.fromkeys(sum(entry.tiers[:tier], ()), (1 << count) - 1)
+        for j, mate in enumerate(undecided):  # the picks k with bit j set
+            beats[mate] = int(("1" * (1 << j) + "0" * (1 << j)) * (count >> j + 1), 2)
         tables.append((weights, beats))
     return tables
 
@@ -244,7 +249,7 @@ def _pair_masks(tables, n_men: int):
                 yield m, n_men + w, a_mask, b_mask
 
 
-def _compile(instance: Instance, matching: Matching) -> _Model | None:
+def _compile(instance: Instance, matching: Matching, budget=None) -> _Model | None:
     """The weighted constraint problem whose solutions keep the matching stable.
 
     A pair whose mask covers one agent's every pick blocks whenever the
@@ -253,7 +258,7 @@ def _compile(instance: Instance, matching: Matching) -> _Model | None:
     Returns None as soon as stability is impossible, before any weight is
     scaled, because most matchings a search scores fail that way.
     """
-    tables = _pick_tables(instance, matching)
+    tables = _pick_tables(instance, matching, budget)
     weights = [agent_weights for agent_weights, _ in tables]
     allowed = [(1 << len(agent_weights)) - 1 for agent_weights in weights]
     adjacency: list[list[tuple[int, int, int]]] = [[] for _ in weights]
@@ -304,9 +309,9 @@ def _compile(instance: Instance, matching: Matching) -> _Model | None:
     )
 
 
-def _enter_node(budget: list[int]) -> None:
-    """Count one search node against ``budget``, a [nodes entered, limit] pair."""
-    budget[0] += 1
+def _enter_node(budget: list[int], nodes: int = 1) -> None:
+    """Count search nodes against ``budget``, a [nodes entered, limit] pair."""
+    budget[0] += nodes
     if budget[0] > budget[1]:
         raise ResourceLimitError(
             f"more than {budget[1]} search nodes; raise the budget to proceed"
@@ -372,15 +377,14 @@ def _walk(
             return
 
 
-def _count(model: _Model | None, cap: int | None = None) -> Fraction:
+def _count(model: _Model | None, budget: list[int] | None = None) -> Fraction:
     """Total weight of the blocking-free realizations of a compiled model:
     the free product times each component's summed weight, up to a zero.
     The root and every node the component searches enter count against
-    ``cap`` (None for no limit), as in the nonzero search."""
+    ``budget`` (None for no limit), as in the nonzero search."""
     if model is None:
         return Fraction(0)
     choice = [0] * len(model.weights)
-    budget = None if cap is None else [0, cap]
     if budget is not None:
         _enter_node(budget)  # the root of the whole search
     total = model.free_product
@@ -459,12 +463,14 @@ def stability_probability_exact(
     up front, agents untouched by two-sided constraints contribute a closed
     factor, and the rest are searched one connected component at a time.
     ``cap`` bounds the search nodes entered, the root included, over all
-    components (None for no limit), not the number of realizations.
+    components, and the compact pick tables' entries (None for no limit),
+    not the number of realizations.
     """
     if isinstance(instance.model, JointModel):
         return stability_probability_joint(instance, matching)
     instance.validate_matching(matching)
-    return _count(_compile(instance, matching), cap)
+    budget = None if cap is None else [0, cap]
+    return _count(_compile(instance, matching, budget), budget)
 
 
 def stability_probability(

@@ -610,6 +610,14 @@ def ladder_instance(rng, n: int, man_orders: int = 2) -> tuple[Instance, Matchin
     return lottery_instance(men, women), matching
 
 
+def tied_instance(n: int) -> tuple[Instance, Matching]:
+    """Every agent ties the whole other side, under the identity matching:
+    every tier-mate of a partner ties this agent with its own partner."""
+    everyone = [[list(range(n))]] * n
+    matching = Matching.from_pairs((k, k) for k in range(n))
+    return compact_instance(everyone, everyone), matching
+
+
 def modal_profile(instance: Instance) -> Profile:
     """Each agent's heaviest support order (first one on ties)."""
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ladder_instance
+from helpers import ladder_instance, tied_instance
 from stableprob.cli import main
 from stableprob.jsonio import default_names, instance_from_json, instance_to_json
 from stableprob.jsonio import matching_to_json
@@ -249,6 +249,17 @@ class TestProbability:
         )
         assert code == 0
         assert doc["payload"]["probability"] == str(Fraction(3, 4) ** 39)
+
+    def test_fully_tied_compact_market_is_refused(self, run_json, write):
+        inst, mu = tied_instance(24)
+        names = default_names(24, "m"), default_names(24, "w")
+        code, doc, _ = run_json(
+            "probability",
+            write("i.json", instance_to_json(inst)),
+            "--matching",
+            write("mu.json", matching_to_json(mu, *names)),
+        )
+        assert code == 3 and doc["status"] == "resource-limit"
 
     def test_cap_env_var(self, run_json, write, monkeypatch):
         monkeypatch.setenv("STABLEPROB_CAP", "1")

@@ -34,6 +34,7 @@ from helpers import (
     reference_first_witness,
     reference_lottery_one_side,
     reference_search_size,
+    tied_instance,
     truth_table_count,
 )
 from stableprob import (
@@ -1199,6 +1200,29 @@ class TestWorkBudget:
                 stability_probability_exact(example_market(), MU_IDENTITY, cap=cap)
         value = stability_probability_exact(example_market(), MU_IDENTITY, cap=6)
         assert value == Fraction(13, 25)
+
+    def test_compact_tables_count_before_the_search(self):
+        # each agent has one undecided mate, so a table of two picks and
+        # 1 * 2 entries; then the root and, in each of the two components,
+        # the first agent's two picks and three of the second's
+        inst, mu = tied_instance(2)
+        nodes = 4 * 2 + 1 + 2 * 5
+        value = stability_probability_exact(inst, mu, cap=nodes)
+        assert value == Fraction(3, 4) ** 2
+        with pytest.raises(ResourceLimitError):
+            stability_probability_exact(inst, mu, cap=nodes - 1)
+
+    @pytest.mark.parametrize("n", [16, 20, 24, 30])
+    def test_fully_tied_compact_markets_are_refused_at_once(self, n):
+        # n - 1 undecided mates per agent: a table of 2^(n-1) picks is
+        # refused before it is built once its entries pass the cap
+        inst, mu = tied_instance(n)
+        start = time.process_time()
+        with pytest.raises(ResourceLimitError):
+            stability_probability_exact(inst, mu)
+        with pytest.raises(ResourceLimitError):
+            stability_probability(inst, mu)
+        assert time.process_time() - start < 1.0
 
     def test_one_side_certain_costs_the_root_alone(self):
         rng = random.Random(49)
