@@ -69,8 +69,13 @@ def _probability_payload(value: Fraction) -> dict:
 
 
 def _load(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except RecursionError:
+        raise ValidationError(f"{path} nests JSON too deeply") from None
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ValidationError(str(exc)) from None
 
 
 def _resolve_cap(args) -> int:
@@ -363,8 +368,6 @@ def _execute(args) -> CommandResult:
     except ResourceLimitError as exc:
         return CommandResult("resource-limit", {}, [str(exc)])
     except ValidationError as exc:
-        return CommandResult("invalid-input", {}, [str(exc)])
-    except (OSError, json.JSONDecodeError) as exc:
         return CommandResult("invalid-input", {}, [str(exc)])
 
 

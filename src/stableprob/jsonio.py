@@ -1,10 +1,17 @@
 """JSON encoding of instances, matchings, and profiles.
 
 The file schema names agents with opaque unique strings; indices follow the
-order of the "men" and "women" arrays. A pair listed by only one of its two
-agents is dropped from both lists on ingest, so parsed instances always
-satisfy mutual acceptability. Probabilities parse exactly from "p/q" or
-finite-decimal strings and serialize back as "p/q".
+order of the "men" and "women" arrays. Probabilities parse exactly from "p/q"
+or finite-decimal strings and serialize back as "p/q".
+
+An instance document is read in one pass. Every agent's lists (its lottery's
+support orders, its compact tiers, or its order in every joint profile) turn
+into rows of opposite-side indices as they are checked, so each listed name is
+looked up once. A pair listed by only one of its two agents is then dropped
+from both agents' rows, so parsed instances always satisfy mutual
+acceptability; a joint instance takes each agent's acceptable set from the
+first profile. The three models share this row form until the rows become
+orders, tiers and profiles.
 """
 
 from __future__ import annotations
@@ -42,67 +49,75 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _candidate_set(order_names, label: str, index_of) -> set[int]:
-    _require(
-        isinstance(order_names, list)
-        and all(isinstance(n, str) for n in order_names),
-        f"{label} must be an array of names",
-    )
-    try:  # runs once per support order: format the message only on failure
-        indices = [index_of[name] for name in order_names]
-    except KeyError as missing:
-        name = missing.args[0]
+def _row(names, label: str, index_of) -> tuple[tuple[int, ...], set[int]]:
+    """Index row of one listed order, and its candidate set."""
+    _require(isinstance(names, list), f"{label} must be an array of names")
+    try:  # runs once per listed order: find what is wrong only on failure
+        row = tuple([index_of[name] for name in names])
+    except (KeyError, TypeError):  # only strings are keys of ``index_of``
+        _require(
+            all(isinstance(n, str) for n in names),
+            f"{label} must be an array of names",
+        )
+        name = next(n for n in names if n not in index_of)
         raise ValidationError(f"{label} references unknown agent '{name}'") from None
-    _require(len(set(indices)) == len(indices), f"{label} repeats an agent")
-    return set(indices)
+    listed = set(row)
+    _require(len(listed) == len(row), f"{label} repeats an agent")
+    return row, listed
 
 
-def _raw_listings(model: str, preferences, names, index_of, profiles=None):
-    """Candidate set each agent lists, before the mutual intersection."""
-    listings = {}
-    for name in names:
-        label = f"preferences of '{name}'"
-        if model == "joint":
-            # every profile's names are checked; the first one's set is kept
-            listings[name] = [
-                _candidate_set(profile["orders"][name], label, index_of)
-                for profile in profiles
-            ][0]
-        elif model == "compact":
-            entry = preferences[name]
-            _require(
-                isinstance(entry, dict) and set(entry) == {"tiers"},
-                f"{label} must be an object with a 'tiers' array",
-            )
-            tiers = entry["tiers"]
-            _require(isinstance(tiers, list), f"{label} 'tiers' must be an array")
-            flat: list[str] = []
-            for tier in tiers:
-                _require(isinstance(tier, list), f"{label} tiers must be arrays")
-                flat.extend(tier)
-            listings[name] = _candidate_set(flat, label, index_of)
+def _listing(model: str, preferences, profiles, name: str, index_of):
+    """One agent's rows and the candidate set it lists, before the mutual
+    intersection: support orders, tiers, or one order per joint profile."""
+    label = f"preferences of '{name}'"
+    if model == "joint":
+        checked = [_row(p["orders"][name], label, index_of) for p in profiles]
+        return [row for row, _ in checked], checked[0][1]
+    entry = preferences[name]
+    if model == "compact":
+        _require(
+            isinstance(entry, dict) and set(entry) == {"tiers"},
+            f"{label} must be an object with a 'tiers' array",
+        )
+        tiers = entry["tiers"]
+        _require(isinstance(tiers, list), f"{label} 'tiers' must be an array")
+        for tier in tiers:
+            _require(isinstance(tier, list), f"{label} tiers must be arrays")
+        flat, listed = _row([n for tier in tiers for n in tier], label, index_of)
+        rows, start = [], 0
+        for tier in tiers:
+            rows.append(flat[start : start + len(tier)])
+            start += len(tier)
+        return rows, listed
+    _require(
+        isinstance(entry, list) and entry,
+        f"{label} must be a nonempty array of support orders",
+    )
+    rows, first = [], None
+    for item in entry:
+        _require(
+            isinstance(item, dict) and set(item) == {"order", "p"},
+            f"{label} entries must be objects with 'order' and 'p'",
+        )
+        row, listed = _row(item["order"], label, index_of)
+        if first is None:
+            first = listed
         else:
-            entry = preferences[name]
             _require(
-                isinstance(entry, list) and entry,
-                f"{label} must be a nonempty array of support orders",
+                listed == first,
+                f"support orders of '{name}' must rank the same candidates",
             )
-            first = None
-            for item in entry:
-                _require(
-                    isinstance(item, dict) and set(item) == {"order", "p"},
-                    f"{label} entries must be objects with 'order' and 'p'",
-                )
-                candidates = _candidate_set(item["order"], label, index_of)
-                if first is None:
-                    first = candidates
-                else:
-                    _require(
-                        candidates == first,
-                        f"support orders of '{name}' must rank the same candidates",
-                    )
-            listings[name] = first
-    return listings
+        rows.append(row)
+    return rows, first
+
+
+def _mutual_rows(mine, theirs) -> list[list[tuple[int, ...]]]:
+    """Each agent's rows without the candidates that do not list it back."""
+    kept = []
+    for agent, (rows, listed) in enumerate(mine):
+        keep = {other for other in listed if agent in theirs[other][1]}
+        kept.append([tuple(filter(keep.__contains__, row)) for row in rows])
+    return kept
 
 
 def instance_from_json(data) -> tuple[Instance, tuple[str, ...], tuple[str, ...]]:
@@ -153,79 +168,44 @@ def instance_from_json(data) -> tuple[Instance, tuple[str, ...], tuple[str, ...]
             "'preferences' must list every agent exactly once",
         )
 
-    men_raw = _raw_listings(model, preferences, men_names, woman_of, profiles)
-    women_raw = _raw_listings(model, preferences, women_names, man_of, profiles)
-    men_mutual = {
-        name: {
-            w
-            for w in men_raw[name]
-            if man_of[name] in women_raw[women_names[w]]
-        }
-        for name in men_names
-    }
-    women_mutual = {
-        name: {
-            m
-            for m in women_raw[name]
-            if woman_of[name] in men_raw[men_names[m]]
-        }
-        for name in women_names
-    }
-
-    def filtered_order(order_names, index_of, keep: set[int]) -> LinearOrder:
-        ranking = tuple(
-            index_of[n] for n in order_names if index_of[n] in keep
-        )
-        return LinearOrder(ranking)
-
-    def build_lottery(name, index_of, keep) -> AgentLottery:
-        support = tuple(
-            (
-                filtered_order(item["order"], index_of, keep),
-                _weight(item["p"], f"weight in preferences of '{name}'"),
-            )
-            for item in preferences[name]
-        )
-        return AgentLottery(support)
-
-    def build_weak(name, index_of, keep) -> WeakOrder:
-        tiers = []
-        for tier in preferences[name]["tiers"]:
-            filtered = tuple(index_of[n] for n in tier if index_of[n] in keep)
-            if filtered:
-                tiers.append(filtered)
-        return WeakOrder(tuple(tiers))
+    men = [_listing(model, preferences, profiles, n, woman_of) for n in men_names]
+    women = [_listing(model, preferences, profiles, n, man_of) for n in women_names]
+    men_rows = _mutual_rows(men, women)
+    women_rows = _mutual_rows(women, men)
 
     if model == "lottery":
+
+        def lottery(name, rows) -> AgentLottery:
+            label = f"weight in preferences of '{name}'"
+            return AgentLottery(
+                tuple(
+                    (LinearOrder(row), _weight(item["p"], label))
+                    for row, item in zip(rows, preferences[name])
+                )
+            )
+
         payload = LotteryModel(
-            men=tuple(
-                build_lottery(n, woman_of, men_mutual[n]) for n in men_names
-            ),
-            women=tuple(
-                build_lottery(n, man_of, women_mutual[n]) for n in women_names
-            ),
+            men=tuple(map(lottery, men_names, men_rows)),
+            women=tuple(map(lottery, women_names, women_rows)),
         )
     elif model == "compact":
         payload = CompactModel(
-            men=tuple(build_weak(n, woman_of, men_mutual[n]) for n in men_names),
-            women=tuple(build_weak(n, man_of, women_mutual[n]) for n in women_names),
+            men=tuple(WeakOrder(tuple(filter(None, rows))) for rows in men_rows),
+            women=tuple(WeakOrder(tuple(filter(None, rows))) for rows in women_rows),
         )
     else:
-        entries = []
-        for item in profiles:
-            orders = item["orders"]
-            profile = Profile(
-                men=tuple(
-                    filtered_order(orders[n], woman_of, men_mutual[n])
-                    for n in men_names
-                ),
-                women=tuple(
-                    filtered_order(orders[n], man_of, women_mutual[n])
-                    for n in women_names
-                ),
+        payload = JointModel(
+            profiles=tuple(
+                (
+                    Profile(
+                        men=tuple(LinearOrder(rows[k]) for rows in men_rows),
+                        women=tuple(LinearOrder(rows[k]) for rows in women_rows),
+                    ),
+                    _weight(item["p"], "profile weight"),
+                )
+                for k, item in enumerate(profiles)
             )
-            entries.append((profile, _weight(item["p"], "profile weight")))
-        payload = JointModel(profiles=tuple(entries))
+        )
     return Instance(payload), men_names, women_names
 
 

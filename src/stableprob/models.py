@@ -51,17 +51,19 @@ def as_probability(value) -> Fraction:
         raise ValidationError(f"bad probability {value!r}")
     elif isinstance(value, int):
         prob = Fraction(value)
-    elif isinstance(value, float):
-        prob = Fraction(str(value))
-    elif isinstance(value, str):
+    elif isinstance(value, (float, str)):
         try:
-            prob = Fraction(value)
+            prob = Fraction(str(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad probability {value!r}") from exc
     else:
         raise ValidationError(f"bad probability {value!r}")
     if not 0 <= prob <= 1:
-        raise ValidationError(f"probability {prob} outside [0, 1]")
+        try:
+            shown = str(prob)
+        except ValueError:  # more digits than int-to-str conversion allows
+            raise ValidationError("probability outside [0, 1]") from None
+        raise ValidationError(f"probability {shown} outside [0, 1]")
     return prob
 
 
@@ -192,24 +194,27 @@ class Instance:
 
     def __post_init__(self):
         self.kind  # rejects unknown payload types up front
-        for m, accepted in enumerate(self.acceptable_men):
+        n_men, n_women = self.n_men, self.n_women
+        men = self.acceptable_men
+        for m, accepted in enumerate(men):
             for w in accepted:
-                if w >= self.n_women:
+                if w >= n_women:
                     raise ValidationError(f"man {m} ranks unknown woman {w}")
-        for w, accepted in enumerate(self.acceptable_women):
+        women = self.acceptable_women
+        for w, accepted in enumerate(women):
             for m in accepted:
-                if m >= self.n_men:
+                if m >= n_men:
                     raise ValidationError(f"woman {w} ranks unknown man {m}")
-        for m, accepted in enumerate(self.acceptable_men):
+        for m, accepted in enumerate(men):
             for w in accepted:
-                if m not in self.acceptable_women[w]:
+                if m not in women[w]:
                     raise ValidationError(
                         f"man {m} lists woman {w} but not vice versa; "
                         "acceptability must be mutual"
                     )
-        for w, accepted in enumerate(self.acceptable_women):
+        for w, accepted in enumerate(women):
             for m in accepted:
-                if w not in self.acceptable_men[m]:
+                if w not in men[m]:
                     raise ValidationError(
                         f"woman {w} lists man {m} but not vice versa; "
                         "acceptability must be mutual"

@@ -7,6 +7,7 @@ to agree with.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -27,8 +28,10 @@ from stableprob import (
     Side,
     SmpInstance,
     TwoSatInstance,
+    ValidationError,
     WeakOrder,
     agent_support,
+    as_probability,
     certain_order,
     is_stable,
     side_is_certain,
@@ -496,6 +499,264 @@ def reference_is_certainly_stable(smp: SmpInstance, matching: Matching) -> bool:
         for w in sorted(smp.men[m].candidates)
         if matching.partner_of_man(m) != w
     )
+
+
+# -- reference JSON ingest -----------------------------------------------------
+
+_JSON_MODELS = ("lottery", "compact", "joint")
+_JSON_KEYS = {"model", "men", "women", "preferences", "designated_matching"}
+
+
+def _json_names(value, label: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+        raise ValidationError(f"'{label}' must be an array of strings")
+    return tuple(value)
+
+
+def _json_require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ValidationError(message)
+
+
+def _json_candidates(order_names, label: str, index_of) -> set[int]:
+    _json_require(
+        isinstance(order_names, list)
+        and all(isinstance(n, str) for n in order_names),
+        f"{label} must be an array of names",
+    )
+    try:  # runs once per support order: format the message only on failure
+        indices = [index_of[name] for name in order_names]
+    except KeyError as missing:
+        name = missing.args[0]
+        raise ValidationError(f"{label} references unknown agent '{name}'") from None
+    _json_require(len(set(indices)) == len(indices), f"{label} repeats an agent")
+    return set(indices)
+
+
+def _json_listings(model: str, preferences, names, index_of, profiles=None):
+    """Candidate set each agent lists, before the mutual intersection."""
+    listings = {}
+    for name in names:
+        label = f"preferences of '{name}'"
+        if model == "joint":
+            # every profile's names are checked; the first one's set is kept
+            listings[name] = [
+                _json_candidates(profile["orders"][name], label, index_of)
+                for profile in profiles
+            ][0]
+        elif model == "compact":
+            entry = preferences[name]
+            _json_require(
+                isinstance(entry, dict) and set(entry) == {"tiers"},
+                f"{label} must be an object with a 'tiers' array",
+            )
+            tiers = entry["tiers"]
+            _json_require(isinstance(tiers, list), f"{label} 'tiers' must be an array")
+            flat: list[str] = []
+            for tier in tiers:
+                _json_require(isinstance(tier, list), f"{label} tiers must be arrays")
+                flat.extend(tier)
+            listings[name] = _json_candidates(flat, label, index_of)
+        else:
+            entry = preferences[name]
+            _json_require(
+                isinstance(entry, list) and entry,
+                f"{label} must be a nonempty array of support orders",
+            )
+            first = None
+            for item in entry:
+                _json_require(
+                    isinstance(item, dict) and set(item) == {"order", "p"},
+                    f"{label} entries must be objects with 'order' and 'p'",
+                )
+                candidates = _json_candidates(item["order"], label, index_of)
+                if first is None:
+                    first = candidates
+                else:
+                    _json_require(
+                        candidates == first,
+                        f"support orders of '{name}' must rank the same candidates",
+                    )
+            listings[name] = first
+    return listings
+
+
+def reference_instance_from_json(data):
+    """The two-pass parser: every listing is resolved once to learn
+    acceptability and again to build the model."""
+    _json_require(isinstance(data, dict), "instance must be a JSON object")
+    unknown = set(data) - _JSON_KEYS
+    _json_require(not unknown, f"unknown instance fields: {sorted(unknown)}")
+    for key in ("model", "men", "women", "preferences"):
+        _json_require(key in data, f"instance is missing the '{key}' field")
+    model = data["model"]
+    _json_require(
+        model in _JSON_MODELS, f"'model' must be one of {list(_JSON_MODELS)}"
+    )
+    men_names = _json_names(data["men"], "men")
+    women_names = _json_names(data["women"], "women")
+    all_names = men_names + women_names
+    _json_require(
+        len(set(all_names)) == len(all_names),
+        "agent names must be unique across both sides",
+    )
+    man_of = {name: i for i, name in enumerate(men_names)}
+    woman_of = {name: i for i, name in enumerate(women_names)}
+
+    preferences = data["preferences"]
+    _json_require(isinstance(preferences, dict), "'preferences' must be an object")
+    profiles = None
+    if model == "joint":
+        _json_require(
+            set(preferences) == {"profiles"},
+            "joint 'preferences' must be an object with a 'profiles' array",
+        )
+        profiles = preferences["profiles"]
+        _json_require(
+            isinstance(profiles, list) and profiles,
+            "'profiles' must be a nonempty array",
+        )
+        for item in profiles:
+            _json_require(
+                isinstance(item, dict) and set(item) == {"p", "orders"},
+                "profiles must be objects with 'p' and 'orders'",
+            )
+            _json_require(
+                isinstance(item["orders"], dict)
+                and set(item["orders"]) == set(all_names),
+                "each profile must list orders for every agent exactly once",
+            )
+    else:
+        _json_require(
+            set(preferences) == set(all_names),
+            "'preferences' must list every agent exactly once",
+        )
+
+    men_raw = _json_listings(model, preferences, men_names, woman_of, profiles)
+    women_raw = _json_listings(
+        model, preferences, women_names, man_of, profiles
+    )
+    men_mutual = {
+        name: {
+            w
+            for w in men_raw[name]
+            if man_of[name] in women_raw[women_names[w]]
+        }
+        for name in men_names
+    }
+    women_mutual = {
+        name: {
+            m
+            for m in women_raw[name]
+            if woman_of[name] in men_raw[men_names[m]]
+        }
+        for name in women_names
+    }
+
+    def filtered_order(order_names, index_of, keep: set[int]) -> LinearOrder:
+        ranking = tuple(
+            index_of[n] for n in order_names if index_of[n] in keep
+        )
+        return LinearOrder(ranking)
+
+    def build_lottery(name, index_of, keep) -> AgentLottery:
+        support = tuple(
+            (
+                filtered_order(item["order"], index_of, keep),
+                _json_weight(item["p"], f"weight in preferences of '{name}'"),
+            )
+            for item in preferences[name]
+        )
+        return AgentLottery(support)
+
+    def build_weak(name, index_of, keep) -> WeakOrder:
+        tiers = []
+        for tier in preferences[name]["tiers"]:
+            filtered = tuple(index_of[n] for n in tier if index_of[n] in keep)
+            if filtered:
+                tiers.append(filtered)
+        return WeakOrder(tuple(tiers))
+
+    if model == "lottery":
+        payload = LotteryModel(
+            men=tuple(
+                build_lottery(n, woman_of, men_mutual[n]) for n in men_names
+            ),
+            women=tuple(
+                build_lottery(n, man_of, women_mutual[n]) for n in women_names
+            ),
+        )
+    elif model == "compact":
+        payload = CompactModel(
+            men=tuple(build_weak(n, woman_of, men_mutual[n]) for n in men_names),
+            women=tuple(build_weak(n, man_of, women_mutual[n]) for n in women_names),
+        )
+    else:
+        entries = []
+        for item in profiles:
+            orders = item["orders"]
+            profile = Profile(
+                men=tuple(
+                    filtered_order(orders[n], woman_of, men_mutual[n])
+                    for n in men_names
+                ),
+                women=tuple(
+                    filtered_order(orders[n], man_of, women_mutual[n])
+                    for n in women_names
+                ),
+            )
+            entries.append((profile, _json_weight(item["p"], "profile weight")))
+        payload = JointModel(profiles=tuple(entries))
+    return Instance(payload), men_names, women_names
+
+
+def _json_weight(value, label: str) -> Fraction:
+    try:
+        return as_probability(value)
+    except ValidationError as exc:
+        raise ValidationError(f"{label}: {exc}") from exc
+
+
+# -- document mutation ---------------------------------------------------------
+
+FUZZ_VALUES = [
+    None, True, False, 0, 1, -1, 2, 0.5, "", "m0", "w1", "m9", "1/2", "1/0", "x",
+    [], {}, ["m0"], ["w0", "m0"], {"m0": 1}, {"order": []}, {"tiers": "w0"},
+]
+
+
+def _containers(node, out):
+    if isinstance(node, (dict, list)):
+        out.append(node)
+        for child in node.values() if isinstance(node, dict) else node:
+            _containers(child, out)
+    return out
+
+
+def mutate_document(rng: random.Random, document):
+    """A copy of ``document`` with one to three random edits: values set,
+    appended or deleted, or a subtree copied from elsewhere."""
+    document = copy.deepcopy(document)
+    for _ in range(rng.randint(1, 3)):
+        parent = rng.choice(_containers(document, []))
+        keys = list(parent) if isinstance(parent, dict) else list(range(len(parent)))
+        action = rng.random()
+        if not keys or action < 0.1:
+            value = copy.deepcopy(rng.choice(FUZZ_VALUES))
+            if isinstance(parent, dict):
+                parent[rng.choice(["", "p", "pairs", "order", "m0", "model"])] = value
+            else:
+                parent.append(value)
+            continue
+        key = rng.choice(keys)
+        if action < 0.25:
+            del parent[key]
+        elif action < 0.35:
+            # a subtree from elsewhere in the document
+            parent[key] = copy.deepcopy(rng.choice(_containers(document, [])))
+        else:
+            parent[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+    return document
 
 
 # -- random generators -------------------------------------------------------

@@ -145,6 +145,83 @@ class TestValidate:
         assert code == 0 and doc["payload"]["men"] == 2
 
 
+UNREADABLE = {
+    "not-utf8": b"\xff\xfe{}",
+    "deep": b"[" * 5000 + b"]" * 5000,
+    "long-integer": b'{"n": ' + b"7" * 5000 + b"}",
+}
+
+
+class TestUnreadableFiles:
+    @pytest.fixture(params=sorted(UNREADABLE))
+    def unreadable(self, request, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(UNREADABLE[request.param])
+        return str(path)
+
+    def assert_invalid(self, run, *argv):
+        code, out, _ = run(*argv)
+        doc = json.loads(out)
+        assert code == 2 and doc["status"] == "invalid-input" and doc["diagnostics"]
+
+    def test_instance_file(self, run, unreadable):
+        self.assert_invalid(run, "validate", unreadable)
+
+    def test_matching_file(self, run, write, unreadable):
+        instance = write("i.json", EXAMPLE)
+        self.assert_invalid(run, "probability", instance, "--matching", unreadable)
+
+    def test_problem_file(self, run, unreadable):
+        self.assert_invalid(run, "generate", "x3c", unreadable)
+
+
+class TestProbabilityValues:
+    @staticmethod
+    def with_weight(p):
+        return dict(
+            CERTAIN_1X1,
+            preferences={
+                "m": [{"order": ["w"], "p": p}],
+                "w": [{"order": ["m"], "p": "1"}],
+            },
+        )
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            ("3/2", "probability 3/2 outside [0, 1]"),
+            ("1e999999", "probability outside [0, 1]"),
+            ("-1e999999", "probability outside [0, 1]"),
+            (float("inf"), "bad probability inf"),
+            (float("nan"), "bad probability nan"),
+        ],
+    )
+    def test_weight_out_of_range_or_unprintable(self, run_json, write, p, message):
+        code, doc, _ = run_json("validate", write("i.json", self.with_weight(p)))
+        assert code == 2 and doc["status"] == "invalid-input"
+        assert doc["diagnostics"] == [f"weight in preferences of 'm': {message}"]
+
+    @pytest.mark.parametrize(
+        "eps, message",
+        [
+            ("3/2", "probability 3/2 outside [0, 1]"),
+            ("1e999999", "probability outside [0, 1]"),
+        ],
+    )
+    def test_estimate_epsilon(self, run_json, write, eps, message):
+        code, doc, _ = run_json(
+            "probability",
+            write("i.json", CERTAIN_1X1),
+            "--matching",
+            write("mu.json", {"pairs": [["m", "w"]]}),
+            "--method",
+            "estimate",
+            "--eps",
+            eps,
+        )
+        assert code == 2 and doc["diagnostics"] == [message]
+
+
 class TestProbability:
     def test_example_values(self, run_json, write):
         instance = write("i.json", EXAMPLE)

@@ -6,11 +6,11 @@ hold, ``main`` must return an exit code in 0-3 and never raise.
 """
 
 import contextlib
-import copy
 import io
 import json
 import random
 
+from helpers import mutate_document
 from stableprob.cli import main
 
 LOTTERY = {
@@ -75,43 +75,7 @@ COMMANDS = [
     (["most-stable", "--algorithm", "brute"], False),
     (["complete"], False),
 ]
-VALUES = [
-    None, True, False, 0, 1, -1, 2, 0.5, "", "m0", "w1", "m9", "1/2", "1/0", "x",
-    [], {}, ["m0"], ["w0", "m0"], {"m0": 1}, {"order": []}, {"tiers": "w0"},
-]
 MUTATIONS = 1500
-
-
-def _containers(node, out):
-    if isinstance(node, (dict, list)):
-        out.append(node)
-        for child in node.values() if isinstance(node, dict) else node:
-            _containers(child, out)
-    return out
-
-
-def _mutate(rng: random.Random, document):
-    document = copy.deepcopy(document)
-    for _ in range(rng.randint(1, 3)):
-        parent = rng.choice(_containers(document, []))
-        keys = list(parent) if isinstance(parent, dict) else list(range(len(parent)))
-        action = rng.random()
-        if not keys or action < 0.1:
-            value = copy.deepcopy(rng.choice(VALUES))
-            if isinstance(parent, dict):
-                parent[rng.choice(["", "p", "pairs", "order", "m0", "model"])] = value
-            else:
-                parent.append(value)
-            continue
-        key = rng.choice(keys)
-        if action < 0.25:
-            del parent[key]
-        elif action < 0.35:
-            # a subtree from elsewhere in the document
-            parent[key] = copy.deepcopy(rng.choice(_containers(document, [])))
-        else:
-            parent[key] = copy.deepcopy(rng.choice(VALUES))
-    return document
 
 
 def _run(argv) -> int:
@@ -130,7 +94,7 @@ def test_mutated_documents_never_escape_main(tmp_path):
         if i % 10 == 9:
             kind = rng.choice(sorted(PROBLEMS))
             argv = ["generate", kind, instance_path]
-            instance = _mutate(rng, PROBLEMS[kind])
+            instance = mutate_document(rng, PROBLEMS[kind])
         else:
             head, needs_matching = COMMANDS[rng.randrange(len(COMMANDS))]
             argv = head + [instance_path]
@@ -138,9 +102,9 @@ def test_mutated_documents_never_escape_main(tmp_path):
                 argv += ["--matching", matching_path]
             instance = base
             if needs_matching and rng.random() < 0.5:
-                matching = _mutate(rng, matching)
+                matching = mutate_document(rng, matching)
             else:
-                instance = _mutate(rng, base)
+                instance = mutate_document(rng, base)
         for path, document in ((instance_path, instance), (matching_path, matching)):
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(document, handle)

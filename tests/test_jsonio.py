@@ -1,0 +1,160 @@
+"""The one-pass instance parser against the two-pass parser it replaced.
+
+``reference_instance_from_json`` in helpers resolves every listing twice, once
+to learn acceptability and once to build the model. On every document the two
+must give the same (instance, men, women) or the same error text.
+"""
+
+import random
+
+from helpers import (
+    mutate_document,
+    random_compact_instance,
+    random_joint_instance,
+    random_lottery_instance,
+    reference_instance_from_json,
+)
+from stableprob import ValidationError
+from stableprob.jsonio import instance_from_json, instance_to_json
+
+# m1-w1, m1-w2, m0-w2 and m2-w1 are listed by one side only
+ONE_SIDED_LOTTERY = {
+    "model": "lottery",
+    "men": ["m0", "m1", "m2"],
+    "women": ["w0", "w1", "w2"],
+    "preferences": {
+        "m0": [
+            {"order": ["w0", "w1", "w2"], "p": "1/3"},
+            {"order": ["w2", "w0", "w1"], "p": "2/3"},
+        ],
+        "m1": [{"order": ["w1", "w0"], "p": "1"}],
+        "m2": [{"order": ["w2"], "p": "1/2"}, {"order": ["w2"], "p": "1/2"}],
+        "w0": [{"order": ["m1", "m0"], "p": "1/4"}, {"order": ["m0", "m1"], "p": "3/4"}],
+        "w1": [{"order": ["m0", "m2"], "p": "1"}],
+        "w2": [{"order": ["m2", "m1"], "p": "1/2"}, {"order": ["m1", "m2"], "p": "1/2"}],
+    },
+}
+# w2's first tier empties once m1, who does not list her, is dropped
+ONE_SIDED_COMPACT = {
+    "model": "compact",
+    "men": ["m0", "m1", "m2"],
+    "women": ["w0", "w1", "w2"],
+    "preferences": {
+        "m0": {"tiers": [["w0", "w1"], ["w2"]]},
+        "m1": {"tiers": [["w1"], ["w0"]]},
+        "m2": {"tiers": [["w2", "w0"]]},
+        "w0": {"tiers": [["m0"], ["m1", "m2"]]},
+        "w1": {"tiers": [["m0", "m2"]]},
+        "w2": {"tiers": [["m1"], ["m2"]]},
+    },
+}
+# the first profile is mutual; the second lists m0-w1 as well, which the
+# first profile's acceptability drops
+JOINT_EXTRA = {
+    "model": "joint",
+    "men": ["m0", "m1"],
+    "women": ["w0", "w1"],
+    "preferences": {
+        "profiles": [
+            {"p": "1/2", "orders": {"m0": ["w0"], "m1": ["w1", "w0"], "w0": ["m1", "m0"], "w1": ["m1"]}},
+            {"p": "1/2", "orders": {"m0": ["w1", "w0"], "m1": ["w0", "w1"], "w0": ["m0", "m1"], "w1": ["m0", "m1"]}},
+        ],
+    },
+}
+# one-sided in the first profile, with extra candidates after it
+JOINT_ONE_SIDED = {
+    "model": "joint",
+    "men": ["m0", "m1"],
+    "women": ["w0", "w1"],
+    "preferences": {
+        "profiles": [
+            {"p": "1/3", "orders": {"m0": ["w0", "w1"], "m1": ["w1"], "w0": ["m1", "m0"], "w1": ["m1"]}},
+            {"p": "1/3", "orders": {"m0": ["w1", "w0"], "m1": ["w1", "w0"], "w0": ["m0", "m1"], "w1": ["m1", "m0"]}},
+            {"p": "1/3", "orders": {"m0": ["w0"], "m1": ["w1"], "w0": ["m0"], "w1": ["m1"]}},
+        ],
+    },
+}
+BASES = (ONE_SIDED_LOTTERY, ONE_SIDED_COMPACT, JOINT_EXTRA, JOINT_ONE_SIDED)
+GENERATORS = (random_lottery_instance, random_compact_instance, random_joint_instance)
+MUTATIONS = 6000
+
+
+def _outcome(parse, document):
+    try:
+        return parse(document)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _lists_of(document, name: str) -> list:
+    preferences = document["preferences"]
+    if document["model"] == "joint":
+        return [p["orders"][name] for p in preferences["profiles"]]
+    if document["model"] == "compact":
+        return preferences[name]["tiers"]
+    return [item["order"] for item in preferences[name]]
+
+
+def _add_one_sided(rng: random.Random, document) -> None:
+    """Let one agent list a candidate who does not list it back; a joint
+    document lists it from a random profile on."""
+    side, other = rng.choice([("men", "women"), ("women", "men")])
+    name = rng.choice(document[side])
+    lists = _lists_of(document, name)
+    strangers = [
+        n
+        for n in document[other]
+        if not any(n in names for names in lists)
+        and not any(name in names for names in _lists_of(document, n))
+    ]
+    if not strangers:
+        return
+    extra = rng.choice(strangers)
+    if document["model"] == "compact":
+        lists.insert(rng.randint(0, len(lists)), [extra])
+        return
+    if document["model"] == "joint":
+        lists = lists[rng.randrange(len(lists)) :]
+    for names in lists:
+        names.insert(rng.randint(0, len(names)), extra)
+
+
+def _random_document(rng: random.Random, i: int):
+    n_men, n_women = rng.randint(1, 4), rng.randint(1, 4)
+    instance = GENERATORS[i % 3](rng, n_men, n_women, complete=False)
+    document = instance_to_json(instance)
+    for _ in range(rng.randint(0, 3)):
+        _add_one_sided(rng, document)
+    return instance, document
+
+
+def test_mutated_documents_parse_as_the_two_pass_parser_does():
+    rng = random.Random(20261018)
+    parsed, errors = 0, set()
+    for i in range(MUTATIONS):
+        base = BASES[i % 4] if i % 2 else _random_document(rng, i)[1]
+        document = mutate_document(rng, base)
+        expected = _outcome(reference_instance_from_json, document)
+        assert _outcome(instance_from_json, document) == expected, document
+        if isinstance(expected, str):
+            errors.add(expected)
+        else:
+            parsed += 1
+    # most mutations break a document; enough must survive to reach the models
+    assert parsed >= 100 and len(errors) >= 50, (parsed, len(errors))
+
+
+def test_unmutated_bases_parse_as_the_two_pass_parser_does():
+    for document in BASES:
+        expected = reference_instance_from_json(document)
+        assert instance_from_json(document) == expected
+
+
+def test_round_trips_with_incomplete_and_one_sided_lists():
+    rng = random.Random(7)
+    for i in range(600):
+        instance, document = _random_document(rng, i)
+        expected = _outcome(reference_instance_from_json, document)
+        assert _outcome(instance_from_json, document) == expected, document
+        if isinstance(expected, tuple):
+            assert expected[0] == instance
