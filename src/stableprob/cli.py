@@ -105,8 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=f"work cap (default {DEFAULT_CAP}, or {CAP_ENV_VAR} if set): search "
-        "nodes for probability, perfect matchings and each one's search nodes for "
-        "most-stable brute, a joint model's stable matchings for exists-certain",
+        "nodes for probability and nonzero, samples for probability --method "
+        "estimate, perfect matchings and each one's search nodes for most-stable "
+        "brute, candidate assignments for most-stable constant-uncertain, a joint "
+        "model's stable matchings for exists-certain",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -191,7 +193,12 @@ def _cmd_probability(args) -> CommandResult:
     matching = matching_from_json(_load(args.matching), men, women)
     if args.method == "estimate":
         estimate = estimate_stability_probability(
-            instance, matching, args.eps, args.delta, random.Random(args.seed)
+            instance,
+            matching,
+            args.eps,
+            args.delta,
+            random.Random(args.seed),
+            cap=_resolve_cap(args),
         )
         payload = {
             "method": "estimate",
@@ -212,7 +219,9 @@ def _cmd_probability(args) -> CommandResult:
 def _cmd_nonzero(args) -> CommandResult:
     instance, men, women = _load_instance(args.instance)
     matching = matching_from_json(_load(args.matching), men, women)
-    positive, witness = is_stability_probability_nonzero(instance, matching)
+    positive, witness = is_stability_probability_nonzero(
+        instance, matching, cap=_resolve_cap(args)
+    )
     if positive:
         payload = {
             "nonzero": True,
@@ -261,7 +270,7 @@ def _cmd_most_stable(args) -> CommandResult:
     if args.algorithm == "brute":
         result = most_stable_brute_force(instance, cap=_resolve_cap(args))
     else:
-        result = most_stable_constant_uncertain(instance)
+        result = most_stable_constant_uncertain(instance, cap=_resolve_cap(args))
     payload = {
         "algorithm": args.algorithm,
         "matching": matching_to_json(result.matching, men, women),

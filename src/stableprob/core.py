@@ -13,15 +13,12 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError, ValidationError
 
 DEFAULT_CAP = 10**6
-
-# brute-force stable-set enumeration is used below this many candidate matchings
-_BRUTE_FORCE_LIMIT = 150_000
 
 
 class Side(Enum):
@@ -308,54 +305,26 @@ def gale_shapley(profile: Profile, proposing_side: Side = Side.MEN) -> Matching:
     return Matching.from_pairs(pairs)
 
 
-def _candidate_matching_count(n_men: int, n_women: int) -> int:
-    return sum(
-        math.comb(n_men, k) * math.comb(n_women, k) * math.factorial(k)
-        for k in range(min(n_men, n_women) + 1)
-    )
-
-
-def _enumerate_brute_force(profile: Profile, cap: int | None) -> list[Matching]:
-    # every partial matching of mutually acceptable pairs, filtered for stability
-    results = []
-    for k in range(min(profile.n_men, profile.n_women) + 1):
-        for men_subset in combinations(range(profile.n_men), k):
-            for women_perm in permutations(range(profile.n_women), k):
-                pairs = tuple(zip(men_subset, women_perm))
-                if not all(
-                    profile.men[m].accepts(w) and profile.women[w].accepts(m)
-                    for m, w in pairs
-                ):
-                    continue
-                matching = Matching.from_pairs(pairs)
-                if is_stable(profile, matching):
-                    results.append(matching)
-                    if cap is not None and len(results) > cap:
-                        raise ResourceLimitError(
-                            f"more than {cap} stable matchings"
-                        )
-    results.sort(key=Matching.sorted_pairs)
-    return results
-
-
 def _successor_edges(profile: Profile, matching: Matching) -> dict[int, tuple[int, int]]:
     """Map each matched man m to (s(m), partner of s(m)) when defined.
 
-    s(m) is the first woman below mu(m) on m's list who is matched and prefers
-    m to her partner. The scan stops at an unmatched acceptable woman: she is
-    unmatched in every stable matching, so all of m's stable partners, and in
-    particular every rotation target, rank above her.
+    s(m) is the first woman below mu(m) on m's list who accepts m, is matched
+    and prefers m to her partner; women who do not list m are skipped, as if
+    lists were cut to mutually acceptable pairs. The scan stops at an
+    unmatched acceptable woman: she is unmatched in every stable matching,
+    so all of m's stable partners, and in particular every rotation target,
+    rank above her.
     """
     edges: dict[int, tuple[int, int]] = {}
     for m in sorted(matching.man_to_woman):
         order = profile.men[m]
         start = order.rank[matching.man_to_woman[m]] + 1
         for w in order.ranking[start:]:
+            if not profile.women[w].accepts(m):
+                continue
             holder = matching.partner_of_woman(w)
             if holder is None:
-                if profile.women[w].accepts(m):
-                    break
-                continue
+                break
             if profile.women[w].prefers(m, holder):
                 edges[m] = (w, holder)
                 break
@@ -391,14 +360,24 @@ def _eliminate(matching: Matching, cycle: list[int], edges) -> Matching:
     return Matching.from_pairs(pairs)
 
 
-def _enumerate_lattice(profile: Profile, cap: int | None) -> list[Matching]:
-    # walk the stable-matching lattice from the man-optimal matching by
-    # eliminating exposed rotations; breadth-first with dedup
+def enumerate_stable_matchings(
+    profile: Profile, cap: int | None = DEFAULT_CAP
+) -> list[Matching]:
+    """All stable matchings, each exactly once, sorted by pair list.
+
+    Walks the stable-matching lattice breadth first from the man-optimal
+    matching, eliminating each exposed rotation (Gusfield and Irving, The
+    Stable Marriage Problem, 1989), so the work grows with the number of
+    stable matchings rather than of partial matchings. More than ``cap``
+    stable matchings (None for no limit) raises ResourceLimitError.
+    """
     root = gale_shapley(profile, Side.MEN)
     seen = {root.pairs}
     results = [root]
     queue = deque([root])
     while queue:
+        if cap is not None and len(results) > cap:
+            raise ResourceLimitError(f"more than {cap} stable matchings")
         current = queue.popleft()
         edges = _successor_edges(profile, current)
         for cycle in _cycles(edges):
@@ -411,31 +390,9 @@ def _enumerate_lattice(profile: Profile, cap: int | None) -> list[Matching]:
             if not is_stable(profile, child):
                 continue
             results.append(child)
-            if cap is not None and len(results) > cap:
-                raise ResourceLimitError(f"more than {cap} stable matchings")
             queue.append(child)
     results.sort(key=Matching.sorted_pairs)
     return results
-
-
-def enumerate_stable_matchings(
-    profile: Profile, cap: int | None = DEFAULT_CAP, method: str = "auto"
-) -> list[Matching]:
-    """All stable matchings, each exactly once, sorted by pair list.
-
-    ``method`` is "auto", "brute", or "lattice". Brute force scans every
-    partial matching and is the correctness anchor; the lattice walk handles
-    sizes where that scan is infeasible. Exceeding ``cap`` raises
-    ResourceLimitError.
-    """
-    if method == "auto":
-        small = _candidate_matching_count(profile.n_men, profile.n_women)
-        method = "brute" if small <= _BRUTE_FORCE_LIMIT else "lattice"
-    if method == "brute":
-        return _enumerate_brute_force(profile, cap)
-    if method == "lattice":
-        return _enumerate_lattice(profile, cap)
-    raise ValidationError(f"unknown enumeration method {method!r}")
 
 
 def is_weakly_stable(

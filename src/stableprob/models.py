@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +44,9 @@ def as_probability(value) -> Fraction:
     """Exact probability from Fraction, int, or a "p/q" / decimal string.
 
     Floats go through their shortest decimal representation so that 0.4
-    means exactly 2/5.
+    means exactly 2/5. A decimal exponent may not exceed the int-to-str
+    digit limit in magnitude, the bound Python already puts on the digit
+    strings themselves, because ``Fraction`` computes ``10 ** exponent``.
     """
     if isinstance(value, Fraction):
         prob = value
@@ -52,10 +55,18 @@ def as_probability(value) -> Fraction:
     elif isinstance(value, int):
         prob = Fraction(value)
     elif isinstance(value, (float, str)):
+        text = str(value)
+        _, marker, exponent = text.lower().partition("e")
+        limit = sys.get_int_max_str_digits() or math.inf  # 0 means no limit
         try:
-            prob = Fraction(str(value))
+            exp = int(exponent) if marker else 0
+            prob = Fraction(text) if abs(exp) <= limit else None
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad probability {value!r}") from exc
+        if prob is None:
+            if exp > 0:  # even the smallest nonzero mantissa exceeds 1
+                raise ValidationError("probability outside [0, 1]")
+            raise ValidationError(f"probability exponent below -{limit}")
     else:
         raise ValidationError(f"bad probability {value!r}")
     if not 0 <= prob <= 1:

@@ -4,7 +4,8 @@ The brute-force path scores every perfect matching of the completed market.
 The polynomial path assumes all uncertainty sits on one side with a bounded
 number of uncertain agents: it fixes their partners in every possible way,
 extends each choice with a stability-optimal assignment of the certain
-agents, and keeps the best scored candidate.
+agents, and keeps the best scored candidate. Each path refuses up front
+when the candidates it would score outnumber ``cap``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def most_stable_brute_force(
     count = math.factorial(n)
     if cap is not None and count > cap:
         raise ResourceLimitError(
-            f"{count} perfect matchings exceed cap {cap}; raise the cap to proceed"
+            f"more than {cap} perfect matchings; raise the cap to proceed"
         )
     best = None
     best_p = Fraction(-1)
@@ -76,7 +77,7 @@ def most_stable_brute_force(
 
 
 def most_stable_constant_uncertain(
-    instance: Instance, max_uncertain: int = 4
+    instance: Instance, cap: int | None = DEFAULT_CAP
 ) -> MostStableResult:
     """Most stable matching when one side holds all the uncertainty.
 
@@ -87,29 +88,29 @@ def most_stable_constant_uncertain(
     assigned partner that would block; that extension is the most stable
     one for the fixed assignment, so scoring the K = n(n-1)...(n-k+1)
     candidates finds the overall optimum. If every assignment is discarded
-    the maximum is zero and the first extension is returned flagged.
+    the maximum is zero and the first extension is returned flagged. More
+    than ``cap`` candidates K (None for no limit) raises ResourceLimitError
+    before any is built.
     """
     uncertain = uncertain_agents(instance)
     sides = {agent.side for agent in uncertain}
     if len(sides) == 2:
         raise ValidationError("requires all uncertain agents on one side")
     if sides == {Side.WOMEN}:
-        result = most_stable_constant_uncertain(
-            instance.transposed(), max_uncertain=max_uncertain
-        )
+        result = most_stable_constant_uncertain(instance.transposed(), cap=cap)
         return MostStableResult(
             matching=result.matching.transposed(),
             probability=result.probability,
             examined=result.examined,
             all_candidates_excluded=result.all_candidates_excluded,
         )
-    k = len(uncertain)
-    if k > max_uncertain:
-        raise ResourceLimitError(
-            f"{k} uncertain agents exceed the limit {max_uncertain}"
-        )
     completed, padding = complete_instance(instance)
     n = completed.n_men
+    k = len(uncertain)
+    if cap is not None and math.perm(n, k) > cap:
+        raise ResourceLimitError(
+            f"more than {cap} candidate assignments; raise the cap to proceed"
+        )
     xs = sorted(agent.index for agent in uncertain)
     x_set = set(xs)
     certain_men = [m for m in range(n) if m not in x_set]
@@ -185,7 +186,7 @@ def most_stable_constant_uncertain(
 
         woman_optimal = run_sub_gs(set(assignment), truncate, Side.WOMEN)
         candidate = Matching.from_pairs(list(mu_x.items()) + woman_optimal)
-        p = stability_probability(completed, candidate)
+        p = stability_probability(completed, candidate, cap=cap)
         if best_p is None or p > best_p:
             best, best_p = candidate, p
     if best is None:

@@ -587,25 +587,32 @@ def estimate_stability_probability(
     epsilon,
     delta,
     rng: random.Random | None = None,
+    cap: int | None = DEFAULT_CAP,
 ) -> ProbabilityEstimate:
     """Monte Carlo estimate within epsilon except with probability delta.
 
     The sample count ceil(ln(2/delta) / (2 epsilon^2)) comes from the
-    two-sided Hoeffding bound. The independent models compile the question
-    once: lottery samples draw each agent's pick index and test it against
-    the compiled model's masks, and compact samples shuffle each tier and
-    compare only the tied candidates that decide a pair. Joint samples test
-    the drawn profile with ``is_stable``. Each sample draws its random
-    numbers with ``sample_profile``'s own helpers (``draw_rolls``,
-    ``draw_shuffles``, ``pick_thresholds``), so the estimate, and the state
-    ``rng`` is left in, are those of testing ``sample_profile`` draws.
+    two-sided Hoeffding bound; more than ``cap`` samples (None for no limit)
+    raise ResourceLimitError before any is drawn. The independent models
+    compile the question once: lottery samples draw each agent's pick index
+    and test it against the compiled model's masks, and compact samples
+    shuffle each tier and compare only the tied candidates that decide a
+    pair. Joint samples test the drawn profile with ``is_stable``. Each
+    sample draws its random numbers with ``sample_profile``'s own helpers
+    (``draw_rolls``, ``draw_shuffles``, ``pick_thresholds``), so the
+    estimate, and the state ``rng`` is left in, are those of testing
+    ``sample_profile`` draws.
     """
     eps = as_probability(epsilon)
     err = as_probability(delta)
     if not 0 < eps < 1 or not 0 < err < 1:
         raise ValidationError("epsilon and delta must lie strictly between 0 and 1")
     instance.validate_matching(matching)
-    samples = math.ceil(Fraction(math.log(2 / float(err))) / (2 * eps * eps))
+    # ln(2/delta) from the fraction's integers, which no float underflow reaches
+    log_ratio = math.log(2 * err.denominator) - math.log(err.numerator)
+    samples = math.ceil(Fraction(log_ratio) / (2 * eps * eps))
+    if cap is not None and samples > cap:
+        raise ResourceLimitError(f"more than {cap} samples; raise the cap to proceed")
     if rng is None:
         rng = random.Random(0)
     if instance.kind == "lottery":
@@ -704,7 +711,7 @@ def _profile_from_choices(instance: Instance, choice: list[int]) -> Profile:
 
 
 def _nonzero_backtracking(
-    instance: Instance, matching: Matching, node_budget: int
+    instance: Instance, matching: Matching, cap: int | None
 ) -> tuple[bool, Profile | None]:
     model = _compile(instance, matching)
     if model is None:
@@ -713,8 +720,9 @@ def _nonzero_backtracking(
     # constraint joins two components, so each component's first solution
     # is the restriction of the first solution along the global order
     choice = [(bits & -bits).bit_length() - 1 for bits in model.allowed]
-    budget = [0, node_budget]
-    _enter_node(budget)  # the root of the whole search
+    budget = None if cap is None else [0, cap]
+    if budget is not None:
+        _enter_node(budget)  # the root of the whole search
     for order in model.components:
         if next(_walk(model, order, choice, budget), None) is None:
             return False, None
@@ -723,7 +731,7 @@ def _nonzero_backtracking(
 
 
 def is_stability_probability_nonzero(
-    instance: Instance, matching: Matching, node_budget: int = 200_000
+    instance: Instance, matching: Matching, cap: int | None = DEFAULT_CAP
 ) -> tuple[bool, Profile | None]:
     """Whether some positive-probability realization keeps the matching stable.
 
@@ -731,7 +739,10 @@ def is_stability_probability_nonzero(
     itself verified stable. Compact instances reduce to weak stability with
     a partner-first tie-break, joint instances scan their profiles, lottery
     instances with binary supports go through 2-SAT, and larger supports
-    fall back to bounded backtracking.
+    search the compiled model for its first allowed assignment. ``cap``
+    bounds that search's nodes entered, the root included, over all
+    components, as in ``stability_probability_exact`` (None for no limit);
+    the other routes do not search.
     """
     instance.validate_matching(matching)
     if isinstance(instance.model, JointModel):
@@ -755,4 +766,4 @@ def is_stability_probability_nonzero(
                 choice[agent] = i
         profile = _profile_from_choices(instance, choice)
         return True, _verified(profile, matching)
-    return _nonzero_backtracking(instance, matching, node_budget)
+    return _nonzero_backtracking(instance, matching, cap)

@@ -11,7 +11,7 @@ import copy
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 from stableprob import (
     AgentId,
@@ -146,6 +146,26 @@ def exhaustive_probability(instance: Instance, matching: Matching) -> Fraction:
                 (p for _, p in women_pick), start=Fraction(1)
             )
     return total
+
+
+def reference_stable_matchings(profile: Profile) -> list[Matching]:
+    """Every partial matching of mutually acceptable pairs, filtered for
+    stability and sorted by pair list: the stable set by brute force."""
+    results = []
+    for k in range(min(profile.n_men, profile.n_women) + 1):
+        for men_subset in combinations(range(profile.n_men), k):
+            for women_perm in permutations(range(profile.n_women), k):
+                pairs = tuple(zip(men_subset, women_perm))
+                if not all(
+                    profile.men[m].accepts(w) and profile.women[w].accepts(m)
+                    for m, w in pairs
+                ):
+                    continue
+                matching = Matching.from_pairs(pairs)
+                if not naive_has_block(profile.men, profile.women, matching):
+                    results.append(matching)
+    results.sort(key=Matching.sorted_pairs)
+    return results
 
 
 def truth_table_count(formula: TwoSatInstance) -> int:

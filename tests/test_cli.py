@@ -6,6 +6,7 @@ tests see exactly the bytes a shell user would.
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from helpers import ladder_instance, tied_instance
 from stableprob.cli import main
 from stableprob.jsonio import default_names, instance_from_json, instance_to_json
 from stableprob.jsonio import matching_to_json
+
+DIGIT_LIMIT = sys.get_int_max_str_digits()
 
 EXAMPLE = {
     "model": "lottery",
@@ -34,6 +37,47 @@ EXAMPLE = {
 }
 MU1 = {"pairs": [["m1", "w1"], ["m2", "w2"]]}
 MU2 = {"pairs": [["m1", "w2"], ["m2", "w1"]]}
+
+# only m1 is uncertain: most-stable constant-uncertain has 2 candidates
+ONE_SIDE = {
+    "model": "lottery",
+    "men": ["m1", "m2"],
+    "women": ["w1", "w2"],
+    "preferences": {
+        "m1": [
+            {"order": ["w1", "w2"], "p": "1/2"},
+            {"order": ["w2", "w1"], "p": "1/2"},
+        ],
+        "m2": [{"order": ["w1", "w2"], "p": "1"}],
+        "w1": [{"order": ["m1", "m2"], "p": "1"}],
+        "w2": [{"order": ["m1", "m2"], "p": "1"}],
+    },
+}
+
+# m1 has three support orders and w2 two, and the pair (m1, w2) blocks only
+# when both take their second: nonzero searches one two-agent component,
+# entering the root, m1 and w2
+THREE_ORDERS = {
+    "model": "lottery",
+    "men": ["m1", "m2", "m3"],
+    "women": ["w1", "w2", "w3"],
+    "preferences": {
+        "m1": [
+            {"order": ["w1", "w2", "w3"], "p": "1/3"},
+            {"order": ["w2", "w1", "w3"], "p": "1/3"},
+            {"order": ["w3", "w1", "w2"], "p": "1/3"},
+        ],
+        "m2": [{"order": ["w2", "w1", "w3"], "p": "1"}],
+        "m3": [{"order": ["w3", "w1", "w2"], "p": "1"}],
+        "w1": [{"order": ["m1", "m2", "m3"], "p": "1"}],
+        "w2": [
+            {"order": ["m2", "m1", "m3"], "p": "1/2"},
+            {"order": ["m1", "m2", "m3"], "p": "1/2"},
+        ],
+        "w3": [{"order": ["m3", "m1", "m2"], "p": "1"}],
+    },
+}
+IDENTITY3 = {"pairs": [["m1", "w1"], ["m2", "w2"], ["m3", "w3"]]}
 
 CERTAIN_1X1 = {
     "model": "lottery",
@@ -192,6 +236,7 @@ class TestProbabilityValues:
             ("3/2", "probability 3/2 outside [0, 1]"),
             ("1e999999", "probability outside [0, 1]"),
             ("-1e999999", "probability outside [0, 1]"),
+            ("1e-9999999", f"probability exponent below -{DIGIT_LIMIT}"),
             (float("inf"), "bad probability inf"),
             (float("nan"), "bad probability nan"),
         ],
@@ -218,6 +263,30 @@ class TestProbabilityValues:
             "estimate",
             "--eps",
             eps,
+        )
+        assert code == 2 and doc["diagnostics"] == [message]
+
+    @pytest.mark.parametrize("option", ["--eps", "--delta"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1e-9999999", f"probability exponent below -{DIGIT_LIMIT}"),
+            ("1e9999999", "probability outside [0, 1]"),
+        ],
+    )
+    def test_estimate_exponent_is_refused_at_once(
+        self, run_json, write, option, value, message
+    ):
+        # Fraction would build 10 ** 9999999 before any range check
+        code, doc, _ = run_json(
+            "probability",
+            write("i.json", CERTAIN_1X1),
+            "--matching",
+            write("mu.json", {"pairs": [["m", "w"]]}),
+            "--method",
+            "estimate",
+            option,
+            value,
         )
         assert code == 2 and doc["diagnostics"] == [message]
 
@@ -399,6 +468,38 @@ class TestEstimate:
         assert first == second
         assert first[0] == 0
 
+    def estimate(self, run_json, write, eps, delta, *cap_options):
+        return run_json(
+            *cap_options,
+            "probability",
+            write("i.json", EXAMPLE),
+            "--matching",
+            write("mu.json", MU1),
+            "--method",
+            "estimate",
+            "--eps",
+            eps,
+            "--delta",
+            delta,
+        )
+
+    def test_tiny_delta_has_a_sample_count(self, run_json, write):
+        # 2 / float(delta) would divide by zero
+        code, doc, _ = self.estimate(run_json, write, "1/2", "1e-400")
+        assert code == 0 and doc["payload"]["samples"] == 1844
+
+    def test_sample_count_is_held_to_the_cap(self, run_json, write):
+        # 3 samples at eps = delta = 1/2
+        code, doc, _ = self.estimate(run_json, write, "1/2", "1/2", "--cap", "3")
+        assert code == 0 and doc["payload"]["samples"] == 3
+        code, doc, _ = self.estimate(run_json, write, "1/2", "1/2", "--cap", "2")
+        assert code == 3 and doc["status"] == "resource-limit"
+
+    def test_tiny_epsilon_is_refused_before_sampling(self, run_json, write):
+        # about 10^800 samples at the default cap
+        code, doc, _ = self.estimate(run_json, write, "1e-400", "1/2")
+        assert code == 3 and doc["status"] == "resource-limit"
+
     def test_degenerate_epsilon_is_rejected(self, run_json, write):
         code, doc, _ = run_json(
             "probability",
@@ -411,6 +512,51 @@ class TestEstimate:
             "0",
         )
         assert code == 2 and doc["status"] == "invalid-input"
+
+
+class TestWorkCap:
+    """--cap and STABLEPROB_CAP reach nonzero and both most-stable searches."""
+
+    def nonzero(self, run_json, write, *options):
+        return run_json(
+            *options,
+            "nonzero",
+            write("i.json", THREE_ORDERS),
+            "--matching",
+            write("mu.json", IDENTITY3),
+        )
+
+    def test_nonzero_search_counts_its_nodes(self, run_json, write):
+        code, doc, _ = self.nonzero(run_json, write, "--cap", "3")
+        assert code == 0 and doc["payload"]["nonzero"] is True
+        code, doc, _ = self.nonzero(run_json, write, "--cap", "1")
+        assert code == 3 and doc["status"] == "resource-limit"
+
+    @pytest.mark.parametrize("algorithm", ["constant-uncertain", "brute"])
+    def test_most_stable_counts_its_candidates(self, run_json, write, algorithm):
+        instance = write("i.json", ONE_SIDE)
+        code, doc, _ = run_json(
+            "--cap", "2", "most-stable", instance, "--algorithm", algorithm
+        )
+        assert code == 0 and doc["payload"]["examined"] == 2
+        code, doc, _ = run_json(
+            "--cap", "1", "most-stable", instance, "--algorithm", algorithm
+        )
+        assert code == 3 and doc["status"] == "resource-limit"
+
+    def test_env_var_reaches_nonzero_and_most_stable(
+        self, run_json, write, monkeypatch
+    ):
+        monkeypatch.setenv("STABLEPROB_CAP", "1")
+        code, _, _ = self.nonzero(run_json, write)
+        assert code == 3
+        code, _, _ = run_json("most-stable", write("i.json", ONE_SIDE))
+        assert code == 3
+        monkeypatch.setenv("STABLEPROB_CAP", "3")
+        code, _, _ = self.nonzero(run_json, write)
+        assert code == 0
+        code, _, _ = run_json("most-stable", write("i.json", ONE_SIDE))
+        assert code == 0
 
 
 class TestDecisions:
@@ -492,21 +638,7 @@ class TestMostStable:
         assert payload["all_candidates_excluded"] is False
 
     def test_constant_uncertain_matches_brute(self, run_json, write):
-        one_side = {
-            "model": "lottery",
-            "men": ["m1", "m2"],
-            "women": ["w1", "w2"],
-            "preferences": {
-                "m1": [
-                    {"order": ["w1", "w2"], "p": "1/2"},
-                    {"order": ["w2", "w1"], "p": "1/2"},
-                ],
-                "m2": [{"order": ["w1", "w2"], "p": "1"}],
-                "w1": [{"order": ["m1", "m2"], "p": "1"}],
-                "w2": [{"order": ["m1", "m2"], "p": "1"}],
-            },
-        }
-        instance = write("i.json", one_side)
+        instance = write("i.json", ONE_SIDE)
         code, fast, _ = run_json("most-stable", instance)
         code2, brute, _ = run_json("most-stable", instance, "--algorithm", "brute")
         assert code == 0 and code2 == 0

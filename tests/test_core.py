@@ -3,10 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_has_block, order
+from helpers import naive_has_block, order, reference_stable_matchings
 from stableprob import (
     LinearOrder,
     Matching,
@@ -240,24 +240,41 @@ class TestEnumerate:
     def test_polarized_instance_has_ten(self):
         assert len(enumerate_stable_matchings(POLARIZED)) == 10
 
-    def test_brute_matches_lattice(self):
-        rng = random.Random(17)
-        for _ in range(150):
-            profile = random_profile(
-                rng, rng.randint(1, 4), rng.randint(1, 4), complete=rng.random() < 0.4
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_lattice_walk_matches_brute_force(self, data):
+        # incomplete lists, one-sided acceptance, unequal and empty sides
+        n_men, n_women = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+
+        def lists(owners, candidates):
+            ranking = st.lists(st.integers(0, candidates - 1), unique=True)
+            return tuple(
+                LinearOrder(tuple(data.draw(ranking) if candidates else ()))
+                for _ in range(owners)
             )
-            brute = enumerate_stable_matchings(profile, method="brute")
-            lattice = enumerate_stable_matchings(profile, method="lattice")
-            assert [b.pairs for b in brute] == [l.pairs for l in lattice]
-            assert all(is_stable(profile, mu) for mu in brute)
+
+        profile = Profile(men=lists(n_men, n_women), women=lists(n_women, n_men))
+        walked = enumerate_stable_matchings(profile)
+        assert walked == reference_stable_matchings(profile)
+
+    def test_lattice_walk_matches_brute_force_at_six(self):
+        rng = random.Random(17)
+        for n_men, n_women, complete in [(6, 6, True), (6, 6, False), (6, 5, False)] * 2:
+            profile = random_profile(rng, n_men, n_women, complete=complete)
+            walked = enumerate_stable_matchings(profile)
+            assert walked == reference_stable_matchings(profile)
 
     def test_cap_is_enforced(self):
         with pytest.raises(ResourceLimitError):
             enumerate_stable_matchings(POLARIZED, cap=3)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValidationError):
-            enumerate_stable_matchings(CYCLIC, method="magic")
+    @pytest.mark.parametrize("profile, count", [(POLARIZED, 10), (CYCLIC, 3)])
+    def test_cap_counts_every_stable_matching(self, profile, count):
+        # the man-optimal root counts too, so cap 0 refuses any profile
+        assert len(enumerate_stable_matchings(profile, cap=count)) == count
+        for cap in (count - 1, 0):
+            with pytest.raises(ResourceLimitError):
+                enumerate_stable_matchings(profile, cap=cap)
 
 
 class TestWeaklyStable:

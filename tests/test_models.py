@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,29 @@ class TestAsProbability:
     def test_rejects(self, value):
         with pytest.raises(ValidationError):
             as_probability(value)
+
+    def test_exponent_up_to_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert as_probability(f"1e-{limit}") == Fraction(1, 10**limit)
+        assert as_probability(f"0.5E-{limit}") == Fraction(1, 2 * 10**limit)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1e-9999999", "probability exponent below -{limit}"),
+            ("-1e-9999999", "probability exponent below -{limit}"),
+            ("1e9999999", "probability outside [0, 1]"),
+            ("1e{over}", "probability outside [0, 1]"),
+            ("1e-{over}", "probability exponent below -{limit}"),
+        ],
+    )
+    def test_rejects_an_exponent_beyond_the_digit_limit(self, value, message):
+        # Fraction would compute 10 ** exponent first
+        limit = sys.get_int_max_str_digits()
+        value = value.format(over=limit + 1)
+        with pytest.raises(ValidationError) as caught:
+            as_probability(value)
+        assert str(caught.value) == message.format(limit=limit)
 
     def test_format_round_trip(self):
         assert format_probability(Fraction(13, 25)) == "13/25"

@@ -189,8 +189,8 @@ class TestConstantUncertain:
             women=[certain(0, 1), certain(0, 1)],
         )
         with pytest.raises(ResourceLimitError):
-            most_stable_constant_uncertain(inst, max_uncertain=1)
-        result = most_stable_constant_uncertain(inst, max_uncertain=2)
+            most_stable_constant_uncertain(inst, cap=1)
+        result = most_stable_constant_uncertain(inst, cap=2)
         assert result.probability == most_stable_brute_force(inst).probability
 
     def test_full_tie_market_matches_brute_force(self):

@@ -503,6 +503,56 @@ class TestEstimate:
         assert est.delta == Fraction(1, 8)
         assert est.point_estimate.denominator <= est.samples
 
+    @pytest.mark.parametrize(
+        "eps, delta",
+        [
+            ("1/50", "1/100"),
+            ("1/2", "1/2"),
+            ("1/6", "1/1000000"),
+            ("1/20", "1/1000000"),
+            ("0.1", "0.000001"),
+            ("0.05", "0.05"),
+            ("0.02", "0.01"),
+            ("1/10", "1/10"),
+            ("1/4", "1/4"),
+            ("1/4", "1/8"),
+            ("0.25", "0.25"),
+        ],
+    )
+    def test_sample_count_is_the_float_formula(self, eps, delta):
+        # ln(2/delta) now comes from the fraction's integers; on the
+        # tolerances the tests, the README and the benchmark use, the count
+        # is the one 2 / float(delta) gave
+        inst = lottery_instance(men=[certain(0)], women=[certain(0)])
+        mu = Matching.from_pairs([(0, 0)])
+        est = estimate_stability_probability(inst, mu, eps, delta)
+        e, d = Fraction(eps), Fraction(delta)
+        assert est.samples == math.ceil(Fraction(math.log(2 / float(d))) / (2 * e * e))
+
+    def test_delta_below_the_float_range(self):
+        est = estimate_stability_probability(
+            example_market(), MU_IDENTITY, "1/2", Fraction(1, 10**400)
+        )
+        assert est.samples == math.ceil(2 * (math.log(2) + 400 * math.log(10)))
+
+    def test_samples_are_counted_against_the_cap(self):
+        # three samples at eps = delta = 1/2, refused before any is drawn
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(ResourceLimitError):
+            estimate_stability_probability(
+                example_market(), MU_IDENTITY, "1/2", "1/2", rng, cap=2
+            )
+        assert rng.getstate() == state
+        est = estimate_stability_probability(
+            example_market(), MU_IDENTITY, "1/2", "1/2", rng, cap=3
+        )
+        assert est.samples == 3
+        with pytest.raises(ResourceLimitError):
+            estimate_stability_probability(
+                example_market(), MU_IDENTITY, Fraction(1, 10**400), "1/2"
+            )
+
     @pytest.mark.parametrize("eps,delta", [(0, "1/2"), (1, "1/2"), ("1/2", 0), ("1/2", 1)])
     def test_rejects_degenerate_tolerances(self, eps, delta):
         with pytest.raises(ValidationError):
@@ -864,7 +914,7 @@ class TestNonzero:
         )
         mu = Matching.from_pairs([(0, 0), (1, 1), (2, 2)])
         with pytest.raises(ResourceLimitError):
-            is_stability_probability_nonzero(inst, mu, node_budget=0)
+            is_stability_probability_nonzero(inst, mu, cap=0)
         decision, _ = is_stability_probability_nonzero(inst, mu)
         assert decision == (stability_probability_exact(inst, mu) > 0)
 

@@ -41,3 +41,36 @@ def test_every_import_is_stdlib_or_the_package():
                 and module.partition(".")[0] != "stableprob"
             ]
     assert found == []
+
+
+def _own_nodes(function):
+    """The nodes of a function's body, not those of functions inside it."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_resource_limits_come_from_a_cap_or_budget_parameter():
+    # one work limit per search: a function that refuses work takes the
+    # limit from its caller, so no stand-alone limit knob can hide in it
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            raises = any(
+                isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)
+                and node.exc.func.id == "ResourceLimitError"
+                for node in _own_nodes(function)
+            )
+            args = function.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if raises and not names & {"cap", "budget"}:
+                found.append(f"{path.name}:{function.lineno} {function.name}")
+    assert found == []

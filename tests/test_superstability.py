@@ -15,6 +15,7 @@ from helpers import (
     exhaustive_probability,
     joint_instance,
     lottery_instance,
+    naive_has_block,
     random_compact_instance,
     random_joint_instance,
     random_lottery_instance,
@@ -24,11 +25,13 @@ from helpers import (
     reference_certainly_preferred,
     reference_is_certainly_stable,
     reference_smp,
+    reference_stable_matchings,
     reference_very_weakly_blocking,
 )
 from stableprob import (
     AgentId,
     CompactModel,
+    Graph,
     Instance,
     LinearOrder,
     Matching,
@@ -49,6 +52,7 @@ from stableprob import (
     sample_profile,
     smp_from_instance,
     super_stable_smp,
+    three_color_to_joint,
 )
 
 
@@ -298,6 +302,41 @@ class TestExistsCertainlyStable:
         inst = joint_instance([((men, women), 1)])
         with pytest.raises(ResourceLimitError):
             exists_certainly_stable_matching(inst, cap=3)
+
+    @staticmethod
+    def reference_joint(inst):
+        """The first matching of the first profile's brute-force stable set
+        that no profile blocks."""
+        profiles = [profile for profile, _ in inst.model.profiles]
+        for candidate in reference_stable_matchings(profiles[0]):
+            if not any(naive_has_block(p.men, p.women, candidate) for p in profiles):
+                return candidate
+        return None
+
+    def test_joint_matches_enumerate_and_filter(self):
+        rng = random.Random(89)
+        sizes = [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(120)]
+        sizes += [(6, 6), (6, 5), (5, 6)] * 2
+        found = 0
+        for i, (n_men, n_women) in enumerate(sizes):
+            inst = random_joint_instance(
+                rng, n_men, n_women, rng.randint(1, 3), complete=i % 3 == 0
+            )
+            result = exists_certainly_stable_matching(inst)
+            assert result == self.reference_joint(inst)
+            found += result is not None
+        assert 20 <= found <= len(sizes) - 20
+
+    @pytest.mark.parametrize(
+        "graph",
+        [Graph(0, ()), Graph(1, ()), Graph(2, ()), Graph(2, ((0, 1),))],
+        ids=["empty", "vertex", "two-vertices", "edge"],
+    )
+    def test_three_color_gadget_matches_enumerate_and_filter(self, graph):
+        inst = three_color_to_joint(graph)
+        result = exists_certainly_stable_matching(inst)
+        assert result is not None
+        assert result == self.reference_joint(inst)
 
     def test_smp_rejects_joint(self):
         inst = joint_instance([((((0,),), ((0,),)), 1)])
