@@ -106,8 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"work cap (default {DEFAULT_CAP}, or {CAP_ENV_VAR} if set): search "
         "nodes for probability and nonzero, samples for probability --method "
-        "estimate, perfect matchings and each one's search nodes for most-stable "
-        "brute, candidate assignments for most-stable constant-uncertain, a joint "
+        "estimate, perfect matchings and each scored one's search nodes for "
+        "most-stable brute (matchings the search prunes are never scored), "
+        "candidate assignments for most-stable constant-uncertain, a joint "
         "model's stable matchings for exists-certain",
     )
     sub = parser.add_subparsers(dest="command", required=True)

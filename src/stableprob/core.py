@@ -267,37 +267,48 @@ def is_stable(profile: Profile, matching: Matching) -> bool:
     return next(iter_blocking_pairs(profile, matching), None) is None
 
 
-def gale_shapley(profile: Profile, proposing_side: Side = Side.MEN) -> Matching:
-    """Deferred acceptance; returns the proposing side's optimal stable matching.
+def deferred_acceptance(lists: dict[int, list[int]], ranks) -> dict[int, int]:
+    """Receiver -> proposer pairs at the end of deferred acceptance.
 
-    Deterministic: free proposers are processed in ascending index order (the
-    result is proposal-order independent anyway).
+    ``lists`` maps each proposer to the receivers it proposes to, best
+    first; every receiver on a list must accept that proposer.
+    ``ranks[r][p]`` is receiver r's rank of proposer p, lower is better.
+    The result is the proposer-optimal stable matching, whatever order the
+    proposals are made in.
     """
+    held: dict[int, int] = {}
+    next_choice = dict.fromkeys(lists, 0)
+    free = list(lists)
+    while free:
+        p = free.pop()
+        order, i = lists[p], next_choice[p]
+        while i < len(order):
+            r = order[i]
+            i += 1
+            cur = held.get(r)
+            if cur is None or ranks[r][p] < ranks[r][cur]:
+                held[r] = p
+                if cur is not None:
+                    free.append(cur)
+                break
+        # list exhausted without acceptance: p stays unmatched
+        next_choice[p] = i
+    return held
+
+
+def gale_shapley(profile: Profile, proposing_side: Side = Side.MEN) -> Matching:
+    """Deferred acceptance; returns the proposing side's optimal stable matching."""
     if proposing_side is Side.MEN:
         proposers, receivers = profile.men, profile.women
     else:
         proposers, receivers = profile.women, profile.men
-    next_choice = [0] * len(proposers)
-    held: dict[int, int] = {}
-    free = deque(range(len(proposers)))
-    while free:
-        p = free.popleft()
-        order = proposers[p]
-        while next_choice[p] < len(order.ranking):
-            r = order.ranking[next_choice[p]]
-            next_choice[p] += 1
-            receiver = receivers[r]
-            if not receiver.accepts(p):
-                continue
-            cur = held.get(r)
-            if cur is None:
-                held[r] = p
-                break
-            if receiver.prefers(p, cur):
-                held[r] = p
-                free.append(cur)
-                break
-        # list exhausted without acceptance: p stays unmatched
+    held = deferred_acceptance(
+        {
+            p: [r for r in order.ranking if receivers[r].accepts(p)]
+            for p, order in enumerate(proposers)
+        },
+        [order.rank for order in receivers],
+    )
     if proposing_side is Side.MEN:
         pairs = ((p, r) for r, p in held.items())
     else:

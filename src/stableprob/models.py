@@ -40,6 +40,15 @@ from .errors import ResourceLimitError, ValidationError
 ONE = Fraction(1)
 
 
+def _bad_probability(value) -> ValidationError:
+    """The error for an unparsable probability, echoing at most a short
+    prefix of the value."""
+    shown = repr(value)
+    if len(shown) > 40:
+        shown = shown[:40] + "..."
+    return ValidationError(f"bad probability {shown}")
+
+
 def as_probability(value) -> Fraction:
     """Exact probability from Fraction, int, or a "p/q" / decimal string.
 
@@ -51,7 +60,7 @@ def as_probability(value) -> Fraction:
     if isinstance(value, Fraction):
         prob = value
     elif isinstance(value, bool):
-        raise ValidationError(f"bad probability {value!r}")
+        raise _bad_probability(value)
     elif isinstance(value, int):
         prob = Fraction(value)
     elif isinstance(value, (float, str)):
@@ -62,13 +71,13 @@ def as_probability(value) -> Fraction:
             exp = int(exponent) if marker else 0
             prob = Fraction(text) if abs(exp) <= limit else None
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad probability {value!r}") from exc
+            raise _bad_probability(value) from exc
         if prob is None:
             if exp > 0:  # even the smallest nonzero mantissa exceeds 1
                 raise ValidationError("probability outside [0, 1]")
             raise ValidationError(f"probability exponent below -{limit}")
     else:
-        raise ValidationError(f"bad probability {value!r}")
+        raise _bad_probability(value)
     if not 0 <= prob <= 1:
         try:
             shown = str(prob)

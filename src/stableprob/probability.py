@@ -42,6 +42,7 @@ from .core import (
 )
 from .errors import ResourceLimitError, ValidationError
 from .models import (
+    AgentLottery,
     CompactModel,
     Instance,
     JointModel,
@@ -185,6 +186,62 @@ def _tie_side(weak, candidate: int, partner: int | None) -> bool | None:
     return None if mine == theirs else mine < theirs
 
 
+def lottery_beats(entry: AgentLottery, partner: int | None) -> dict[int, int]:
+    """Per candidate, the bitmask of support orders in which a lottery agent
+    matched to ``partner`` (None: unmatched) prefers that candidate to it;
+    candidates preferred in no order are absent."""
+    beats: dict[int, int] = {}
+    for i, (order, _) in enumerate(entry.support):
+        for candidate in order.ranking[: order.rank.get(partner)]:
+            beats[candidate] = beats.get(candidate, 0) | 1 << i
+    return beats
+
+
+def scaled_weights(weights: list[list[Fraction]]) -> tuple[list[int], list[list[int]]]:
+    """Each agent's pick weights over a common denominator: per agent, the
+    lcm of its weights' denominators, and each weight's numerator over it."""
+    scales, numerators = [], []
+    for agent_weights in weights:
+        scale = math.lcm(*(w.denominator for w in agent_weights))
+        scales.append(scale)
+        numerators.append([w.numerator * (scale // w.denominator) for w in agent_weights])
+    return scales, numerators
+
+
+def allowed_mass(numerators: list[int], bits: int) -> int:
+    """The scaled weight of the picks whose bits are set in ``bits``."""
+    return sum(n for i, n in enumerate(numerators) if bits >> i & 1)
+
+
+def delete_forced_picks(pairs, full: list[int], allowed: list[int]) -> list | None:
+    """Clear from ``allowed`` the picks that single pairs rule out.
+
+    ``pairs`` yields (a, b, a_mask, b_mask) for each pair of agents that
+    blocks when a takes a pick in a_mask and b one in b_mask; ``full[x]``
+    masks all of agent x's picks. A pair whose mask covers its agent's
+    every pick blocks whenever the other agent takes a pick from the other
+    mask, so those picks go. Returns the pairs where neither mask is full,
+    which stay two-sided constraints, or None as soon as stability is
+    impossible: both masks full, or an agent left with no pick.
+    """
+    two_sided = []
+    for pair in pairs:
+        a, b, a_mask, b_mask = pair
+        if a_mask == full[a]:
+            if b_mask == full[b]:
+                return None
+            agent, mask = b, b_mask
+        elif b_mask == full[b]:
+            agent, mask = a, a_mask
+        else:
+            two_sided.append(pair)
+            continue
+        allowed[agent] &= ~mask
+        if not allowed[agent]:
+            return None
+    return two_sided
+
+
 def _pick_tables(instance: Instance, matching: Matching, budget: list[int] | None = None):
     """Per agent id, (weights, beats): each pick's weight, and per candidate
     the bitmask of picks in which the agent prefers that candidate to its
@@ -205,11 +262,8 @@ def _pick_tables(instance: Instance, matching: Matching, budget: list[int] | Non
     tables = []
     for agent, (entry, partner) in enumerate(zip(entries, partners)):
         if isinstance(instance.model, LotteryModel):
-            beats: dict[int, int] = {}
-            for i, (order, _) in enumerate(entry.support):
-                for candidate in order.ranking[: order.rank.get(partner)]:
-                    beats[candidate] = beats.get(candidate, 0) | 1 << i
-            tables.append(([weight for _, weight in entry.support], beats))
+            weights = [weight for _, weight in entry.support]
+            tables.append((weights, lottery_beats(entry, partner)))
             continue
         if partner is None:
             tables.append(([Fraction(1)], dict.fromkeys(entry.tier_of, 1)))
@@ -252,32 +306,23 @@ def _pair_masks(tables, n_men: int):
 def _compile(instance: Instance, matching: Matching, budget=None) -> _Model | None:
     """The weighted constraint problem whose solutions keep the matching stable.
 
-    A pair whose mask covers one agent's every pick blocks whenever the
-    other agent takes a pick from the opposite mask, so those picks are
-    deleted up front; the remaining pairs become two-sided constraints.
-    Returns None as soon as stability is impossible, before any weight is
-    scaled, because most matchings a search scores fail that way.
+    Picks that a single pair rules out are deleted up front
+    (``delete_forced_picks``); the remaining pairs become two-sided
+    constraints. Returns None as soon as stability is impossible,
+    before any weight is scaled, because most matchings a search scores
+    fail that way.
     """
     tables = _pick_tables(instance, matching, budget)
     weights = [agent_weights for agent_weights, _ in tables]
-    allowed = [(1 << len(agent_weights)) - 1 for agent_weights in weights]
+    full = [(1 << len(agent_weights)) - 1 for agent_weights in weights]
+    allowed = full[:]
+    two_sided = delete_forced_picks(_pair_masks(tables, instance.n_men), full, allowed)
+    if two_sided is None:
+        return None
     adjacency: list[list[tuple[int, int, int]]] = [[] for _ in weights]
-    for a, b, a_mask, b_mask in _pair_masks(tables, instance.n_men):
-        a_full = a_mask == (1 << len(weights[a])) - 1
-        b_full = b_mask == (1 << len(weights[b])) - 1
-        if a_full and b_full:
-            return None
-        if a_full:
-            agent, mask = b, b_mask
-        elif b_full:
-            agent, mask = a, a_mask
-        else:
-            adjacency[a].append((b, a_mask, b_mask))
-            adjacency[b].append((a, b_mask, a_mask))
-            continue
-        allowed[agent] &= ~mask
-        if not allowed[agent]:
-            return None
+    for a, b, a_mask, b_mask in two_sided:
+        adjacency[a].append((b, a_mask, b_mask))
+        adjacency[b].append((a, b_mask, a_mask))
     order = [agent for agent, edges in enumerate(adjacency) if edges]
     order.sort(key=lambda agent: (-len(adjacency[agent]), agent))
     # each component keeps the global order restricted to its agents
@@ -293,17 +338,12 @@ def _compile(instance: Instance, matching: Matching, budget=None) -> _Model | No
                         label[other] = label[agent]
                         stack.append(other)
         components[label[agent]].append(agent)
-    numerators = []
-    denominator = 1
+    scales, numerators = scaled_weights(weights)
     free_product = 1
-    for agent, agent_weights in enumerate(weights):
-        scale = math.lcm(*(w.denominator for w in agent_weights))
-        scaled = [w.numerator * (scale // w.denominator) for w in agent_weights]
-        numerators.append(scaled)
-        denominator *= scale
-        if not adjacency[agent]:
-            bits = allowed[agent]
-            free_product *= sum(n for i, n in enumerate(scaled) if bits >> i & 1)
+    for agent, edges in enumerate(adjacency):
+        if not edges:
+            free_product *= allowed_mass(numerators[agent], allowed[agent])
+    denominator = math.prod(scales)
     return _Model(
         weights, allowed, adjacency, components, numerators, denominator, free_product
     )
@@ -314,7 +354,7 @@ def _enter_node(budget: list[int], nodes: int = 1) -> None:
     budget[0] += nodes
     if budget[0] > budget[1]:
         raise ResourceLimitError(
-            f"more than {budget[1]} search nodes; raise the budget to proceed"
+            f"more than {budget[1]} search nodes; raise the cap to proceed"
         )
 
 

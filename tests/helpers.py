@@ -22,6 +22,7 @@ from stableprob import (
     LinearOrder,
     LotteryModel,
     Matching,
+    MostStableResult,
     PartialOrder,
     ProbabilityEstimate,
     Profile,
@@ -33,8 +34,13 @@ from stableprob import (
     agent_support,
     as_probability,
     certain_order,
+    complete_instance,
+    gale_shapley,
     is_stable,
+    restrict_matching,
     side_is_certain,
+    stability_probability,
+    uncertain_agents,
 )
 
 
@@ -780,6 +786,112 @@ def mutate_document(rng: random.Random, document):
 
 
 # -- random generators -------------------------------------------------------
+
+
+# -- most-stable oracles ------------------------------------------------------
+
+
+def reference_most_stable(instance: Instance) -> MostStableResult:
+    """Score every perfect matching of the completed market in
+    ``permutations`` order and keep the first maximum: the plain scan that
+    the branch and bound must agree with, ``examined`` included."""
+    completed, padding = complete_instance(instance)
+    n = completed.n_men
+    best, best_p = None, Fraction(-1)
+    for assignment in permutations(range(n)):
+        matching = Matching.from_pairs(enumerate(assignment))
+        p = stability_probability(completed, matching, cap=None)
+        if p > best_p:
+            best, best_p = matching, p
+    return MostStableResult(
+        matching=restrict_matching(best, padding),
+        probability=best_p,
+        examined=math.factorial(n),
+    )
+
+
+def reference_constant_uncertain(instance: Instance) -> MostStableResult:
+    """The constant-uncertain search with both rounds run by ``gale_shapley``
+    on sub-profiles of validated orders, women handled by a recursive call
+    on the transposed market."""
+    uncertain = uncertain_agents(instance)
+    if {agent.side for agent in uncertain} == {Side.WOMEN}:
+        result = reference_constant_uncertain(instance.transposed())
+        return MostStableResult(
+            matching=result.matching.transposed(),
+            probability=result.probability,
+            examined=result.examined,
+            all_candidates_excluded=result.all_candidates_excluded,
+        )
+    completed, padding = complete_instance(instance)
+    n = completed.n_men
+    xs = sorted(agent.index for agent in uncertain)
+    certain_men = [m for m in range(n) if m not in xs]
+    men_orders = {m: certain_order(completed, AgentId(Side.MEN, m)) for m in certain_men}
+    women_orders = [certain_order(completed, AgentId(Side.WOMEN, w)) for w in range(n)]
+
+    def run_sub_gs(assigned_women, truncate, proposing_side):
+        w_kept = [w for w in range(n) if w not in assigned_women]
+        w_pos = {w: i for i, w in enumerate(w_kept)}
+        m_pos = {m: i for i, m in enumerate(certain_men)}
+        sub_men = tuple(
+            LinearOrder(
+                tuple(
+                    w_pos[w]
+                    for w in men_orders[m].ranking
+                    if w in w_pos and not truncate(m, w)
+                )
+            )
+            for m in certain_men
+        )
+        sub_women = tuple(
+            LinearOrder(
+                tuple(
+                    m_pos[m]
+                    for m in women_orders[w].ranking
+                    if m in m_pos and not truncate(m, w)
+                )
+            )
+            for w in w_kept
+        )
+        sub = gale_shapley(Profile(men=sub_men, women=sub_women), proposing_side)
+        return [(certain_men[a], w_kept[b]) for a, b in sub.sorted_pairs()]
+
+    best, best_p, fallback, examined = None, None, None, 0
+    for assignment in permutations(range(n), len(xs)):
+        examined += 1
+        mu_x = dict(zip(xs, assignment))
+        partner_y = {w: m for m, w in mu_x.items()}
+        extended = Matching.from_pairs(
+            list(mu_x.items()) + run_sub_gs(set(assignment), lambda m, w: False, Side.MEN)
+        )
+        if fallback is None:
+            fallback = extended
+        if any(
+            men_orders[m].prefers_over_partner(w, extended.partner_of_man(m))
+            and women_orders[w].prefers(m, x_man)
+            for m in certain_men
+            for w, x_man in partner_y.items()
+        ):
+            continue
+
+        def truncate(m, w_prime):
+            return any(
+                women_orders[w].prefers(m, x_man) and men_orders[m].prefers(w, w_prime)
+                for w, x_man in partner_y.items()
+            )
+
+        candidate = Matching.from_pairs(
+            list(mu_x.items()) + run_sub_gs(set(assignment), truncate, Side.WOMEN)
+        )
+        p = stability_probability(completed, candidate, cap=None)
+        if best_p is None or p > best_p:
+            best, best_p = candidate, p
+    if best is None:
+        return MostStableResult(
+            restrict_matching(fallback, padding), Fraction(0), examined, True
+        )
+    return MostStableResult(restrict_matching(best, padding), best_p, examined)
 
 
 def random_weights(rng: random.Random, k: int) -> list[Fraction]:

@@ -246,6 +246,16 @@ class TestProbabilityValues:
         assert code == 2 and doc["status"] == "invalid-input"
         assert doc["diagnostics"] == [f"weight in preferences of 'm': {message}"]
 
+    def test_long_unparsable_weight_is_clipped(self, run, write):
+        # the exponent is too long for int(), so the value fails to parse
+        text = "1e" + "9" * 5000
+        code, out, err = run("validate", write("i.json", self.with_weight(text)))
+        doc = json.loads(out)
+        assert code == 2 and doc["status"] == "invalid-input"
+        assert "Traceback" not in out + err
+        (message,) = doc["diagnostics"]
+        assert "bad probability '1e999" in message and len(message) < 200
+
     @pytest.mark.parametrize(
         "eps, message",
         [
@@ -531,6 +541,13 @@ class TestWorkCap:
         assert code == 0 and doc["payload"]["nonzero"] is True
         code, doc, _ = self.nonzero(run_json, write, "--cap", "1")
         assert code == 3 and doc["status"] == "resource-limit"
+
+    def test_nonzero_refusal_names_the_cap(self, run_json, write):
+        code, doc, _ = self.nonzero(run_json, write, "--cap", "2")
+        assert code == 3 and doc["status"] == "resource-limit"
+        assert doc["diagnostics"] == [
+            "more than 2 search nodes; raise the cap to proceed"
+        ]
 
     @pytest.mark.parametrize("algorithm", ["constant-uncertain", "brute"])
     def test_most_stable_counts_its_candidates(self, run_json, write, algorithm):

@@ -103,6 +103,16 @@ class TestAsProbability:
             as_probability(value)
         assert str(caught.value) == message.format(limit=limit)
 
+    def test_long_unparsable_value_is_echoed_clipped(self):
+        # an exponent too long for int() fails to parse at all
+        with pytest.raises(ValidationError) as caught:
+            as_probability("1e" + "9" * 5000)
+        message = str(caught.value)
+        assert message.startswith("bad probability '1e999") and len(message) < 200
+        with pytest.raises(ValidationError) as caught:
+            as_probability("abc")
+        assert str(caught.value) == "bad probability 'abc'"
+
     def test_format_round_trip(self):
         assert format_probability(Fraction(13, 25)) == "13/25"
         assert format_probability(Fraction(1)) == "1"

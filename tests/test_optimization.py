@@ -1,11 +1,15 @@
 """Tests for the most-stable-matching search routines."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stableprob.optimization as optimization
 from helpers import (
     MU_IDENTITY,
     certain,
@@ -14,13 +18,21 @@ from helpers import (
     lottery,
     lottery_instance,
     random_compact_instance,
+    random_joint_instance,
     random_lottery_instance,
+    random_perturbed_lottery_instance,
+    reference_constant_uncertain,
+    reference_most_stable,
 )
 from stableprob import (
+    AgentLottery,
     CompactModel,
     Instance,
+    JointModel,
+    LinearOrder,
     Matching,
     MostStableResult,
+    Profile,
     ResourceLimitError,
     ValidationError,
     WeakOrder,
@@ -53,9 +65,12 @@ def all_matchings(n_men: int, n_women: int, acceptable):
     return results
 
 
-def one_side_uncertain_lottery(rng, n: int, k: int, complete: bool) -> Instance:
-    """Lottery instance, k uncertain men with 2-order supports, women certain."""
-    base = random_lottery_instance(rng, n, n, max_support=2, complete=complete)
+def one_side_uncertain_lottery(
+    rng, n: int, k: int, complete: bool, max_support: int = 2
+) -> Instance:
+    """Lottery instance, k uncertain men with supports of up to
+    ``max_support`` orders, women certain."""
+    base = random_lottery_instance(rng, n, n, max_support=max_support, complete=complete)
     model = base.model
     uncertain = [m for m in range(n) if len(model.men[m].support) > 1]
     rng.shuffle(uncertain)
@@ -79,6 +94,66 @@ def one_side_uncertain_compact(rng, n: int, k: int) -> Instance:
         WeakOrder(tuple((c,) for c in sorted(o.candidates))) for o in model.women
     )
     return Instance(CompactModel(men=tuple(men), women=women))
+
+
+@st.composite
+def small_markets(draw):
+    """Markets with up to 5 agents a side, unequal sides and incomplete lists
+    allowed: lotteries with up to 3 orders per agent on both sides, compact
+    weak orders with ties of up to 3, or joint models over up to 3
+    profiles."""
+    n_men, n_women = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    mostly = st.integers(0, 3).map(bool)
+    accept = [[draw(mostly) for _ in range(n_women)] for _ in range(n_men)]
+    men_lists = [[w for w in range(n_women) if accept[m][w]] for m in range(n_men)]
+    women_lists = [[m for m in range(n_men) if accept[m][w]] for w in range(n_women)]
+
+    def weights(k: int) -> list[Fraction]:
+        raw = [draw(st.integers(1, 4)) for _ in range(k)]
+        return [Fraction(r, sum(raw)) for r in raw]
+
+    def orders(lists) -> tuple[LinearOrder, ...]:
+        return tuple(LinearOrder(tuple(draw(st.permutations(c)))) for c in lists)
+
+    kind = draw(st.sampled_from(["lottery", "compact", "joint"]))
+    if kind == "lottery":
+
+        def agent(candidates) -> AgentLottery:
+            k = draw(st.integers(1, 3))
+            support = orders([candidates] * k)
+            return AgentLottery(tuple(zip(support, weights(k))))
+
+        return lottery_instance(
+            [agent(c) for c in men_lists], [agent(c) for c in women_lists]
+        )
+    if kind == "compact":
+
+        def weak(candidates) -> WeakOrder:
+            ranking, tiers = draw(st.permutations(candidates)), []
+            while ranking:
+                size = draw(st.integers(1, min(3, len(ranking))))
+                tiers.append(tuple(ranking[:size]))
+                ranking = ranking[size:]
+            return WeakOrder(tuple(tiers))
+
+        men = tuple(weak(c) for c in men_lists)
+        return Instance(CompactModel(men, tuple(weak(c) for c in women_lists)))
+    k = draw(st.integers(1, 3))
+    profiles = [Profile(orders(men_lists), orders(women_lists)) for _ in range(k)]
+    return Instance(JointModel(tuple(zip(profiles, weights(k)))))
+
+
+def count_scored(monkeypatch) -> list:
+    """Record the matchings the searches score, in order."""
+    scored = []
+    original = optimization.stability_probability
+
+    def counting(instance, matching, *args, **kwargs):
+        scored.append(matching)
+        return original(instance, matching, *args, **kwargs)
+
+    monkeypatch.setattr(optimization, "stability_probability", counting)
+    return scored
 
 
 class TestMostStableResult:
@@ -149,6 +224,81 @@ class TestBruteForce:
             # the reported matching lives on the original instance
             inst.validate_matching(result.matching)
             assert stability_probability(inst, result.matching) == result.probability
+
+
+class TestBranchAndBound:
+    """The pruned search against the plain scan over all n! matchings."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(small_markets())
+    def test_matches_the_plain_scan(self, instance):
+        assert most_stable_brute_force(instance, cap=None) == reference_most_stable(
+            instance
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_plain_scan_at_six_and_seven(self, seed):
+        rng = random.Random(40 + seed)
+        markets = [
+            one_side_uncertain_lottery(rng, 6, 3, complete=True),
+            random_perturbed_lottery_instance(rng, 6, 1, 2),
+            random_lottery_instance(rng, 6, 5, max_support=3, complete=False),
+            random_compact_instance(rng, 6, 6, complete=seed == 0),
+            random_joint_instance(rng, 6, 6, n_profiles=3),
+            one_side_uncertain_lottery(rng, 7, 3, complete=True)
+            if seed
+            else random_perturbed_lottery_instance(rng, 7, 1, 2),
+        ]
+        for instance in markets:
+            expected = reference_most_stable(instance)
+            assert most_stable_brute_force(instance, cap=None) == expected
+
+    def test_incumbent_of_probability_zero_is_replaced(self):
+        # the identity, scored first, is blocked by (m0, w1) for certain
+        inst = lottery_instance(
+            men=[certain(1, 0), certain(1, 0)],
+            women=[certain(0, 1), certain(0, 1)],
+        )
+        assert stability_probability(inst, MU_IDENTITY) == 0
+        result = most_stable_brute_force(inst)
+        assert result == reference_most_stable(inst)
+        assert result.matching == Matching.from_pairs([(0, 1), (1, 0)])
+        assert result.probability == 1
+
+    def test_many_tied_maxima_keep_the_first(self):
+        # identical strict men and fully tied women: all 24 matchings have
+        # probability 1/24; tied pairs of tiers on both sides: 4 of 24 share
+        # the maximum 81/256
+        identity = Matching.from_pairs((k, k) for k in range(4))
+        strict_men = compact_instance([[[0], [1], [2], [3]]] * 4, [[[0, 1, 2, 3]]] * 4)
+        tied_pairs = compact_instance([[[0, 1], [2, 3]]] * 4, [[[0, 1], [2, 3]]] * 4)
+        for inst, best in ((strict_men, Fraction(1, 24)), (tied_pairs, Fraction(81, 256))):
+            result = most_stable_brute_force(inst)
+            assert result == reference_most_stable(inst)
+            assert result.probability == best
+            assert result.matching == identity and result.examined == 24
+
+    def test_cap_counts_perfect_matchings_before_any_is_scored(self, monkeypatch):
+        # women certain: scoring a candidate enters only the search root
+        inst = one_side_uncertain_lottery(random.Random(30), 4, 2, complete=True)
+        scored = count_scored(monkeypatch)
+        with pytest.raises(ResourceLimitError):
+            most_stable_brute_force(inst, cap=math.factorial(4) - 1)
+        assert scored == []
+        result = most_stable_brute_force(inst, cap=math.factorial(4))
+        assert result == reference_most_stable(inst)
+
+    def test_pruned_candidates_are_not_scored(self, monkeypatch):
+        # certain pairs that block outright rule out most prefixes
+        inst = one_side_uncertain_lottery(random.Random(31), 6, 3, complete=True)
+        scored = count_scored(monkeypatch)
+        result = most_stable_brute_force(inst)
+        assert result.examined == 720
+        assert len(scored) < 72
+        assert len(set(scored)) == len(scored)
+        assert result.probability == max(
+            stability_probability(inst, mu) for mu in scored
+        )
 
 
 class TestConstantUncertain:
@@ -268,3 +418,23 @@ class TestConstantUncertain:
                     stability_probability_exact(inst, extension)
                     <= result.probability
                 )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_reference_search(self, seed):
+        # seeded one-side markets up to n = 7, 3-order supports, both sides
+        rng = random.Random(60 + seed)
+        for n in range(1, 8):
+            k = rng.randint(0, min(3, n))
+            markets = [
+                one_side_uncertain_lottery(
+                    rng, n, k, complete=rng.random() < 0.6, max_support=3
+                ),
+                one_side_uncertain_compact(rng, n, k),
+            ]
+            for inst in markets + [market.transposed() for market in markets]:
+                result = most_stable_constant_uncertain(inst, cap=None)
+                assert result == reference_constant_uncertain(inst)
+                assert not result.all_candidates_excluded
+                if n <= 5:
+                    expected = reference_most_stable(inst).probability
+                    assert result.probability == expected

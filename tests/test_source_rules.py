@@ -74,3 +74,28 @@ def test_resource_limits_come_from_a_cap_or_budget_parameter():
             if raises and not names & {"cap", "budget"}:
                 found.append(f"{path.name}:{function.lineno} {function.name}")
     assert found == []
+
+
+def test_no_function_calls_itself():
+    # nothing may depend on Python's recursion limit: deep inputs must not
+    # turn into RecursionError, so every search keeps its own stack
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in _own_nodes(function):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                by_name = isinstance(callee, ast.Name) and callee.id == function.name
+                by_self = (
+                    isinstance(callee, ast.Attribute)
+                    and callee.attr == function.name
+                    and isinstance(callee.value, ast.Name)
+                    and callee.value.id == "self"
+                )
+                if by_name or by_self:
+                    found.append(f"{path.name}:{node.lineno} {function.name}")
+    assert found == []
