@@ -106,10 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"work cap (default {DEFAULT_CAP}, or {CAP_ENV_VAR} if set): search "
         "nodes for probability and nonzero, samples for probability --method "
-        "estimate, perfect matchings and each scored one's search nodes for "
-        "most-stable brute (matchings the search prunes are never scored), "
-        "candidate assignments for most-stable constant-uncertain, a joint "
-        "model's stable matchings for exists-certain",
+        "estimate, perfect matchings or candidate assignments and each scored "
+        "candidate's search nodes for most-stable brute or constant-uncertain "
+        "(both searches prune with one bound and never score what they prune), "
+        "a joint model's stable matchings for exists-certain",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

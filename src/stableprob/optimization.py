@@ -1,34 +1,33 @@
 """Searching for a matching with the highest stability probability.
 
-Both searches read the completed market once and let the exact engine score
-only the candidates that can still win.
+Both searches run one depth-first branch and bound over the injective
+assignments of a list of men to the women of the completed market. Each
+man in turn tries the unused women in ascending order, which is the order
+of ``itertools.permutations``. Brute force assigns every man, and a leaf is
+the perfect matching itself. The polynomial path assumes all uncertainty
+sits on one side with a bounded number of uncertain agents: it assigns only
+those, and extends each leaf with a stability-optimal assignment of the
+certain agents, computed by deferred acceptance on their ranks, or drops
+the leaf when no extension can be stable.
 
-Brute force is a depth-first branch and bound over the perfect matchings of
-the completed market. It assigns men 0..n-1 in turn, each trying the unused
-women in ascending order, which is the order of ``itertools.permutations``.
-The identity matching, the first leaf, is scored up front as the incumbent.
-A later leaf replaces it only on strict improvement, and a partial matching
-is pruned when an exact upper bound on all its completions is at most the
-incumbent, so the first maximum in pair-sorted order wins, as in a plain
-scan of all n! matchings, and ``examined`` still counts all of them. The
-lottery bound reads only the pairs between assigned agents: a pair that
-blocks in every order of one agent deletes the other agent's orders that
-block with it (both: pruned outright), and the bound is the product of the
-assigned agents' remaining mass. Compact and joint models are bounded by 1.
-
-The polynomial path assumes all uncertainty sits on one side with a bounded
-number of uncertain agents: it fixes their partners in every possible way,
-extends each choice with a stability-optimal assignment of the certain
-agents, computed by deferred acceptance on the certain agents' ranks, and
-keeps the best scored candidate. Each path refuses up front when the
-candidates it would score outnumber ``cap``.
+The incumbent starts at probability 0 with no matching. A leaf replaces it
+only on strict improvement, and a partial assignment is pruned when an
+exact upper bound on all its completions is at most the incumbent, so only
+surviving leaves are scored and the first maximum in ``permutations``
+order wins, as in a plain scan; ``examined`` still counts every leaf. Some
+leaf always scores above 0, so starting at 0 loses no maximum. The lottery
+bound reads only the pairs between assigned agents: a pair that blocks in
+every order of one agent deletes the other agent's orders that block with
+it (both: pruned outright), and the bound is the product of the assigned
+agents' remaining mass. Compact and joint models are bounded by 1. Each
+search refuses up front when its leaves outnumber ``cap``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import (
@@ -71,7 +70,14 @@ class MostStableResult:
     all_candidates_excluded: bool = False
 
 
-def _lottery_bound(instance: Instance):
+def _lottery_bound(instance: Instance, men):
+    """``bound(d, women)``: with ``men[0..d]`` of the complete, square
+    lottery ``instance`` matched to ``women[0..d]``, an exact upper bound
+    (numerator, denominator) on the stability probability of every perfect
+    matching that extends them, kept as integers because a Fraction per
+    node costs a gcd. Calls come depth first: the call for depth d > 0
+    follows one for depth d - 1 on the same prefix, whose bound was
+    positive."""
     n = instance.n_men
     entries = instance.model.men + instance.model.women
     full = [(1 << len(entry.support)) - 1 for entry in entries]
@@ -80,7 +86,7 @@ def _lottery_bound(instance: Instance):
     masses: dict[tuple[int, int], int] = {}  # (agent, orders) -> scaled weight
     # per depth, each agent's orders that no pair between assigned agents
     # rules out on its own
-    allowed = [full] * (n + 1)
+    allowed = [full] * (len(men) + 1)
 
     def beats(agent: int, partner: int, candidate: int) -> int:
         table = tables.get((agent, partner))
@@ -88,25 +94,25 @@ def _lottery_bound(instance: Instance):
             table = tables[agent, partner] = lottery_beats(entries[agent], partner)
         return table.get(candidate, 0)
 
-    def new_pairs(m: int, women: list[int]):
-        # the pairs man m's partner adds: him with each earlier man's
+    def new_pairs(d: int, women: list[int]):
+        # the pairs the man at depth d adds: him with each earlier man's
         # partner, and each earlier man with his partner
-        w = women[m]
-        for m2 in range(m):
-            w2 = women[m2]
+        m, w = men[d], women[d]
+        for d2 in range(d):
+            m2, w2 = men[d2], women[d2]
             for a, a_partner, b, b_partner in ((m, w, w2, m2), (m2, w2, w, m)):
                 a_mask = beats(a, a_partner, b)
                 b_mask = a_mask and beats(n + b, b_partner, a)
                 if b_mask:
                     yield a, n + b, a_mask, b_mask
 
-    def bound(m: int, women: list[int]) -> tuple[int, int]:
-        mask = allowed[m][:]
-        if delete_forced_picks(new_pairs(m, women), full, mask) is None:
+    def bound(d: int, women: list[int]) -> tuple[int, int]:
+        mask = allowed[d][:]
+        if delete_forced_picks(new_pairs(d, women), full, mask) is None:
             return 0, 1
-        allowed[m + 1] = mask
+        allowed[d + 1] = mask
         numerator = denominator = 1
-        for agent in itertools.chain(range(m + 1), (n + x for x in women[: m + 1])):
+        for agent in itertools.chain(men[: d + 1], (n + w for w in women[: d + 1])):
             key = agent, mask[agent]
             mass = masses.get(key)
             if mass is None:
@@ -118,18 +124,55 @@ def _lottery_bound(instance: Instance):
     return bound
 
 
-def _prefix_bound(instance: Instance):
-    """``bound(m, women)``: with men 0..m matched to ``women[0..m]`` of the
-    complete, square ``instance``, an exact upper bound (numerator,
-    denominator) on the stability probability of every perfect matching
-    that extends them, kept as integers because a Fraction per node costs
-    a gcd. Calls come depth first: the call for man m > 0
-    follows one for man m - 1 on the same prefix that was not pruned.
-    Compact and joint models get the constant bound 1, which prunes only
-    once some matching is certainly stable."""
-    if isinstance(instance.model, LotteryModel):
-        return _lottery_bound(instance)
-    return lambda m, women: (1, 1)
+def _most_stable(completed: Instance, padding, men, leaf, cap: int | None, what: str):
+    """Branch and bound over the assignments of ``men`` to the women of the
+    complete, square ``completed``; ``leaf(women)`` turns a full assignment
+    into a candidate matching or None. Returns the first candidate of
+    maximal probability, restricted by ``padding``. More than ``cap``
+    assignments, counted as ``what``, raises ResourceLimitError before any
+    is tried."""
+    n, k = completed.n_men, len(men)
+    examined = math.perm(n, k)
+    if cap is not None and examined > cap:
+        raise ResourceLimitError(f"more than {cap} {what}; raise the cap to proceed")
+    bound = (
+        _lottery_bound(completed, men)
+        if isinstance(completed.model, LotteryModel)
+        else lambda d, women: (1, 1)
+    )
+    best, best_p = None, Fraction(0)
+    women = [0] * k  # women[d]: the partner of men[d] on the current path
+    used = [False] * n
+    next_woman = [0] * k
+    d = 0
+    while d >= 0:
+        if d < k:
+            w = next_woman[d]
+            while w < n and used[w]:
+                w += 1
+            if w < n:
+                next_woman[d] = w + 1
+                women[d] = w
+                numerator, denominator = bound(d, women)
+                if numerator * best_p.denominator > best_p.numerator * denominator:
+                    used[w] = True
+                    d += 1
+                continue
+            next_woman[d] = 0  # every woman tried: back to the previous man
+        else:
+            candidate = leaf(women)
+            if candidate is not None:
+                p = stability_probability(completed, candidate, cap=cap)
+                if p > best_p:
+                    best, best_p = candidate, p
+        d -= 1
+        if d >= 0:
+            used[women[d]] = False
+    if best is None:
+        raise RuntimeError("internal error: no candidate scored above 0")
+    return MostStableResult(
+        matching=restrict_matching(best, padding), probability=best_p, examined=examined
+    )
 
 
 def most_stable_brute_force(
@@ -146,47 +189,13 @@ def most_stable_brute_force(
     before any is scored.
     """
     completed, padding = complete_instance(instance)
-    n = completed.n_men
-    count = math.factorial(n)
-    if cap is not None and count > cap:
-        raise ResourceLimitError(
-            f"more than {cap} perfect matchings; raise the cap to proceed"
-        )
-    identity = list(range(n))
-    best = Matching.from_pairs(enumerate(identity))
-    best_p = stability_probability(completed, best, cap=cap)
-    bound = _prefix_bound(completed)
-    women = [0] * n  # women[m]: man m's partner on the current path
-    used = [False] * n
-    next_woman = [0] * n
-    m = 0 if n else -1  # the empty market's one matching is scored
-    while m >= 0:
-        w = next_woman[m]
-        while w < n and used[w]:
-            w += 1
-        if w == n:  # every woman tried: back to the previous man
-            if m:
-                used[women[m - 1]] = False
-            m -= 1
-            continue
-        next_woman[m] = w + 1
-        women[m] = w
-        numerator, denominator = bound(m, women)
-        if numerator * best_p.denominator <= best_p.numerator * denominator:
-            continue
-        if m < n - 1:
-            used[w] = True
-            m += 1
-            next_woman[m] = 0
-        elif women != identity:
-            matching = Matching.from_pairs(enumerate(women))
-            p = stability_probability(completed, matching, cap=cap)
-            if p > best_p:
-                best, best_p = matching, p
-    return MostStableResult(
-        matching=restrict_matching(best, padding),
-        probability=best_p,
-        examined=count,
+    return _most_stable(
+        completed,
+        padding,
+        range(completed.n_men),
+        lambda women: Matching.from_pairs(enumerate(women)),
+        cap,
+        "perfect matchings",
     )
 
 
@@ -195,19 +204,19 @@ def most_stable_constant_uncertain(
 ) -> MostStableResult:
     """Most stable matching when one side holds all the uncertainty.
 
-    Every injective assignment of the k uncertain agents to the other side
-    is tried. For each one, the certain remainder is matched by a
-    proposer-optimal round, discarded when a certain pair already blocks,
-    and otherwise rematched receiver-optimally on lists truncated below any
-    assigned partner that would block; that extension is the most stable
-    one for the fixed assignment, so scoring the K = n(n-1)...(n-k+1)
-    candidates finds the overall optimum. Some assignment always survives:
-    take a stable matching M of any realization; the proposer-optimal round
-    on M's assignment leaves every certain man at least as well off as in
-    M, so a certain pair that blocked the round would block M too. More
-    than ``cap`` candidates K (None for no limit) raises ResourceLimitError
-    before any is built. Uncertain women are handled on the transposed
-    market.
+    The K = n(n-1)...(n-k+1) injective assignments of the k uncertain
+    agents to the other side are searched under the brute-force bound, and
+    ``examined`` is K. A surviving assignment's certain remainder is matched
+    by a proposer-optimal round, discarded when a certain pair already
+    blocks, and otherwise rematched receiver-optimally on lists truncated
+    below any assigned partner that would block; that extension is the most
+    stable one for the fixed assignment, so the best one scored is the
+    overall optimum. Some extension scores above 0: take a stable matching
+    M of any realization; the proposer-optimal round on M's assignment
+    leaves every certain man at least as well off as in M, so a certain
+    pair that blocked the round would block M too. More than ``cap``
+    assignments (None for no limit) raises ResourceLimitError before any is
+    built. Uncertain women are handled on the transposed market.
     """
     uncertain = uncertain_agents(instance)
     sides = {agent.side for agent in uncertain}
@@ -218,11 +227,6 @@ def most_stable_constant_uncertain(
         instance = instance.transposed()
     completed, padding = complete_instance(instance)
     n = completed.n_men
-    k = len(uncertain)
-    if cap is not None and math.perm(n, k) > cap:
-        raise ResourceLimitError(
-            f"more than {cap} candidate assignments; raise the cap to proceed"
-        )
     xs = sorted(agent.index for agent in uncertain)
     x_set = set(xs)
     certain_men = [m for m in range(n) if m not in x_set]
@@ -235,12 +239,7 @@ def most_stable_constant_uncertain(
     ]
     women_rank = [{m: i for i, m in enumerate(ranking)} for ranking in women_lists]
 
-    best = None
-    best_p: Fraction | None = None
-    examined = 0
-    for assignment in itertools.permutations(range(n), k):
-        examined += 1
-        fixed = list(zip(xs, assignment))
+    def extend(assignment: list[int]) -> Matching | None:
         partner_y = dict(zip(assignment, xs))  # assigned woman -> uncertain man
         held = deferred_acceptance(
             {m: [w for w in men_lists[m] if w not in partner_y] for m in certain_men},
@@ -258,25 +257,18 @@ def most_stable_constant_uncertain(
                 default=n,
             )
             if cut[m] < rank[partner[m]]:
-                break
-        else:
-            held = deferred_acceptance(
-                {
-                    w: [m for m in women_lists[w] if m in cut and men_rank[m][w] < cut[m]]
-                    for w in range(n)
-                    if w not in partner_y
-                },
-                men_rank,
-            )
-            candidate = Matching.from_pairs(fixed + list(held.items()))
-            p = stability_probability(completed, candidate, cap=cap)
-            if best_p is None or p > best_p:
-                best, best_p = candidate, p
-    if best is None:
-        raise RuntimeError("internal error: every candidate assignment was excluded")
-    matching = restrict_matching(best, padding)
-    return MostStableResult(
-        matching=matching.transposed() if flip else matching,
-        probability=best_p,
-        examined=examined,
-    )
+                return None
+        held = deferred_acceptance(
+            {
+                w: [m for m in women_lists[w] if m in cut and men_rank[m][w] < cut[m]]
+                for w in range(n)
+                if w not in partner_y
+            },
+            men_rank,
+        )
+        return Matching.from_pairs(list(zip(xs, assignment)) + list(held.items()))
+
+    result = _most_stable(completed, padding, xs, extend, cap, "candidate assignments")
+    if flip:
+        result = replace(result, matching=result.matching.transposed())
+    return result

@@ -376,7 +376,9 @@ def test_ac10_two_sat_engine():
     for size in sizes:
         formula = _ramp_formula(random.Random(size), size)
         best = float("inf")
-        for _ in range(3):
+        # best of 7: per-clause cost rises slowly with size, so the smallest
+        # size sits near the band's floor, where one noisy run must not decide
+        for _ in range(7):
             # CPU time of this process only, so work run alongside on a
             # loaded machine does not skew the ramp
             begin = time.process_time()

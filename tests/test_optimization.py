@@ -419,6 +419,66 @@ class TestConstantUncertain:
                     <= result.probability
                 )
 
+    def test_cap_counts_assignments_before_any_is_scored(self, monkeypatch):
+        inst = one_side_uncertain_lottery(random.Random(30), 4, 2, complete=True)
+        assignments = math.perm(4, len(uncertain_agents(inst)))
+        scored = count_scored(monkeypatch)
+        with pytest.raises(ResourceLimitError):
+            most_stable_constant_uncertain(inst, cap=assignments - 1)
+        assert scored == []
+        result = most_stable_constant_uncertain(inst, cap=assignments)
+        assert result == reference_constant_uncertain(inst)
+
+    def test_pruned_assignments_are_not_scored(self, monkeypatch):
+        # pairs between uncertain men and their assigned women that block
+        # outright rule out most prefixes
+        inst = one_side_uncertain_lottery(random.Random(33), 8, 3, complete=True)
+        assert len(uncertain_agents(inst)) == 3
+        scored = count_scored(monkeypatch)
+        result = most_stable_constant_uncertain(inst)
+        assert result.examined == 336
+        assert len(scored) < 34
+        assert len(set(scored)) == len(scored)
+        assert result == reference_constant_uncertain(inst)
+
+    @pytest.mark.parametrize(
+        "man_0, men, women, first_scored",
+        [
+            # m0 -> w0 scores 0: in both of m0's orders a woman he prefers
+            # to w0 ranks him first
+            (
+                [(2, 0, 1), (1, 2, 0)],
+                [(0, 1, 2), (1, 2, 0)],
+                [(0, 1, 2), (0, 1, 2), (0, 2, 1)],
+                True,
+            ),
+            # m0 -> w0 is excluded: m1 and w0 rank each other first
+            (
+                [(0, 1, 2), (0, 2, 1)],
+                [(0, 2, 1), (0, 2, 1)],
+                [(1, 2, 0), (0, 1, 2), (1, 0, 2)],
+                False,
+            ),
+        ],
+    )
+    def test_first_assignment_without_score_keeps_the_tie_rule(
+        self, monkeypatch, man_0, men, women, first_scored
+    ):
+        # m0 -> w1 and m0 -> w2 tie at 1/2 and the earlier one wins
+        inst = lottery_instance(
+            men=[lottery((man_0[0], "1/2"), (man_0[1], "1/2"))]
+            + [certain(*o) for o in men],
+            women=[certain(*o) for o in women],
+        )
+        scored = count_scored(monkeypatch)
+        result = most_stable_constant_uncertain(inst)
+        first = [mu for mu in scored if mu.partner_of_man(0) == 0]
+        assert len(first) == first_scored
+        assert all(stability_probability(inst, mu) == 0 for mu in first)
+        assert result == reference_constant_uncertain(inst)
+        assert result.probability == Fraction(1, 2)
+        assert result.matching.partner_of_man(0) == 1
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_reference_search(self, seed):
         # seeded one-side markets up to n = 7, 3-order supports, both sides
