@@ -233,20 +233,25 @@ class Matching:
         return len(self.pairs)
 
 
-def validate_matching(profile: Profile, matching: Matching) -> None:
-    """Reject out-of-range agents and pairs that are not mutually acceptable."""
+def _check_matching(men: Sequence, women: Sequence, matching: Matching) -> None:
+    """Reject out-of-range agents and pairs that are not mutually acceptable;
+    ``men`` and ``women`` hold one order with ``accepts`` per agent."""
     for m, w in matching.pairs:
-        if m >= profile.n_men or w >= profile.n_women:
+        if m >= len(men) or w >= len(women):
             raise ValidationError(f"pair ({m}, {w}) references unknown agents")
-        if not profile.men[m].accepts(w) or not profile.women[w].accepts(m):
+        if not men[m].accepts(w) or not women[w].accepts(m):
             raise ValidationError(f"pair ({m}, {w}) is not mutually acceptable")
 
 
+def validate_matching(profile: Profile, matching: Matching) -> None:
+    """Reject out-of-range agents and pairs that are not mutually acceptable."""
+    _check_matching(profile.men, profile.women, matching)
+
+
 def iter_blocking_pairs(
-    profile: Profile, matching: Matching, validate: bool = True
+    profile: Profile, matching: Matching
 ) -> Iterator[tuple[int, int]]:
-    if validate:
-        validate_matching(profile, matching)
+    validate_matching(profile, matching)
     for m in range(profile.n_men):
         order = profile.men[m]
         mu_m = matching.partner_of_man(m)
@@ -414,11 +419,7 @@ def is_weakly_stable(
     Ties never block: a pair where either member is merely indifferent is not
     weakly blocking.
     """
-    for m, w in matching.pairs:
-        if m >= len(men) or w >= len(women):
-            raise ValidationError(f"pair ({m}, {w}) references unknown agents")
-        if not men[m].accepts(w) or not women[w].accepts(m):
-            raise ValidationError(f"pair ({m}, {w}) is not mutually acceptable")
+    _check_matching(men, women, matching)
     for m, order in enumerate(men):
         mu_m = matching.partner_of_man(m)
         limit = len(order.tiers) if mu_m is None else order.tier_of[mu_m]

@@ -177,13 +177,8 @@ class JointModel:
             raise ValidationError("all profiles must have the same agent counts")
         first = next(iter(merged))
         for profile in merged:
-            same_men = all(
-                a.candidates == b.candidates for a, b in zip(profile.men, first.men)
-            )
-            same_women = all(
-                a.candidates == b.candidates for a, b in zip(profile.women, first.women)
-            )
-            if not (same_men and same_women):
+            pairs = zip(profile.men + profile.women, first.men + first.women)
+            if any(a.candidates != b.candidates for a, b in pairs):
                 raise ValidationError("acceptability must not vary across profiles")
         canonical = tuple(
             sorted(
@@ -195,6 +190,29 @@ class JointModel:
 
 
 ModelPayload = Union[LotteryModel, CompactModel, JointModel]
+
+
+def _entry(model, agent: AgentId):
+    """The agent's entry in a lottery or compact model."""
+    return (model.men if agent.side is Side.MEN else model.women)[agent.index]
+
+
+def _check_mutual(men, women) -> None:
+    """Reject a listed candidate outside the market or one who does not list
+    back; ``men`` and ``women`` hold each agent's acceptable candidates."""
+    for label, other, mine, theirs in (
+        ("man", "woman", men, women),
+        ("woman", "man", women, men),
+    ):
+        for i, accepted in enumerate(mine):
+            for j in accepted:
+                if not 0 <= j < len(theirs):
+                    raise ValidationError(f"{label} {i} ranks unknown {other} {j}")
+                if i not in theirs[j]:
+                    raise ValidationError(
+                        f"{label} {i} lists {other} {j} but not vice versa; "
+                        "acceptability must be mutual"
+                    )
 
 
 def _check_pairs(matching: Matching, n_men: int, n_women: int, acceptable_men):
@@ -214,31 +232,7 @@ class Instance:
 
     def __post_init__(self):
         self.kind  # rejects unknown payload types up front
-        n_men, n_women = self.n_men, self.n_women
-        men = self.acceptable_men
-        for m, accepted in enumerate(men):
-            for w in accepted:
-                if w >= n_women:
-                    raise ValidationError(f"man {m} ranks unknown woman {w}")
-        women = self.acceptable_women
-        for w, accepted in enumerate(women):
-            for m in accepted:
-                if m >= n_men:
-                    raise ValidationError(f"woman {w} ranks unknown man {m}")
-        for m, accepted in enumerate(men):
-            for w in accepted:
-                if m not in women[w]:
-                    raise ValidationError(
-                        f"man {m} lists woman {w} but not vice versa; "
-                        "acceptability must be mutual"
-                    )
-        for w, accepted in enumerate(women):
-            for m in accepted:
-                if w not in men[m]:
-                    raise ValidationError(
-                        f"woman {w} lists man {m} but not vice versa; "
-                        "acceptability must be mutual"
-                    )
+        _check_mutual(self.acceptable_men, self.acceptable_women)
 
     @property
     def kind(self) -> str:
@@ -250,30 +244,29 @@ class Instance:
             return "joint"
         raise ValidationError(f"unknown model payload {type(self.model).__name__}")
 
+    @cached_property
+    def _view(self):
+        """The payload, or a joint model's first profile: one entry per agent."""
+        if isinstance(self.model, JointModel):
+            return self.model.profiles[0][0]
+        return self.model
+
     @property
     def n_men(self) -> int:
-        if isinstance(self.model, JointModel):
-            return self.model.profiles[0][0].n_men
-        return len(self.model.men)
+        return len(self._view.men)
 
     @property
     def n_women(self) -> int:
-        if isinstance(self.model, JointModel):
-            return self.model.profiles[0][0].n_women
-        return len(self.model.women)
+        return len(self._view.women)
 
     @cached_property
     def acceptable_men(self) -> tuple[frozenset[int], ...]:
         """Per man, the set of women acceptable to him (constant across realizations)."""
-        if isinstance(self.model, JointModel):
-            return tuple(o.candidates for o in self.model.profiles[0][0].men)
-        return tuple(entry.candidates for entry in self.model.men)
+        return tuple(entry.candidates for entry in self._view.men)
 
     @cached_property
     def acceptable_women(self) -> tuple[frozenset[int], ...]:
-        if isinstance(self.model, JointModel):
-            return tuple(o.candidates for o in self.model.profiles[0][0].women)
-        return tuple(entry.candidates for entry in self.model.women)
+        return tuple(entry.candidates for entry in self._view.women)
 
     @cached_property
     def uncertain_men(self) -> tuple[bool, ...]:
@@ -299,14 +292,11 @@ class Instance:
         _check_pairs(matching, self.n_men, self.n_women, self.acceptable_men)
 
     def transposed(self) -> "Instance":
-        if isinstance(self.model, LotteryModel):
-            return Instance(LotteryModel(men=self.model.women, women=self.model.men))
-        if isinstance(self.model, CompactModel):
-            return Instance(CompactModel(men=self.model.women, women=self.model.men))
-        flipped = tuple(
-            (profile.transposed(), weight) for profile, weight in self.model.profiles
-        )
-        return Instance(JointModel(flipped))
+        model = self.model
+        if isinstance(model, JointModel):
+            flipped = tuple((p.transposed(), weight) for p, weight in model.profiles)
+            return Instance(JointModel(flipped))
+        return Instance(type(model)(men=model.women, women=model.men))
 
     def agents(self) -> Iterable[AgentId]:
         for m in range(self.n_men):
@@ -368,8 +358,7 @@ def _distinct_orders(instance: Instance, agent: AgentId) -> tuple[LinearOrder, .
     """The set of realizable orders, except for compact agents (too many)."""
     model = instance.model
     if isinstance(model, LotteryModel):
-        entries = model.men if agent.side is Side.MEN else model.women
-        return tuple(order for order, _ in entries[agent.index].support)
+        return tuple(order for order, _ in _entry(model, agent).support)
     if isinstance(model, JointModel):
         seen: dict[LinearOrder, None] = {}
         for profile, _ in model.profiles:
@@ -410,9 +399,8 @@ class _CertainRelation:
 def _certain_relation(instance: Instance, agent: AgentId) -> _CertainRelation:
     model = instance.model
     if isinstance(model, CompactModel):
-        entries = model.men if agent.side is Side.MEN else model.women
         return _CertainRelation(
-            {c: (tier,) for c, tier in entries[agent.index].tier_of.items()}
+            {c: (tier,) for c, tier in _entry(model, agent).tier_of.items()}
         )
     orders = _distinct_orders(instance, agent)
     ranks = [order.rank for order in orders]
@@ -464,10 +452,9 @@ def certain_order(instance: Instance, agent: AgentId) -> LinearOrder | None:
     model = instance.model
     if isinstance(model, JointModel):
         return _distinct_orders(instance, agent)[0]
-    entries = model.men if agent.side is Side.MEN else model.women
     if isinstance(model, LotteryModel):
-        return entries[agent.index].support[0][0]
-    return LinearOrder(tuple(t[0] for t in entries[agent.index].tiers))
+        return _entry(model, agent).support[0][0]
+    return LinearOrder(tuple(t[0] for t in _entry(model, agent).tiers))
 
 
 def side_is_certain(instance: Instance, side: Side) -> bool:
@@ -479,11 +466,9 @@ def support_size(instance: Instance, agent: AgentId) -> int:
     """Number of realizable orders for the agent (independent models only)."""
     model = instance.model
     if isinstance(model, LotteryModel):
-        entries = model.men if agent.side is Side.MEN else model.women
-        return len(entries[agent.index].support)
+        return len(_entry(model, agent).support)
     if isinstance(model, CompactModel):
-        entries = model.men if agent.side is Side.MEN else model.women
-        return entries[agent.index].count_linear_extensions()
+        return _entry(model, agent).count_linear_extensions()
     raise ValidationError("joint model has no per-agent support")
 
 
@@ -491,11 +476,9 @@ def agent_support(instance: Instance, agent: AgentId) -> tuple[tuple[LinearOrder
     """Realizable orders with marginal weights (independent models only)."""
     model = instance.model
     if isinstance(model, LotteryModel):
-        entries = model.men if agent.side is Side.MEN else model.women
-        return entries[agent.index].support
+        return _entry(model, agent).support
     if isinstance(model, CompactModel):
-        entries = model.men if agent.side is Side.MEN else model.women
-        weak = entries[agent.index]
+        weak = _entry(model, agent)
         weight = Fraction(1, weak.count_linear_extensions())
         return tuple((order, weight) for order in weak.linear_extensions())
     raise ValidationError("joint model has no per-agent support")
@@ -511,15 +494,9 @@ def expand_compact_to_lottery(instance: Instance, cap: int = DEFAULT_CAP) -> Ins
             raise ResourceLimitError(
                 f"agent {agent} has {count} linear extensions, cap is {cap}"
             )
-    men = tuple(
-        AgentLottery(agent_support(instance, AgentId(Side.MEN, m)))
-        for m in range(instance.n_men)
-    )
-    women = tuple(
-        AgentLottery(agent_support(instance, AgentId(Side.WOMEN, w)))
-        for w in range(instance.n_women)
-    )
-    return Instance(LotteryModel(men=men, women=women))
+    lotteries = [AgentLottery(agent_support(instance, a)) for a in instance.agents()]
+    n_men = instance.n_men
+    return Instance(LotteryModel(men=lotteries[:n_men], women=lotteries[n_men:]))
 
 
 def lottery_to_joint(instance: Instance, cap: int = DEFAULT_CAP) -> Instance:
@@ -628,10 +605,6 @@ def _completed_order(order: LinearOrder, total: int) -> LinearOrder:
     return LinearOrder(order.ranking + _tail(order.ranking, total))
 
 
-def _ascending_order(total: int) -> LinearOrder:
-    return LinearOrder(tuple(range(total)))
-
-
 def complete_instance(instance: Instance) -> tuple[Instance, Padding]:
     """Equalize the sides and complete every list, preserving probabilities.
 
@@ -652,63 +625,39 @@ def complete_instance(instance: Instance) -> tuple[Instance, Padding]:
     total = padding.total
     model = instance.model
     if isinstance(model, LotteryModel):
-        def complete_side(entries) -> list[AgentLottery]:
-            done = [
-                AgentLottery(
-                    tuple((_completed_order(o, total), w) for o, w in e.support)
-                )
-                for e in entries
-            ]
-            done.extend(
-                AgentLottery.certain(_ascending_order(total))
-                for _ in range(total - len(entries))
+        def complete(entry: AgentLottery) -> AgentLottery:
+            return AgentLottery(
+                tuple((_completed_order(o, total), w) for o, w in entry.support)
             )
-            return done
 
-        completed = Instance(
-            LotteryModel(
-                men=tuple(complete_side(model.men)),
-                women=tuple(complete_side(model.women)),
-            )
-        )
+        pad = complete(AgentLottery.certain(LinearOrder(())))
     elif isinstance(model, CompactModel):
-        def complete_weak(weak: WeakOrder) -> WeakOrder:
+        def complete(entry: WeakOrder) -> WeakOrder:
             # the tail is appended as singleton tiers: padding must stay
             # certain or it would add blocking randomness of its own
-            flat = tuple(idx for tier in weak.tiers for idx in tier)
-            extra = tuple((idx,) for idx in _tail(flat, total))
-            return WeakOrder(weak.tiers + extra)
+            flat = tuple(c for tier in entry.tiers for c in tier)
+            return WeakOrder(entry.tiers + tuple((c,) for c in _tail(flat, total)))
 
-        def complete_side(entries) -> list[WeakOrder]:
-            done = [complete_weak(e) for e in entries]
-            done.extend(
-                WeakOrder(tuple((i,) for i in range(total)))
-                for _ in range(total - len(entries))
-            )
-            return done
+        pad = complete(WeakOrder(()))
+    else:
+        def complete(entry: LinearOrder) -> LinearOrder:
+            return _completed_order(entry, total)
 
-        completed = Instance(
-            CompactModel(
-                men=tuple(complete_side(model.men)),
-                women=tuple(complete_side(model.women)),
+        pad = complete(LinearOrder(()))
+
+    def side(entries) -> tuple:
+        return tuple(map(complete, entries)) + (pad,) * (total - len(entries))
+
+    if isinstance(model, JointModel):
+        completed = JointModel(
+            tuple(
+                (Profile(men=side(p.men), women=side(p.women)), w)
+                for p, w in model.profiles
             )
         )
     else:
-        def complete_profile(profile: Profile) -> Profile:
-            men = [_completed_order(o, total) for o in profile.men]
-            men.extend(_ascending_order(total) for _ in range(total - len(profile.men)))
-            women = [_completed_order(o, total) for o in profile.women]
-            women.extend(
-                _ascending_order(total) for _ in range(total - len(profile.women))
-            )
-            return Profile(men=tuple(men), women=tuple(women))
-
-        completed = Instance(
-            JointModel(
-                tuple((complete_profile(p), w) for p, w in model.profiles)
-            )
-        )
-    return completed, padding
+        completed = type(model)(men=side(model.men), women=side(model.women))
+    return Instance(completed), padding
 
 
 def lift_matching(matching: Matching, padding: Padding) -> Matching:

@@ -74,6 +74,26 @@ def _order(head: list[int], total: int) -> LinearOrder:
     return LinearOrder(tuple(head + rest))
 
 
+def _lottery(heads: list[list[int]], total: int) -> AgentLottery:
+    """Equal weights on the orders that rank each head first, then the rest
+    ascending; identical orders merge."""
+    weight = Fraction(1, len(heads))
+    return AgentLottery(tuple((_order(head, total), weight) for head in heads))
+
+
+def _couple(heads: dict, pairs: list, side: Side) -> tuple[int, int]:
+    """A new agent on ``side`` matched to a new mate on the other side.
+
+    ``heads[side]`` lists each agent's heads, one per order; both newcomers
+    start with none. Returns (agent, mate), the next index on each side.
+    """
+    agent, mate = len(heads[side]), len(heads[side.opposite])
+    heads[side].append([])
+    heads[side.opposite].append([])
+    pairs.append((agent, mate) if side is Side.MEN else (mate, agent))
+    return agent, mate
+
+
 def x3c_to_lottery(x3c: X3cInstance) -> tuple[Instance, Matching]:
     """Lottery instance whose designated matching has nonzero stability
     probability iff the cover instance is solvable.
@@ -89,26 +109,16 @@ def x3c_to_lottery(x3c: X3cInstance) -> tuple[Instance, Matching]:
     if cover and not x3c.triples:
         raise ValidationError("a nonempty universe needs at least one triple")
     n_side = cover + elements
-    men = []
-    for i in range(cover):
-        men.append(AgentLottery.certain(_order([i], n_side)))
+    men = [_lottery([[i]], n_side) for i in range(cover)]
+    # the k-th order of a'_j: every b but b_k, then b'_j, then b_k
+    others = [[i for i in range(cover) if i != k] for k in range(cover)]
     for j in range(elements):
-        share = Fraction(1, cover)
-        support = []
-        for k in range(cover):
-            head = [i for i in range(cover) if i != k] + [cover + j, k]
-            support.append((_order(head, n_side), share))
-        men.append(AgentLottery(tuple(support)))
+        men.append(_lottery([o + [cover + j, k] for k, o in enumerate(others)], n_side))
     women = []
     for i in range(cover):
-        share = Fraction(1, len(x3c.triples))
-        support = []
-        for triple in x3c.triples:
-            head = [cover + e - 1 for e in triple] + [i]
-            support.append((_order(head, n_side), share))
-        women.append(AgentLottery(tuple(support)))
-    for j in range(elements):
-        women.append(AgentLottery.certain(_order([cover + j], n_side)))
+        heads = [[cover + e - 1 for e in triple] + [i] for triple in x3c.triples]
+        women.append(_lottery(heads, n_side))
+    women += [_lottery([[cover + j]], n_side) for j in range(elements)]
     instance = Instance(LotteryModel(men=tuple(men), women=tuple(women)))
     matching = Matching.from_pairs((i, i) for i in range(n_side))
     return instance, matching
@@ -216,16 +226,15 @@ def count2sat_to_lottery(formula: TwoSatInstance) -> tuple[Instance, Matching]:
     binary choices to exactly 2n. Clauses join carriers across sides, so the
     simplified clause graph must be bipartite; an odd cycle raises
     UnsupportedFormulaError.
+
+    Agent indices follow per-side creation order: carriers with their mates
+    in variable order, then admirers with their mates in literal order, then
+    the dummies and their shared admirer. The CLI's output bytes depend on it.
     """
     n = formula.num_variables
     if n == 0:
-        instance = Instance(
-            LotteryModel(
-                men=(AgentLottery.certain(LinearOrder((0,))),),
-                women=(AgentLottery.certain(LinearOrder((0,))),),
-            )
-        )
-        return instance, Matching.from_pairs([(0, 0)])
+        one = (_lottery([[0]], 1),)
+        return Instance(LotteryModel(men=one, women=one)), Matching.from_pairs([(0, 0)])
     units, binaries, removed = _simplify_formula(formula)
     kept = sorted(set(range(n)) - removed)
 
@@ -233,17 +242,18 @@ def count2sat_to_lottery(formula: TwoSatInstance) -> tuple[Instance, Matching]:
     for (u, _), (v, _) in binaries:
         neighbors[u].add(v)
         neighbors[v].add(u)
-    color: dict[int, int] = {}
+    # color[v]: the side of v's carrier
+    color: dict[int, Side] = {}
     for root in kept:
         if root in color:
             continue
-        color[root] = 0
+        color[root] = Side.MEN
         queue = deque([root])
         while queue:
             x = queue.popleft()
             for y in sorted(neighbors[x]):
                 if y not in color:
-                    color[y] = 1 - color[x]
+                    color[y] = color[x].opposite
                     queue.append(y)
                 elif color[y] == color[x]:
                     raise UnsupportedFormulaError(
@@ -251,117 +261,39 @@ def count2sat_to_lottery(formula: TwoSatInstance) -> tuple[Instance, Matching]:
                         "be split across the two sides"
                     )
 
-    men_count = 0
-    women_count = 0
-
-    def new_man() -> int:
-        nonlocal men_count
-        men_count += 1
-        return men_count - 1
-
-    def new_woman() -> int:
-        nonlocal women_count
-        women_count += 1
-        return women_count - 1
-
+    heads: dict[Side, list[list[list[int]]]] = {Side.MEN: [], Side.WOMEN: []}
     pairs: list[tuple[int, int]] = []
-    carrier_idx: dict[int, int] = {}
-    carrier_mate: dict[int, int] = {}
-    for v in kept:
-        if color[v] == 0:
-            c, g = new_man(), new_woman()
-            pairs.append((c, g))
-        else:
-            c, g = new_woman(), new_man()
-            pairs.append((g, c))
-        carrier_idx[v], carrier_mate[v] = c, g
-    admirer_idx: dict[Literal, int] = {}
-    admirer_mate: dict[Literal, int] = {}
-    for literal in sorted(units):
-        var = literal[0]
-        if color[var] == 0:
-            e, d = new_woman(), new_man()
-            pairs.append((d, e))
-        else:
-            e, d = new_man(), new_woman()
-            pairs.append((e, d))
-        admirer_idx[literal], admirer_mate[literal] = e, d
-    pad = 2 * n - len(kept)
-    dummy_idx = []
-    dummy_mate = []
-    for _ in range(pad):
-        t, h = new_man(), new_woman()
-        pairs.append((t, h))
-        dummy_idx.append(t)
-        dummy_mate.append(h)
-    if pad:
-        shared_mate, shared_admirer = new_man(), new_woman()
-        pairs.append((shared_mate, shared_admirer))
-
+    carrier = {v: _couple(heads, pairs, color[v]) for v in kept}
     # tops[v][a]: opposite-side agents the a-order of v's carrier covets
     tops: dict[int, dict[bool, list[int]]] = {
         v: {True: [], False: []} for v in kept
     }
     for (u, pu), (w, pw) in sorted(binaries):
-        tops[u][not pu].append(carrier_idx[w])
-        tops[w][not pw].append(carrier_idx[u])
-    for literal in sorted(units):
-        var, pol = literal
-        tops[var][not pol].append(admirer_idx[literal])
+        tops[u][not pu].append(carrier[w][0])
+        tops[w][not pw].append(carrier[u][0])
+    for var, pol in sorted(units):
+        side = color[var].opposite
+        e, d = _couple(heads, pairs, side)
+        heads[side][e].append([carrier[var][0], d])
+        heads[side.opposite][d].append([e])
+        tops[var][not pol].append(e)
+    for v, (c, g) in carrier.items():
+        heads[color[v]][c] += [sorted(tops[v][a]) + [g] for a in (True, False)]
+        heads[color[v].opposite][g].append([c])
+    dummies = [_couple(heads, pairs, Side.MEN) for _ in range(2 * n - len(kept))]
+    if dummies:
+        mate, admirer = _couple(heads, pairs, Side.MEN)
+        heads[Side.WOMEN][admirer].append([t for t, _ in dummies] + [mate])
+        heads[Side.MEN][mate].append([admirer])
+        for t, h in dummies:
+            heads[Side.MEN][t] += [[h], [admirer, h]]
+            heads[Side.WOMEN][h].append([t])
 
-    certain_heads: dict[Side, dict[int, list[int]]] = {Side.MEN: {}, Side.WOMEN: {}}
-    lottery_heads: dict[Side, dict[int, tuple[list[int], list[int]]]] = {
-        Side.MEN: {},
-        Side.WOMEN: {},
-    }
-    for v in kept:
-        side = Side.MEN if color[v] == 0 else Side.WOMEN
-        head_true = sorted(tops[v][True]) + [carrier_mate[v]]
-        head_false = sorted(tops[v][False]) + [carrier_mate[v]]
-        lottery_heads[side][carrier_idx[v]] = (head_true, head_false)
-        certain_heads[side.opposite][carrier_mate[v]] = [carrier_idx[v]]
-    for literal in sorted(units):
-        side = Side.WOMEN if color[literal[0]] == 0 else Side.MEN
-        e, d = admirer_idx[literal], admirer_mate[literal]
-        certain_heads[side][e] = [carrier_idx[literal[0]], d]
-        certain_heads[side.opposite][d] = [e]
-    for t, h in zip(dummy_idx, dummy_mate):
-        lottery_heads[Side.MEN][t] = ([h], [shared_admirer, h])
-        certain_heads[Side.WOMEN][h] = [t]
-    if pad:
-        certain_heads[Side.WOMEN][shared_admirer] = sorted(dummy_idx) + [shared_mate]
-        certain_heads[Side.MEN][shared_mate] = [shared_admirer]
-
-    half = Fraction(1, 2)
-
-    def build_side(side: Side, count: int, opposite_count: int):
-        agents = []
-        for i in range(count):
-            if i in lottery_heads[side]:
-                head_true, head_false = lottery_heads[side][i]
-                agents.append(
-                    AgentLottery(
-                        (
-                            (_order(head_true, opposite_count), half),
-                            (_order(head_false, opposite_count), half),
-                        )
-                    )
-                )
-            else:
-                agents.append(
-                    AgentLottery.certain(
-                        _order(certain_heads[side][i], opposite_count)
-                    )
-                )
-        return tuple(agents)
-
-    instance = Instance(
-        LotteryModel(
-            men=build_side(Side.MEN, men_count, women_count),
-            women=build_side(Side.WOMEN, women_count, men_count),
-        )
+    men, women = (
+        tuple(_lottery(agent, len(heads[side.opposite])) for agent in heads[side])
+        for side in (Side.MEN, Side.WOMEN)
     )
-    return instance, Matching.from_pairs(pairs)
+    return Instance(LotteryModel(men=men, women=women)), Matching.from_pairs(pairs)
 
 
 def three_color_to_joint(graph: Graph) -> Instance:

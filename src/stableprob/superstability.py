@@ -6,7 +6,8 @@ certainly-preferred relations, which reduces the question to finding a
 super-stable matching of a partial-order market. The queries evaluate the
 relation per pair and never materialize it (``smp_from_instance`` still
 does, for direct callers). The joint model is dependent, so it is handled
-by intersecting per-profile stable sets instead.
+by intersecting per-profile stable sets instead. ``SmpInstance`` runs the
+same mutual-acceptability check as ``Instance``, with the same messages.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .models import (
     JointModel,
     PartialOrder,
     _certain_relation,
+    _check_mutual,
     certainly_preferred,
 )
 
@@ -42,22 +44,10 @@ class SmpInstance:
     def __post_init__(self):
         object.__setattr__(self, "men", tuple(self.men))
         object.__setattr__(self, "women", tuple(self.women))
-        for m, order in enumerate(self.men):
-            for w in order.candidates:
-                if w >= len(self.women):
-                    raise ValidationError(f"man {m} ranks unknown woman {w}")
-                if m not in self.women[w].candidates:
-                    raise ValidationError(
-                        f"man {m} lists woman {w} but not vice versa"
-                    )
-        for w, order in enumerate(self.women):
-            for m in order.candidates:
-                if m >= len(self.men):
-                    raise ValidationError(f"woman {w} ranks unknown man {m}")
-                if w not in self.men[m].candidates:
-                    raise ValidationError(
-                        f"woman {w} lists man {m} but not vice versa"
-                    )
+        _check_mutual(
+            [order.candidates for order in self.men],
+            [order.candidates for order in self.women],
+        )
 
     @property
     def n_men(self) -> int:

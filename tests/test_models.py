@@ -1,7 +1,10 @@
 """Model payloads, certainly-preferred relations, conversions, completion."""
 
+import hashlib
+import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -32,9 +35,11 @@ from stableprob import (
     LinearOrder,
     LotteryModel,
     Matching,
+    PartialOrder,
     Profile,
     ResourceLimitError,
     Side,
+    SmpInstance,
     ValidationError,
     WeakOrder,
     agent_support,
@@ -53,6 +58,43 @@ from stableprob import (
     support_size,
     uncertain_agents,
 )
+from stableprob.jsonio import default_names, instance_to_json, matching_to_json
+
+COMPLETION_PIN = "57a13e2d27d60e8d54afca201481dd2955d96ed86e54fa6e35d491cc8b8166bd"
+
+# one fault each: men's lists, women's lists, the message, and the message
+# per kind where that kind's orders reject the listing first: a joint market's
+# profiles range-check their orders, and linear orders refuse a negative index
+MUTUAL = "; acceptability must be mutual"
+NEGATIVE = "bad candidate index -1"
+ONE_SIDED = [
+    (((0, 1),), ((0,),), "man 0 ranks unknown woman 1",
+     {"joint": "man 0 ranks out-of-range candidate 1"}),
+    (((0,),), ((0, 1),), "woman 0 ranks unknown man 1",
+     {"joint": "woman 0 ranks out-of-range candidate 1"}),
+    (((0,),), ((),), "man 0 lists woman 0 but not vice versa" + MUTUAL, {}),
+    (((),), ((0,),), "woman 0 lists man 0 but not vice versa" + MUTUAL, {}),
+    (((), (-1, 0)), ((1,),), "man 1 ranks unknown woman -1",
+     {"lottery": NEGATIVE, "compact": NEGATIVE, "joint": NEGATIVE}),
+]
+
+
+def listing_market(kind: str, men, women):
+    """A market of ``kind`` ("smp" for a partial-order market) in which each
+    agent lists the given candidates, best first, without ties."""
+    if kind == "lottery":
+        return lottery_instance([certain(*r) for r in men], [certain(*r) for r in women])
+    if kind == "compact":
+        return compact_instance(
+            [[(c,) for c in r] for r in men], [[(c,) for c in r] for r in women]
+        )
+    if kind == "joint":
+        return joint_instance([((men, women), 1)])
+    return SmpInstance(
+        men=[PartialOrder(frozenset(r), frozenset()) for r in men],
+        women=[PartialOrder(frozenset(r), frozenset()) for r in women],
+    )
+
 
 M0 = AgentId(Side.MEN, 0)
 M1 = AgentId(Side.MEN, 1)
@@ -177,6 +219,13 @@ class TestInstance:
                 men=(certain(0),),
                 women=(AgentLottery.certain(LinearOrder(())),),
             )
+
+    @pytest.mark.parametrize("kind", ["lottery", "compact", "joint", "smp"])
+    @pytest.mark.parametrize("men, women, message, by_kind", ONE_SIDED)
+    def test_rejects_each_one_sided_listing(self, kind, men, women, message, by_kind):
+        message = by_kind.get(kind, message)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            listing_market(kind, men, women)
 
     def test_kind(self):
         assert example_market().kind == "lottery"
@@ -593,3 +642,25 @@ class TestCompletion:
             mu = random_maximal_matching(rng, inst)
             _, padding = complete_instance(inst)
             assert restrict_matching(lift_matching(mu, padding), padding) == mu
+
+    def test_completion_bytes_are_pinned(self):
+        # the digest of completed markets and lifted matchings was recorded
+        # from an earlier implementation of the completion
+        rng = random.Random(62)
+        builders = (
+            random_lottery_instance,
+            random_compact_instance,
+            random_joint_instance,
+        )
+        entries = []
+        for k in range(150):
+            n_men, n_women = rng.randint(1, 4), rng.randint(1, 4)
+            inst = builders[k % 3](rng, n_men, n_women, complete=False)
+            completed, padding = complete_instance(inst)
+            lifted = lift_matching(random_maximal_matching(rng, inst), padding)
+            names = default_names(padding.total, "m"), default_names(padding.total, "w")
+            entries.append(
+                [instance_to_json(completed, *names), matching_to_json(lifted, *names)]
+            )
+        text = json.dumps(entries, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == COMPLETION_PIN

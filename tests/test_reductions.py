@@ -1,5 +1,7 @@
 """Tests for the instance generators encoding cover, counting, and coloring."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -22,6 +24,10 @@ from stableprob import (
     three_color_to_joint,
     x3c_to_lottery,
 )
+from stableprob.jsonio import default_names, instance_to_json, matching_to_json
+
+GADGET_PIN = "143bf90a24e59da5b18aa914a72f894db9fc1ad41d833b9c679be4eaa252a1ed"
+UNSUPPORTED_PIN = 34
 
 
 def has_exact_cover(x3c: X3cInstance) -> bool:
@@ -210,6 +216,28 @@ class TestCount2SatToLottery:
             # binary supports keep the 2-CNF decision path applicable
             decision, _ = is_stability_probability_nonzero(inst, mu)
             assert decision == (s > 0)
+
+    def test_output_bytes_are_pinned(self):
+        # ``generate count2sat`` prints these documents, so the gadget's
+        # agents must keep their per-side creation order; the digest was
+        # recorded from an earlier implementation of the gadget
+        rng = random.Random(12)
+        entries = []
+        for _ in range(200):
+            formula = random_formula(rng, max_vars=10, max_clauses=14)
+            try:
+                inst, mu = count2sat_to_lottery(formula)
+            except UnsupportedFormulaError:
+                entries.append("unsupported")
+                continue
+            men = default_names(inst.n_men, "m")
+            women = default_names(inst.n_women, "w")
+            entries.append(
+                [instance_to_json(inst, men, women), matching_to_json(mu, men, women)]
+            )
+        assert entries.count("unsupported") == UNSUPPORTED_PIN
+        text = json.dumps(entries, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == GADGET_PIN
 
 
 class TestThreeColorToJoint:

@@ -1,10 +1,13 @@
 """Rules the package source keeps, checked on its syntax trees."""
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "stableprob"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_no_module_uses_assert():
@@ -99,3 +102,20 @@ def test_no_function_calls_itself():
                 if by_name or by_self:
                     found.append(f"{path.name}:{node.lineno} {function.name}")
     assert found == []
+
+
+def test_every_traced_layer_resolves_in_the_package():
+    # the benchmark's traced pass rebinds these attributes by name, so a
+    # renamed or removed one would break the pass or drop its span
+    spec = importlib.util.spec_from_file_location("bench_layers", BENCH / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.TRACED
+    missing = [
+        f"{module}.{attribute}"
+        for module, attribute, _ in layers.TRACED
+        if not callable(
+            getattr(importlib.import_module(f"stableprob.{module}"), attribute, None)
+        )
+    ]
+    assert missing == []
