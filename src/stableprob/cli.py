@@ -287,46 +287,19 @@ def _require_fields(data, fields, label: str) -> None:
         raise ValidationError(f"{label} must be an object with fields {fields}")
 
 
-def _integer_rows(rows, width: int, label: str) -> tuple:
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list)
-        and len(row) == width
-        and all(isinstance(x, int) for x in row)
-        for row in rows
-    ):
-        raise ValidationError(f"{label} must be an array of {width}-integer arrays")
-    return tuple(tuple(row) for row in rows)
-
-
 def _cmd_generate(args) -> CommandResult:
     data = _load(args.problem)
     if args.kind == "x3c":
         _require_fields(data, ["universe_size", "triples"], "an x3c problem")
-        problem = X3cInstance(
-            data["universe_size"], _integer_rows(data["triples"], 3, "'triples'")
-        )
+        problem = X3cInstance(data["universe_size"], data["triples"])
         instance, matching = x3c_to_lottery(problem)
     elif args.kind == "count2sat":
         _require_fields(data, ["num_variables", "clauses"], "a count2sat problem")
-        if not isinstance(data["clauses"], list):
-            raise ValidationError("'clauses' must be an array")
-        clauses = []
-        for clause in data["clauses"]:
-            if not (isinstance(clause, list) and len(clause) == 2):
-                raise ValidationError("each clause must be a pair of literals")
-            literals = []
-            for literal in clause:
-                if not (isinstance(literal, list) and len(literal) == 2):
-                    raise ValidationError(
-                        "each literal must be a [variable, polarity] pair"
-                    )
-                literals.append((literal[0], literal[1]))
-            clauses.append(tuple(literals))
-        formula = TwoSatInstance(data["num_variables"], tuple(clauses))
+        formula = TwoSatInstance(data["num_variables"], data["clauses"])
         instance, matching = count2sat_to_lottery(formula)
     else:
         _require_fields(data, ["vertex_count", "edges"], "a 3color problem")
-        graph = Graph(data["vertex_count"], _integer_rows(data["edges"], 2, "'edges'"))
+        graph = Graph(data["vertex_count"], data["edges"])
         instance, matching = three_color_to_joint(graph), None
     document = instance_to_json(instance)
     if matching is not None:

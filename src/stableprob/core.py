@@ -234,18 +234,22 @@ class Matching:
 
 
 def _check_matching(men: Sequence, women: Sequence, matching: Matching) -> None:
-    """Reject out-of-range agents and pairs that are not mutually acceptable;
-    ``men`` and ``women`` hold one order with ``accepts`` per agent."""
+    """Reject out-of-range agents and pairs that are not mutually acceptable.
+
+    ``men`` and ``women`` hold, per agent, the candidates it accepts in a
+    container read with ``in``: a set, or an order's rank table.
+    """
     for m, w in matching.pairs:
         if m >= len(men) or w >= len(women):
             raise ValidationError(f"pair ({m}, {w}) references unknown agents")
-        if not men[m].accepts(w) or not women[w].accepts(m):
+        if w not in men[m] or m not in women[w]:
             raise ValidationError(f"pair ({m}, {w}) is not mutually acceptable")
 
 
 def validate_matching(profile: Profile, matching: Matching) -> None:
     """Reject out-of-range agents and pairs that are not mutually acceptable."""
-    _check_matching(profile.men, profile.women, matching)
+    men, women = profile.men, profile.women
+    _check_matching([o.rank for o in men], [o.rank for o in women], matching)
 
 
 def iter_blocking_pairs(
@@ -419,7 +423,7 @@ def is_weakly_stable(
     Ties never block: a pair where either member is merely indifferent is not
     weakly blocking.
     """
-    _check_matching(men, women, matching)
+    _check_matching([o.tier_of for o in men], [o.tier_of for o in women], matching)
     for m, order in enumerate(men):
         mu_m = matching.partner_of_man(m)
         limit = len(order.tiers) if mu_m is None else order.tier_of[mu_m]

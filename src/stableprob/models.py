@@ -34,6 +34,7 @@ from .core import (
     Profile,
     Side,
     WeakOrder,
+    _check_matching,
 )
 from .errors import ResourceLimitError, ValidationError
 
@@ -91,6 +92,28 @@ def format_probability(prob: Fraction) -> str:
     return f"{prob.numerator}/{prob.denominator}" if prob.denominator != 1 else str(prob.numerator)
 
 
+def _merged_support(support, entry_type: type, label: str) -> dict:
+    """The (entry, weight) pairs of ``support`` with equal entries' weights
+    summed. Every entry must be an ``entry_type`` with a positive weight,
+    and the weights must sum to exactly 1; ``label`` names the support in
+    the errors."""
+    merged: dict = {}
+    for entry, weight in support:
+        if not isinstance(entry, entry_type):
+            raise ValidationError(
+                f"{label} support must contain {entry_type.__name__} entries"
+            )
+        weight = as_probability(weight)
+        if weight == 0:
+            raise ValidationError(f"{label} weights must be positive")
+        merged[entry] = merged.get(entry, Fraction(0)) + weight
+    if not merged:
+        raise ValidationError(f"empty {label} support")
+    if sum(merged.values()) != ONE:
+        raise ValidationError(f"{label} weights must sum to exactly 1")
+    return merged
+
+
 @dataclass(frozen=True)
 class AgentLottery:
     """One agent's distribution over strict orders.
@@ -103,18 +126,7 @@ class AgentLottery:
     support: tuple[tuple[LinearOrder, Fraction], ...]
 
     def __post_init__(self):
-        merged: dict[LinearOrder, Fraction] = {}
-        for order, weight in self.support:
-            if not isinstance(order, LinearOrder):
-                raise ValidationError("lottery support must contain LinearOrder entries")
-            weight = as_probability(weight)
-            if weight == 0:
-                raise ValidationError("lottery weights must be positive")
-            merged[order] = merged.get(order, Fraction(0)) + weight
-        if not merged:
-            raise ValidationError("empty lottery support")
-        if sum(merged.values()) != ONE:
-            raise ValidationError("lottery weights must sum to exactly 1")
+        merged = _merged_support(self.support, LinearOrder, "lottery")
         candidate_sets = {order.candidates for order in merged}
         if len(candidate_sets) != 1:
             raise ValidationError("all support orders must rank the same candidates")
@@ -160,18 +172,7 @@ class JointModel:
     profiles: tuple[tuple[Profile, Fraction], ...]
 
     def __post_init__(self):
-        merged: dict[Profile, Fraction] = {}
-        for profile, weight in self.profiles:
-            if not isinstance(profile, Profile):
-                raise ValidationError("joint support must contain Profile entries")
-            weight = as_probability(weight)
-            if weight == 0:
-                raise ValidationError("joint weights must be positive")
-            merged[profile] = merged.get(profile, Fraction(0)) + weight
-        if not merged:
-            raise ValidationError("empty joint support")
-        if sum(merged.values()) != ONE:
-            raise ValidationError("joint weights must sum to exactly 1")
+        merged = _merged_support(self.profiles, Profile, "joint")
         shapes = {(p.n_men, p.n_women) for p in merged}
         if len(shapes) != 1:
             raise ValidationError("all profiles must have the same agent counts")
@@ -192,11 +193,6 @@ class JointModel:
 ModelPayload = Union[LotteryModel, CompactModel, JointModel]
 
 
-def _entry(model, agent: AgentId):
-    """The agent's entry in a lottery or compact model."""
-    return (model.men if agent.side is Side.MEN else model.women)[agent.index]
-
-
 def _check_mutual(men, women) -> None:
     """Reject a listed candidate outside the market or one who does not list
     back; ``men`` and ``women`` hold each agent's acceptable candidates."""
@@ -213,15 +209,6 @@ def _check_mutual(men, women) -> None:
                         f"{label} {i} lists {other} {j} but not vice versa; "
                         "acceptability must be mutual"
                     )
-
-
-def _check_pairs(matching: Matching, n_men: int, n_women: int, acceptable_men):
-    """Reject a pair naming an agent outside the market or an unacceptable pair."""
-    for m, w in matching.pairs:
-        if m >= n_men or w >= n_women:
-            raise ValidationError(f"pair ({m}, {w}) references unknown agents")
-        if w not in acceptable_men[m]:
-            raise ValidationError(f"pair ({m}, {w}) is not mutually acceptable")
 
 
 @dataclass(frozen=True)
@@ -260,6 +247,29 @@ class Instance:
         return len(self._view.women)
 
     @cached_property
+    def entries(self) -> tuple:
+        """One entry per agent, indexed by agent id.
+
+        Man m has id m and woman w has id ``n_men + w``; every per-agent
+        list in the package that is indexed by id follows this convention.
+        The entry is a lottery agent's ``AgentLottery``, a compact agent's
+        ``WeakOrder``, or a joint agent's order in the first profile, which
+        is read for acceptability only.
+        """
+        return self._view.men + self._view.women
+
+    def index(self, agent: AgentId) -> int:
+        """The agent's id in ``entries``; an agent outside the market raises
+        ValidationError."""
+        if agent.side is Side.MEN:
+            size, offset = self.n_men, 0
+        else:
+            size, offset = self.n_women, self.n_men
+        if agent.index >= size:
+            raise ValidationError(f"unknown agent {agent}")
+        return offset + agent.index
+
+    @cached_property
     def acceptable_men(self) -> tuple[frozenset[int], ...]:
         """Per man, the set of women acceptable to him (constant across realizations)."""
         return tuple(entry.candidates for entry in self._view.men)
@@ -269,19 +279,18 @@ class Instance:
         return tuple(entry.candidates for entry in self._view.women)
 
     @cached_property
-    def uncertain_men(self) -> tuple[bool, ...]:
-        """Per man, whether more than one order is realizable for him."""
-        return _uncertainty(self.model, Side.MEN)
-
-    @cached_property
-    def uncertain_women(self) -> tuple[bool, ...]:
-        return _uncertainty(self.model, Side.WOMEN)
+    def uncertain(self) -> tuple[bool, ...]:
+        """Per agent id, whether more than one order is realizable for the agent."""
+        model = self.model
+        if isinstance(model, JointModel):
+            columns = zip(*(p.men + p.women for p, _ in model.profiles))
+            return tuple(len(set(column)) > 1 for column in columns)
+        if isinstance(model, LotteryModel):
+            return tuple(not entry.is_certain() for entry in self.entries)
+        return tuple(not entry.is_strict() for entry in self.entries)
 
     def acceptable(self, agent: AgentId) -> frozenset[int]:
-        table = self.acceptable_men if agent.side is Side.MEN else self.acceptable_women
-        if agent.index >= len(table):
-            raise ValidationError(f"unknown agent {agent}")
-        return table[agent.index]
+        return self.entries[self.index(agent)].candidates
 
     def is_complete(self) -> bool:
         return all(len(a) == self.n_women for a in self.acceptable_men) and all(
@@ -289,7 +298,7 @@ class Instance:
         )
 
     def validate_matching(self, matching: Matching) -> None:
-        _check_pairs(matching, self.n_men, self.n_women, self.acceptable_men)
+        _check_matching(self.acceptable_men, self.acceptable_women, matching)
 
     def transposed(self) -> "Instance":
         model = self.model
@@ -299,10 +308,17 @@ class Instance:
         return Instance(type(model)(men=model.women, women=model.men))
 
     def agents(self) -> Iterable[AgentId]:
+        """Every agent, in id order."""
         for m in range(self.n_men):
             yield AgentId(Side.MEN, m)
         for w in range(self.n_women):
             yield AgentId(Side.WOMEN, w)
+
+
+def _split(instance: Instance, per_id, cls=Profile):
+    """``cls(men=..., women=...)`` from a sequence indexed by agent id."""
+    n_men = instance.n_men
+    return cls(men=per_id[:n_men], women=per_id[n_men:])
 
 
 @dataclass(frozen=True)
@@ -354,19 +370,6 @@ class PartialOrder:
         ]
 
 
-def _distinct_orders(instance: Instance, agent: AgentId) -> tuple[LinearOrder, ...]:
-    """The set of realizable orders, except for compact agents (too many)."""
-    model = instance.model
-    if isinstance(model, LotteryModel):
-        return tuple(order for order, _ in _entry(model, agent).support)
-    if isinstance(model, JointModel):
-        seen: dict[LinearOrder, None] = {}
-        for profile, _ in model.profiles:
-            seen.setdefault(profile.order_of(agent))
-        return tuple(seen)
-    raise ValidationError("compact agents enumerate extensions lazily")
-
-
 @dataclass(frozen=True)
 class _CertainRelation:
     """``certainly_preferred`` evaluated per query, never materialized.
@@ -395,24 +398,29 @@ class _CertainRelation:
                 top.append(a)
         return sorted(top)
 
+    def partial_order(self) -> PartialOrder:
+        """The relation materialized as a ``PartialOrder``."""
+        candidates = frozenset(self.rank)
+        pairs = {(a, b) for a in candidates for b in candidates if self.prefers(a, b)}
+        return PartialOrder(candidates, frozenset(pairs))
 
-def _certain_relation(instance: Instance, agent: AgentId) -> _CertainRelation:
-    model = instance.model
+
+def _certain_relation(instance: Instance, i: int) -> _CertainRelation:
+    """Agent ``i``'s relation, from its tiers or its distinct realizable orders."""
+    model, entry = instance.model, instance.entries[i]
     if isinstance(model, CompactModel):
-        return _CertainRelation(
-            {c: (tier,) for c, tier in _entry(model, agent).tier_of.items()}
-        )
-    orders = _distinct_orders(instance, agent)
+        return _CertainRelation({c: (tier,) for c, tier in entry.tier_of.items()})
+    if isinstance(model, LotteryModel):
+        orders = [order for order, _ in entry.support]
+    else:
+        orders = dict.fromkeys((p.men + p.women)[i] for p, _ in model.profiles)
     ranks = [order.rank for order in orders]
     return _CertainRelation({c: tuple([r[c] for r in ranks]) for c in ranks[0]})
 
 
 def certainly_preferred(instance: Instance, agent: AgentId) -> PartialOrder:
     """The relation "ranked above in every realization" for one agent."""
-    candidates = instance.acceptable(agent)
-    relation = _certain_relation(instance, agent)
-    pairs = {(a, b) for a in candidates for b in candidates if relation.prefers(a, b)}
-    return PartialOrder(candidates, frozenset(pairs))
+    return _certain_relation(instance, instance.index(agent)).partial_order()
 
 
 def dominance_set(instance: Instance, agent: AgentId, candidate: int) -> frozenset[int]:
@@ -425,62 +433,51 @@ def dominance_set(instance: Instance, agent: AgentId, candidate: int) -> frozens
     }
 
 
-def _uncertainty(model: ModelPayload, side: Side) -> tuple[bool, ...]:
-    if isinstance(model, JointModel):
-        orders = (p.men if side is Side.MEN else p.women for p, _ in model.profiles)
-        return tuple(len(set(column)) > 1 for column in zip(*orders))
-    entries = model.men if side is Side.MEN else model.women
-    if isinstance(model, LotteryModel):
-        return tuple(not entry.is_certain() for entry in entries)
-    return tuple(not entry.is_strict() for entry in entries)
-
-
-def _agent_is_uncertain(instance: Instance, agent: AgentId) -> bool:
-    men = agent.side is Side.MEN
-    return (instance.uncertain_men if men else instance.uncertain_women)[agent.index]
-
-
 def uncertain_agents(instance: Instance) -> tuple[AgentId, ...]:
     """Agents whose certainly-preferred relation is not a total order."""
-    return tuple(a for a in instance.agents() if _agent_is_uncertain(instance, a))
+    return tuple(a for a, flag in zip(instance.agents(), instance.uncertain) if flag)
+
+
+def _certain_order(instance: Instance, i: int) -> LinearOrder | None:
+    """Agent ``i``'s single realizable order, or None if uncertain."""
+    if instance.uncertain[i]:
+        return None
+    entry = instance.entries[i]
+    if isinstance(instance.model, LotteryModel):
+        return entry.support[0][0]
+    if isinstance(instance.model, CompactModel):
+        return LinearOrder(tuple(t[0] for t in entry.tiers))
+    return entry  # a certain joint agent has its first profile's order everywhere
 
 
 def certain_order(instance: Instance, agent: AgentId) -> LinearOrder | None:
     """The agent's single realizable order, or None if uncertain."""
-    if _agent_is_uncertain(instance, agent):
-        return None
-    model = instance.model
-    if isinstance(model, JointModel):
-        return _distinct_orders(instance, agent)[0]
-    if isinstance(model, LotteryModel):
-        return _entry(model, agent).support[0][0]
-    return LinearOrder(tuple(t[0] for t in _entry(model, agent).tiers))
+    return _certain_order(instance, instance.index(agent))
 
 
 def side_is_certain(instance: Instance, side: Side) -> bool:
-    flags = instance.uncertain_men if side is Side.MEN else instance.uncertain_women
-    return not any(flags)
+    flags, n_men = instance.uncertain, instance.n_men
+    return not any(flags[:n_men] if side is Side.MEN else flags[n_men:])
 
 
 def support_size(instance: Instance, agent: AgentId) -> int:
     """Number of realizable orders for the agent (independent models only)."""
-    model = instance.model
-    if isinstance(model, LotteryModel):
-        return len(_entry(model, agent).support)
-    if isinstance(model, CompactModel):
-        return _entry(model, agent).count_linear_extensions()
+    entry = instance.entries[instance.index(agent)]
+    if isinstance(instance.model, LotteryModel):
+        return len(entry.support)
+    if isinstance(instance.model, CompactModel):
+        return entry.count_linear_extensions()
     raise ValidationError("joint model has no per-agent support")
 
 
 def agent_support(instance: Instance, agent: AgentId) -> tuple[tuple[LinearOrder, Fraction], ...]:
     """Realizable orders with marginal weights (independent models only)."""
-    model = instance.model
-    if isinstance(model, LotteryModel):
-        return _entry(model, agent).support
-    if isinstance(model, CompactModel):
-        weak = _entry(model, agent)
-        weight = Fraction(1, weak.count_linear_extensions())
-        return tuple((order, weight) for order in weak.linear_extensions())
+    entry = instance.entries[instance.index(agent)]
+    if isinstance(instance.model, LotteryModel):
+        return entry.support
+    if isinstance(instance.model, CompactModel):
+        weight = Fraction(1, entry.count_linear_extensions())
+        return tuple((order, weight) for order in entry.linear_extensions())
     raise ValidationError("joint model has no per-agent support")
 
 
@@ -495,29 +492,23 @@ def expand_compact_to_lottery(instance: Instance, cap: int = DEFAULT_CAP) -> Ins
                 f"agent {agent} has {count} linear extensions, cap is {cap}"
             )
     lotteries = [AgentLottery(agent_support(instance, a)) for a in instance.agents()]
-    n_men = instance.n_men
-    return Instance(LotteryModel(men=lotteries[:n_men], women=lotteries[n_men:]))
+    return Instance(_split(instance, lotteries, LotteryModel))
 
 
 def lottery_to_joint(instance: Instance, cap: int = DEFAULT_CAP) -> Instance:
     """Expand independent per-agent lotteries into an explicit joint model."""
     if not isinstance(instance.model, LotteryModel):
         raise ValidationError("lottery_to_joint requires a lottery instance")
+    supports = [entry.support for entry in instance.entries]
     total = 1
-    for agent in instance.agents():
-        total *= support_size(instance, agent)
+    for support in supports:
+        total *= len(support)
         if total > cap:
             raise ResourceLimitError(f"joint expansion exceeds cap of {cap} profiles")
-    men_supports = [entry.support for entry in instance.model.men]
-    women_supports = [entry.support for entry in instance.model.women]
     profiles = []
-    for combo in product(*men_supports, *women_supports):
+    for combo in product(*supports):
         weight = math.prod((w for _, w in combo), start=ONE)
-        orders = tuple(o for o, _ in combo)
-        profile = Profile(
-            men=orders[: instance.n_men], women=orders[instance.n_men :]
-        )
-        profiles.append((profile, weight))
+        profiles.append((_split(instance, [o for o, _ in combo]), weight))
     return Instance(JointModel(tuple(profiles)))
 
 
@@ -540,24 +531,20 @@ def _pick(entries, roll: float) -> int:
     return bisect_right(pick_thresholds(w for _, w in entries), roll)
 
 
-def draw_rolls(rng: random.Random, model: LotteryModel) -> list[float]:
-    """A lottery sample's random numbers: one roll per agent, men then women."""
+def draw_rolls(rng: random.Random, instance: Instance) -> list[float]:
+    """A lottery sample's random numbers: one roll per agent, by id."""
     roll = rng.random
-    return [roll() for _ in range(len(model.men) + len(model.women))]
+    return [roll() for _ in instance.entries]
 
 
-def draw_shuffles(rng: random.Random, model: CompactModel) -> list[list[int]]:
+def draw_shuffles(rng: random.Random, instance: Instance) -> list[list[int]]:
     """A compact sample's random numbers: every tier of every agent shuffled.
 
-    The tiers come men then women, each agent's best first; singleton tiers
+    The tiers come by agent id, each agent's best first; singleton tiers
     are drawn too.
     """
     sample = rng.sample
-    return [
-        sample(tier, len(tier))
-        for weak in model.men + model.women
-        for tier in weak.tiers
-    ]
+    return [sample(tier, len(tier)) for weak in instance.entries for tier in weak.tiers]
 
 
 def sample_profile(instance: Instance, rng: random.Random) -> Profile:
@@ -566,18 +553,18 @@ def sample_profile(instance: Instance, rng: random.Random) -> Profile:
     if isinstance(model, JointModel):
         return model.profiles[_pick(model.profiles, rng.random())][0]
     if isinstance(model, LotteryModel):
-        rolls = draw_rolls(rng, model)
-        orders = tuple(
+        rolls = draw_rolls(rng, instance)
+        orders = [
             e.support[_pick(e.support, roll)][0]
-            for e, roll in zip(model.men + model.women, rolls)
-        )
+            for e, roll in zip(instance.entries, rolls)
+        ]
     else:
-        shuffles = iter(draw_shuffles(rng, model))
-        orders = tuple(
+        shuffles = iter(draw_shuffles(rng, instance))
+        orders = [
             LinearOrder(tuple(c for _ in weak.tiers for c in next(shuffles)))
-            for weak in model.men + model.women
-        )
-    return Profile(men=orders[: instance.n_men], women=orders[instance.n_men :])
+            for weak in instance.entries
+        ]
+    return _split(instance, orders)
 
 
 @dataclass(frozen=True)
@@ -666,7 +653,9 @@ def lift_matching(matching: Matching, padding: Padding) -> Matching:
     Leftover agents (unmatched originals plus the added padding agents) are
     paired in mutually ascending index order.
     """
-    _check_pairs(matching, padding.n_men, padding.n_women, padding.acceptable_men)
+    # acceptability is mutual, so the men's sets decide: every woman passes
+    everyone = (range(padding.n_men),) * padding.n_women
+    _check_matching(padding.acceptable_men, everyone, matching)
     total = padding.total
     free_men = [m for m in range(padding.n_men) if matching.partner_of_man(m) is None]
     free_men.extend(range(padding.n_men, total))

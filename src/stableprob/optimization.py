@@ -30,18 +30,12 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import (
-    DEFAULT_CAP,
-    AgentId,
-    Matching,
-    Side,
-    deferred_acceptance,
-)
+from .core import DEFAULT_CAP, Matching, Side, deferred_acceptance
 from .errors import ResourceLimitError, ValidationError
 from .models import (
     Instance,
     LotteryModel,
-    certain_order,
+    _certain_order,
     complete_instance,
     restrict_matching,
     uncertain_agents,
@@ -79,7 +73,7 @@ def _lottery_bound(instance: Instance, men):
     follows one for depth d - 1 on the same prefix, whose bound was
     positive."""
     n = instance.n_men
-    entries = instance.model.men + instance.model.women
+    entries = instance.entries
     full = [(1 << len(entry.support)) - 1 for entry in entries]
     scales, numerators = scaled_weights([[w for _, w in e.support] for e in entries])
     tables: dict[tuple[int, int], dict[int, int]] = {}  # (agent, partner) -> beats
@@ -230,13 +224,10 @@ def most_stable_constant_uncertain(
     xs = sorted(agent.index for agent in uncertain)
     x_set = set(xs)
     certain_men = [m for m in range(n) if m not in x_set]
-    men_lists = {
-        m: certain_order(completed, AgentId(Side.MEN, m)).ranking for m in certain_men
-    }
+    men_lists = {m: _certain_order(completed, m).ranking for m in certain_men}
     men_rank = {m: {w: i for i, w in enumerate(men_lists[m])} for m in certain_men}
-    women_lists = [
-        certain_order(completed, AgentId(Side.WOMEN, w)).ranking for w in range(n)
-    ]
+    # the completed market is square, so woman w has id n + w
+    women_lists = [_certain_order(completed, n + w).ranking for w in range(n)]
     women_rank = [{m: i for i, m in enumerate(ranking)} for ranking in women_lists]
 
     def extend(assignment: list[int]) -> Matching | None:

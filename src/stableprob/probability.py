@@ -50,6 +50,7 @@ from .models import (
     as_probability,
     draw_rolls,
     draw_shuffles,
+    _split,
     pick_thresholds,
     sample_profile,
     side_is_certain,
@@ -59,14 +60,33 @@ from .superstability import is_certainly_stable
 Literal = tuple[int, bool]
 
 
+def _is_row(value, width: int) -> bool:
+    """Whether ``value`` is a list or tuple of ``width`` items."""
+    return isinstance(value, (list, tuple)) and len(value) == width
+
+
 @dataclass(frozen=True)
 class TwoSatInstance:
-    """A 2-CNF formula; a literal is (variable index, polarity)."""
+    """A 2-CNF formula; a literal is (variable index, polarity).
+
+    Clauses and literals may be lists or tuples. Every clause's shape is
+    checked before any value, so a malformed formula reports the same
+    first error as its JSON file does on the command line.
+    """
 
     num_variables: int
     clauses: tuple[tuple[Literal, Literal], ...]
 
     def __post_init__(self):
+        if not isinstance(self.clauses, (list, tuple)):
+            raise ValidationError("'clauses' must be an array")
+        for clause in self.clauses:
+            if not _is_row(clause, 2):
+                raise ValidationError("each clause must be a pair of literals")
+            if not all(_is_row(literal, 2) for literal in clause):
+                raise ValidationError(
+                    "each literal must be a [variable, polarity] pair"
+                )
         if not isinstance(self.num_variables, int):
             raise ValidationError("variable count must be an integer")
         if self.num_variables < 0:
@@ -159,12 +179,12 @@ class ProbabilityEstimate:
 
 
 class _Model(NamedTuple):
-    """One matching's stability question compiled over dense agent ids.
+    """One matching's stability question compiled over agent ids.
 
-    Man m is agent m and woman w is agent n_men + w. Every list but
-    ``components`` is indexed by agent id. No constraint joins two
-    components, so the model's weight is the free product times the
-    product of the components' weights.
+    The ids are those of ``Instance.entries``, and every list but
+    ``components`` is indexed by id. No constraint joins two components, so
+    the model's weight is the free product times the product of the
+    components' weights.
     """
 
     weights: list[list[Fraction]]  # the weight of each pick
@@ -242,6 +262,12 @@ def delete_forced_picks(pairs, full: list[int], allowed: list[int]) -> list | No
     return two_sided
 
 
+def _partners(instance: Instance, matching: Matching) -> list[int | None]:
+    """Per agent id, the agent's partner in ``matching`` (None: unmatched)."""
+    partners = [matching.partner_of_man(m) for m in range(instance.n_men)]
+    return partners + [matching.partner_of_woman(w) for w in range(instance.n_women)]
+
+
 def _pick_tables(instance: Instance, matching: Matching, budget: list[int] | None = None):
     """Per agent id, (weights, beats): each pick's weight, and per candidate
     the bitmask of picks in which the agent prefers that candidate to its
@@ -256,9 +282,8 @@ def _pick_tables(instance: Instance, matching: Matching, budget: list[int] | Non
     ``budget`` before they are built.
     """
     n_men = instance.n_men
-    partners = [matching.partner_of_man(m) for m in range(n_men)]
-    partners += [matching.partner_of_woman(w) for w in range(instance.n_women)]
-    entries = instance.model.men + instance.model.women
+    partners = _partners(instance, matching)
+    entries = instance.entries
     tables = []
     for agent, (entry, partner) in enumerate(zip(entries, partners)):
         if isinstance(instance.model, LotteryModel):
@@ -541,12 +566,11 @@ def stability_probability(
 
 
 def _lottery_sampler(instance: Instance, matching: Matching, rng: random.Random):
-    lottery = instance.model
     model = _compile(instance, matching)
     if model is None:
 
         def blocked() -> bool:
-            draw_rolls(rng, lottery)
+            draw_rolls(rng, instance)
             return False
 
         return blocked
@@ -565,7 +589,7 @@ def _lottery_sampler(instance: Instance, matching: Matching, rng: random.Random)
     choice = [0] * len(model.weights)
 
     def stable() -> bool:
-        rolls = draw_rolls(rng, lottery)
+        rolls = draw_rolls(rng, instance)
         for agent, thresholds, allowed in picked:
             pick = bisect_right(thresholds, rolls[agent])
             if not allowed >> pick & 1:
@@ -580,8 +604,7 @@ def _lottery_sampler(instance: Instance, matching: Matching, rng: random.Random)
 
 
 def _compact_sampler(instance: Instance, matching: Matching, rng: random.Random):
-    model = instance.model
-    weak_orders = model.men + model.women
+    weak_orders = instance.entries
     # per agent, the index of its best tier in the shuffles
     first_tier = list(accumulate((len(weak.tiers) for weak in weak_orders), initial=0))
     n_men = instance.n_men
@@ -608,7 +631,7 @@ def _compact_sampler(instance: Instance, matching: Matching, rng: random.Random)
     blocks.sort(key=len)
 
     def stable() -> bool:
-        shuffles = draw_shuffles(rng, model)
+        shuffles = draw_shuffles(rng, instance)
         for needs in blocks:
             for t, candidate, partner in needs:
                 shuffle = shuffles[t]
@@ -683,16 +706,9 @@ def _partner_first_extension(weak, partner: int | None) -> LinearOrder:
     return LinearOrder(tuple(ranking))
 
 
-def _compact_witness(model: CompactModel, matching: Matching) -> Profile:
-    men = tuple(
-        _partner_first_extension(order, matching.partner_of_man(m))
-        for m, order in enumerate(model.men)
-    )
-    women = tuple(
-        _partner_first_extension(order, matching.partner_of_woman(w))
-        for w, order in enumerate(model.women)
-    )
-    return Profile(men=men, women=women)
+def _compact_witness(instance: Instance, matching: Matching) -> Profile:
+    pairs = zip(instance.entries, _partners(instance, matching))
+    return _split(instance, [_partner_first_extension(weak, p) for weak, p in pairs])
 
 
 def _nonzero_2sat_parts(instance: Instance, matching: Matching):
@@ -744,10 +760,7 @@ def build_nonzero_2sat(instance: Instance, matching: Matching) -> TwoSatInstance
 
 
 def _profile_from_choices(instance: Instance, choice: list[int]) -> Profile:
-    entries = instance.model.men + instance.model.women
-    orders = [entry.support[i][0] for entry, i in zip(entries, choice)]
-    n_men = instance.n_men
-    return Profile(men=tuple(orders[:n_men]), women=tuple(orders[n_men:]))
+    return _split(instance, [e.support[i][0] for e, i in zip(instance.entries, choice)])
 
 
 def _nonzero_backtracking(
@@ -794,13 +807,13 @@ def is_stability_probability_nonzero(
     if isinstance(model, CompactModel):
         if not is_weakly_stable(model.men, model.women, matching):
             return False, None
-        return True, _verified(_compact_witness(model, matching), matching)
-    if all(len(entry.support) <= 2 for entry in model.men + model.women):
+        return True, _verified(_compact_witness(instance, matching), matching)
+    if all(len(entry.support) <= 2 for entry in instance.entries):
         formula, choices = _nonzero_2sat_parts(instance, matching)
         assignment = solve_2sat(formula)
         if assignment is None:
             return False, None
-        choice = [0] * (instance.n_men + instance.n_women)
+        choice = [0] * len(instance.entries)
         for (agent, i), value in zip(choices, assignment):
             if value:
                 choice[agent] = i

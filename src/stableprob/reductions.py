@@ -15,7 +15,7 @@ from fractions import Fraction
 from .core import LinearOrder, Matching, Profile, Side
 from .errors import ValidationError
 from .models import AgentLottery, Instance, JointModel, LotteryModel
-from .probability import TwoSatInstance
+from .probability import TwoSatInstance, _is_row
 
 Literal = tuple[int, bool]
 
@@ -24,19 +24,33 @@ class UnsupportedFormulaError(ValidationError):
     """The formula's clause structure cannot be carried by this encoding."""
 
 
+def _integer_rows(rows, width: int, label: str) -> tuple:
+    """``rows`` as a tuple of tuples, once every row is checked to be a list
+    or tuple of ``width`` integers."""
+    if not isinstance(rows, (list, tuple)) or not all(
+        _is_row(row, width) and all(isinstance(x, int) for x in row) for row in rows
+    ):
+        raise ValidationError(f"{label} must be an array of {width}-integer arrays")
+    return tuple(tuple(row) for row in rows)
+
+
 @dataclass(frozen=True)
 class X3cInstance:
-    """Exact cover by 3-sets: universe {1..universe_size}, triples of size 3."""
+    """Exact cover by 3-sets: universe {1..universe_size}, triples of size 3.
+
+    The triples' shape is checked first, as for ``TwoSatInstance``.
+    """
 
     universe_size: int
     triples: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        triples = _integer_rows(self.triples, 3, "'triples'")
         if not isinstance(self.universe_size, int):
             raise ValidationError("universe size must be an integer")
         if self.universe_size < 0 or self.universe_size % 3:
             raise ValidationError("universe size must be a nonnegative multiple of 3")
-        triples = tuple(tuple(sorted(t)) for t in self.triples)
+        triples = tuple(tuple(sorted(t)) for t in triples)
         object.__setattr__(self, "triples", triples)
         for triple in triples:
             if len(set(triple)) != 3:
@@ -48,18 +62,22 @@ class X3cInstance:
 
 @dataclass(frozen=True)
 class Graph:
-    """An undirected loop-free graph on vertices 0..vertex_count-1."""
+    """An undirected loop-free graph on vertices 0..vertex_count-1.
+
+    The edges' shape is checked first, as for ``TwoSatInstance``.
+    """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        edges = _integer_rows(self.edges, 2, "'edges'")
         if not isinstance(self.vertex_count, int):
             raise ValidationError("vertex count must be an integer")
         if self.vertex_count < 0:
             raise ValidationError("vertex count must be nonnegative")
         seen = set()
-        for a, b in self.edges:
+        for a, b in edges:
             if a == b:
                 raise ValidationError(f"loop at vertex {a}")
             if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):

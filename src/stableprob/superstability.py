@@ -14,14 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    DEFAULT_CAP,
-    AgentId,
-    Matching,
-    Side,
-    enumerate_stable_matchings,
-    is_stable,
-)
+from .core import DEFAULT_CAP, Matching, enumerate_stable_matchings, is_stable
 from .errors import ValidationError
 from .models import (
     Instance,
@@ -29,7 +22,7 @@ from .models import (
     PartialOrder,
     _certain_relation,
     _check_mutual,
-    certainly_preferred,
+    _split,
 )
 
 
@@ -66,19 +59,19 @@ def _reject_joint(instance: Instance) -> None:
         )
 
 
-def _market(instance: Instance, relation=_certain_relation) -> SmpInstance:
-    """Every agent's ``relation(instance, agent)``; independent models only."""
+def _market(instance: Instance, materialize: bool = False) -> SmpInstance:
+    """Every agent's certain relation, as a ``PartialOrder`` when
+    ``materialize``; independent models only."""
     _reject_joint(instance)
-    men = [relation(instance, AgentId(Side.MEN, m)) for m in range(instance.n_men)]
-    women = [
-        relation(instance, AgentId(Side.WOMEN, w)) for w in range(instance.n_women)
-    ]
-    return SmpInstance(men=men, women=women)
+    relations = [_certain_relation(instance, i) for i in range(len(instance.entries))]
+    if materialize:
+        relations = [relation.partial_order() for relation in relations]
+    return _split(instance, relations, SmpInstance)
 
 
 def smp_from_instance(instance: Instance) -> SmpInstance:
     """Certainly-preferred partial orders of an independent-model instance."""
-    return _market(instance, certainly_preferred)
+    return _market(instance, materialize=True)
 
 
 def _very_weakly_blocking(his, hers, matching: Matching, man: int, woman: int) -> bool:
@@ -105,8 +98,8 @@ def is_very_weakly_blocking(
     if matching.partner_of_man(man) == woman:
         raise ValidationError(f"pair ({man}, {woman}) is matched, not blocking")
     _reject_joint(instance)
-    his = _certain_relation(instance, AgentId(Side.MEN, man))
-    hers = _certain_relation(instance, AgentId(Side.WOMEN, woman))
+    his = _certain_relation(instance, man)
+    hers = _certain_relation(instance, instance.n_men + woman)
     return _very_weakly_blocking(his, hers, matching, man, woman)
 
 

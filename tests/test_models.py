@@ -58,6 +58,7 @@ from stableprob import (
     support_size,
     uncertain_agents,
 )
+from stableprob.core import is_weakly_stable, validate_matching
 from stableprob.jsonio import default_names, instance_to_json, matching_to_json
 
 COMPLETION_PIN = "57a13e2d27d60e8d54afca201481dd2955d96ed86e54fa6e35d491cc8b8166bd"
@@ -193,6 +194,25 @@ class TestAgentLottery:
         assert entry.candidates == {0, 1}
 
 
+P = Profile(men=(order(0),), women=(order(0),))
+SUPPORT_FAULTS = [
+    (AgentLottery, ((None, 1),), "lottery support must contain LinearOrder entries"),
+    (AgentLottery, ((order(0), 0), (order(0), 1)), "lottery weights must be positive"),
+    (AgentLottery, (), "empty lottery support"),
+    (AgentLottery, ((order(0), "1/2"),), "lottery weights must sum to exactly 1"),
+    (JointModel, ((order(0), 1),), "joint support must contain Profile entries"),
+    (JointModel, ((P, 0), (P, 1)), "joint weights must be positive"),
+    (JointModel, (), "empty joint support"),
+    (JointModel, ((P, "1/2"),), "joint weights must sum to exactly 1"),
+]
+
+
+@pytest.mark.parametrize("cls, support, message", SUPPORT_FAULTS)
+def test_weighted_support_messages(cls, support, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        cls(support)
+
+
 class TestJointModel:
     def test_merges_duplicate_profiles(self):
         p = Profile(men=(order(0),), women=(order(0),))
@@ -249,6 +269,96 @@ class TestInstance:
         inst = example_market()
         with pytest.raises(ValidationError):
             inst.validate_matching(Matching.from_pairs([(0, 2)]))
+
+
+# two men and three women, so the id of man 2 would be woman 0's
+UNEQUAL = {
+    "lottery": lambda: lottery_instance(
+        [certain(0, 1, 2), lottery(((2, 1, 0), "1/2"), ((0, 1, 2), "1/2"))],
+        [certain(0, 1), certain(1, 0), certain(0, 1)],
+    ),
+    "compact": lambda: compact_instance(
+        [[(0, 1), (2,)], [(2,), (0, 1)]], [[(0, 1)], [(1,), (0,)], [(0,), (1,)]]
+    ),
+    "joint": lambda: joint_instance(
+        [
+            ((((0, 1, 2), (2, 1, 0)), ((0, 1), (1, 0), (0, 1))), "1/2"),
+            ((((1, 0, 2), (2, 1, 0)), ((0, 1), (1, 0), (1, 0))), "1/2"),
+        ]
+    ),
+}
+PER_AGENT = {
+    "certain_order": (certain_order, ("lottery", "compact", "joint")),
+    "support_size": (support_size, ("lottery", "compact")),
+    "agent_support": (agent_support, ("lottery", "compact")),
+    "certainly_preferred": (certainly_preferred, ("lottery", "compact", "joint")),
+    "dominance_set": (
+        lambda inst, agent: dominance_set(inst, agent, 0),
+        ("lottery", "compact", "joint"),
+    ),
+    "acceptable": (Instance.acceptable, ("lottery", "compact", "joint")),
+    "index": (Instance.index, ("lottery", "compact", "joint")),
+}
+UNKNOWN = [AgentId(Side.MEN, 2), AgentId(Side.WOMEN, 3), AgentId(Side.MEN, 7)]
+
+
+class TestUnknownAgents:
+    @pytest.mark.parametrize("agent", UNKNOWN, ids=lambda a: f"{a.side.value}{a.index}")
+    @pytest.mark.parametrize(
+        "name, kind",
+        [(name, kind) for name, (_, kinds) in PER_AGENT.items() for kind in kinds],
+    )
+    def test_rejected_with_validation_error(self, name, kind, agent):
+        call = PER_AGENT[name][0]
+        with pytest.raises(ValidationError, match="^unknown agent "):
+            call(UNEQUAL[kind](), agent)
+
+    @pytest.mark.parametrize("kind", sorted(UNEQUAL))
+    def test_ids_follow_agents_order(self, kind):
+        inst = UNEQUAL[kind]()
+        agents = list(inst.agents())
+        assert [inst.index(a) for a in agents] == list(range(5))
+        assert len(inst.entries) == len(inst.uncertain) == 5
+        for agent, entry in zip(agents, inst.entries):
+            assert inst.acceptable(agent) == entry.candidates
+
+
+class TestMatchedPairRule:
+    """One rule for every matching check, with the same two messages."""
+
+    RANGE = "pair (0, 3) references unknown agents"
+    UNACCEPTABLE = "pair (0, 0) is not mutually acceptable"
+
+    def checks(self):
+        inst = lottery_instance(
+            [certain(1, 2), certain(0, 1, 2)],
+            [certain(1), certain(0, 1), certain(0, 1)],
+        )
+        _, padding = complete_instance(inst)
+        profile = sample_profile(inst, random.Random(0))
+        weak = compact_instance([[(1, 2)], [(0, 1, 2)]], [[(1,)], [(0, 1)], [(0, 1)]])
+        return [
+            inst.validate_matching,
+            lambda mu: lift_matching(mu, padding),
+            lambda mu: validate_matching(profile, mu),
+            lambda mu: is_weakly_stable(weak.model.men, weak.model.women, mu),
+        ]
+
+    def test_out_of_range_pair(self):
+        for check in self.checks():
+            with pytest.raises(ValidationError, match=f"^{re.escape(self.RANGE)}$"):
+                check(Matching.from_pairs([(0, 3)]))
+
+    def test_unacceptable_pair(self):
+        message = f"^{re.escape(self.UNACCEPTABLE)}$"
+        for check in self.checks():
+            with pytest.raises(ValidationError, match=message):
+                check(Matching.from_pairs([(0, 0)]))
+
+    def test_one_sided_profile_pair_is_unacceptable(self):
+        profile = Profile(men=(order(0),), women=(LinearOrder(()),))
+        with pytest.raises(ValidationError, match=f"^{re.escape(self.UNACCEPTABLE)}$"):
+            validate_matching(profile, Matching.from_pairs([(0, 0)]))
 
 
 class TestCertainlyPreferred:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -55,6 +56,47 @@ def block_matching(coloring) -> Matching:
         for j in range(3):
             pairs.append((3 * i + j, 3 * i + (j + c) % 3))
     return Matching.from_pairs(pairs)
+
+
+CLAUSE = "each clause must be a pair of literals"
+LITERAL = "each literal must be a [variable, polarity] pair"
+TRIPLES = "'triples' must be an array of 3-integer arrays"
+EDGES = "'edges' must be an array of 2-integer arrays"
+MALFORMED = [
+    (TwoSatInstance, 2, (((0, True), (1, True), (1, False)),), CLAUSE),
+    (TwoSatInstance, 2, (((0, True),),), CLAUSE),
+    (TwoSatInstance, 2, ((0, 1),), LITERAL),
+    (TwoSatInstance, 2, (((0, True), (1,)),), LITERAL),
+    (TwoSatInstance, 2, (((0, True, 1), (1, True)),), LITERAL),
+    (TwoSatInstance, 2, None, "'clauses' must be an array"),
+    (X3cInstance, 3, ((1, 2, "3"),), TRIPLES),
+    (X3cInstance, 3, ((1, 2),), TRIPLES),
+    (X3cInstance, 3, (3,), TRIPLES),
+    (X3cInstance, 3, "123", TRIPLES),
+    (Graph, 3, ((0, 1, 2),), EDGES),
+    (Graph, 3, ((0, 1.0),), EDGES),
+    (Graph, 3, {(0, 1)}, EDGES),
+    # shape comes before every value: the count and an earlier row's
+    # unknown variable or element are not reported first
+    (TwoSatInstance, "x", (((0, True), (1, True)), ((0, True),)), CLAUSE),
+    (TwoSatInstance, 1, (((5, True), (0, True)), (((0, True)), 1)), LITERAL),
+    (X3cInstance, 4, ((1, 2, 9), (1, 2)), TRIPLES),
+    (Graph, -1, ((0, 0), (0, 1, 2)), EDGES),
+]
+
+
+@pytest.mark.parametrize("cls, size, rows, message", MALFORMED)
+def test_malformed_problem_is_a_validation_error(cls, size, rows, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        cls(size, rows)
+
+
+def test_problems_accept_lists_as_tuples():
+    assert TwoSatInstance(2, [[[0, True], [1, False]]]) == TwoSatInstance(
+        2, (((0, True), (1, False)),)
+    )
+    assert X3cInstance(3, [[3, 1, 2]]) == X3cInstance(3, ((1, 2, 3),))
+    assert Graph(2, [[1, 0]]) == Graph(2, ((0, 1),))
 
 
 class TestX3cInstance:
