@@ -21,6 +21,16 @@ from .errors import ResourceLimitError, ValidationError
 DEFAULT_CAP = 10**6
 
 
+def _is_row(value, width: int) -> bool:
+    """Whether ``value`` is a list or tuple of ``width`` items."""
+    return isinstance(value, (list, tuple)) and len(value) == width
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int; a bool is not read as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Side(Enum):
     """The two sides of the market."""
 
@@ -387,9 +397,20 @@ def enumerate_stable_matchings(
 
     Walks the stable-matching lattice breadth first from the man-optimal
     matching, eliminating each exposed rotation (Gusfield and Irving, The
-    Stable Marriage Problem, 1989), so the work grows with the number of
-    stable matchings rather than of partial matchings. More than ``cap``
-    stable matchings (None for no limit) raises ResourceLimitError.
+    Stable Marriage Problem, 1989, section 2.5), so the work grows with the
+    number of stable matchings rather than of partial matchings. More than
+    ``cap`` stable matchings (None for no limit) raises ResourceLimitError.
+
+    Every child is stable, so none is checked. Let M be stable and let a
+    cycle m_0 .. m_{r-1} of ``_successor_edges`` move each m_i from
+    w_i = M(m_i) to w_{i+1} = s(m_i); every pair of the child M' is
+    mutually acceptable. Each w_{i+1} prefers m_i to m_{i+1}, so no woman
+    is worse off in M'. Take a mutually acceptable (m, w) that blocks M'.
+    A man outside the cycle keeps M(m), so (m, w) would block M. For
+    m = m_i, w ranks above s(m_i): if w ranks above w_i, (m, w) blocks M;
+    w_i holds m_{i-1}, whom she prefers to m_i; and a w between w_i and
+    s(m_i) was passed over by the scan, so she is matched in M (an
+    unmatched one stops the scan) and prefers M(w), and so M'(w), to m.
     """
     root = gale_shapley(profile, Side.MEN)
     seen = {root.pairs}
@@ -405,10 +426,6 @@ def enumerate_stable_matchings(
             if child.pairs in seen:
                 continue
             seen.add(child.pairs)
-            # the conservative successor scan can produce spurious cycles on
-            # incomplete lists; verification filters them without losing real ones
-            if not is_stable(profile, child):
-                continue
             results.append(child)
             queue.append(child)
     results.sort(key=Matching.sorted_pairs)

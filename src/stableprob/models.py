@@ -35,6 +35,7 @@ from .core import (
     Side,
     WeakOrder,
     _check_matching,
+    _is_row,
 )
 from .errors import ResourceLimitError, ValidationError
 
@@ -94,9 +95,15 @@ def format_probability(prob: Fraction) -> str:
 
 def _merged_support(support, entry_type: type, label: str) -> dict:
     """The (entry, weight) pairs of ``support`` with equal entries' weights
-    summed. Every entry must be an ``entry_type`` with a positive weight,
-    and the weights must sum to exactly 1; ``label`` names the support in
-    the errors."""
+    summed. ``support`` must be a list or tuple of such pairs, every entry
+    an ``entry_type`` with a positive weight, and the weights must sum to
+    exactly 1; ``label`` names the support in the errors."""
+    if not isinstance(support, (list, tuple)) or not all(
+        _is_row(item, 2) for item in support
+    ):
+        raise ValidationError(
+            f"{label} support must be an array of (entry, weight) pairs"
+        )
     merged: dict = {}
     for entry, weight in support:
         if not isinstance(entry, entry_type):
@@ -145,14 +152,25 @@ class AgentLottery:
         return len(self.support) == 1
 
 
+def _set_sides(model, entry_type: type, label: str) -> None:
+    """Store ``model``'s two sides as tuples, once every entry is checked to
+    be an ``entry_type``; ``label`` names the model in the error."""
+    for side in ("men", "women"):
+        entries = tuple(getattr(model, side))
+        if not all(isinstance(entry, entry_type) for entry in entries):
+            raise ValidationError(
+                f"{label} model entries must be of type {entry_type.__name__}"
+            )
+        object.__setattr__(model, side, entries)
+
+
 @dataclass(frozen=True)
 class LotteryModel:
     men: tuple[AgentLottery, ...]
     women: tuple[AgentLottery, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "men", tuple(self.men))
-        object.__setattr__(self, "women", tuple(self.women))
+        _set_sides(self, AgentLottery, "lottery")
 
 
 @dataclass(frozen=True)
@@ -161,8 +179,7 @@ class CompactModel:
     women: tuple[WeakOrder, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "men", tuple(self.men))
-        object.__setattr__(self, "women", tuple(self.women))
+        _set_sides(self, WeakOrder, "compact")
 
 
 @dataclass(frozen=True)
@@ -583,13 +600,10 @@ class Padding:
         )
 
 
-def _tail(prefix: tuple[int, ...], total: int) -> tuple[int, ...]:
-    missing = sorted(set(range(total)) - set(prefix))
-    return tuple(missing)
-
-
-def _completed_order(order: LinearOrder, total: int) -> LinearOrder:
-    return LinearOrder(order.ranking + _tail(order.ranking, total))
+def _head_first(head, total: int) -> tuple[int, ...]:
+    """``head``, then every other index below ``total`` ascending."""
+    placed = set(head)
+    return tuple(head) + tuple(i for i in range(total) if i not in placed)
 
 
 def complete_instance(instance: Instance) -> tuple[Instance, Padding]:
@@ -614,7 +628,10 @@ def complete_instance(instance: Instance) -> tuple[Instance, Padding]:
     if isinstance(model, LotteryModel):
         def complete(entry: AgentLottery) -> AgentLottery:
             return AgentLottery(
-                tuple((_completed_order(o, total), w) for o, w in entry.support)
+                tuple(
+                    (LinearOrder(_head_first(o.ranking, total)), w)
+                    for o, w in entry.support
+                )
             )
 
         pad = complete(AgentLottery.certain(LinearOrder(())))
@@ -623,12 +640,13 @@ def complete_instance(instance: Instance) -> tuple[Instance, Padding]:
             # the tail is appended as singleton tiers: padding must stay
             # certain or it would add blocking randomness of its own
             flat = tuple(c for tier in entry.tiers for c in tier)
-            return WeakOrder(entry.tiers + tuple((c,) for c in _tail(flat, total)))
+            tail = _head_first(flat, total)[len(flat):]
+            return WeakOrder(entry.tiers + tuple((c,) for c in tail))
 
         pad = complete(WeakOrder(()))
     else:
         def complete(entry: LinearOrder) -> LinearOrder:
-            return _completed_order(entry, total)
+            return LinearOrder(_head_first(entry.ranking, total))
 
         pad = complete(LinearOrder(()))
 

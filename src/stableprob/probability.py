@@ -37,6 +37,8 @@ from .core import (
     Matching,
     Profile,
     Side,
+    _is_integer,
+    _is_row,
     is_stable,
     is_weakly_stable,
 )
@@ -60,18 +62,14 @@ from .superstability import is_certainly_stable
 Literal = tuple[int, bool]
 
 
-def _is_row(value, width: int) -> bool:
-    """Whether ``value`` is a list or tuple of ``width`` items."""
-    return isinstance(value, (list, tuple)) and len(value) == width
-
-
 @dataclass(frozen=True)
 class TwoSatInstance:
     """A 2-CNF formula; a literal is (variable index, polarity).
 
     Clauses and literals may be lists or tuples. Every clause's shape is
     checked before any value, so a malformed formula reports the same
-    first error as its JSON file does on the command line.
+    first error as its JSON file does on the command line. A bool is not
+    an integer here: neither a count nor a variable.
     """
 
     num_variables: int
@@ -87,7 +85,7 @@ class TwoSatInstance:
                 raise ValidationError(
                     "each literal must be a [variable, polarity] pair"
                 )
-        if not isinstance(self.num_variables, int):
+        if not _is_integer(self.num_variables):
             raise ValidationError("variable count must be an integer")
         if self.num_variables < 0:
             raise ValidationError("variable count must be nonnegative")
@@ -97,7 +95,7 @@ class TwoSatInstance:
         object.__setattr__(self, "clauses", clauses)
         for clause in clauses:
             for variable, polarity in clause:
-                if not (isinstance(variable, int) and 0 <= variable < self.num_variables):
+                if not (_is_integer(variable) and 0 <= variable < self.num_variables):
                     raise ValidationError(f"literal uses unknown variable {variable}")
                 if not isinstance(polarity, bool):
                     raise ValidationError("literal polarity must be a bool")

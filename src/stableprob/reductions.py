@@ -8,14 +8,13 @@ and counting routines against independent ground truths.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import LinearOrder, Matching, Profile, Side
+from .core import LinearOrder, Matching, Profile, Side, _is_integer, _is_row
 from .errors import ValidationError
-from .models import AgentLottery, Instance, JointModel, LotteryModel
-from .probability import TwoSatInstance, _is_row
+from .models import AgentLottery, Instance, JointModel, LotteryModel, _head_first
+from .probability import TwoSatInstance
 
 Literal = tuple[int, bool]
 
@@ -26,9 +25,9 @@ class UnsupportedFormulaError(ValidationError):
 
 def _integer_rows(rows, width: int, label: str) -> tuple:
     """``rows`` as a tuple of tuples, once every row is checked to be a list
-    or tuple of ``width`` integers."""
+    or tuple of ``width`` integers (bools excluded)."""
     if not isinstance(rows, (list, tuple)) or not all(
-        _is_row(row, width) and all(isinstance(x, int) for x in row) for row in rows
+        _is_row(row, width) and all(map(_is_integer, row)) for row in rows
     ):
         raise ValidationError(f"{label} must be an array of {width}-integer arrays")
     return tuple(tuple(row) for row in rows)
@@ -46,7 +45,7 @@ class X3cInstance:
 
     def __post_init__(self):
         triples = _integer_rows(self.triples, 3, "'triples'")
-        if not isinstance(self.universe_size, int):
+        if not _is_integer(self.universe_size):
             raise ValidationError("universe size must be an integer")
         if self.universe_size < 0 or self.universe_size % 3:
             raise ValidationError("universe size must be a nonnegative multiple of 3")
@@ -72,7 +71,7 @@ class Graph:
 
     def __post_init__(self):
         edges = _integer_rows(self.edges, 2, "'edges'")
-        if not isinstance(self.vertex_count, int):
+        if not _is_integer(self.vertex_count):
             raise ValidationError("vertex count must be an integer")
         if self.vertex_count < 0:
             raise ValidationError("vertex count must be nonnegative")
@@ -86,17 +85,13 @@ class Graph:
         object.__setattr__(self, "edges", tuple(sorted(seen)))
 
 
-def _order(head: list[int], total: int) -> LinearOrder:
-    placed = set(head)
-    rest = [i for i in range(total) if i not in placed]
-    return LinearOrder(tuple(head + rest))
-
-
 def _lottery(heads: list[list[int]], total: int) -> AgentLottery:
     """Equal weights on the orders that rank each head first, then the rest
     ascending; identical orders merge."""
     weight = Fraction(1, len(heads))
-    return AgentLottery(tuple((_order(head, total), weight) for head in heads))
+    return AgentLottery(
+        tuple((LinearOrder(_head_first(head, total)), weight) for head in heads)
+    )
 
 
 def _couple(heads: dict, pairs: list, side: Side) -> tuple[int, int]:
@@ -142,94 +137,63 @@ def x3c_to_lottery(x3c: X3cInstance) -> tuple[Instance, Matching]:
     return instance, matching
 
 
-def _normalize_clause(literals) -> tuple[str, object] | None:
-    """Classify as a unit or an ordered binary clause; None for tautologies."""
-    (v1, p1), (v2, p2) = literals
-    if v1 == v2:
-        if p1 == p2:
-            return "unit", (v1, p1)
-        return None
-    first, second = sorted([(v1, p1), (v2, p2)])
-    return "binary", (first, second)
+_CELLS = frozenset((a, b) for a in (False, True) for b in (False, True))
 
 
-def _simplify_formula(formula: TwoSatInstance):
-    """Reduce to at most one clause per variable pair, preserving the count.
+def _vetoed_cells(formula: TwoSatInstance):
+    """Reduce to at most one vetoed cell per variable pair, keeping the count.
 
-    Two clauses on a pair that share a literal force a unit; a diagonal pair
-    forces an equality between the variables, and the later one is
-    substituted away; three or more distinct clauses pin both variables or
-    are outright contradictory. Each step keeps the number of satisfying
-    assignments unchanged, eliminated variables being determined by the
-    survivors. Returns (units, binary clauses, eliminated variables).
+    A clause (v1, p1) or (v2, p2) on two variables vetoes the cell
+    (not p1, not p2) of their pair, the smaller variable's value first; on
+    one variable it is a unit or a tautology. While some pair vetoes two or
+    more cells, the smallest such pair is cleared: two cells in a line
+    force a unit; two diagonal cells make the later variable equal to the
+    earlier one or to its negation, and it is substituted away; three cells
+    pin both variables and four are a contradiction. Each step keeps the
+    number of satisfying assignments, eliminated variables being
+    determined by the survivors. Returns (units, the one vetoed cell of
+    each remaining pair, eliminated variables).
     """
     units: set[Literal] = set()
-    binaries: set[tuple[Literal, Literal]] = set()
-    for clause in formula.clauses:
-        normalized = _normalize_clause(clause)
-        if normalized is None:
-            continue
-        kind, payload = normalized
-        if kind == "unit":
-            units.add(payload)
-        else:
-            binaries.add(payload)
+    table: dict[tuple[int, int], set[tuple[bool, bool]]] = {}
+
+    def veto(x: int, a: bool, y: int, b: bool) -> None:
+        if x > y:
+            x, a, y, b = y, b, x, a
+        table.setdefault((x, y), set()).add((a, b))
+
+    for (v1, p1), (v2, p2) in formula.clauses:
+        if v1 != v2:
+            veto(v1, not p1, v2, not p2)
+        elif p1 == p2:
+            units.add((v1, p1))
     removed: set[int] = set()
-
-    def substitute(target: int, source: int, same_sign: bool) -> None:
-        removed.add(target)
-
-        def rewrite(literal: Literal) -> Literal:
-            var, pol = literal
-            if var != target:
-                return literal
-            return (source, pol if same_sign else not pol)
-
-        for literal in sorted(units):
-            units.discard(literal)
-            units.add(rewrite(literal))
-        for clause in sorted(binaries):
-            binaries.discard(clause)
-            normalized = _normalize_clause([rewrite(lit) for lit in clause])
-            if normalized is None:
-                continue
-            kind, payload = normalized
-            if kind == "unit":
-                units.add(payload)
-            else:
-                binaries.add(payload)
-
-    while True:
-        by_pair: dict[tuple[int, int], list] = {}
-        for clause in binaries:
-            (u, _), (v, _) = clause
-            by_pair.setdefault((u, v), []).append(clause)
-        crowded = sorted(pair for pair, group in by_pair.items() if len(group) >= 2)
-        if not crowded:
-            break
-        u, v = crowded[0]
-        group = by_pair[(u, v)]
-        binaries.difference_update(group)
-        # each clause forbids exactly one cell (u value, v value) of the grid
-        vetoed = {(not pu, not pv) for (_, pu), (_, pv) in group}
-        if len(vetoed) == 2:
-            (a1, b1), (a2, b2) = sorted(vetoed)
+    while crowded := [pair for pair, cells in table.items() if len(cells) > 1]:
+        u, v = min(crowded)
+        cells = table.pop((u, v))
+        if len(cells) == 2:
+            (a1, b1), (a2, b2) = cells
             if a1 == a2:
                 units.add((u, not a1))
             elif b1 == b2:
                 units.add((v, not b1))
             else:
-                substitute(v, u, same_sign=(True, True) not in vetoed)
-        elif len(vetoed) == 3:
-            ((a, b),) = {
-                (x, y) for x in (False, True) for y in (False, True)
-            } - vetoed
-            units.add((u, a))
-            units.add((v, b))
+                # v is u, or not u when both variables may not be true
+                flip = (True, True) in cells
+                removed.add(v)
+                units = {(u, p != flip) if x == v else (x, p) for x, p in units}
+                for x, y in [pair for pair in table if v in pair]:
+                    for a, b in table.pop((x, y)):
+                        if x == v:
+                            veto(u, a != flip, y, b)
+                        else:
+                            veto(x, a, u, b != flip)
+        elif len(cells) == 3:
+            ((a, b),) = _CELLS - cells
+            units |= {(u, a), (v, b)}
         else:
-            units.add((u, True))
-            units.add((u, False))
-    return units, binaries, removed
+            units |= {(u, True), (u, False)}
+    return units, {pair: cell for pair, (cell,) in table.items()}, removed
 
 
 def count2sat_to_lottery(formula: TwoSatInstance) -> tuple[Instance, Matching]:
@@ -242,8 +206,8 @@ def count2sat_to_lottery(formula: TwoSatInstance) -> tuple[Instance, Matching]:
     clause is violated. A unit gets a certain admirer whom only the
     falsifying order covets back, and pinned dummy men pad the number of
     binary choices to exactly 2n. Clauses join carriers across sides, so the
-    simplified clause graph must be bipartite; an odd cycle raises
-    UnsupportedFormulaError.
+    clause graph that ``_vetoed_cells`` leaves must be bipartite; an odd
+    cycle raises UnsupportedFormulaError.
 
     Agent indices follow per-side creation order: carriers with their mates
     in variable order, then admirers with their mates in literal order, then
@@ -253,26 +217,27 @@ def count2sat_to_lottery(formula: TwoSatInstance) -> tuple[Instance, Matching]:
     if n == 0:
         one = (_lottery([[0]], 1),)
         return Instance(LotteryModel(men=one, women=one)), Matching.from_pairs([(0, 0)])
-    units, binaries, removed = _simplify_formula(formula)
-    kept = sorted(set(range(n)) - removed)
+    units, cells, removed = _vetoed_cells(formula)
+    kept = [v for v in range(n) if v not in removed]
 
     neighbors: dict[int, set[int]] = {v: set() for v in kept}
-    for (u, _), (v, _) in binaries:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    # color[v]: the side of v's carrier
+    for u, w in cells:
+        neighbors[u].add(w)
+        neighbors[w].add(u)
+    # color[v]: the side of v's carrier; a connected bipartite graph has one
+    # 2-coloring once its smallest variable is a man
     color: dict[int, Side] = {}
     for root in kept:
         if root in color:
             continue
         color[root] = Side.MEN
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in sorted(neighbors[x]):
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in neighbors[x]:
                 if y not in color:
                     color[y] = color[x].opposite
-                    queue.append(y)
+                    stack.append(y)
                 elif color[y] == color[x]:
                     raise UnsupportedFormulaError(
                         "clause graph has an odd cycle, so the carriers cannot "
@@ -286,9 +251,9 @@ def count2sat_to_lottery(formula: TwoSatInstance) -> tuple[Instance, Matching]:
     tops: dict[int, dict[bool, list[int]]] = {
         v: {True: [], False: []} for v in kept
     }
-    for (u, pu), (w, pw) in sorted(binaries):
-        tops[u][not pu].append(carrier[w][0])
-        tops[w][not pw].append(carrier[u][0])
+    for (u, w), (a, b) in cells.items():
+        tops[u][a].append(carrier[w][0])
+        tops[w][b].append(carrier[u][0])
     for var, pol in sorted(units):
         side = color[var].opposite
         e, d = _couple(heads, pairs, side)
@@ -324,54 +289,34 @@ def three_color_to_joint(graph: Graph) -> Instance:
     endpoint blocks rank that color worst and a cross-block pair blocks
     exactly when both endpoints use it.
     """
-    nv = graph.vertex_count
-    size = 3 * nv
+    size = 3 * graph.vertex_count
 
-    def idx(i: int, j: int) -> int:
-        return 3 * i + j % 3
+    def block(i: int, offsets: tuple[int, ...], sign: int = 1) -> list[list[int]]:
+        """The heads of block i: its agent j ranks 3i + (j + sign * o) % 3
+        for each offset o, in order."""
+        return [[3 * i + (j + sign * o) % 3 for o in offsets] for j in range(3)]
 
-    def base_heads() -> tuple[list[list[int]], list[list[int]]]:
-        men_heads = []
-        women_heads = []
-        for i in range(nv):
-            for j in range(3):
-                men_heads.append([idx(i, j), idx(i, j + 1), idx(i, j + 2)])
-                women_heads.append([idx(i, j + 1), idx(i, j + 2), idx(i, j)])
-        return men_heads, women_heads
-
-    def profile_from(men_heads, women_heads) -> Profile:
+    def profile(men_heads, women_heads) -> Profile:
         return Profile(
-            men=tuple(_order(head, size) for head in men_heads),
-            women=tuple(_order(head, size) for head in women_heads),
+            men=tuple(LinearOrder(_head_first(h, size)) for h in men_heads),
+            women=tuple(LinearOrder(_head_first(h, size)) for h in women_heads),
         )
 
-    profiles = [profile_from(*base_heads())]
+    base_men, base_women = (
+        [head for i in range(graph.vertex_count) for head in block(i, offsets)]
+        for offsets in ((0, 1, 2), (1, 2, 0))
+    )
+    profiles = [profile(base_men, base_women)]
     for i1, i2 in graph.edges:
         for c in range(3):
-            men_heads, women_heads = base_heads()
-            for j in range(3):
-                men_heads[idx(i1, j)] = [
-                    idx(i1, j + c - 1),
-                    idx(i1, j + c + 1),
-                    idx(i1, j + c),
-                ]
-                women_heads[idx(i1, j)] = [
-                    idx(i1, j - c),
-                    idx(i1, j - c - 1),
-                    idx(i1, j - c + 1),
-                ]
-                men_heads[idx(i2, j)] = [
-                    idx(i2, j + c),
-                    idx(i2, j + c + 1),
-                    idx(i2, j + c - 1),
-                ]
-                women_heads[idx(i2, j)] = [
-                    idx(i2, j - c + 1),
-                    idx(i2, j - c - 1),
-                    idx(i2, j - c),
-                ]
-            men_heads[idx(i1, 0)].insert(2, idx(i2, 0))
-            women_heads[idx(i2, 0)].insert(2, idx(i1, 0))
-            profiles.append(profile_from(men_heads, women_heads))
+            first, second = (c - 1, c + 1, c), (c, c + 1, c - 1)
+            men, women = base_men[:], base_women[:]
+            # i1's men and i2's women take the first rotation; i1's first
+            # man and i2's first woman rank each other third
+            for heads, sign, x, y in ((men, 1, i1, i2), (women, -1, i2, i1)):
+                heads[3 * x : 3 * x + 3] = block(x, first, sign)
+                heads[3 * y : 3 * y + 3] = block(y, second, sign)
+                heads[3 * x].insert(2, 3 * y)
+            profiles.append(profile(men, women))
     weight = Fraction(1, len(profiles))
     return Instance(JointModel(tuple((p, weight) for p in profiles)))

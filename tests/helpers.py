@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -184,6 +185,106 @@ def truth_table_count(formula: TwoSatInstance) -> int:
         ):
             count += 1
     return count
+
+
+# -- reference clause reduction ----------------------------------------------
+#
+# The count2sat gadget's earlier clause reduction, kept as an oracle for the
+# table of vetoed cells: clauses as tagged unit and binary tuples, grouped by
+# variable pair afresh on every round.
+
+
+def reference_normalize_clause(literals):
+    """Classify as a unit or an ordered binary clause; None for tautologies."""
+    (v1, p1), (v2, p2) = literals
+    if v1 == v2:
+        if p1 == p2:
+            return "unit", (v1, p1)
+        return None
+    first, second = sorted([(v1, p1), (v2, p2)])
+    return "binary", (first, second)
+
+
+def reference_simplify_formula(formula: TwoSatInstance, fired=None):
+    """Reduce to at most one clause per variable pair, preserving the count.
+
+    Returns (units, binary clauses, eliminated variables). ``fired``, a
+    ``Counter`` if given, counts the rules applied: "line" (a unit),
+    "diagonal" (a substitution), "pin" and "contradiction".
+    """
+    fired = Counter() if fired is None else fired
+    units = set()
+    binaries = set()
+    for clause in formula.clauses:
+        normalized = reference_normalize_clause(clause)
+        if normalized is None:
+            continue
+        kind, payload = normalized
+        if kind == "unit":
+            units.add(payload)
+        else:
+            binaries.add(payload)
+    removed = set()
+
+    def substitute(target: int, source: int, same_sign: bool) -> None:
+        removed.add(target)
+
+        def rewrite(literal):
+            var, pol = literal
+            if var != target:
+                return literal
+            return (source, pol if same_sign else not pol)
+
+        for literal in sorted(units):
+            units.discard(literal)
+            units.add(rewrite(literal))
+        for clause in sorted(binaries):
+            binaries.discard(clause)
+            normalized = reference_normalize_clause([rewrite(lit) for lit in clause])
+            if normalized is None:
+                continue
+            kind, payload = normalized
+            if kind == "unit":
+                units.add(payload)
+            else:
+                binaries.add(payload)
+
+    while True:
+        by_pair = {}
+        for clause in binaries:
+            (u, _), (v, _) = clause
+            by_pair.setdefault((u, v), []).append(clause)
+        crowded = sorted(pair for pair, group in by_pair.items() if len(group) >= 2)
+        if not crowded:
+            break
+        u, v = crowded[0]
+        group = by_pair[(u, v)]
+        binaries.difference_update(group)
+        # each clause forbids exactly one cell (u value, v value) of the grid
+        vetoed = {(not pu, not pv) for (_, pu), (_, pv) in group}
+        if len(vetoed) == 2:
+            (a1, b1), (a2, b2) = sorted(vetoed)
+            if a1 == a2:
+                fired["line"] += 1
+                units.add((u, not a1))
+            elif b1 == b2:
+                fired["line"] += 1
+                units.add((v, not b1))
+            else:
+                fired["diagonal"] += 1
+                substitute(v, u, same_sign=(True, True) not in vetoed)
+        elif len(vetoed) == 3:
+            fired["pin"] += 1
+            ((a, b),) = {
+                (x, y) for x in (False, True) for y in (False, True)
+            } - vetoed
+            units.add((u, a))
+            units.add((v, b))
+        else:
+            fired["contradiction"] += 1
+            units.add((u, True))
+            units.add((u, False))
+    return units, binaries, removed
 
 
 # -- reference engines -------------------------------------------------------

@@ -752,6 +752,19 @@ class TestGenerate:
         code, doc, _ = run_json("generate", "count2sat", problem)
         assert code == 2 and doc["status"] == "invalid-input"
 
+    @pytest.mark.parametrize(
+        "kind, problem",
+        [
+            ("count2sat", {"num_variables": True, "clauses": []}),
+            ("count2sat", {"num_variables": 2, "clauses": [[[True, True], [1, True]]]}),
+            ("x3c", {"universe_size": 3, "triples": [[True, 2, 3]]}),
+            ("3color", {"vertex_count": 2, "edges": [[0, True]]}),
+        ],
+    )
+    def test_json_true_is_not_an_integer(self, run_json, write, kind, problem):
+        code, doc, _ = run_json("generate", kind, write("p.json", problem))
+        assert code == 2 and doc["status"] == "invalid-input"
+
     def test_pretty_output_parses_the_same(self, run, write):
         problem = write("p.json", {"universe_size": 3, "triples": [[1, 2, 3]]})
         _, compact, _ = run("generate", "x3c", problem)

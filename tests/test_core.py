@@ -264,6 +264,18 @@ class TestEnumerate:
             walked = enumerate_stable_matchings(profile)
             assert walked == reference_stable_matchings(profile)
 
+    def test_lattice_walk_with_spare_women(self):
+        # no stability check filters the walk's children, so the successor
+        # scan must stop at an unmatched acceptable woman: spare women make
+        # her common, and skipping her instead yields unstable children
+        rng = random.Random(19)
+        for _ in range(80):
+            n_men = rng.randint(2, 5)
+            n_women = rng.randint(n_men + 1, 6)
+            profile = random_profile(rng, n_men, n_women, complete=rng.random() < 0.5)
+            walked = enumerate_stable_matchings(profile)
+            assert walked == reference_stable_matchings(profile)
+
     def test_cap_is_enforced(self):
         with pytest.raises(ResourceLimitError):
             enumerate_stable_matchings(POLARIZED, cap=3)

@@ -195,6 +195,7 @@ class TestAgentLottery:
 
 
 P = Profile(men=(order(0),), women=(order(0),))
+PAIRS = "{} support must be an array of (entry, weight) pairs"
 SUPPORT_FAULTS = [
     (AgentLottery, ((None, 1),), "lottery support must contain LinearOrder entries"),
     (AgentLottery, ((order(0), 0), (order(0), 1)), "lottery weights must be positive"),
@@ -204,6 +205,13 @@ SUPPORT_FAULTS = [
     (JointModel, ((P, 0), (P, 1)), "joint weights must be positive"),
     (JointModel, (), "empty joint support"),
     (JointModel, ((P, "1/2"),), "joint weights must sum to exactly 1"),
+    # an item that is not a pair, or a support that is not an array
+    (AgentLottery, ((order(0),),), PAIRS.format("lottery")),
+    (AgentLottery, ((order(0), 1, 2),), PAIRS.format("lottery")),
+    (AgentLottery, (order(0),), PAIRS.format("lottery")),
+    (AgentLottery, None, PAIRS.format("lottery")),
+    (JointModel, ((P,),), PAIRS.format("joint")),
+    (JointModel, None, PAIRS.format("joint")),
 ]
 
 
@@ -211,6 +219,22 @@ SUPPORT_FAULTS = [
 def test_weighted_support_messages(cls, support, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         cls(support)
+
+
+WEAK = WeakOrder(((0,),))
+WRONG_ENTRIES = [
+    (LotteryModel, (WEAK,), (certain(0),), "lottery", "AgentLottery"),
+    (LotteryModel, (certain(0),), (order(0),), "lottery", "AgentLottery"),
+    (CompactModel, (WEAK,), (certain(0),), "compact", "WeakOrder"),
+    (CompactModel, (order(0),), (WEAK,), "compact", "WeakOrder"),
+]
+
+
+@pytest.mark.parametrize("cls, men, women, label, name", WRONG_ENTRIES)
+def test_model_entries_of_the_wrong_type_are_rejected(cls, men, women, label, name):
+    message = f"{label} model entries must be of type {name}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        cls(men=men, women=women)
 
 
 class TestJointModel:

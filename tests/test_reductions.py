@@ -4,12 +4,18 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from helpers import exhaustive_probability, random_formula, truth_table_count
+from helpers import (
+    exhaustive_probability,
+    random_formula,
+    reference_simplify_formula,
+    truth_table_count,
+)
 from stableprob import (
     Graph,
     Matching,
@@ -26,9 +32,11 @@ from stableprob import (
     x3c_to_lottery,
 )
 from stableprob.jsonio import default_names, instance_to_json, matching_to_json
+from stableprob.reductions import _vetoed_cells
 
 GADGET_PIN = "143bf90a24e59da5b18aa914a72f894db9fc1ad41d833b9c679be4eaa252a1ed"
 UNSUPPORTED_PIN = 34
+THREE_COLOR_PIN = "352e03dae2624a1a2738bf21b20147ed439741cf93bd038e37014fe07167495a"
 
 
 def has_exact_cover(x3c: X3cInstance) -> bool:
@@ -62,6 +70,8 @@ CLAUSE = "each clause must be a pair of literals"
 LITERAL = "each literal must be a [variable, polarity] pair"
 TRIPLES = "'triples' must be an array of 3-integer arrays"
 EDGES = "'edges' must be an array of 2-integer arrays"
+VARIABLES = "variable count must be an integer"
+UNKNOWN = "literal uses unknown variable"
 MALFORMED = [
     (TwoSatInstance, 2, (((0, True), (1, True), (1, False)),), CLAUSE),
     (TwoSatInstance, 2, (((0, True),),), CLAUSE),
@@ -82,6 +92,14 @@ MALFORMED = [
     (TwoSatInstance, 1, (((5, True), (0, True)), (((0, True)), 1)), LITERAL),
     (X3cInstance, 4, ((1, 2, 9), (1, 2)), TRIPLES),
     (Graph, -1, ((0, 0), (0, 1, 2)), EDGES),
+    # a bool is not an integer: not a count, a variable, an element or a vertex
+    (TwoSatInstance, True, (((0, True), (0, True)),), VARIABLES),
+    (TwoSatInstance, 2, (((True, True), (1, False)),), f"{UNKNOWN} True"),
+    (TwoSatInstance, 2, (((0, True), (False, False)),), f"{UNKNOWN} False"),
+    (X3cInstance, True, (), "universe size must be an integer"),
+    (X3cInstance, 3, ((True, 2, 3),), TRIPLES),
+    (Graph, True, (), "vertex count must be an integer"),
+    (Graph, 2, ((False, 1),), EDGES),
 ]
 
 
@@ -259,6 +277,30 @@ class TestCount2SatToLottery:
             decision, _ = is_stability_probability_nonzero(inst, mu)
             assert decision == (s > 0)
 
+    def test_vetoed_cells_match_the_reference_reduction(self):
+        # denser than the pin, so that every rule fires often; the reference
+        # is the earlier reduction over tagged unit and binary clauses
+        rng = random.Random(41)
+        fired = Counter()
+        for _ in range(300):
+            formula = random_formula(rng, max_vars=8, max_clauses=40)
+            units, cells, removed = _vetoed_cells(formula)
+            binaries = {((u, not a), (w, not b)) for (u, w), (a, b) in cells.items()}
+            reference = reference_simplify_formula(formula, fired)
+            assert (units, binaries, removed) == reference
+            # the kept variables' assignments that pass the units and avoid
+            # every vetoed cell are as many as the formula's models
+            kept = [v for v in range(formula.num_variables) if v not in removed]
+            count = 0
+            for values in product((False, True), repeat=len(kept)):
+                x = dict(zip(kept, values))
+                count += all(x[v] == p for v, p in units) and not any(
+                    x[u] == a and x[w] == b for (u, w), (a, b) in cells.items()
+                )
+            assert count == truth_table_count(formula)
+        floors = {"line": 200, "diagonal": 100, "pin": 150, "contradiction": 50}
+        assert all(fired[rule] >= floor for rule, floor in floors.items()), fired
+
     def test_output_bytes_are_pinned(self):
         # ``generate count2sat`` prints these documents, so the gadget's
         # agents must keep their per-side creation order; the digest was
@@ -334,3 +376,15 @@ class TestThreeColorToJoint:
             assert (found is not None) == is_three_colorable(graph)
             if found is not None:
                 assert is_certainly_stable(inst, found)
+
+    def test_three_color_bytes_are_pinned(self):
+        # ``generate 3color`` prints these documents; the digest was recorded
+        # from the earlier, edge-by-edge implementation of the gadget
+        rng = random.Random(14)
+        entries = []
+        for _ in range(60):
+            nv = rng.randint(0, 6)
+            edges = tuple(e for e in combinations(range(nv), 2) if rng.random() < 0.5)
+            entries.append(instance_to_json(three_color_to_joint(Graph(nv, edges))))
+        text = json.dumps(entries, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == THREE_COLOR_PIN
