@@ -21,6 +21,23 @@ from .errors import ResourceLimitError, ValidationError
 DEFAULT_CAP = 10**6
 
 
+@dataclass(slots=True)
+class Budget:
+    """At most ``cap`` units of ``what`` (None: no limit), and those used."""
+
+    cap: int | None
+    what: str
+    used: int = 0
+
+
+def charge(budget: Budget, units: int = 1) -> None:
+    """Charge ``units`` of work to ``budget``; past its cap, refuse."""
+    budget.used += units
+    if budget.cap is not None and budget.used > budget.cap:
+        message = f"more than {budget.cap} {budget.what}; raise the cap to proceed"
+        raise ResourceLimitError(message)
+
+
 def _is_row(value, width: int) -> bool:
     """Whether ``value`` is a list or tuple of ``width`` items."""
     return isinstance(value, (list, tuple)) and len(value) == width
@@ -29,6 +46,16 @@ def _is_row(value, width: int) -> bool:
 def _is_integer(value) -> bool:
     """Whether ``value`` is an int; a bool is not read as one."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _non_index(values) -> tuple:
+    """``(v,)`` for the first of ``values`` that is not an agent index (a
+    nonnegative int; a bool is not one), else ``()``. It takes a whole
+    order, since a call per candidate costs as much as building the order."""
+    for value in values:
+        if type(value) is not int or value < 0:
+            return (value,)
+    return ()
 
 
 class Side(Enum):
@@ -52,7 +79,7 @@ class AgentId:
     def __post_init__(self):
         if not isinstance(self.side, Side):
             raise ValidationError(f"bad side {self.side!r}")
-        if not isinstance(self.index, int) or self.index < 0:
+        if _non_index((self.index,)):
             raise ValidationError(f"bad agent index {self.index!r}")
 
 
@@ -66,14 +93,13 @@ class LinearOrder:
     ranking: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ranking", tuple(self.ranking))
-        seen = set()
-        for idx in self.ranking:
-            if not isinstance(idx, int) or idx < 0:
-                raise ValidationError(f"bad candidate index {idx!r}")
-            if idx in seen:
-                raise ValidationError(f"candidate {idx} listed twice")
-            seen.add(idx)
+        ranking = tuple(self.ranking)
+        object.__setattr__(self, "ranking", ranking)
+        if bad := _non_index(ranking):
+            raise ValidationError(f"bad candidate index {bad[0]!r}")
+        if len(set(ranking)) < len(ranking):
+            idx = next(i for pos, i in enumerate(ranking) if ranking.index(i) < pos)
+            raise ValidationError(f"candidate {idx} listed twice")
 
     @cached_property
     def rank(self) -> dict[int, int]:
@@ -119,9 +145,9 @@ class WeakOrder:
         for tier in tiers:
             if not tier:
                 raise ValidationError("empty tier in weak order")
+            if bad := _non_index(tier):
+                raise ValidationError(f"bad candidate index {bad[0]!r}")
             for idx in tier:
-                if not isinstance(idx, int) or idx < 0:
-                    raise ValidationError(f"bad candidate index {idx!r}")
                 if idx in seen:
                     raise ValidationError(f"candidate {idx} appears in two tiers")
                 seen.add(idx)
@@ -207,9 +233,8 @@ class Matching:
         object.__setattr__(self, "pairs", pairs)
         men = [m for m, _ in pairs]
         women = [w for _, w in pairs]
-        for idx in men + women:
-            if not isinstance(idx, int) or idx < 0:
-                raise ValidationError(f"bad agent index {idx!r} in matching")
+        if bad := _non_index(men + women):
+            raise ValidationError(f"bad agent index {bad[0]!r} in matching")
         if len(set(men)) != len(men):
             raise ValidationError("a man appears in two pairs")
         if len(set(women)) != len(women):
@@ -412,24 +437,22 @@ def enumerate_stable_matchings(
     s(m_i) was passed over by the scan, so she is matched in M (an
     unmatched one stops the scan) and prefers M(w), and so M'(w), to m.
     """
+    budget = Budget(cap, "stable matchings")
+    charge(budget)
     root = gale_shapley(profile, Side.MEN)
-    seen = {root.pairs}
-    results = [root]
+    found = {root.pairs: root}
     queue = deque([root])
     while queue:
-        if cap is not None and len(results) > cap:
-            raise ResourceLimitError(f"more than {cap} stable matchings")
         current = queue.popleft()
         edges = _successor_edges(profile, current)
         for cycle in _cycles(edges):
             child = _eliminate(current, cycle, edges)
-            if child.pairs in seen:
+            if child.pairs in found:
                 continue
-            seen.add(child.pairs)
-            results.append(child)
+            charge(budget)
+            found[child.pairs] = child
             queue.append(child)
-    results.sort(key=Matching.sorted_pairs)
-    return results
+    return sorted(found.values(), key=Matching.sorted_pairs)
 
 
 def is_weakly_stable(

@@ -216,6 +216,17 @@ def _weight(value, label: str) -> Fraction:
         raise ValidationError(f"{label}: {exc}") from exc
 
 
+def _entry_to_json(entry: AgentLottery | WeakOrder, other):
+    """A lottery agent's weighted orders or a compact agent's tiers, each
+    candidate written as its name in ``other``."""
+    if isinstance(entry, WeakOrder):
+        return {"tiers": [[other[i] for i in tier] for tier in entry.tiers]}
+    return [
+        {"order": [other[i] for i in order.ranking], "p": format_probability(p)}
+        for order, p in entry.support
+    ]
+
+
 def instance_to_json(
     instance: Instance,
     men_names: tuple[str, ...] | None = None,
@@ -226,41 +237,23 @@ def instance_to_json(
     if women_names is None:
         women_names = default_names(instance.n_women, "w")
     model = instance.model
-    if isinstance(model, LotteryModel):
-        kind = "lottery"
-        preferences = {}
-        for names, other, agents in (
-            (men_names, women_names, model.men),
-            (women_names, men_names, model.women),
-        ):
-            for name, agent in zip(names, agents):
-                preferences[name] = [
-                    {
-                        "order": [other[i] for i in order.ranking],
-                        "p": format_probability(p),
-                    }
-                    for order, p in agent.support
-                ]
-    elif isinstance(model, CompactModel):
-        kind = "compact"
-        preferences = {}
-        for names, other, agents in (
-            (men_names, women_names, model.men),
-            (women_names, men_names, model.women),
-        ):
-            for name, agent in zip(names, agents):
-                preferences[name] = {
-                    "tiers": [[other[i] for i in tier] for tier in agent.tiers]
-                }
-    else:
-        kind = "joint"
+    if isinstance(model, JointModel):
         entries = []
         for profile, weight in model.profiles:
             orders = profile_to_json(profile, men_names, women_names)["orders"]
             entries.append({"p": format_probability(weight), "orders": orders})
         preferences = {"profiles": entries}
+    else:
+        preferences = {
+            name: _entry_to_json(entry, other)
+            for names, other, side in (
+                (men_names, women_names, model.men),
+                (women_names, men_names, model.women),
+            )
+            for name, entry in zip(names, side)
+        }
     return {
-        "model": kind,
+        "model": instance.kind,
         "men": list(men_names),
         "women": list(women_names),
         "preferences": preferences,

@@ -29,6 +29,7 @@ from typing import Iterable, Union
 from .core import (
     DEFAULT_CAP,
     AgentId,
+    Budget,
     LinearOrder,
     Matching,
     Profile,
@@ -36,8 +37,9 @@ from .core import (
     WeakOrder,
     _check_matching,
     _is_row,
+    charge,
 )
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError
 
 ONE = Fraction(1)
 
@@ -498,30 +500,22 @@ def agent_support(instance: Instance, agent: AgentId) -> tuple[tuple[LinearOrder
     raise ValidationError("joint model has no per-agent support")
 
 
-def expand_compact_to_lottery(instance: Instance, cap: int = DEFAULT_CAP) -> Instance:
+def expand_compact_to_lottery(instance: Instance, cap: int | None = DEFAULT_CAP) -> Instance:
     """Replace each weak order by the uniform lottery over its extensions."""
     if not isinstance(instance.model, CompactModel):
         raise ValidationError("expand_compact_to_lottery requires a compact instance")
     for agent in instance.agents():
-        count = support_size(instance, agent)
-        if count > cap:
-            raise ResourceLimitError(
-                f"agent {agent} has {count} linear extensions, cap is {cap}"
-            )
+        charge(Budget(cap, "linear extensions of one agent"), support_size(instance, agent))
     lotteries = [AgentLottery(agent_support(instance, a)) for a in instance.agents()]
     return Instance(_split(instance, lotteries, LotteryModel))
 
 
-def lottery_to_joint(instance: Instance, cap: int = DEFAULT_CAP) -> Instance:
+def lottery_to_joint(instance: Instance, cap: int | None = DEFAULT_CAP) -> Instance:
     """Expand independent per-agent lotteries into an explicit joint model."""
     if not isinstance(instance.model, LotteryModel):
         raise ValidationError("lottery_to_joint requires a lottery instance")
     supports = [entry.support for entry in instance.entries]
-    total = 1
-    for support in supports:
-        total *= len(support)
-        if total > cap:
-            raise ResourceLimitError(f"joint expansion exceeds cap of {cap} profiles")
+    charge(Budget(cap, "joint profiles"), math.prod(map(len, supports)))
     profiles = []
     for combo in product(*supports):
         weight = math.prod((w for _, w in combo), start=ONE)

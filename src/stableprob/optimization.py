@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import DEFAULT_CAP, Matching, Side, deferred_acceptance
-from .errors import ResourceLimitError, ValidationError
+from .core import DEFAULT_CAP, Budget, Matching, Side, charge, deferred_acceptance
+from .errors import ValidationError
 from .models import (
     Instance,
     LotteryModel,
@@ -127,8 +127,7 @@ def _most_stable(completed: Instance, padding, men, leaf, cap: int | None, what:
     is tried."""
     n, k = completed.n_men, len(men)
     examined = math.perm(n, k)
-    if cap is not None and examined > cap:
-        raise ResourceLimitError(f"more than {cap} {what}; raise the cap to proceed")
+    charge(Budget(cap, what), examined)
     bound = (
         _lottery_bound(completed, men)
         if isinstance(completed.model, LotteryModel)
@@ -224,16 +223,16 @@ def most_stable_constant_uncertain(
     xs = sorted(agent.index for agent in uncertain)
     x_set = set(xs)
     certain_men = [m for m in range(n) if m not in x_set]
-    men_lists = {m: _certain_order(completed, m).ranking for m in certain_men}
-    men_rank = {m: {w: i for i, w in enumerate(men_lists[m])} for m in certain_men}
+    men = {m: _certain_order(completed, m) for m in certain_men}
+    men_rank = {m: order.rank for m, order in men.items()}
     # the completed market is square, so woman w has id n + w
-    women_lists = [_certain_order(completed, n + w).ranking for w in range(n)]
-    women_rank = [{m: i for i, m in enumerate(ranking)} for ranking in women_lists]
+    women = [_certain_order(completed, n + w) for w in range(n)]
+    women_rank = [order.rank for order in women]
 
     def extend(assignment: list[int]) -> Matching | None:
         partner_y = dict(zip(assignment, xs))  # assigned woman -> uncertain man
         held = deferred_acceptance(
-            {m: [w for w in men_lists[m] if w not in partner_y] for m in certain_men},
+            {m: [w for w in men[m].ranking if w not in partner_y] for m in certain_men},
             women_rank,
         )
         partner = {m: w for w, m in held.items()}  # perfect: the lists are complete
@@ -251,7 +250,7 @@ def most_stable_constant_uncertain(
                 return None
         held = deferred_acceptance(
             {
-                w: [m for m in women_lists[w] if m in cut and men_rank[m][w] < cut[m]]
+                w: [m for m in women[w].ranking if m in cut and men_rank[m][w] < cut[m]]
                 for w in range(n)
                 if w not in partner_y
             },

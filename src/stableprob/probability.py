@@ -33,16 +33,18 @@ from typing import NamedTuple
 
 from .core import (
     DEFAULT_CAP,
+    Budget,
     LinearOrder,
     Matching,
     Profile,
     Side,
     _is_integer,
     _is_row,
+    charge,
     is_stable,
     is_weakly_stable,
 )
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError
 from .models import (
     AgentLottery,
     CompactModel,
@@ -266,7 +268,7 @@ def _partners(instance: Instance, matching: Matching) -> list[int | None]:
     return partners + [matching.partner_of_woman(w) for w in range(instance.n_women)]
 
 
-def _pick_tables(instance: Instance, matching: Matching, budget: list[int] | None = None):
+def _pick_tables(instance: Instance, matching: Matching, budget: Budget):
     """Per agent id, (weights, beats): each pick's weight, and per candidate
     the bitmask of picks in which the agent prefers that candidate to its
     partner (absent when none). A lottery agent picks a support order. A
@@ -276,8 +278,8 @@ def _pick_tables(instance: Instance, matching: Matching, budget: list[int] | Non
     of the partner with probability |S|! (r - |S|)! / (r + 1)!. A pick is
     such an S of the mates whose own side is undecided too; no pick ranks a
     mate who always prefers the agent ahead, since that would block. The
-    u * 2^u mask entries of u undecided mates count as nodes against
-    ``budget`` before they are built.
+    u * 2^u mask entries of u undecided mates are charged to ``budget``
+    before they are built.
     """
     n_men = instance.n_men
     partners = _partners(instance, matching)
@@ -302,8 +304,7 @@ def _pick_tables(instance: Instance, matching: Matching, budget: list[int] | Non
                 if side is None:
                     undecided.append(mate)
         count = 1 << len(undecided)
-        if budget is not None:
-            _enter_node(budget, len(undecided) * count)
+        charge(budget, len(undecided) * count)
         by_size = [
             Fraction(math.factorial(s) * math.factorial(r - s), math.factorial(r + 1))
             for s in range(len(undecided) + 1)
@@ -326,7 +327,7 @@ def _pair_masks(tables, n_men: int):
                 yield m, n_men + w, a_mask, b_mask
 
 
-def _compile(instance: Instance, matching: Matching, budget=None) -> _Model | None:
+def _compile(instance: Instance, matching: Matching, budget: Budget) -> _Model | None:
     """The weighted constraint problem whose solutions keep the matching stable.
 
     Picks that a single pair rules out are deleted up front
@@ -372,25 +373,14 @@ def _compile(instance: Instance, matching: Matching, budget=None) -> _Model | No
     )
 
 
-def _enter_node(budget: list[int], nodes: int = 1) -> None:
-    """Count search nodes against ``budget``, a [nodes entered, limit] pair."""
-    budget[0] += nodes
-    if budget[0] > budget[1]:
-        raise ResourceLimitError(
-            f"more than {budget[1]} search nodes; raise the cap to proceed"
-        )
-
-
-def _walk(
-    model: _Model, order: list[int], choice: list[int], budget: list[int] | None = None
-):
+def _walk(model: _Model, order: list[int], choice: list[int], budget: Budget):
     """Yield the scaled weight of each blocking-free pick of one component.
 
     Depth first along ``order``, one of ``model.components``, from weight 1;
     each agent tries its allowed picks in index order. ``choice[agent]``
     holds the pick of every agent on the current path, so after a yield it
     describes the component's assignment just found. Every node entered
-    below the root, the leaves included, counts against ``budget``, which
+    below the root, the leaves included, is charged to ``budget``, which
     the searches of all components share. The loop keeps its own stack, so
     depth is not bounded by Python's recursion limit.
     """
@@ -433,23 +423,21 @@ def _walk(
                 weights[depth + 1] = weights[depth] * numerator
                 depth += 1
                 cursor[depth] = 0
-                if budget is not None:
-                    _enter_node(budget)
+                charge(budget)
                 break
         else:
             return
 
 
-def _count(model: _Model | None, budget: list[int] | None = None) -> Fraction:
+def _count(model: _Model | None, budget: Budget) -> Fraction:
     """Total weight of the blocking-free realizations of a compiled model:
     the free product times each component's summed weight, up to a zero.
-    The root and every node the component searches enter count against
-    ``budget`` (None for no limit), as in the nonzero search."""
+    The root and every node the component searches enter are charged to
+    ``budget``, as in the nonzero search."""
     if model is None:
         return Fraction(0)
     choice = [0] * len(model.weights)
-    if budget is not None:
-        _enter_node(budget)  # the root of the whole search
+    charge(budget)  # the root of the whole search
     total = model.free_product
     for order in model.components:
         total *= sum(_walk(model, order, choice, budget))
@@ -486,7 +474,8 @@ def _one_side_certain(instance, matching, kind: str, certain: str) -> Fraction:
     instance.validate_matching(matching)
     if not any(side_is_certain(instance, side) for side in Side):
         raise ValidationError(f"requires one side with {certain} preferences")
-    return _count(_compile(instance, matching))
+    budget = Budget(None, "search nodes")
+    return _count(_compile(instance, matching, budget), budget)
 
 
 def stability_probability_lottery_one_side_certain(
@@ -532,7 +521,7 @@ def stability_probability_exact(
     if isinstance(instance.model, JointModel):
         return stability_probability_joint(instance, matching)
     instance.validate_matching(matching)
-    budget = None if cap is None else [0, cap]
+    budget = Budget(cap, "search nodes")
     return _count(_compile(instance, matching, budget), budget)
 
 
@@ -564,7 +553,7 @@ def stability_probability(
 
 
 def _lottery_sampler(instance: Instance, matching: Matching, rng: random.Random):
-    model = _compile(instance, matching)
+    model = _compile(instance, matching, Budget(None, "search nodes"))
     if model is None:
 
         def blocked() -> bool:
@@ -672,8 +661,7 @@ def estimate_stability_probability(
     # ln(2/delta) from the fraction's integers, which no float underflow reaches
     log_ratio = math.log(2 * err.denominator) - math.log(err.numerator)
     samples = math.ceil(Fraction(log_ratio) / (2 * eps * eps))
-    if cap is not None and samples > cap:
-        raise ResourceLimitError(f"more than {cap} samples; raise the cap to proceed")
+    charge(Budget(cap, "samples"), samples)
     if rng is None:
         rng = random.Random(0)
     if instance.kind == "lottery":
@@ -720,7 +708,7 @@ def _nonzero_2sat_parts(instance: Instance, matching: Matching):
     """
     if not isinstance(instance.model, LotteryModel):
         raise ValidationError("requires a lottery-model instance")
-    tables = _pick_tables(instance, matching)
+    tables = _pick_tables(instance, matching, Budget(None, "search nodes"))
     sizes = [len(weights) for weights, _ in tables]
     if any(size > 2 for size in sizes):
         raise ValidationError("requires support of at most two orders per agent")
@@ -764,16 +752,15 @@ def _profile_from_choices(instance: Instance, choice: list[int]) -> Profile:
 def _nonzero_backtracking(
     instance: Instance, matching: Matching, cap: int | None
 ) -> tuple[bool, Profile | None]:
-    model = _compile(instance, matching)
+    budget = Budget(cap, "search nodes")
+    model = _compile(instance, matching, budget)
     if model is None:
         return False, None
     # agents outside every constraint keep their first allowed pick; no
     # constraint joins two components, so each component's first solution
     # is the restriction of the first solution along the global order
     choice = [(bits & -bits).bit_length() - 1 for bits in model.allowed]
-    budget = None if cap is None else [0, cap]
-    if budget is not None:
-        _enter_node(budget)  # the root of the whole search
+    charge(budget)  # the root of the whole search
     for order in model.components:
         if next(_walk(model, order, choice, budget), None) is None:
             return False, None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DEFAULT_CAP, Matching, enumerate_stable_matchings, is_stable
+from .core import DEFAULT_CAP, Matching, _non_index, enumerate_stable_matchings, is_stable
 from .errors import ValidationError
 from .models import (
     Instance,
@@ -93,7 +93,7 @@ def is_very_weakly_blocking(
     acceptable pair of unmatched agents always very weakly blocks.
     """
     instance.validate_matching(matching)
-    if not (0 <= man < instance.n_men and 0 <= woman < instance.n_women):
+    if _non_index((man, woman)) or man >= instance.n_men or woman >= instance.n_women:
         raise ValidationError(f"pair ({man}, {woman}) references unknown agents")
     if matching.partner_of_man(man) == woman:
         raise ValidationError(f"pair ({man}, {woman}) is matched, not blocking")

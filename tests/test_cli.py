@@ -561,6 +561,27 @@ class TestWorkCap:
         )
         assert code == 3 and doc["status"] == "resource-limit"
 
+    def test_exists_certain_refusal_names_the_cap(self, run_json, write):
+        # a joint model whose one profile has ten stable matchings
+        men = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+        women = ((3, 2, 1, 0), (2, 3, 0, 1), (1, 0, 3, 2), (0, 1, 2, 3))
+        orders = {f"m{i}": [f"w{j}" for j in row] for i, row in enumerate(men)}
+        orders |= {f"w{i}": [f"m{j}" for j in row] for i, row in enumerate(women)}
+        joint = {
+            "model": "joint",
+            "men": ["m0", "m1", "m2", "m3"],
+            "women": ["w0", "w1", "w2", "w3"],
+            "preferences": {"profiles": [{"p": "1", "orders": orders}]},
+        }
+        instance = write("i.json", joint)
+        code, doc, _ = run_json("--cap", "10", "exists-certain", instance)
+        assert code == 0 and doc["payload"]["exists"] is True
+        code, doc, _ = run_json("--cap", "3", "exists-certain", instance)
+        assert code == 3 and doc["status"] == "resource-limit"
+        assert doc["diagnostics"] == [
+            "more than 3 stable matchings; raise the cap to proceed"
+        ]
+
     def test_env_var_reaches_nonzero_and_most_stable(
         self, run_json, write, monkeypatch
     ):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import naive_has_block, order, reference_stable_matchings
 from stableprob import (
+    AgentId,
     LinearOrder,
     Matching,
     Profile,
@@ -74,6 +75,11 @@ class TestLinearOrder:
         with pytest.raises(ValidationError):
             LinearOrder((0, -1))
 
+    @pytest.mark.parametrize("idx", [True, False])
+    def test_rejects_a_bool_index(self, idx):
+        with pytest.raises(ValidationError, match="^bad candidate index "):
+            LinearOrder((idx,))
+
     def test_prefers(self):
         o = order(2, 0, 1)
         assert o.prefers(2, 1)
@@ -100,6 +106,11 @@ class TestWeakOrder:
         with pytest.raises(ValidationError):
             WeakOrder(((0, 1), (1,)))
 
+    @pytest.mark.parametrize("idx", [True, False])
+    def test_rejects_a_bool_index(self, idx):
+        with pytest.raises(ValidationError, match="^bad candidate index "):
+            WeakOrder(((idx,),))
+
     def test_tiers_are_sorted_for_equality(self):
         assert WeakOrder(((2, 1), (0,))) == WeakOrder(((1, 2), (0,)))
 
@@ -119,12 +130,25 @@ class TestWeakOrder:
         assert not WeakOrder(((0, 1),)).is_strict()
 
 
+class TestAgentId:
+    @pytest.mark.parametrize("idx", [True, False])
+    def test_rejects_a_bool_index(self, idx):
+        with pytest.raises(ValidationError, match="^bad agent index "):
+            AgentId(Side.MEN, idx)
+
+
 class TestMatching:
     def test_rejects_reused_agent(self):
         with pytest.raises(ValidationError):
             Matching.from_pairs([(0, 0), (0, 1)])
         with pytest.raises(ValidationError):
             Matching.from_pairs([(0, 0), (1, 0)])
+
+    @pytest.mark.parametrize("idx", [True, False])
+    def test_rejects_a_bool_index(self, idx):
+        for pair in ((idx, 0), (0, idx)):
+            with pytest.raises(ValidationError, match="^bad agent index "):
+                Matching.from_pairs([pair])
 
     def test_partner_lookup_and_transpose(self):
         mu = Matching.from_pairs([(0, 1), (2, 0)])

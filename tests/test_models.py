@@ -581,6 +581,12 @@ class TestExpandCompact:
         with pytest.raises(ResourceLimitError):
             expand_compact_to_lottery(inst, cap=100)
 
+    def test_cap_none_means_no_limit(self):
+        # 5040 extensions, above the cap of the test before
+        inst = compact_instance([[tuple(range(7))]], [[(0,)] for _ in range(7)])
+        expanded = expand_compact_to_lottery(inst, cap=None)
+        assert len(expanded.model.men[0].support) == 5040
+
     def test_requires_compact(self):
         with pytest.raises(ValidationError):
             expand_compact_to_lottery(example_market())
@@ -619,6 +625,10 @@ class TestLotteryToJoint:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             lottery_to_joint(example_market(), cap=2)
+
+    def test_cap_none_means_no_limit(self):
+        joint = lottery_to_joint(example_market(), cap=None)
+        assert len(joint.model.profiles) == 4
 
     def test_requires_lottery(self):
         inst = compact_instance([[(0,)]], [[(0,)]])

@@ -69,6 +69,12 @@ from stableprob import (
     stability_probability_lottery_one_side_certain,
 )
 from stableprob import probability
+from stableprob.core import Budget
+
+
+def compiled(inst, matching):
+    """The matching's compiled model, built with no work limit."""
+    return probability._compile(inst, matching, Budget(None, "search nodes"))
 
 
 def satisfies(formula: TwoSatInstance, assignment) -> bool:
@@ -617,7 +623,7 @@ class TestCompiledEstimator:
                 matching = Matching.from_pairs([])
             else:
                 matching = random_maximal_matching(rng, inst)
-            if probability._compile(inst, matching) is None:
+            if compiled(inst, matching) is None:
                 found += 1
                 assert self.assert_same_as_reference(inst, matching, seed) == 0
         assert found >= 10
@@ -1054,7 +1060,7 @@ class TestAgainstReferenceEngine:
 
     @staticmethod
     def one_pick_each(inst, matching) -> bool:
-        model = probability._compile(inst, matching)
+        model = compiled(inst, matching)
         return model is None or (
             all(len(weights) == 1 for weights in model.weights)
             and not any(model.adjacency)
@@ -1139,7 +1145,7 @@ class TestAgainstReferenceEngine:
             decision, _ = is_stability_probability_nonzero(inst, matching)
             assert decision == (value > 0)
             assert is_stability_probability_one(inst, matching) == (value == 1)
-            model = probability._compile(inst, matching)
+            model = compiled(inst, matching)
             told_apart += model is not None and any(len(w) > 1 for w in model.weights)
             values.append(value)
         assert sum(0 < v < 1 for v in values) >= 30
@@ -1188,7 +1194,7 @@ class TestComponents:
 
     def test_one_unsatisfiable_component_zeroes_the_product(self):
         inst, mu = self.unsatisfiable_last_component()
-        model = probability._compile(inst, mu)
+        model = compiled(inst, mu)
         assert model.components == [[0, 6], [1, 5], [2, 8]]
         assert exhaustive_probability(inst, mu) == 0
         assert stability_probability_exact(inst, mu) == 0

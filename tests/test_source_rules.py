@@ -79,6 +79,29 @@ def test_resource_limits_come_from_a_cap_or_budget_parameter():
     assert found == []
 
 
+def test_only_charge_builds_a_resource_limit_error():
+    # every refusal is charged to a core.Budget, so the message and the
+    # reading of cap=None are written once
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {}
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), function.name) for node in _own_nodes(function))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                target = node.func
+            elif isinstance(node, ast.Raise):
+                target = node.exc  # a bare class is constructed when raised
+            else:
+                continue
+            name = getattr(target, "id", None) or getattr(target, "attr", None)
+            if name == "ResourceLimitError":
+                found.append(f"{path.name} {owner.get(id(node), '<module>')}")
+    assert found == ["core.py charge"]
+
+
 def test_no_function_calls_itself():
     # nothing may depend on Python's recursion limit: deep inputs must not
     # turn into RecursionError, so every search keeps its own stack

@@ -137,6 +137,12 @@ class TestVeryWeaklyBlocking:
         with pytest.raises(ValidationError):
             is_very_weakly_blocking(example_market(), MU_IDENTITY, 0, 9)
 
+    @pytest.mark.parametrize("man, woman", [("0", 1), (1.0, 0), (True, 0), (1, False)])
+    def test_pair_that_is_not_two_indices_is_rejected(self, man, woman):
+        # each would address an agent if read as a number
+        with pytest.raises(ValidationError, match="references unknown agents"):
+            is_very_weakly_blocking(example_market(), MU_IDENTITY, man, woman)
+
     def test_unmatched_mutually_acceptable_pair_blocks(self):
         inst = lottery_instance(men=(certain(0),), women=(certain(0),))
         assert is_very_weakly_blocking(inst, Matching.from_pairs([]), 0, 0)
