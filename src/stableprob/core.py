@@ -29,6 +29,10 @@ class Budget:
     what: str
     used: int = 0
 
+    def __post_init__(self):
+        if self.cap is not None and not (_is_integer(self.cap) and self.cap >= 0):
+            raise ValidationError("the cap must be None or a nonnegative integer")
+
 
 def charge(budget: Budget, units: int = 1) -> None:
     """Charge ``units`` of work to ``budget``; past its cap, refuse."""
@@ -139,18 +143,24 @@ class WeakOrder:
     tiers: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        tiers = tuple(tuple(sorted(tier)) for tier in self.tiers)
-        object.__setattr__(self, "tiers", tiers)
+        tiers = []
         seen = set()
-        for tier in tiers:
+        for tier in self.tiers:
+            try:
+                tier = tuple(tier)
+            except TypeError:  # not a collection
+                raise ValidationError("each tier must be a collection of candidates") from None
             if not tier:
                 raise ValidationError("empty tier in weak order")
             if bad := _non_index(tier):
                 raise ValidationError(f"bad candidate index {bad[0]!r}")
+            tier = tuple(sorted(tier))
             for idx in tier:
                 if idx in seen:
                     raise ValidationError(f"candidate {idx} appears in two tiers")
                 seen.add(idx)
+            tiers.append(tier)
+        object.__setattr__(self, "tiers", tuple(tiers))
 
     @cached_property
     def tier_of(self) -> dict[int, int]:
@@ -229,20 +239,25 @@ class Matching:
     pairs: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        pairs = frozenset((m, w) for m, w in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        men = [m for m, _ in pairs]
-        women = [w for _, w in pairs]
+        rows = tuple(self.pairs)
+        if not all(_is_row(row, 2) for row in rows):
+            raise ValidationError("each matching pair must be a (man, woman) pair")
+        men = [m for m, _ in rows]
+        women = [w for _, w in rows]
         if bad := _non_index(men + women):
             raise ValidationError(f"bad agent index {bad[0]!r} in matching")
-        if len(set(men)) != len(men):
+        pairs = frozenset(zip(men, women))
+        object.__setattr__(self, "pairs", pairs)
+        # a repeated pair counts once, so each agent is in one pair iff
+        # there are as many distinct agents as distinct pairs
+        if len(set(men)) != len(pairs):
             raise ValidationError("a man appears in two pairs")
-        if len(set(women)) != len(women):
+        if len(set(women)) != len(pairs):
             raise ValidationError("a woman appears in two pairs")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Matching":
-        return cls(frozenset(tuple(pair) for pair in pairs))
+        return cls(pairs)
 
     @cached_property
     def man_to_woman(self) -> dict[int, int]:

@@ -19,7 +19,7 @@ import math
 import random
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -130,9 +130,20 @@ class AgentLottery:
     Duplicate orders are merged by summing weights; the support is stored
     sorted by ranking for canonical equality. All orders must list the same
     candidate set, so acceptability is certain even when the order is not.
+
+    Every query reads the agent through three derived values, kept on the
+    object outside its equality, hash and repr: ``scale``, the lcm of the
+    weights' denominators; ``numerators``, each weight times ``scale``;
+    and ``beats(partner)``, the agent's pick table against one partner,
+    built on the first query with that partner. The agent keeps at most
+    one table per partner, so at most (candidates + 1) tables. A table is
+    shared by every caller, and no caller may mutate it.
     """
 
     support: tuple[tuple[LinearOrder, Fraction], ...]
+    scale: int = field(init=False, repr=False, compare=False)
+    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _beats: dict = field(init=False, repr=False, compare=False)  # partner -> table
 
     def __post_init__(self):
         merged = _merged_support(self.support, LinearOrder, "lottery")
@@ -141,6 +152,26 @@ class AgentLottery:
             raise ValidationError("all support orders must rank the same candidates")
         canonical = tuple(sorted(merged.items(), key=lambda item: item[0].ranking))
         object.__setattr__(self, "support", canonical)
+        # set here, not as cached properties: through Python 3.11 those take
+        # a lock on first use, which costs more than the lcm itself
+        scale = math.lcm(*(w.denominator for _, w in canonical))
+        numerators = tuple(w.numerator * (scale // w.denominator) for _, w in canonical)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "_beats", {})
+
+    def beats(self, partner: int | None) -> dict[int, int]:
+        """Per candidate, the bitmask of support orders that rank it above
+        ``partner`` (None: unmatched); candidates above it in no order are
+        absent."""
+        table = self._beats.get(partner)
+        if table is None:
+            table = {}
+            for i, (order, _) in enumerate(self.support):
+                for candidate in order.ranking[: order.rank.get(partner)]:
+                    table[candidate] = table.get(candidate, 0) | 1 << i
+            self._beats[partner] = table
+        return table
 
     @classmethod
     def certain(cls, order: LinearOrder) -> "AgentLottery":

@@ -40,13 +40,7 @@ from .models import (
     restrict_matching,
     uncertain_agents,
 )
-from .probability import (
-    allowed_mass,
-    delete_forced_picks,
-    lottery_beats,
-    scaled_weights,
-    stability_probability,
-)
+from .probability import allowed_mass, delete_forced_picks, stability_probability
 
 
 @dataclass(frozen=True)
@@ -71,22 +65,15 @@ def _lottery_bound(instance: Instance, men):
     matching that extends them, kept as integers because a Fraction per
     node costs a gcd. Calls come depth first: the call for depth d > 0
     follows one for depth d - 1 on the same prefix, whose bound was
-    positive."""
+    positive. Each agent's pick tables, numerators and scale are those its
+    ``AgentLottery`` holds, which the leaves' scoring reads too."""
     n = instance.n_men
     entries = instance.entries
     full = [(1 << len(entry.support)) - 1 for entry in entries]
-    scales, numerators = scaled_weights([[w for _, w in e.support] for e in entries])
-    tables: dict[tuple[int, int], dict[int, int]] = {}  # (agent, partner) -> beats
     masses: dict[tuple[int, int], int] = {}  # (agent, orders) -> scaled weight
     # per depth, each agent's orders that no pair between assigned agents
     # rules out on its own
     allowed = [full] * (len(men) + 1)
-
-    def beats(agent: int, partner: int, candidate: int) -> int:
-        table = tables.get((agent, partner))
-        if table is None:
-            table = tables[agent, partner] = lottery_beats(entries[agent], partner)
-        return table.get(candidate, 0)
 
     def new_pairs(d: int, women: list[int]):
         # the pairs the man at depth d adds: him with each earlier man's
@@ -95,8 +82,8 @@ def _lottery_bound(instance: Instance, men):
         for d2 in range(d):
             m2, w2 = men[d2], women[d2]
             for a, a_partner, b, b_partner in ((m, w, w2, m2), (m2, w2, w, m)):
-                a_mask = beats(a, a_partner, b)
-                b_mask = a_mask and beats(n + b, b_partner, a)
+                a_mask = entries[a].beats(a_partner).get(b, 0)
+                b_mask = a_mask and entries[n + b].beats(b_partner).get(a, 0)
                 if b_mask:
                     yield a, n + b, a_mask, b_mask
 
@@ -110,9 +97,9 @@ def _lottery_bound(instance: Instance, men):
             key = agent, mask[agent]
             mass = masses.get(key)
             if mass is None:
-                mass = masses[key] = allowed_mass(numerators[agent], mask[agent])
+                mass = masses[key] = allowed_mass(entries[agent].numerators, mask[agent])
             numerator *= mass
-            denominator *= scales[agent]
+            denominator *= entries[agent].scale
         return numerator, denominator
 
     return bound

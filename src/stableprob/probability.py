@@ -46,7 +46,6 @@ from .core import (
 )
 from .errors import ValidationError
 from .models import (
-    AgentLottery,
     CompactModel,
     Instance,
     JointModel,
@@ -187,12 +186,11 @@ class _Model(NamedTuple):
     components' weights.
     """
 
-    weights: list[list[Fraction]]  # the weight of each pick
     allowed: list[int]  # bitmask of picks that no pair rules out on its own
     adjacency: list[list[tuple[int, int, int]]]  # (other, my_mask, other_mask)
     components: list[list[int]]  # constrained agents by component, in search order
-    numerators: list[list[int]]  # weights scaled by the agent's lcm
-    denominator: int  # product of those lcms
+    numerators: list  # per agent, each pick's weight times the agent's scale
+    denominator: int  # product of the agents' scales
     free_product: int  # scaled allowed weight of the unconstrained agents
 
 
@@ -204,28 +202,6 @@ def _tie_side(weak, candidate: int, partner: int | None) -> bool | None:
         return True
     mine, theirs = weak.tier_of[candidate], weak.tier_of[partner]
     return None if mine == theirs else mine < theirs
-
-
-def lottery_beats(entry: AgentLottery, partner: int | None) -> dict[int, int]:
-    """Per candidate, the bitmask of support orders in which a lottery agent
-    matched to ``partner`` (None: unmatched) prefers that candidate to it;
-    candidates preferred in no order are absent."""
-    beats: dict[int, int] = {}
-    for i, (order, _) in enumerate(entry.support):
-        for candidate in order.ranking[: order.rank.get(partner)]:
-            beats[candidate] = beats.get(candidate, 0) | 1 << i
-    return beats
-
-
-def scaled_weights(weights: list[list[Fraction]]) -> tuple[list[int], list[list[int]]]:
-    """Each agent's pick weights over a common denominator: per agent, the
-    lcm of its weights' denominators, and each weight's numerator over it."""
-    scales, numerators = [], []
-    for agent_weights in weights:
-        scale = math.lcm(*(w.denominator for w in agent_weights))
-        scales.append(scale)
-        numerators.append([w.numerator * (scale // w.denominator) for w in agent_weights])
-    return scales, numerators
 
 
 def allowed_mass(numerators: list[int], bits: int) -> int:
@@ -269,13 +245,15 @@ def _partners(instance: Instance, matching: Matching) -> list[int | None]:
 
 
 def _pick_tables(instance: Instance, matching: Matching, budget: Budget):
-    """Per agent id, (weights, beats): each pick's weight, and per candidate
-    the bitmask of picks in which the agent prefers that candidate to its
-    partner (absent when none). A lottery agent picks a support order. A
-    compact agent's extensions are equally likely, so only the partner's
-    tier-mates are in doubt. Mates who never prefer the agent to their own
-    partner cannot block with it; of the other r, a given set S ranks ahead
-    of the partner with probability |S|! (r - |S|)! / (r + 1)!. A pick is
+    """Per agent id, (scale, numerators, beats): each pick's weight is its
+    numerator over the scale, and beats maps each candidate to the bitmask
+    of picks in which the agent prefers that candidate to its partner
+    (absent when none). A lottery agent picks a support order, and its
+    ``AgentLottery`` holds all three. A compact agent's extensions are
+    equally likely, so only the partner's tier-mates are in doubt. Mates
+    who never prefer the agent to their own partner cannot block with it;
+    of the other r, a given set S ranks ahead of the partner with
+    probability |S|! (r - |S|)! / (r + 1)!, the scale. A pick is
     such an S of the mates whose own side is undecided too; no pick ranks a
     mate who always prefers the agent ahead, since that would block. The
     u * 2^u mask entries of u undecided mates are charged to ``budget``
@@ -287,11 +265,10 @@ def _pick_tables(instance: Instance, matching: Matching, budget: Budget):
     tables = []
     for agent, (entry, partner) in enumerate(zip(entries, partners)):
         if isinstance(instance.model, LotteryModel):
-            weights = [weight for _, weight in entry.support]
-            tables.append((weights, lottery_beats(entry, partner)))
+            tables.append((entry.scale, entry.numerators, entry.beats(partner)))
             continue
         if partner is None:
-            tables.append(([Fraction(1)], dict.fromkeys(entry.tier_of, 1)))
+            tables.append((1, (1,), dict.fromkeys(entry.tier_of, 1)))
             continue
         # a mate sits on the other side and knows this agent as `me`
         me, base = (agent, n_men) if agent < n_men else (agent - n_men, 0)
@@ -306,14 +283,13 @@ def _pick_tables(instance: Instance, matching: Matching, budget: Budget):
         count = 1 << len(undecided)
         charge(budget, len(undecided) * count)
         by_size = [
-            Fraction(math.factorial(s) * math.factorial(r - s), math.factorial(r + 1))
-            for s in range(len(undecided) + 1)
+            math.factorial(s) * math.factorial(r - s) for s in range(len(undecided) + 1)
         ]
-        weights = [by_size[k.bit_count()] for k in range(count)]
+        numerators = [by_size[k.bit_count()] for k in range(count)]
         beats = dict.fromkeys(sum(entry.tiers[:tier], ()), (1 << count) - 1)
         for j, mate in enumerate(undecided):  # the picks k with bit j set
             beats[mate] = int(("1" * (1 << j) + "0" * (1 << j)) * (count >> j + 1), 2)
-        tables.append((weights, beats))
+        tables.append((math.factorial(r + 1), numerators, beats))
     return tables
 
 
@@ -321,8 +297,8 @@ def _pair_masks(tables, n_men: int):
     """Yield (man id, woman id, a_mask, b_mask) for each pair that can block,
     by man, then woman: the pair's entries in the two agents' beats."""
     for m in range(n_men):
-        for w, a_mask in sorted(tables[m][1].items()):
-            b_mask = tables[n_men + w][1].get(m)
+        for w, a_mask in sorted(tables[m][2].items()):
+            b_mask = tables[n_men + w][2].get(m)
             if b_mask:
                 yield m, n_men + w, a_mask, b_mask
 
@@ -332,25 +308,25 @@ def _compile(instance: Instance, matching: Matching, budget: Budget) -> _Model |
 
     Picks that a single pair rules out are deleted up front
     (``delete_forced_picks``); the remaining pairs become two-sided
-    constraints. Returns None as soon as stability is impossible,
-    before any weight is scaled, because most matchings a search scores
-    fail that way.
+    constraints. Returns None as soon as stability is impossible, before
+    any component is labelled or any mass summed, because most matchings a
+    search scores fail that way.
     """
     tables = _pick_tables(instance, matching, budget)
-    weights = [agent_weights for agent_weights, _ in tables]
-    full = [(1 << len(agent_weights)) - 1 for agent_weights in weights]
+    numerators = [agent_numerators for _, agent_numerators, _ in tables]
+    full = [(1 << len(agent_numerators)) - 1 for agent_numerators in numerators]
     allowed = full[:]
     two_sided = delete_forced_picks(_pair_masks(tables, instance.n_men), full, allowed)
     if two_sided is None:
         return None
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in weights]
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in tables]
     for a, b, a_mask, b_mask in two_sided:
         adjacency[a].append((b, a_mask, b_mask))
         adjacency[b].append((a, b_mask, a_mask))
     order = [agent for agent, edges in enumerate(adjacency) if edges]
     order.sort(key=lambda agent: (-len(adjacency[agent]), agent))
     # each component keeps the global order restricted to its agents
-    label = [-1] * len(weights)
+    label = [-1] * len(tables)
     components: list[list[int]] = []
     for agent in order:
         if label[agent] < 0:
@@ -362,15 +338,12 @@ def _compile(instance: Instance, matching: Matching, budget: Budget) -> _Model |
                         label[other] = label[agent]
                         stack.append(other)
         components[label[agent]].append(agent)
-    scales, numerators = scaled_weights(weights)
     free_product = 1
     for agent, edges in enumerate(adjacency):
         if not edges:
             free_product *= allowed_mass(numerators[agent], allowed[agent])
-    denominator = math.prod(scales)
-    return _Model(
-        weights, allowed, adjacency, components, numerators, denominator, free_product
-    )
+    denominator = math.prod(scale for scale, _, _ in tables)
+    return _Model(allowed, adjacency, components, numerators, denominator, free_product)
 
 
 def _walk(model: _Model, order: list[int], choice: list[int], budget: Budget):
@@ -436,7 +409,7 @@ def _count(model: _Model | None, budget: Budget) -> Fraction:
     ``budget``, as in the nonzero search."""
     if model is None:
         return Fraction(0)
-    choice = [0] * len(model.weights)
+    choice = [0] * len(model.numerators)
     charge(budget)  # the root of the whole search
     total = model.free_product
     for order in model.components:
@@ -563,9 +536,10 @@ def _lottery_sampler(instance: Instance, matching: Matching, rng: random.Random)
         return blocked
     # only agents with a deleted pick or a constraint need their pick
     picked = [
-        (agent, pick_thresholds(weights), model.allowed[agent])
-        for agent, weights in enumerate(model.weights)
-        if model.adjacency[agent] or model.allowed[agent] != (1 << len(weights)) - 1
+        (agent, pick_thresholds(w for _, w in entry.support), model.allowed[agent])
+        for agent, entry in enumerate(instance.entries)
+        if model.adjacency[agent]
+        or model.allowed[agent] != (1 << len(entry.support)) - 1
     ]
     edges = [
         (a, b, a_mask, b_mask)
@@ -573,7 +547,7 @@ def _lottery_sampler(instance: Instance, matching: Matching, rng: random.Random)
         for b, a_mask, b_mask in agent_edges
         if a < b
     ]
-    choice = [0] * len(model.weights)
+    choice = [0] * len(model.numerators)
 
     def stable() -> bool:
         rolls = draw_rolls(rng, instance)
@@ -709,7 +683,7 @@ def _nonzero_2sat_parts(instance: Instance, matching: Matching):
     if not isinstance(instance.model, LotteryModel):
         raise ValidationError("requires a lottery-model instance")
     tables = _pick_tables(instance, matching, Budget(None, "search nodes"))
-    sizes = [len(weights) for weights, _ in tables]
+    sizes = [len(numerators) for _, numerators, _ in tables]
     if any(size > 2 for size in sizes):
         raise ValidationError("requires support of at most two orders per agent")
     first: list[int] = []

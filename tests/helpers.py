@@ -295,6 +295,17 @@ def reference_simplify_formula(formula: TwoSatInstance, fired=None):
 # products. They reach sizes the exhaustive oracle cannot.
 
 
+def reference_beats(entry: AgentLottery, partner: int | None) -> dict[int, int]:
+    """``AgentLottery.beats`` from the orders alone: per candidate, the
+    orders that prefer it to ``partner``, as a bitmask; absent when none."""
+    table = {}
+    for i, (o, _) in enumerate(entry.support):
+        for candidate in o.ranking:
+            if o.prefers_over_partner(candidate, partner):
+                table[candidate] = table.get(candidate, 0) | 1 << i
+    return table
+
+
 def _reference_pair_masks(instance: Instance, matching: Matching, supports):
     for m in range(instance.n_men):
         partner_m = matching.partner_of_man(m)

@@ -1,6 +1,7 @@
 """Deterministic matching primitives: orders, blocking, deferred acceptance."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,18 @@ class TestWeakOrder:
         with pytest.raises(ValidationError, match="^bad candidate index "):
             WeakOrder(((idx,),))
 
+    @pytest.mark.parametrize(
+        "tiers, message",
+        [
+            (((0, "a"),), "bad candidate index 'a'"),
+            (((0, None),), "bad candidate index None"),
+            ((5,), "each tier must be a collection of candidates"),
+        ],
+    )
+    def test_malformed_tiers_are_validation_errors(self, tiers, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            WeakOrder(tiers)
+
     def test_tiers_are_sorted_for_equality(self):
         assert WeakOrder(((2, 1), (0,))) == WeakOrder(((1, 2), (0,)))
 
@@ -149,6 +162,18 @@ class TestMatching:
         for pair in ((idx, 0), (0, idx)):
             with pytest.raises(ValidationError, match="^bad agent index "):
                 Matching.from_pairs([pair])
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(0,)], "each matching pair must be a (man, woman) pair"),
+            ([(0, 1, 2)], "each matching pair must be a (man, woman) pair"),
+            ([(0, [1])], "bad agent index [1] in matching"),
+        ],
+    )
+    def test_malformed_pairs_are_validation_errors(self, pairs, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Matching.from_pairs(pairs)
 
     def test_partner_lookup_and_transpose(self):
         mu = Matching.from_pairs([(0, 1), (2, 0)])

@@ -23,7 +23,9 @@ from helpers import (
     random_compact_instance,
     random_joint_instance,
     random_lottery_instance,
+    random_linear_orders,
     random_maximal_matching,
+    reference_beats,
     reference_sample_profile,
 )
 from stableprob import (
@@ -192,6 +194,31 @@ class TestAgentLottery:
         entry = AgentLottery.certain(order(1, 0))
         assert entry.is_certain()
         assert entry.candidates == {0, 1}
+
+    def test_derived_tables_against_the_orders(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            candidates = rng.sample(range(8), rng.randint(0, 6))
+            orders = random_linear_orders(rng, candidates, rng.randint(1, 5))
+            parts = [rng.randint(1, 30) for _ in orders]
+            weights = [Fraction(part, sum(parts)) for part in parts]
+            entry = AgentLottery(tuple(zip(orders, weights)))
+            for partner in [None, *candidates]:
+                assert entry.beats(partner) == reference_beats(entry, partner)
+                # a second query returns the table already built
+                assert entry.beats(partner) is entry.beats(partner)
+            support_weights = [w for _, w in entry.support]
+            assert entry.scale == math.lcm(*(w.denominator for w in support_weights))
+            assert len(entry.numerators) == len(entry.support)
+            for numerator, weight in zip(entry.numerators, support_weights):
+                assert Fraction(numerator, entry.scale) == weight
+
+    def test_derived_tables_stay_out_of_equality(self):
+        support = ((order(0, 1), Fraction(1, 3)), (order(1, 0), Fraction(2, 3)))
+        queried, fresh = AgentLottery(support), AgentLottery(support)
+        queried.beats(None), queried.beats(0)
+        assert queried == fresh and hash(queried) == hash(fresh)
+        assert repr(queried) == repr(fresh)
 
 
 P = Profile(men=(order(0),), women=(order(0),))

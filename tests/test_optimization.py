@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stableprob.optimization as optimization
+import stableprob.probability as probability
 from helpers import (
     MU_IDENTITY,
     certain,
@@ -21,6 +22,7 @@ from helpers import (
     random_joint_instance,
     random_lottery_instance,
     random_perturbed_lottery_instance,
+    reference_beats,
     reference_constant_uncertain,
     reference_most_stable,
 )
@@ -36,6 +38,8 @@ from stableprob import (
     ResourceLimitError,
     ValidationError,
     WeakOrder,
+    estimate_stability_probability,
+    is_stability_probability_nonzero,
     most_stable_brute_force,
     most_stable_constant_uncertain,
     stability_probability,
@@ -498,3 +502,53 @@ class TestConstantUncertain:
                 if n <= 5:
                     expected = reference_most_stable(inst).probability
                     assert result.probability == expected
+
+
+class TestSharedPickTables:
+    """Every lottery query reads the pick tables, numerators and scale that
+    each ``AgentLottery`` caches; no query may change what a later one
+    reads."""
+
+    @staticmethod
+    def market(women_certain: bool) -> Instance:
+        """A complete 4 x 4 lottery market of at most two orders per agent,
+        built afresh on every call."""
+        inst = random_lottery_instance(random.Random(71), 4, 4, max_support=2)
+        if women_certain:
+            women = [certain(*entry.support[0][0].ranking) for entry in inst.model.women]
+            inst = lottery_instance(list(inst.model.men), women)
+        return inst
+
+    @pytest.mark.parametrize("women_certain", [True, False])
+    def test_answers_and_tables_survive_every_query(self, women_certain):
+        inst = self.market(women_certain)
+        sizes = [len(entry.support) for entry in inst.entries]
+        assert max(sizes) == 2  # nonzero takes the 2-SAT route
+        assert any(size == 2 for size in sizes[4:]) != women_certain
+        matchings = all_matchings(4, 4, inst.acceptable_men)
+        per_matching = [
+            lambda market, mu: stability_probability(market, mu, cap=None),
+            is_stability_probability_nonzero,
+            lambda market, mu: probability._nonzero_backtracking(market, mu, None),
+            lambda market, mu: estimate_stability_probability(
+                market, mu, "1/4", "1/4", random.Random(3)
+            ),
+        ]
+        for query in per_matching:
+            for mu in matchings:
+                assert query(inst, mu) == query(self.market(women_certain), mu)
+        searches = [most_stable_brute_force]
+        if women_certain:  # all uncertainty sits with the men
+            searches.append(most_stable_constant_uncertain)
+        for search in searches:
+            assert search(inst) == search(self.market(women_certain))
+        unqueried = self.market(women_certain)
+        for entry, twin in zip(inst.entries, unqueried.entries):
+            assert len(entry._beats) == 5  # every woman or man, and None
+            for partner, table in entry._beats.items():
+                assert table == reference_beats(entry, partner)
+            weights = [w for _, w in entry.support]
+            assert entry.scale == math.lcm(*(w.denominator for w in weights))
+            assert [Fraction(n, entry.scale) for n in entry.numerators] == weights
+            assert not twin._beats
+            assert entry == twin and hash(entry) == hash(twin)

@@ -1062,7 +1062,7 @@ class TestAgainstReferenceEngine:
     def one_pick_each(inst, matching) -> bool:
         model = compiled(inst, matching)
         return model is None or (
-            all(len(weights) == 1 for weights in model.weights)
+            all(len(numerators) == 1 for numerators in model.numerators)
             and not any(model.adjacency)
         )
 
@@ -1146,7 +1146,7 @@ class TestAgainstReferenceEngine:
             assert decision == (value > 0)
             assert is_stability_probability_one(inst, matching) == (value == 1)
             model = compiled(inst, matching)
-            told_apart += model is not None and any(len(w) > 1 for w in model.weights)
+            told_apart += model is not None and any(len(n) > 1 for n in model.numerators)
             values.append(value)
         assert sum(0 < v < 1 for v in values) >= 30
         assert sum(v == 0 for v in values) >= 10

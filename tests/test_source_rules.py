@@ -127,6 +127,36 @@ def test_no_function_calls_itself():
     assert found == []
 
 
+def test_lottery_picks_and_scales_are_derived_only_in_models():
+    # AgentLottery holds each agent's pick tables, numerators and scale, so
+    # every query reads the pick rule and the weight scaling written once
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        if path.name == "models.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee, args = node.func, node.args
+            picks = (
+                isinstance(callee, ast.Name)
+                and callee.id == "enumerate"
+                and args
+                and isinstance(args[0], ast.Attribute)
+                and args[0].attr == "support"
+            )
+            lcm = (isinstance(callee, ast.Name) and callee.id == "lcm") or (
+                isinstance(callee, ast.Attribute)
+                and callee.attr == "lcm"
+                and isinstance(callee.value, ast.Name)
+                and callee.value.id == "math"
+            )
+            if picks or lcm:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_traced_layer_resolves_in_the_package():
     # the benchmark's traced pass rebinds these attributes by name, so a
     # renamed or removed one would break the pass or drop its span

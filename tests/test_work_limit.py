@@ -18,7 +18,7 @@ from helpers import (
     lottery_instance,
     order,
 )
-from stableprob import Profile, ResourceLimitError
+from stableprob import Profile, ResourceLimitError, ValidationError
 
 # a single profile in which men and women want opposite things: ten stable
 # matchings, all of them walked on the joint model
@@ -119,3 +119,12 @@ def test_answers_at_the_need_and_refuses_below_it(name):
     message = f"^more than {need - 1} {unit}; raise the cap to proceed$"
     with pytest.raises(ResourceLimitError, match=message):
         call(need - 1)
+
+
+@pytest.mark.parametrize("cap", [True, False, 1.5, -1, [3], "5"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_cap_must_be_none_or_a_nonnegative_int(name, cap):
+    call, _, _ = CASES[name]
+    message = "^the cap must be None or a nonnegative integer$"
+    with pytest.raises(ValidationError, match=message):
+        call(cap)
