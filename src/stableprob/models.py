@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from operator import lt
-from typing import Iterable, Union
+from typing import Container, Iterable, Union
 
 from .core import (
     DEFAULT_CAP,
@@ -579,14 +579,67 @@ def draw_rolls(rng: random.Random, instance: Instance) -> list[float]:
     return [roll() for _ in instance.entries]
 
 
-def draw_shuffles(rng: random.Random, instance: Instance) -> list[list[int]]:
-    """A compact sample's random numbers: every tier of every agent shuffled.
+def _tier_steps(size: int) -> list[tuple[int, int]]:
+    """The draws that shuffle ``size`` tied candidates: for m = size .. 1,
+    ``getrandbits(bits)`` with ``bits = m.bit_length()``, redrawn while the
+    value is at least m."""
+    return [(m, m.bit_length()) for m in range(size, 0, -1)]
 
-    The tiers come by agent id, each agent's best first; singleton tiers
-    are drawn too.
+
+def tie_breaks(instance: Instance, read: Container[int] | None = None):
+    """The compact tie-break rule, compiled once into ``draw(rng)``.
+
+    ``draw`` shuffles every tier of every agent, by agent id and each
+    agent's best tier first, and returns the shuffled tiers in that order.
+    A tier of n takes n draws (``_tier_steps``); draw i picks slot j of the
+    pool of untaken candidates, and the pool's last slot moves into j. These
+    are the ``getrandbits`` calls of CPython's ``rng.sample(tier, n)``,
+    whose pool method every k = n sample takes; a singleton tier consumes
+    ``while getrandbits(1): pass``.
+
+    The stream contract: the lists, the stream and the final state equal
+    ``rng.sample``'s for ``random.Random`` and for a subclass that keeps
+    its ``sample`` and ``_randbelow`` and does not override ``random``
+    without overriding ``getrandbits``; for any other rng the draws may
+    differ from its ``sample``.
+
+    With ``read`` given, only the tiers at those indices are built as
+    lists, and the others are None in the result: their draws run as flat
+    runs of steps that consume the same bits and build nothing.
     """
-    sample = rng.sample
-    return [sample(tier, len(tier)) for weak in instance.entries for tier in weak.tiers]
+    tiers = [tier for weak in instance.entries for tier in weak.tiers]
+    plan = []  # (unread steps before a read tier, its index, tier, steps)
+    run: list[tuple[int, int]] = []
+    for t, tier in enumerate(tiers):
+        if read is None or t in read:
+            plan.append((run, t, tier, _tier_steps(len(tier))))
+            run = []
+        else:
+            run += _tier_steps(len(tier))
+    tail, count = run, len(tiers)
+
+    def draw(rng: random.Random) -> list[list[int] | None]:
+        getrandbits = rng.getrandbits
+        shuffles: list[list[int] | None] = [None] * count
+        for skipped, t, tier, steps in plan:
+            for m, bits in skipped:
+                while getrandbits(bits) >= m:
+                    pass
+            pool = list(tier)
+            shuffle = []
+            for m, bits in steps:
+                j = getrandbits(bits)
+                while j >= m:
+                    j = getrandbits(bits)
+                shuffle.append(pool[j])
+                pool[j] = pool[m - 1]
+            shuffles[t] = shuffle
+        for m, bits in tail:
+            while getrandbits(bits) >= m:
+                pass
+        return shuffles
+
+    return draw
 
 
 def sample_profile(instance: Instance, rng: random.Random) -> Profile:
@@ -601,7 +654,7 @@ def sample_profile(instance: Instance, rng: random.Random) -> Profile:
             for e, roll in zip(instance.entries, rolls)
         ]
     else:
-        shuffles = iter(draw_shuffles(rng, instance))
+        shuffles = iter(tie_breaks(instance)(rng))
         orders = [
             LinearOrder(tuple(c for _ in weak.tiers for c in next(shuffles)))
             for weak in instance.entries

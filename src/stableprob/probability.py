@@ -15,10 +15,10 @@ supports decide nonzero by 2-SAT, and probability one is certain stability.
 
 The Monte Carlo estimator compiles its question once per call too: lottery
 samples draw pick indices and test them against the compiled model's masks,
-and compact samples shuffle tiers and compare only the tied candidates that
-decide a pair; joint samples are tested as whole profiles. Every sample
-draws through the same ``models`` helpers as ``sample_profile``, so seeded
-estimates are those of testing sampled profiles one by one.
+compact samples build only the tiers whose tied candidates decide a pair
+and compare those; joint samples are tested as whole profiles.
+Every sample draws through the same ``models`` rules as ``sample_profile``,
+so seeded estimates are those of testing sampled profiles one by one.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ from .models import (
     LotteryModel,
     as_probability,
     draw_rolls,
-    draw_shuffles,
     _split,
     pick_thresholds,
     sample_profile,
     side_is_certain,
+    tie_breaks,
 )
 from .superstability import is_certainly_stable
 
@@ -491,10 +491,10 @@ def stability_probability_exact(
     components, and the compact pick tables' entries (None for no limit),
     not the number of realizations.
     """
+    budget = Budget(cap, "search nodes")
     if isinstance(instance.model, JointModel):
         return stability_probability_joint(instance, matching)
     instance.validate_matching(matching)
-    budget = Budget(cap, "search nodes")
     return _count(_compile(instance, matching, budget), budget)
 
 
@@ -517,6 +517,7 @@ def stability_probability(
     if method == "joint" and kind != "joint":
         raise ValidationError("method 'joint' requires a joint-model instance")
     if method == "one-side":
+        Budget(cap, "search nodes")  # no search here; still refuse a bad cap
         if kind == "lottery":
             return stability_probability_lottery_one_side_certain(instance, matching)
         if kind == "compact":
@@ -590,9 +591,10 @@ def _compact_sampler(instance: Instance, matching: Matching, rng: random.Random)
     # a pair that needs fewer outcomes blocks more often, so test it first;
     # one that needs none blocks in every extension
     blocks.sort(key=len)
+    draw = tie_breaks(instance, {t for needs in blocks for t, _, _ in needs})
 
     def stable() -> bool:
-        shuffles = draw_shuffles(rng, instance)
+        shuffles = draw(rng)
         for needs in blocks:
             for t, candidate, partner in needs:
                 shuffle = shuffles[t]
@@ -617,15 +619,17 @@ def estimate_stability_probability(
 
     The sample count ceil(ln(2/delta) / (2 epsilon^2)) comes from the
     two-sided Hoeffding bound; more than ``cap`` samples (None for no limit)
-    raise ResourceLimitError before any is drawn. The independent models
-    compile the question once: lottery samples draw each agent's pick index
-    and test it against the compiled model's masks, and compact samples
-    shuffle each tier and compare only the tied candidates that decide a
-    pair. Joint samples test the drawn profile with ``is_stable``. Each
-    sample draws its random numbers with ``sample_profile``'s own helpers
-    (``draw_rolls``, ``draw_shuffles``, ``pick_thresholds``), so the
-    estimate, and the state ``rng`` is left in, are those of testing
-    ``sample_profile`` draws.
+    raise ResourceLimitError before any is drawn. Each model compiles the
+    question once: lottery samples draw each agent's pick index and test it
+    against the compiled model's masks; compact samples build only the
+    tiers that hold a tied candidate some pair compares, compare those
+    candidates, and let every other tier consume the same random bits
+    unbuilt. Joint samples test the drawn profile with ``is_stable``. Every
+    sample draws its random numbers by ``sample_profile``'s own rules
+    (``draw_rolls``, ``tie_breaks``, ``pick_thresholds``), so the estimate,
+    and the state ``rng`` is left in, are those of testing
+    ``sample_profile`` draws. For which rngs a compact tie-break equals
+    ``rng.sample(tier, len(tier))``, see ``tie_breaks``' stream contract.
     """
     eps = as_probability(epsilon)
     err = as_probability(delta)
@@ -757,25 +761,29 @@ def is_stability_probability_nonzero(
     the other routes do not search.
     """
     instance.validate_matching(matching)
-    if isinstance(instance.model, JointModel):
-        for profile, _ in instance.model.profiles:
+    model = instance.model
+    if isinstance(model, LotteryModel) and any(
+        len(entry.support) > 2 for entry in instance.entries
+    ):
+        return _nonzero_backtracking(instance, matching, cap)
+    Budget(cap, "search nodes")  # no route below searches; still refuse a bad cap
+    if isinstance(model, JointModel):
+        for profile, _ in model.profiles:
             if is_stable(profile, matching):
                 return True, profile
         return False, None
-    model = instance.model
     if isinstance(model, CompactModel):
         if not is_weakly_stable(model.men, model.women, matching):
             return False, None
         return True, _verified(_compact_witness(instance, matching), matching)
-    if all(len(entry.support) <= 2 for entry in instance.entries):
-        formula, choices = _nonzero_2sat_parts(instance, matching)
-        assignment = solve_2sat(formula)
-        if assignment is None:
-            return False, None
-        choice = [0] * len(instance.entries)
-        for (agent, i), value in zip(choices, assignment):
-            if value:
-                choice[agent] = i
-        profile = _profile_from_choices(instance, choice)
-        return True, _verified(profile, matching)
-    return _nonzero_backtracking(instance, matching, cap)
+    # a lottery whose supports have at most two orders
+    formula, choices = _nonzero_2sat_parts(instance, matching)
+    assignment = solve_2sat(formula)
+    if assignment is None:
+        return False, None
+    choice = [0] * len(instance.entries)
+    for (agent, i), value in zip(choices, assignment):
+        if value:
+            choice[agent] = i
+    profile = _profile_from_choices(instance, choice)
+    return True, _verified(profile, matching)

@@ -14,7 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DEFAULT_CAP, Matching, _non_index, enumerate_stable_matchings, is_stable
+from .core import (
+    DEFAULT_CAP,
+    Budget,
+    Matching,
+    _non_index,
+    enumerate_stable_matchings,
+    is_stable,
+)
 from .errors import ValidationError
 from .models import (
     Instance,
@@ -196,4 +203,5 @@ def exists_certainly_stable_matching(
             if all(is_stable(profile, candidate) for profile, _ in profiles[1:]):
                 return candidate
         return None
+    Budget(cap, "stable matchings")  # no enumeration here; still refuse a bad cap
     return super_stable_smp(_market(instance))

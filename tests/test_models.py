@@ -7,6 +7,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -62,6 +63,7 @@ from stableprob import (
 )
 from stableprob.core import is_weakly_stable, validate_matching
 from stableprob.jsonio import default_names, instance_to_json, matching_to_json
+from stableprob.models import tie_breaks
 
 COMPLETION_PIN = "57a13e2d27d60e8d54afca201481dd2955d96ed86e54fa6e35d491cc8b8166bd"
 
@@ -739,6 +741,72 @@ class TestSampleProfile:
                     inst, theirs
                 )
             assert ours.getstate() == theirs.getstate()
+
+
+def tied_market(rng: random.Random) -> Instance:
+    """Three men, each with tiers of every size 1-40 in a random order, over
+    820 women who tie all three men."""
+    sizes = list(range(1, 41))
+    candidates = sum(sizes)
+
+    def weak_order() -> WeakOrder:
+        perm = rng.sample(range(candidates), candidates)
+        starts = list(accumulate(rng.sample(sizes, len(sizes)), initial=0))
+        return WeakOrder(tuple(tuple(perm[a:b]) for a, b in zip(starts, starts[1:])))
+
+    men = tuple(weak_order() for _ in range(3))
+    women = (WeakOrder(((0, 1, 2),)),) * candidates
+    return Instance(CompactModel(men=men, women=women))
+
+
+def sampled_tiers(rng: random.Random, inst: Instance) -> list[list[int]]:
+    """Every tier shuffled by ``rng.sample``, in ``tie_breaks``' order."""
+    return [rng.sample(tier, len(tier)) for weak in inst.entries for tier in weak.tiers]
+
+
+# SHA-256 of five draws of tied_market(Random(3)) from Random(2016), and the
+# random() that follows them
+TIE_BREAK_PIN = "96640a5944b2bad130ed008575341c0e82fae42c83333cb24b225f12c907800c"
+
+
+class TestTieBreakRule:
+    """The compact tie-break draws ``rng.sample``'s own ``getrandbits`` calls."""
+
+    def test_equals_rng_sample_for_tier_sizes_1_to_40(self):
+        for seed in range(30):
+            inst = tied_market(random.Random(seed))
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert tie_breaks(inst)(ours) == sampled_tiers(theirs, inst)
+            assert ours.getstate() == theirs.getstate()
+
+    def test_unread_tiers_consume_the_same_bits(self):
+        rng = random.Random(63)
+        for seed in range(30):
+            inst = tied_market(rng)
+            count = sum(len(weak.tiers) for weak in inst.entries)
+            read = set(rng.sample(range(count), rng.randint(0, count)))
+            ours, theirs = random.Random(seed), random.Random(seed)
+            draw = tie_breaks(inst, read)
+            for _ in range(2):
+                expected = sampled_tiers(theirs, inst)
+                assert draw(ours) == [
+                    tier if t in read else None for t, tier in enumerate(expected)
+                ]
+            assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize(
+        "shuffle",
+        [lambda rng, inst: tie_breaks(inst)(rng), sampled_tiers],
+        ids=["tie_breaks", "rng.sample"],
+    )
+    def test_draws_are_pinned(self, shuffle):
+        # an interpreter whose getrandbits or sample differs fails here
+        # instead of silently changing seeded estimates and CLI bytes
+        inst = tied_market(random.Random(3))
+        rng = random.Random(2016)
+        draws = [shuffle(rng, inst) for _ in range(5)]
+        text = json.dumps([draws, rng.random()])
+        assert hashlib.sha256(text.encode()).hexdigest() == TIE_BREAK_PIN
 
 
 class TestCompletion:

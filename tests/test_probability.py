@@ -660,6 +660,54 @@ class TestCompiledEstimator:
             values.add(self.assert_same_as_reference(inst, matching, seed))
         assert len(values) >= 8
 
+    def test_compact_markets_at_real_tie_sizes(self):
+        # n = 8-16 with ties up to 6: singleton tiers, tiers below a partner
+        # that no pair reads, and matchings with a pair that blocks in
+        # every extension (not weakly stable), which needs no tie-break;
+        # strict women keep some probabilities away from 0
+        rng = random.Random(56)
+        values, sizes, unread, blocked = set(), set(), 0, 0
+        for seed in range(16):
+            n_men, n_women = rng.randint(8, 16), rng.randint(8, 16)
+            inst = random_compact_instance(
+                rng, n_men, n_women, max_tie=6, complete=seed % 4 < 2
+            )
+            if seed % 2:
+                women = tuple(
+                    WeakOrder(tuple((c,) for tier in weak.tiers for c in tier))
+                    for weak in inst.model.women
+                )
+                inst = Instance(CompactModel(men=inst.model.men, women=women))
+            matching = self.matching_with_unmatched(rng, inst, seed)
+            sizes |= {len(tier) for weak in inst.entries for tier in weak.tiers}
+            partners = [matching.partner_of_man(m) for m in range(n_men)] + [
+                matching.partner_of_woman(w) for w in range(n_women)
+            ]
+            unread += sum(
+                len(weak.tiers) - 1 - weak.tier_of[p]
+                for weak, p in zip(inst.entries, partners)
+                if p is not None
+            )
+            blocked += not is_stability_probability_nonzero(inst, matching)[0]
+            values.add(self.assert_same_as_reference(inst, matching, seed))
+        assert sizes == set(range(1, 7))
+        assert unread > 0 and blocked > 0
+        assert len(values) >= 4
+
+    def test_joint_markets_with_up_to_twelve_profiles(self):
+        rng = random.Random(57)
+        values, sizes = set(), set()
+        for seed in range(24):
+            n = rng.randint(3, 6)
+            inst = random_joint_instance(
+                rng, n, n, rng.randint(1, 12), complete=seed % 2 == 0
+            )
+            matching = self.matching_with_unmatched(rng, inst, seed)
+            sizes.add(len(inst.model.profiles))
+            values.add(self.assert_same_as_reference(inst, matching, seed))
+        assert 12 in sizes
+        assert len(values) >= 8
+
     def test_within_epsilon_of_exact(self):
         # delta = 1e-6 and fixed seeds: a miss would be a defect, not chance
         eps = Fraction(1, 20)

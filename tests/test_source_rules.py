@@ -157,6 +157,24 @@ def test_lottery_picks_and_scales_are_derived_only_in_models():
     assert found == []
 
 
+def test_only_models_draws_tie_breaks():
+    # the compact tie-break rule lives once, in models.py, so no other
+    # module may reach an rng's getrandbits, sample or shuffle, called or
+    # bound to a name
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        if path.name == "models.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("getrandbits", "sample", "shuffle")
+        ]
+    assert found == []
+
+
 def test_every_traced_layer_resolves_in_the_package():
     # the benchmark's traced pass rebinds these attributes by name, so a
     # renamed or removed one would break the pass or drop its span

@@ -128,3 +128,40 @@ def test_a_cap_must_be_none_or_a_nonnegative_int(name, cap):
     message = "^the cap must be None or a nonnegative integer$"
     with pytest.raises(ValidationError, match=message):
         call(cap)
+
+
+# the routes that never search still check the cap before they dispatch
+TIED = compact_instance([[(0, 1)], [(0, 1)]], [[(0, 1)], [(0, 1)]])
+PAIR = joint_instance([((((0, 1), (1, 0)), ((0, 1), (1, 0))), 1)])
+ROUTES = {
+    "stability_probability_exact joint": lambda cap: (
+        stableprob.stability_probability_exact(PAIR, MU_IDENTITY, cap=cap)
+    ),
+    "is_stability_probability_nonzero compact": lambda cap: (
+        stableprob.is_stability_probability_nonzero(TIED, MU_IDENTITY, cap=cap)
+    ),
+    "is_stability_probability_nonzero joint": lambda cap: (
+        stableprob.is_stability_probability_nonzero(PAIR, MU_IDENTITY, cap=cap)
+    ),
+    "is_stability_probability_nonzero 2-SAT": lambda cap: (
+        stableprob.is_stability_probability_nonzero(
+            example_market(), MU_IDENTITY, cap=cap
+        )
+    ),
+    "stability_probability one-side": lambda cap: stableprob.stability_probability(
+        TWO_FLAKY_MEN, MU_IDENTITY, method="one-side", cap=cap
+    ),
+    "exists_certainly_stable_matching lottery": lambda cap: (
+        stableprob.exists_certainly_stable_matching(example_market(), cap=cap)
+    ),
+}
+
+
+@pytest.mark.parametrize("cap", [1.5, -1, "5", True])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_checks_the_cap(route, cap):
+    call = ROUTES[route]
+    call(None)  # the route itself answers
+    message = "^the cap must be None or a nonnegative integer$"
+    with pytest.raises(ValidationError, match=message):
+        call(cap)
