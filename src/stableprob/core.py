@@ -73,6 +73,12 @@ class Side(Enum):
         return Side.WOMEN if self is Side.MEN else Side.MEN
 
 
+def _check_side(side) -> None:
+    """Refuse anything but a ``Side``; a string such as "men" is not one."""
+    if not isinstance(side, Side):
+        raise ValidationError(f"bad side {side!r}")
+
+
 @dataclass(frozen=True)
 class AgentId:
     """One agent, addressed by side and index within that side."""
@@ -81,8 +87,7 @@ class AgentId:
     index: int
 
     def __post_init__(self):
-        if not isinstance(self.side, Side):
-            raise ValidationError(f"bad side {self.side!r}")
+        _check_side(self.side)
         if _non_index((self.index,)):
             raise ValidationError(f"bad agent index {self.index!r}")
 
@@ -176,11 +181,22 @@ class WeakOrder:
     def is_strict(self) -> bool:
         return all(len(tier) == 1 for tier in self.tiers)
 
-    def strictly_prefers_over_partner(self, candidate: int, partner: int | None) -> bool:
+    def prefers_over_partner(self, candidate: int, partner: int | None) -> bool | None:
+        """Whether ``candidate`` beats the current partner in every linear
+        extension (True), in none (False), or only in those whose tie-break
+        puts it first (None: the two share a tier).
+
+        The truthiness is strict preference, as for ``LinearOrder``:
+        ``partner is None`` means unmatched, which loses to every acceptable
+        candidate, and an unacceptable ``candidate`` never wins.
+        """
         pos = self.tier_of.get(candidate)
         if pos is None:
             return False
-        return partner is None or pos < self.tier_of[partner]
+        if partner is None:
+            return True
+        theirs = self.tier_of[partner]
+        return None if pos == theirs else pos < theirs
 
     def count_linear_extensions(self) -> int:
         return math.prod(math.factorial(len(tier)) for tier in self.tiers)
@@ -357,6 +373,7 @@ def deferred_acceptance(lists: dict[int, list[int]], ranks) -> dict[int, int]:
 
 def gale_shapley(profile: Profile, proposing_side: Side = Side.MEN) -> Matching:
     """Deferred acceptance; returns the proposing side's optimal stable matching."""
+    _check_side(proposing_side)
     if proposing_side is Side.MEN:
         proposers, receivers = profile.men, profile.women
     else:
@@ -484,6 +501,6 @@ def is_weakly_stable(
         limit = len(order.tiers) if mu_m is None else order.tier_of[mu_m]
         for tier in order.tiers[:limit]:
             for w in tier:
-                if women[w].strictly_prefers_over_partner(m, matching.partner_of_woman(w)):
+                if women[w].prefers_over_partner(m, matching.partner_of_woman(w)):
                     return False
     return True

@@ -36,6 +36,7 @@ from .core import (
     Side,
     WeakOrder,
     _check_matching,
+    _check_side,
     _is_row,
     charge,
 )
@@ -506,6 +507,7 @@ def certain_order(instance: Instance, agent: AgentId) -> LinearOrder | None:
 
 
 def side_is_certain(instance: Instance, side: Side) -> bool:
+    _check_side(side)
     flags, n_men = instance.uncertain, instance.n_men
     return not any(flags[:n_men] if side is Side.MEN else flags[n_men:])
 

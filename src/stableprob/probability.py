@@ -103,11 +103,15 @@ class TwoSatInstance:
 
 
 def _tarjan_scc(graph: list[list[int]]) -> list[int]:
-    """Component ids in reverse topological order (sinks get smaller ids)."""
+    """Component ids in reverse topological order (sinks get smaller ids).
+
+    The work stack holds each open node with an iterator over its edges. A
+    node is on Tarjan's stack exactly while it is indexed and has no
+    component yet.
+    """
     n = len(graph)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     comp = [-1] * n
     stack: list[int] = []
     counter = 0
@@ -115,27 +119,26 @@ def _tarjan_scc(graph: list[list[int]]) -> list[int]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(graph[root]))]
         while work:
-            node, edge_i = work[-1]
-            if edge_i == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            if edge_i < len(graph[node]):
-                work[-1] = (node, edge_i + 1)
-                child = graph[node][edge_i]
+            node, edges = work[-1]
+            for child in edges:
                 if index[child] == -1:
-                    work.append((child, 0))
-                elif on_stack[child]:
-                    low[node] = min(low[node], index[child])
+                    index[child] = low[child] = counter
+                    counter += 1
+                    stack.append(child)
+                    work.append((child, iter(graph[child])))
+                    break
+                if comp[child] == -1 and index[child] < low[node]:
+                    low[node] = index[child]
             else:
                 work.pop()
                 if low[node] == index[node]:
                     while True:
                         member = stack.pop()
-                        on_stack[member] = False
                         comp[member] = comp_count
                         if member == node:
                             break
@@ -150,13 +153,11 @@ def solve_2sat(formula: TwoSatInstance) -> list[bool] | None:
     """A satisfying assignment of the formula, or None if unsatisfiable."""
     n = formula.num_variables
     graph: list[list[int]] = [[] for _ in range(2 * n)]
-
-    def node(variable: int, polarity: bool) -> int:
-        return 2 * variable + (0 if polarity else 1)
-
+    # literal (v, polarity) is node 2 * v + (not polarity); its negation is
+    # node 2 * v + polarity, and each clause gives two implications
     for (v1, p1), (v2, p2) in formula.clauses:
-        graph[node(v1, not p1)].append(node(v2, p2))
-        graph[node(v2, not p2)].append(node(v1, p1))
+        graph[2 * v1 + p1].append(2 * v2 + (not p2))
+        graph[2 * v2 + p2].append(2 * v1 + (not p1))
     comp = _tarjan_scc(graph)
     assignment = []
     for variable in range(n):
@@ -192,16 +193,6 @@ class _Model(NamedTuple):
     numerators: list  # per agent, each pick's weight times the agent's scale
     denominator: int  # product of the agents' scales
     free_product: int  # scaled allowed weight of the unconstrained agents
-
-
-def _tie_side(weak, candidate: int, partner: int | None) -> bool | None:
-    """Whether an agent with this weak order prefers the candidate to its
-    partner: True in every linear extension, False in none, None when the
-    two share a tier and the tie-break decides."""
-    if partner is None:
-        return True
-    mine, theirs = weak.tier_of[candidate], weak.tier_of[partner]
-    return None if mine == theirs else mine < theirs
 
 
 def allowed_mass(numerators: list[int], bits: int) -> int:
@@ -275,7 +266,7 @@ def _pick_tables(instance: Instance, matching: Matching, budget: Budget):
         tier = entry.tier_of[partner]
         undecided, r = [], 0
         for mate in entry.tiers[tier]:
-            side = _tie_side(entries[base + mate], me, partners[base + mate])
+            side = entries[base + mate].prefers_over_partner(me, partners[base + mate])
             if mate != partner and side is not False:
                 r += 1
                 if side is None:
@@ -430,25 +421,7 @@ def stability_probability_joint(instance: Instance, matching: Matching) -> Fract
     """Total weight of the profiles in which the matching is stable."""
     if not isinstance(instance.model, JointModel):
         raise ValidationError("requires a joint-model instance")
-    instance.validate_matching(matching)
-    return sum(
-        (
-            weight
-            for profile, weight in instance.model.profiles
-            if is_stable(profile, matching)
-        ),
-        Fraction(0),
-    )
-
-
-def _one_side_certain(instance, matching, kind: str, certain: str) -> Fraction:
-    if instance.kind != kind:
-        raise ValidationError(f"requires a {kind}-model instance")
-    instance.validate_matching(matching)
-    if not any(side_is_certain(instance, side) for side in Side):
-        raise ValidationError(f"requires one side with {certain} preferences")
-    budget = Budget(None, "search nodes")
-    return _count(_compile(instance, matching, budget), budget)
+    return stability_probability(instance, matching, method="joint", cap=None)
 
 
 def stability_probability_lottery_one_side_certain(
@@ -462,7 +435,9 @@ def stability_probability_lottery_one_side_certain(
     block independently, and the answer is the product of each agent's
     remaining weight: the compiled model's free product.
     """
-    return _one_side_certain(instance, matching, "lottery", "certain")
+    if not isinstance(instance.model, LotteryModel):
+        raise ValidationError("requires a lottery-model instance")
+    return stability_probability(instance, matching, method="one-side", cap=None)
 
 
 def stability_probability_compact_one_side_certain(
@@ -475,27 +450,18 @@ def stability_probability_compact_one_side_certain(
     model's free product, with a factor 1/(k+1) for k interested candidates
     tied with a partner and zero for one in a better tier.
     """
-    return _one_side_certain(instance, matching, "compact", "strict")
+    if not isinstance(instance.model, CompactModel):
+        raise ValidationError("requires a compact-model instance")
+    return stability_probability(instance, matching, method="one-side", cap=None)
 
 
 def stability_probability_exact(
     instance: Instance, matching: Matching, cap: int | None = DEFAULT_CAP
 ) -> Fraction:
-    """Exact stability probability for any model.
-
-    Independent models are summed over the agents' picks in integer
-    arithmetic over a common denominator. Always-blocking picks are deleted
-    up front, agents untouched by two-sided constraints contribute a closed
-    factor, and the rest are searched one connected component at a time.
-    ``cap`` bounds the search nodes entered, the root included, over all
-    components, and the compact pick tables' entries (None for no limit),
-    not the number of realizations.
-    """
-    budget = Budget(cap, "search nodes")
-    if isinstance(instance.model, JointModel):
-        return stability_probability_joint(instance, matching)
-    instance.validate_matching(matching)
-    return _count(_compile(instance, matching, budget), budget)
+    """Exact stability probability for any model: ``stability_probability``
+    with method "exact", whose ``cap`` bounds the search nodes entered and
+    the compact pick tables' entries (None for no limit)."""
+    return stability_probability(instance, matching, method="exact", cap=cap)
 
 
 def stability_probability(
@@ -506,24 +472,40 @@ def stability_probability(
 ) -> Fraction:
     """Exact stability probability, dispatching on the model.
 
-    Methods: "auto" and "exact" run ``stability_probability_exact``, whose
-    ``cap`` bounds search nodes; "one-side" forces the one-side-certain
-    closed forms and "joint" the profile sum, neither of which searches.
-    Forcing an inapplicable method raises ValidationError.
+    A joint model sums the weights of the profiles in which the matching
+    is stable. Independent models are summed over the agents' picks in
+    integer arithmetic over a common denominator: always-blocking picks
+    are deleted up front, agents untouched by two-sided constraints
+    contribute a closed factor, and the rest are searched one connected
+    component at a time. ``cap`` bounds the search nodes entered, the root
+    included, over all components, and the compact pick tables' entries
+    (None for no limit), not the number of realizations.
+
+    Methods: "auto" and "exact" dispatch as above. "joint" requires a
+    joint model. "one-side" requires an independent model with one side
+    certain (lottery) or strict (compact); every pair is then a deletion,
+    so the answer is the compiled model's free product and nothing is
+    searched: the cap is checked but not charged. Forcing an inapplicable
+    method raises ValidationError.
     """
     if method not in ("auto", "exact", "one-side", "joint"):
         raise ValidationError(f"unknown method {method!r}")
-    kind = instance.kind
-    if method == "joint" and kind != "joint":
+    joint = isinstance(instance.model, JointModel)
+    if method == "joint" and not joint:
         raise ValidationError("method 'joint' requires a joint-model instance")
-    if method == "one-side":
-        Budget(cap, "search nodes")  # no search here; still refuse a bad cap
-        if kind == "lottery":
-            return stability_probability_lottery_one_side_certain(instance, matching)
-        if kind == "compact":
-            return stability_probability_compact_one_side_certain(instance, matching)
+    budget = Budget(cap, "search nodes")
+    if method == "one-side" and joint:
         raise ValidationError("method 'one-side' requires an independent model")
-    return stability_probability_exact(instance, matching, cap=cap)
+    instance.validate_matching(matching)
+    if joint:
+        profiles = instance.model.profiles
+        return sum((w for p, w in profiles if is_stable(p, matching)), Fraction(0))
+    if method == "one-side":
+        if not any(side_is_certain(instance, side) for side in Side):
+            certain = "certain" if instance.kind == "lottery" else "strict"
+            raise ValidationError(f"requires one side with {certain} preferences")
+        budget = Budget(None, "search nodes")
+    return _count(_compile(instance, matching, budget), budget)
 
 
 def _lottery_sampler(instance: Instance, matching: Matching, rng: random.Random):
@@ -580,7 +562,7 @@ def _compact_sampler(instance: Instance, matching: Matching, rng: random.Random)
             sides = ((m, w, partner_m), (n_men + w, m, partner_w))
             needs = []
             for agent, candidate, partner in sides:
-                side = _tie_side(weak_orders[agent], candidate, partner)
+                side = weak_orders[agent].prefers_over_partner(candidate, partner)
                 if side is False:
                     break
                 if side is None:  # the shuffle of that tier decides
@@ -757,7 +739,7 @@ def is_stability_probability_nonzero(
     instances with binary supports go through 2-SAT, and larger supports
     search the compiled model for its first allowed assignment. ``cap``
     bounds that search's nodes entered, the root included, over all
-    components, as in ``stability_probability_exact`` (None for no limit);
+    components, as in ``stability_probability`` (None for no limit);
     the other routes do not search.
     """
     instance.validate_matching(matching)

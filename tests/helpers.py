@@ -187,6 +187,100 @@ def truth_table_count(formula: TwoSatInstance) -> int:
     return count
 
 
+# -- reference 2-SAT solver ---------------------------------------------------
+#
+# The solver's earlier Tarjan loop, which keeps (node, next edge index) on
+# its work stack and an explicit on-stack flag per node, and the literal
+# numbering it was called with.
+
+
+def reference_tarjan_scc(graph: list[list[int]]) -> list[int]:
+    """Component ids in reverse topological order (sinks get smaller ids)."""
+    n = len(graph)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = 0
+    comp_count = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, edge_i = work[-1]
+            if edge_i == 0:
+                index[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack[node] = True
+            if edge_i < len(graph[node]):
+                work[-1] = (node, edge_i + 1)
+                child = graph[node][edge_i]
+                if index[child] == -1:
+                    work.append((child, 0))
+                elif on_stack[child]:
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        comp[member] = comp_count
+                        if member == node:
+                            break
+                    comp_count += 1
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+    return comp
+
+
+def reference_solve_2sat(formula: TwoSatInstance) -> list[bool] | None:
+    """``solve_2sat`` over ``reference_tarjan_scc``."""
+    n = formula.num_variables
+    graph: list[list[int]] = [[] for _ in range(2 * n)]
+
+    def node(variable: int, polarity: bool) -> int:
+        return 2 * variable + (0 if polarity else 1)
+
+    for (v1, p1), (v2, p2) in formula.clauses:
+        graph[node(v1, not p1)].append(node(v2, p2))
+        graph[node(v2, not p2)].append(node(v1, p1))
+    comp = reference_tarjan_scc(graph)
+    assignment = []
+    for variable in range(n):
+        positive, negative = comp[2 * variable], comp[2 * variable + 1]
+        if positive == negative:
+            return None
+        assignment.append(positive < negative)
+    return assignment
+
+
+def random_graph(rng, max_nodes: int, max_edges: int) -> list[list[int]]:
+    """A random digraph as adjacency lists, self-loops, repeated edges and
+    isolated nodes allowed; it may have no node at all."""
+    n = rng.randint(0, max_nodes)
+    graph: list[list[int]] = [[] for _ in range(n)]
+    for _ in range(rng.randint(0, max_edges) if n else 0):
+        graph[rng.randrange(n)].append(rng.randrange(n))
+    return graph
+
+
+# -- reference tie test --------------------------------------------------------
+
+
+def reference_strictly_prefers(weak: WeakOrder, candidate: int, partner) -> bool:
+    """Strict preference of ``candidate`` over the partner (None: unmatched)
+    under a weak order, as ``WeakOrder`` once tested it."""
+    pos = weak.tier_of.get(candidate)
+    if pos is None:
+        return False
+    return partner is None or pos < weak.tier_of[partner]
+
+
 # -- reference clause reduction ----------------------------------------------
 #
 # The count2sat gadget's earlier clause reduction, kept as an oracle for the

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_has_block, order, reference_stable_matchings
+from helpers import (
+    naive_has_block,
+    order,
+    reference_stable_matchings,
+    reference_strictly_prefers,
+)
 from stableprob import (
     AgentId,
     LinearOrder,
@@ -142,6 +147,33 @@ class TestWeakOrder:
         assert WeakOrder(((1,), (0,))).is_strict()
         assert not WeakOrder(((0, 1),)).is_strict()
 
+    @given(st.data())
+    def test_prefers_over_partner_is_a_tier_comparison(self, data):
+        ranking = data.draw(st.permutations(list(range(6))))
+        cuts = data.draw(st.sets(st.integers(1, 5)))
+        bounds = [0, *sorted(cuts), 6]
+        tiers = [ranking[a:b] for a, b in zip(bounds, bounds[1:])]
+        tiers = tiers[: data.draw(st.integers(0, len(tiers)))]
+        weak = WeakOrder(tuple(tuple(tier) for tier in tiers))
+        listed = [c for tier in tiers for c in tier]
+        tier = {c: i for i, members in enumerate(tiers) for c in members}
+        for partner in [None, *listed]:
+            for candidate in range(7):  # 6 is never listed
+                got = weak.prefers_over_partner(candidate, partner)
+                if candidate not in tier:
+                    expected = False
+                elif partner is None:
+                    expected = True
+                elif tier[candidate] == tier[partner]:
+                    expected = None
+                else:
+                    expected = tier[candidate] < tier[partner]
+                assert got is expected
+                assert bool(got) == reference_strictly_prefers(weak, candidate, partner)
+                if weak.is_strict():
+                    strict = LinearOrder(tuple(listed))
+                    assert bool(got) == strict.prefers_over_partner(candidate, partner)
+
 
 class TestAgentId:
     @pytest.mark.parametrize("idx", [True, False])
@@ -268,6 +300,11 @@ class TestGaleShapley:
             )
             for side in (Side.MEN, Side.WOMEN):
                 assert is_stable(profile, gale_shapley(profile, side))
+
+    @pytest.mark.parametrize("side", ["men", "women", None, 0])
+    def test_a_proposing_side_must_be_a_side(self, side):
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'bad side {side!r}')}$"):
+            gale_shapley(POLARIZED, side)
 
     def test_proposing_side_gets_its_optimum(self):
         rng = random.Random(13)

@@ -515,6 +515,16 @@ class TestUncertainAgents:
         assert side_is_certain(inst, Side.MEN)
         assert not side_is_certain(inst, Side.WOMEN)
 
+    @pytest.mark.parametrize("side", ["men", "women", None])
+    def test_side_is_certain_refuses_a_non_side(self, side):
+        # the women are certain and the men are not
+        inst = lottery_instance(
+            men=(lottery(((0, 1), "1/2"), ((1, 0), "1/2")), certain(1, 0)),
+            women=(certain(0, 1), certain(1, 0)),
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'bad side {side!r}')}$"):
+            side_is_certain(inst, side)
+
     def test_agree_with_the_count_of_realizable_orders(self):
         rng = random.Random(61)
         makers = (random_lottery_instance, random_compact_instance, random_joint_instance)

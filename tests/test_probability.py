@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from helpers import (
     order,
     random_compact_instance,
     random_formula,
+    random_graph,
     random_joint_instance,
     random_lottery_instance,
     random_maximal_matching,
@@ -34,6 +36,8 @@ from helpers import (
     reference_first_witness,
     reference_lottery_one_side,
     reference_search_size,
+    reference_solve_2sat,
+    reference_tarjan_scc,
     tied_instance,
     truth_table_count,
 )
@@ -157,6 +161,19 @@ class TestSolve2Sat:
             assert truth_table_count(formula) == 0
         else:
             assert satisfies(formula, assignment)
+
+    def test_component_ids_match_the_reference_loop(self):
+        assert probability._tarjan_scc([]) == reference_tarjan_scc([]) == []
+        rng = random.Random(2025)
+        for _ in range(3000):
+            graph = random_graph(rng, max_nodes=12, max_edges=30)
+            assert probability._tarjan_scc(graph) == reference_tarjan_scc(graph)
+
+    def test_assignments_match_the_reference_solver(self):
+        rng = random.Random(2026)
+        for _ in range(1000):
+            formula = random_formula(rng, max_vars=30, max_clauses=60)
+            assert solve_2sat(formula) == reference_solve_2sat(formula)
 
 
 class TestJointProbability:
@@ -459,6 +476,87 @@ class TestDispatch:
             matching = random_maximal_matching(rng, inst)
             value = stability_probability(inst, matching)
             assert 0 <= value <= 1
+
+
+def raises_exactly(error, message: str):
+    return pytest.raises(error, match=f"^{re.escape(message)}$")
+
+
+CAP_ERROR = "the cap must be None or a nonnegative integer"
+OUT_OF_RANGE = Matching.from_pairs([(0, 5)])
+# men certain, w1 uncertain: (m0, w1) blocks the identity under her order (0, 1)
+ONE_SIDE_LOTTERY = lottery_instance(
+    men=[certain(1, 0), certain(0, 1)],
+    women=[certain(0, 1), lottery(((0, 1), "1/2"), ((1, 0), "1/2"))],
+)
+TIED_BOTH_SIDES = compact_instance(
+    men_tiers=[[[0, 1]], [[0], [1]]],
+    women_tiers=[[[0, 1]], [[0], [1]]],
+)
+
+
+class TestErrorPrecedence:
+    """Which check fires first when an exact query breaks several rules."""
+
+    def test_the_method_before_the_cap(self):
+        with raises_exactly(ValidationError, "unknown method 'magic'"):
+            stability_probability(example_market(), MU_IDENTITY, method="magic", cap="x")
+
+    def test_a_joint_method_on_a_lottery_before_the_cap(self):
+        with raises_exactly(
+            ValidationError, "method 'joint' requires a joint-model instance"
+        ):
+            stability_probability(example_market(), MU_IDENTITY, method="joint", cap="x")
+
+    def test_the_cap_before_a_one_side_method_on_a_joint_model(self):
+        joint = lottery_to_joint(example_market())
+        with raises_exactly(ValidationError, CAP_ERROR):
+            stability_probability(joint, MU_IDENTITY, method="one-side", cap="x")
+        with raises_exactly(
+            ValidationError, "method 'one-side' requires an independent model"
+        ):
+            stability_probability(joint, OUT_OF_RANGE, method="one-side")
+
+    def test_the_matching_before_the_one_side_precondition(self):
+        with raises_exactly(ValidationError, "pair (0, 5) references unknown agents"):
+            stability_probability(example_market(), OUT_OF_RANGE, method="one-side")
+        with raises_exactly(
+            ValidationError, "requires one side with certain preferences"
+        ):
+            stability_probability(example_market(), MU_IDENTITY, method="one-side")
+
+    def test_one_side_checks_the_cap_without_charging_it(self):
+        value = stability_probability(
+            ONE_SIDE_LOTTERY, MU_IDENTITY, method="one-side", cap=0
+        )
+        assert value == Fraction(1, 2)
+        with raises_exactly(
+            ResourceLimitError, "more than 0 search nodes; raise the cap to proceed"
+        ):
+            stability_probability(ONE_SIDE_LOTTERY, MU_IDENTITY, cap=0)
+
+    def test_exact_checks_the_cap_before_a_joint_matching(self):
+        joint = lottery_to_joint(example_market())
+        with raises_exactly(ValidationError, CAP_ERROR):
+            stability_probability_exact(joint, OUT_OF_RANGE, cap="x")
+
+    def test_the_wrappers_check_the_model_before_the_matching(self):
+        with raises_exactly(ValidationError, "requires a joint-model instance"):
+            stability_probability_joint(example_market(), OUT_OF_RANGE)
+        compact = compact_instance([[[0]], [[1]]], [[[0]], [[1]]])
+        with raises_exactly(ValidationError, "requires a lottery-model instance"):
+            stability_probability_lottery_one_side_certain(compact, OUT_OF_RANGE)
+        with raises_exactly(ValidationError, "requires a compact-model instance"):
+            stability_probability_compact_one_side_certain(
+                example_market(), OUT_OF_RANGE
+            )
+
+    def test_compact_one_side_names_strict_preferences(self):
+        message = "requires one side with strict preferences"
+        with raises_exactly(ValidationError, message):
+            stability_probability_compact_one_side_certain(TIED_BOTH_SIDES, MU_IDENTITY)
+        with raises_exactly(ValidationError, message):
+            stability_probability(TIED_BOTH_SIDES, MU_IDENTITY, method="one-side")
 
 
 class TestEstimate:
