@@ -208,6 +208,21 @@ class WeakOrder:
             yield LinearOrder(tuple(idx for block in combo for idx in block))
 
 
+def _check_lists(men: Sequence, women: Sequence, kind: type, listed: str) -> None:
+    """Reject a preference that is not a ``kind``, and a candidate outside
+    the other side; each order's attribute ``listed`` yields its candidates,
+    best first, so the first such candidate is the one named."""
+    for label, orders, limit in (("man", men, len(women)), ("woman", women, len(men))):
+        for i, order in enumerate(orders):
+            if not isinstance(order, kind):
+                raise ValidationError(f"{label} {i} has a non-order preference")
+            for idx in getattr(order, listed):
+                if idx >= limit:
+                    raise ValidationError(
+                        f"{label} {i} ranks out-of-range candidate {idx}"
+                    )
+
+
 @dataclass(frozen=True)
 class Profile:
     """One strict preference list per agent on each side: a realization."""
@@ -218,19 +233,7 @@ class Profile:
     def __post_init__(self):
         object.__setattr__(self, "men", tuple(self.men))
         object.__setattr__(self, "women", tuple(self.women))
-        checks = (
-            ("man", self.men, len(self.women)),
-            ("woman", self.women, len(self.men)),
-        )
-        for label, orders, limit in checks:
-            for i, order in enumerate(orders):
-                if not isinstance(order, LinearOrder):
-                    raise ValidationError(f"{label} {i} has a non-order preference")
-                for idx in order.ranking:
-                    if idx >= limit:
-                        raise ValidationError(
-                            f"{label} {i} ranks out-of-range candidate {idx}"
-                        )
+        _check_lists(self.men, self.women, LinearOrder, "ranking")
 
     @property
     def n_men(self) -> int:
@@ -495,6 +498,7 @@ def is_weakly_stable(
     Ties never block: a pair where either member is merely indifferent is not
     weakly blocking.
     """
+    _check_lists(men, women, WeakOrder, "tier_of")
     _check_matching([o.tier_of for o in men], [o.tier_of for o in women], matching)
     for m, order in enumerate(men):
         mu_m = matching.partner_of_man(m)

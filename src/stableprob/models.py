@@ -22,8 +22,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from operator import lt
+from itertools import accumulate, product
+from operator import attrgetter, lt
 from typing import Container, Iterable, Union
 
 from .core import (
@@ -37,6 +37,7 @@ from .core import (
     WeakOrder,
     _check_matching,
     _check_side,
+    _is_integer,
     _is_row,
     charge,
 )
@@ -96,34 +97,6 @@ def format_probability(prob: Fraction) -> str:
     return f"{prob.numerator}/{prob.denominator}" if prob.denominator != 1 else str(prob.numerator)
 
 
-def _merged_support(support, entry_type: type, label: str) -> dict:
-    """The (entry, weight) pairs of ``support`` with equal entries' weights
-    summed. ``support`` must be a list or tuple of such pairs, every entry
-    an ``entry_type`` with a positive weight, and the weights must sum to
-    exactly 1; ``label`` names the support in the errors."""
-    if not isinstance(support, (list, tuple)) or not all(
-        _is_row(item, 2) for item in support
-    ):
-        raise ValidationError(
-            f"{label} support must be an array of (entry, weight) pairs"
-        )
-    merged: dict = {}
-    for entry, weight in support:
-        if not isinstance(entry, entry_type):
-            raise ValidationError(
-                f"{label} support must contain {entry_type.__name__} entries"
-            )
-        weight = as_probability(weight)
-        if weight == 0:
-            raise ValidationError(f"{label} weights must be positive")
-        merged[entry] = merged.get(entry, Fraction(0)) + weight
-    if not merged:
-        raise ValidationError(f"empty {label} support")
-    if sum(merged.values()) != ONE:
-        raise ValidationError(f"{label} weights must sum to exactly 1")
-    return merged
-
-
 @dataclass(frozen=True)
 class AgentLottery:
     """One agent's distribution over strict orders.
@@ -132,33 +105,25 @@ class AgentLottery:
     sorted by ranking for canonical equality. All orders must list the same
     candidate set, so acceptability is certain even when the order is not.
 
-    Every query reads the agent through three derived values, kept on the
-    object outside its equality, hash and repr: ``scale``, the lcm of the
-    weights' denominators; ``numerators``, each weight times ``scale``;
-    and ``beats(partner)``, the agent's pick table against one partner,
-    built on the first query with that partner. The agent keeps at most
-    one table per partner, so at most (candidates + 1) tables. A table is
-    shared by every caller, and no caller may mutate it.
+    Every query reads the agent through the support's weight record (see
+    ``_set_support``: ``scale``, ``numerators`` and ``thresholds``) and
+    through ``beats(partner)``, the agent's pick table against one partner,
+    built on the first query with that partner; all are kept on the object
+    outside its equality, hash and repr. The agent keeps at most one table
+    per partner, so at most (candidates + 1) tables. A table is shared by
+    every caller, and no caller may mutate it.
     """
 
     support: tuple[tuple[LinearOrder, Fraction], ...]
     scale: int = field(init=False, repr=False, compare=False)
     numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    thresholds: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _beats: dict = field(init=False, repr=False, compare=False)  # partner -> table
 
     def __post_init__(self):
-        merged = _merged_support(self.support, LinearOrder, "lottery")
-        candidate_sets = {order.candidates for order in merged}
-        if len(candidate_sets) != 1:
+        _set_support(self, "support", LinearOrder, "lottery", attrgetter("ranking"))
+        if len({order.candidates for order, _ in self.support}) != 1:
             raise ValidationError("all support orders must rank the same candidates")
-        canonical = tuple(sorted(merged.items(), key=lambda item: item[0].ranking))
-        object.__setattr__(self, "support", canonical)
-        # set here, not as cached properties: through Python 3.11 those take
-        # a lock on first use, which costs more than the lcm itself
-        scale = math.lcm(*(w.denominator for _, w in canonical))
-        numerators = tuple(w.numerator * (scale // w.denominator) for _, w in canonical)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "_beats", {})
 
     def beats(self, partner: int | None) -> dict[int, int]:
@@ -186,16 +151,67 @@ class AgentLottery:
         return len(self.support) == 1
 
 
-def _set_sides(model, entry_type: type, label: str) -> None:
+def _set_sides(model, kinds: tuple[type, ...], label: str) -> None:
     """Store ``model``'s two sides as tuples, once every entry is checked to
-    be an ``entry_type``; ``label`` names the model in the error."""
+    be one of ``kinds``; ``label`` names the model and ``kinds[0]`` the
+    entry type in the error."""
     for side in ("men", "women"):
         entries = tuple(getattr(model, side))
-        if not all(isinstance(entry, entry_type) for entry in entries):
+        if not all(isinstance(entry, kinds) for entry in entries):
             raise ValidationError(
-                f"{label} model entries must be of type {entry_type.__name__}"
+                f"{label} model entries must be of type {kinds[0].__name__}"
             )
         object.__setattr__(model, side, entries)
+
+
+def _set_support(owner, name: str, entry_type: type, label: str, key) -> None:
+    """Store ``owner``'s weighted support, its attribute ``name``, as the
+    (entry, weight) pairs with equal entries' weights summed, sorted by
+    ``key(entry)``, and with it the support's weight record:
+
+    - ``scale``, the lcm of the weights' denominators;
+    - ``numerators``, each weight times ``scale``;
+    - ``thresholds``, the running float sums of the weights, the last one
+      dropped. A roll picks entry ``bisect_right(thresholds, roll)``: the
+      first whose running sum exceeds it, else the last. Every weighted
+      draw in the package maps its ``rng.random()`` through these.
+
+    The support must be a list or tuple of such pairs, every entry an
+    ``entry_type`` with a positive weight, and the weights must sum to
+    exactly 1; ``label`` names the support in the errors.
+    """
+    support = getattr(owner, name)
+    if not isinstance(support, (list, tuple)) or not all(
+        _is_row(item, 2) for item in support
+    ):
+        raise ValidationError(
+            f"{label} support must be an array of (entry, weight) pairs"
+        )
+    merged: dict = {}
+    for entry, weight in support:
+        if not isinstance(entry, entry_type):
+            raise ValidationError(
+                f"{label} support must contain {entry_type.__name__} entries"
+            )
+        weight = as_probability(weight)
+        if weight == 0:
+            raise ValidationError(f"{label} weights must be positive")
+        merged[entry] = merged.get(entry, 0) + weight
+    if not merged:
+        raise ValidationError(f"empty {label} support")
+    pairs = tuple(sorted(merged.items(), key=lambda item: key(item[0])))
+    # set here, not as cached properties: through Python 3.11 those take a
+    # lock on first use, which costs more than the lcm itself
+    scale = math.lcm(*(w.denominator for _, w in pairs))
+    numerators = tuple(w.numerator * (scale // w.denominator) for _, w in pairs)
+    if sum(numerators) != scale:
+        raise ValidationError(f"{label} weights must sum to exactly 1")
+    # n / scale is float(weight): both round the same rational correctly
+    thresholds = tuple(accumulate(n / scale for n in numerators))[:-1]
+    object.__setattr__(owner, name, pairs)
+    object.__setattr__(owner, "scale", scale)
+    object.__setattr__(owner, "numerators", numerators)
+    object.__setattr__(owner, "thresholds", thresholds)
 
 
 @dataclass(frozen=True)
@@ -204,7 +220,7 @@ class LotteryModel:
     women: tuple[AgentLottery, ...]
 
     def __post_init__(self):
-        _set_sides(self, AgentLottery, "lottery")
+        _set_sides(self, (AgentLottery,), "lottery")
 
 
 @dataclass(frozen=True)
@@ -213,32 +229,33 @@ class CompactModel:
     women: tuple[WeakOrder, ...]
 
     def __post_init__(self):
-        _set_sides(self, WeakOrder, "compact")
+        _set_sides(self, (WeakOrder,), "compact")
 
 
 @dataclass(frozen=True)
 class JointModel:
-    """A distribution over whole profiles; the one dependent model."""
+    """A distribution over whole profiles; the one dependent model.
+
+    Duplicate profiles are merged and the profiles stored sorted by their
+    rankings, with the weight record of ``_set_support`` kept outside
+    equality, hash and repr, as for ``AgentLottery``.
+    """
 
     profiles: tuple[tuple[Profile, Fraction], ...]
+    scale: int = field(init=False, repr=False, compare=False)
+    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    thresholds: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        merged = _merged_support(self.profiles, Profile, "joint")
-        shapes = {(p.n_men, p.n_women) for p in merged}
-        if len(shapes) != 1:
+        def key(profile: Profile) -> tuple:
+            return tuple(order.ranking for order in profile.men + profile.women)
+
+        _set_support(self, "profiles", Profile, "joint", key)
+        if len({(p.n_men, p.n_women) for p, _ in self.profiles}) != 1:
             raise ValidationError("all profiles must have the same agent counts")
-        first = next(iter(merged))
-        for profile in merged:
-            pairs = zip(profile.men + profile.women, first.men + first.women)
-            if any(a.candidates != b.candidates for a, b in pairs):
-                raise ValidationError("acceptability must not vary across profiles")
-        canonical = tuple(
-            sorted(
-                merged.items(),
-                key=lambda item: tuple(o.ranking for o in item[0].men + item[0].women),
-            )
-        )
-        object.__setattr__(self, "profiles", canonical)
+        lists = {tuple(o.candidates for o in p.men + p.women) for p, _ in self.profiles}
+        if len(lists) != 1:
+            raise ValidationError("acceptability must not vary across profiles")
 
 
 ModelPayload = Union[LotteryModel, CompactModel, JointModel]
@@ -378,22 +395,33 @@ class PartialOrder:
 
     ``strictly_before`` holds (a, b) pairs meaning a is ranked above b in
     every realization. Irreflexivity, antisymmetry, and transitivity are
-    validated on construction.
+    validated on construction. A candidate is an int (a bool is not one);
+    each pair may be a list or tuple and is stored as a tuple.
     """
 
     candidates: frozenset[int]
     strictly_before: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        object.__setattr__(self, "candidates", frozenset(self.candidates))
-        object.__setattr__(self, "strictly_before", frozenset(self.strictly_before))
+        candidates = frozenset(self.candidates)
+        for c in candidates:
+            if not _is_integer(c):
+                raise ValidationError(f"bad candidate index {c!r}")
         succ: dict[int, set[int]] = {}
-        for a, b in self.strictly_before:
-            if a not in self.candidates or b not in self.candidates:
+        for pair in self.strictly_before:
+            if not _is_row(pair, 2):
+                raise ValidationError(
+                    "each relation entry must be a (better, worse) pair"
+                )
+            a, b = pair
+            if not all(_is_integer(x) and x in candidates for x in pair):
                 raise ValidationError(f"pair ({a}, {b}) outside candidate set")
             if a == b:
                 raise ValidationError(f"reflexive pair ({a}, {b})")
             succ.setdefault(a, set()).add(b)
+        object.__setattr__(self, "candidates", candidates)
+        pairs = frozenset((a, b) for a, bs in succ.items() for b in bs)
+        object.__setattr__(self, "strictly_before", pairs)
         for a, bs in succ.items():
             for b in bs:
                 if a in succ.get(b, ()):
@@ -556,25 +584,6 @@ def lottery_to_joint(instance: Instance, cap: int | None = DEFAULT_CAP) -> Insta
     return Instance(JointModel(tuple(profiles)))
 
 
-def pick_thresholds(weights: Iterable) -> list[float]:
-    """Running float sums of the weights, the last one dropped.
-
-    A roll picks ``bisect_right(thresholds, roll)``: the first entry whose
-    running sum exceeds it, else the last entry. Every weighted draw in the
-    package maps its ``rng.random()`` through this rule.
-    """
-    cumulative = 0.0
-    thresholds = []
-    for weight in weights:
-        cumulative += float(weight)
-        thresholds.append(cumulative)
-    return thresholds[:-1]
-
-
-def _pick(entries, roll: float) -> int:
-    return bisect_right(pick_thresholds(w for _, w in entries), roll)
-
-
 def draw_rolls(rng: random.Random, instance: Instance) -> list[float]:
     """A lottery sample's random numbers: one roll per agent, by id."""
     roll = rng.random
@@ -648,11 +657,11 @@ def sample_profile(instance: Instance, rng: random.Random) -> Profile:
     """Draw one realization; deterministic given the generator state."""
     model = instance.model
     if isinstance(model, JointModel):
-        return model.profiles[_pick(model.profiles, rng.random())][0]
+        return model.profiles[bisect_right(model.thresholds, rng.random())][0]
     if isinstance(model, LotteryModel):
         rolls = draw_rolls(rng, instance)
         orders = [
-            e.support[_pick(e.support, roll)][0]
+            e.support[bisect_right(e.thresholds, roll)][0]
             for e, roll in zip(instance.entries, rolls)
         ]
     else:

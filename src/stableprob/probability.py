@@ -14,9 +14,10 @@ the free product alone. The joint model weighs its stable profiles, binary
 supports decide nonzero by 2-SAT, and probability one is certain stability.
 
 The Monte Carlo estimator compiles its question once per call too: lottery
-samples draw pick indices and test them against the compiled model's masks,
-compact samples build only the tiers whose tied candidates decide a pair
-and compare those; joint samples are tested as whole profiles.
+samples draw pick indices through each agent's stored thresholds and test
+them against the compiled model's masks, compact samples build only the
+tiers whose tied candidates decide a pair and compare those; joint samples
+are tested as whole profiles.
 Every sample draws through the same ``models`` rules as ``sample_profile``,
 so seeded estimates are those of testing sampled profiles one by one.
 """
@@ -28,7 +29,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 from .core import (
@@ -53,7 +54,6 @@ from .models import (
     as_probability,
     draw_rolls,
     _split,
-    pick_thresholds,
     sample_profile,
     side_is_certain,
     tie_breaks,
@@ -498,8 +498,9 @@ def stability_probability(
         raise ValidationError("method 'one-side' requires an independent model")
     instance.validate_matching(matching)
     if joint:
-        profiles = instance.model.profiles
-        return sum((w for p, w in profiles if is_stable(p, matching)), Fraction(0))
+        model = instance.model
+        stable = [is_stable(profile, matching) for profile, _ in model.profiles]
+        return Fraction(sum(compress(model.numerators, stable)), model.scale)
     if method == "one-side":
         if not any(side_is_certain(instance, side) for side in Side):
             certain = "certain" if instance.kind == "lottery" else "strict"
@@ -519,7 +520,7 @@ def _lottery_sampler(instance: Instance, matching: Matching, rng: random.Random)
         return blocked
     # only agents with a deleted pick or a constraint need their pick
     picked = [
-        (agent, pick_thresholds(w for _, w in entry.support), model.allowed[agent])
+        (agent, entry.thresholds, model.allowed[agent])
         for agent, entry in enumerate(instance.entries)
         if model.adjacency[agent]
         or model.allowed[agent] != (1 << len(entry.support)) - 1
@@ -608,7 +609,8 @@ def estimate_stability_probability(
     candidates, and let every other tier consume the same random bits
     unbuilt. Joint samples test the drawn profile with ``is_stable``. Every
     sample draws its random numbers by ``sample_profile``'s own rules
-    (``draw_rolls``, ``tie_breaks``, ``pick_thresholds``), so the estimate,
+    (``draw_rolls``, ``tie_breaks``) and picks through the stored
+    ``thresholds`` of the agent's or the model's support, so the estimate,
     and the state ``rng`` is left in, are those of testing
     ``sample_profile`` draws. For which rngs a compact tie-break equals
     ``rng.sample(tier, len(tier))``, see ``tie_breaks``' stream contract.

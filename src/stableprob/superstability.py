@@ -28,22 +28,26 @@ from .models import (
     JointModel,
     PartialOrder,
     _certain_relation,
+    _CertainRelation,
     _check_mutual,
+    _set_sides,
     _split,
 )
 
 
 @dataclass(frozen=True)
 class SmpInstance:
-    """A market where every agent ranks candidates by a strict partial order;
-    any entry with ``candidates``, ``prefers`` and ``maximal`` will do."""
+    """A market where every agent ranks candidates by a strict partial order.
+
+    Every entry is a ``PartialOrder``, or the certain relation the package
+    evaluates per query in its place (``_CertainRelation``).
+    """
 
     men: tuple[PartialOrder, ...]
     women: tuple[PartialOrder, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "men", tuple(self.men))
-        object.__setattr__(self, "women", tuple(self.women))
+        _set_sides(self, (PartialOrder, _CertainRelation), "partial-order")
         _check_mutual(
             [order.candidates for order in self.men],
             [order.candidates for order in self.women],

@@ -621,6 +621,17 @@ def reference_compact_one_side(instance: Instance, matching: Matching) -> Fracti
     return result
 
 
+def reference_pick_thresholds(weights) -> list[float]:
+    """The pick rule's earlier function: running float sums of the weights,
+    the last one dropped."""
+    cumulative = 0.0
+    thresholds = []
+    for weight in weights:
+        cumulative += float(weight)
+        thresholds.append(cumulative)
+    return thresholds[:-1]
+
+
 def _reference_pick(rng: random.Random, entries) -> int:
     roll = rng.random()
     cumulative = 0.0

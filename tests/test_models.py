@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from itertools import accumulate
 
@@ -27,6 +28,7 @@ from helpers import (
     random_linear_orders,
     random_maximal_matching,
     reference_beats,
+    reference_pick_thresholds,
     reference_sample_profile,
 )
 from stableprob import (
@@ -283,6 +285,144 @@ class TestJointModel:
         p2 = Profile(men=(order(0), order(0)), women=(order(0, 1),))
         with pytest.raises(ValidationError):
             JointModel(((p1, Fraction(1, 2)), (p2, Fraction(1, 2))))
+
+
+def random_support(rng: random.Random, entries) -> list:
+    """(entry, weight) pairs over ``entries`` whose weights sum to 1 over a
+    common denominator of up to 10**30; an entry is at times listed twice,
+    so that its two weights merge."""
+    k = len(entries)
+    total = rng.choice([k + rng.randint(0, 20), rng.randint(k, 10**30)])
+    cuts: set = set()
+    while len(cuts) < k - 1:
+        cuts.add(rng.randrange(1, total))
+    bounds = [0, *sorted(cuts), total]
+    pairs = []
+    for entry, low, high in zip(entries, bounds, bounds[1:]):
+        if high - low > 1 and rng.random() < 0.3:
+            middle = rng.randrange(low + 1, high)
+            pairs.append((entry, Fraction(middle - low, total)))
+            low = middle
+        pairs.append((entry, Fraction(high - low, total)))
+    rng.shuffle(pairs)
+    return pairs
+
+
+def assert_weight_record(owner, support) -> None:
+    """``owner``'s scale, numerators and thresholds against its stored
+    support, the thresholds float for float against the earlier rule."""
+    weights = [w for _, w in support]
+    assert owner.thresholds == tuple(reference_pick_thresholds(weights))
+    assert owner.scale == math.lcm(*(w.denominator for w in weights))
+    assert [Fraction(n, owner.scale) for n in owner.numerators] == weights
+
+
+class TestWeightRecord:
+    """``AgentLottery`` and ``JointModel`` store one weight record per
+    support, and every weighted draw reads its thresholds."""
+
+    def test_lottery_record(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            candidates = rng.sample(range(8), rng.randint(0, 6))
+            orders = random_linear_orders(rng, candidates, rng.randint(1, 5))
+            support = random_support(rng, orders)
+            entry = AgentLottery(tuple(support))
+            assert_weight_record(entry, entry.support)
+            merged = {}
+            for o, w in support:
+                merged[o] = merged.get(o, 0) + w
+            by_ranking = sorted(merged.items(), key=lambda item: item[0].ranking)
+            assert entry.support == tuple(by_ranking)
+        for ranking in [(), (0,), (2, 0, 1)]:
+            entry = AgentLottery.certain(LinearOrder(ranking))
+            assert_weight_record(entry, entry.support)
+            assert (entry.scale, entry.numerators, entry.thresholds) == (1, (1,), ())
+
+    def test_joint_record(self):
+        rng = random.Random(73)
+        for _ in range(150):
+            n_men, n_women = rng.randint(1, 4), rng.randint(1, 4)
+            base = random_joint_instance(rng, n_men, n_women, rng.randint(1, 6))
+            profiles = [p for p, _ in base.model.profiles]
+            model = JointModel(tuple(random_support(rng, profiles)))
+            assert {p for p, _ in model.profiles} == set(profiles)
+            assert_weight_record(model, model.profiles)
+            assert sum(model.numerators) == model.scale
+
+    def test_record_stays_out_of_equality_hash_and_repr(self):
+        for cls in (AgentLottery, JointModel):
+            record = [f for f in fields(cls) if f.name in ("scale", "numerators", "thresholds")]
+            assert len(record) == 3
+            assert not any(f.init or f.compare or f.repr for f in record)
+
+    def test_draws_read_the_stored_thresholds(self):
+        p0 = Profile(men=(order(0, 1),), women=(order(0), order(0)))
+        p1 = Profile(men=(order(1, 0),), women=(order(0), order(0)))
+        model = JointModel(((p0, Fraction(1, 3)), (p1, Fraction(2, 3))))
+        inst = Instance(model)
+        # a roll below the one threshold picks the first stored profile
+        for seed in range(40):
+            roll = random.Random(seed).random()
+            drawn = sample_profile(inst, random.Random(seed))
+            assert drawn == model.profiles[roll >= model.thresholds[0]][0]
+
+
+ORDER_FAULTS = [
+    # the weight sum is checked before the candidate sets
+    (AgentLottery, ((order(0), Fraction(1, 2)), (order(0, 1), Fraction(1, 3))),
+     "lottery weights must sum to exactly 1"),
+    # the weight sum before the shapes, the shapes before acceptability
+    (JointModel, ((P, Fraction(1, 2)), (Profile(men=(), women=()), Fraction(1, 3))),
+     "joint weights must sum to exactly 1"),
+    (JointModel, ((P, Fraction(1, 2)), (Profile(men=(order(),) * 2, women=(order(),)),
+                                        Fraction(1, 2))),
+     "all profiles must have the same agent counts"),
+]
+
+
+@pytest.mark.parametrize("cls, support, message", ORDER_FAULTS)
+def test_weighted_support_error_order(cls, support, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        cls(support)
+
+
+def relation(candidates, pairs=()):
+    return PartialOrder(frozenset(candidates), pairs)
+
+
+MALFORMED_LISTS = [
+    (lambda: relation({0, 1}, [(0,)]), "each relation entry must be a (better, worse) pair"),
+    (lambda: relation({0, 1}, [(0, 1, 2)]), "each relation entry must be a (better, worse) pair"),
+    (lambda: relation({0, 1}, ["x"]), "each relation entry must be a (better, worse) pair"),
+    (lambda: relation({0, 1}, [None]), "each relation entry must be a (better, worse) pair"),
+    (lambda: relation({0, 1}, [(0, [1])]), "pair (0, [1]) outside candidate set"),
+    (lambda: relation({0, 1}, [(True, 0)]), "pair (True, 0) outside candidate set"),
+    (lambda: relation({True}), "bad candidate index True"),
+    (lambda: relation({0.0}), "bad candidate index 0.0"),
+    (lambda: SmpInstance(men=[relation({True})], women=[relation(()), relation({0})]),
+     "bad candidate index True"),
+    (lambda: SmpInstance(men=["x"], women=[]),
+     "partial-order model entries must be of type PartialOrder"),
+    (lambda: is_weakly_stable([order(0)], [WeakOrder(((0,),))], Matching.from_pairs([])),
+     "man 0 has a non-order preference"),
+    (lambda: is_weakly_stable([WeakOrder(((1,),))], [WeakOrder(())], Matching.from_pairs([])),
+     "man 0 ranks out-of-range candidate 1"),
+]
+
+
+@pytest.mark.parametrize("build, message", MALFORMED_LISTS)
+def test_malformed_partial_orders_and_weak_lists(build, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_partial_order_pairs_may_be_lists():
+    built = PartialOrder(frozenset({0, 1, 2}), [[0, 1], (1, 2), [0, 2]])
+    assert built.strictly_before == {(0, 1), (1, 2), (0, 2)}
+    assert built == PartialOrder(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2), (0, 2)}))
+    # a negative candidate is left to the market's range check
+    assert PartialOrder(frozenset({-1}), frozenset()).candidates == {-1}
 
 
 class TestInstance:
