@@ -179,7 +179,7 @@ def instance_from_json(data) -> tuple[Instance, tuple[str, ...], tuple[str, ...]
             label = f"weight in preferences of '{name}'"
             return AgentLottery(
                 tuple(
-                    (LinearOrder(row), _weight(item["p"], label))
+                    (LinearOrder._trusted(row), _weight(item["p"], label))
                     for row, item in zip(rows, preferences[name])
                 )
             )
@@ -198,8 +198,8 @@ def instance_from_json(data) -> tuple[Instance, tuple[str, ...], tuple[str, ...]
             profiles=tuple(
                 (
                     Profile(
-                        men=tuple(LinearOrder(rows[k]) for rows in men_rows),
-                        women=tuple(LinearOrder(rows[k]) for rows in women_rows),
+                        men=tuple(LinearOrder._trusted(r[k]) for r in men_rows),
+                        women=tuple(LinearOrder._trusted(r[k]) for r in women_rows),
                     ),
                     _weight(item["p"], "profile weight"),
                 )

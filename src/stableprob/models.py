@@ -39,6 +39,7 @@ from .core import (
     _check_side,
     _is_integer,
     _is_row,
+    _non_index,
     charge,
 )
 from .errors import ValidationError
@@ -55,6 +56,20 @@ def _bad_probability(value) -> ValidationError:
     return ValidationError(f"bad probability {shown}")
 
 
+def _plain_ratio(text: str) -> Fraction | None:
+    """``text`` as a probability if it is ASCII digits "p/q" with 0 < q and
+    p <= q, else None: the form every JSON weight takes, read without
+    ``Fraction``'s pattern match."""
+    p, _, q = text.partition("/")
+    if not (text.isascii() and p.isdigit() and q.isdigit()):
+        return None
+    try:
+        num, den = int(p), int(q)
+    except ValueError:  # more digits than int-to-str conversion allows
+        return None
+    return Fraction(num, den) if 0 < den and num <= den else None
+
+
 def as_probability(value) -> Fraction:
     """Exact probability from Fraction, int, or a "p/q" / decimal string.
 
@@ -62,8 +77,16 @@ def as_probability(value) -> Fraction:
     means exactly 2/5. A decimal exponent may not exceed the int-to-str
     digit limit in magnitude, the bound Python already puts on the digit
     strings themselves, because ``Fraction`` computes ``10 ** exponent``.
+
+    A ``Fraction`` in [0, 1] and a plain "p/q" string in [0, 1] return
+    after integer compares; every other value, and every error, takes the
+    general route below.
     """
+    if type(value) is str and (prob := _plain_ratio(value)) is not None:
+        return prob
     if isinstance(value, Fraction):
+        if 0 <= value.numerator <= value.denominator:
+            return value
         prob = value
     elif isinstance(value, bool):
         raise _bad_probability(value)
@@ -134,7 +157,11 @@ class AgentLottery:
         if table is None:
             table = {}
             for i, (order, _) in enumerate(self.support):
-                for candidate in order.ranking[: order.rank.get(partner)]:
+                # a scan: building ``order.rank`` costs more than one lookup
+                ranking = order.ranking
+                if partner in ranking:
+                    ranking = ranking[: ranking.index(partner)]
+                for candidate in ranking:
                     table[candidate] = table.get(candidate, 0) | 1 << i
             self._beats[partner] = table
         return table
@@ -196,7 +223,7 @@ def _set_support(owner, name: str, entry_type: type, label: str, key) -> None:
         weight = as_probability(weight)
         if weight == 0:
             raise ValidationError(f"{label} weights must be positive")
-        merged[entry] = merged.get(entry, 0) + weight
+        merged[entry] = merged[entry] + weight if entry in merged else weight
     if not merged:
         raise ValidationError(f"empty {label} support")
     pairs = tuple(sorted(merged.items(), key=lambda item: key(item[0])))
@@ -505,7 +532,7 @@ def certainly_preferred(instance: Instance, agent: AgentId) -> PartialOrder:
 def dominance_set(instance: Instance, agent: AgentId, candidate: int) -> frozenset[int]:
     """The candidate plus everyone the agent certainly prefers to it."""
     relation = certainly_preferred(instance, agent)
-    if candidate not in relation.candidates:
+    if _non_index((candidate,)) or candidate not in relation.candidates:
         raise ValidationError(f"candidate {candidate} not acceptable to {agent}")
     return frozenset({candidate}) | {
         a for a, b in relation.strictly_before if b == candidate
@@ -525,7 +552,7 @@ def _certain_order(instance: Instance, i: int) -> LinearOrder | None:
     if isinstance(instance.model, LotteryModel):
         return entry.support[0][0]
     if isinstance(instance.model, CompactModel):
-        return LinearOrder(tuple(t[0] for t in entry.tiers))
+        return LinearOrder._trusted(tuple(t[0] for t in entry.tiers))
     return entry  # a certain joint agent has its first profile's order everywhere
 
 

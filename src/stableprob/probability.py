@@ -651,7 +651,7 @@ def _partner_first_extension(weak, partner: int | None) -> LinearOrder:
             members.remove(partner)
             members.insert(0, partner)
         ranking.extend(members)
-    return LinearOrder(tuple(ranking))
+    return LinearOrder._trusted(tuple(ranking))
 
 
 def _compact_witness(instance: Instance, matching: Matching) -> Profile:

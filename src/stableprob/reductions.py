@@ -89,9 +89,8 @@ def _lottery(heads: list[list[int]], total: int) -> AgentLottery:
     """Equal weights on the orders that rank each head first, then the rest
     ascending; identical orders merge."""
     weight = Fraction(1, len(heads))
-    return AgentLottery(
-        tuple((LinearOrder(_head_first(head, total)), weight) for head in heads)
-    )
+    orders = [LinearOrder._trusted(_head_first(head, total)) for head in heads]
+    return AgentLottery(tuple((order, weight) for order in orders))
 
 
 def _couple(heads: dict, pairs: list, side: Side) -> tuple[int, int]:
@@ -297,10 +296,11 @@ def three_color_to_joint(graph: Graph) -> Instance:
         return [[3 * i + (j + sign * o) % 3 for o in offsets] for j in range(3)]
 
     def profile(men_heads, women_heads) -> Profile:
-        return Profile(
-            men=tuple(LinearOrder(_head_first(h, size)) for h in men_heads),
-            women=tuple(LinearOrder(_head_first(h, size)) for h in women_heads),
+        men, women = (
+            tuple(LinearOrder._trusted(_head_first(h, size)) for h in heads)
+            for heads in (men_heads, women_heads)
         )
+        return Profile(men=men, women=women)
 
     base_men, base_women = (
         [head for i in range(graph.vertex_count) for head in block(i, offsets)]

@@ -3,11 +3,13 @@
 For the independent models (lottery, compact), a matching has stability
 probability one exactly when no pair is very weakly blocking under the
 certainly-preferred relations, which reduces the question to finding a
-super-stable matching of a partial-order market. The queries evaluate the
-relation per pair and never materialize it (``smp_from_instance`` still
-does, for direct callers). The joint model is dependent, so it is handled
-by intersecting per-profile stable sets instead. ``SmpInstance`` runs the
-same mutual-acceptability check as ``Instance``, with the same messages.
+super-stable matching of a partial-order market. Checking one matching reads
+each agent's pick table (lottery) or tiers (compact) once; the search
+evaluates the relation per pair and never materializes it
+(``smp_from_instance`` still does, for direct callers). The joint model is
+dependent, so it is handled by intersecting per-profile stable sets instead.
+``SmpInstance`` runs the same mutual-acceptability check as ``Instance``,
+with the same messages.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ from .core import (
     DEFAULT_CAP,
     Budget,
     Matching,
+    WeakOrder,
     _non_index,
     enumerate_stable_matchings,
     is_stable,
 )
 from .errors import ValidationError
 from .models import (
+    AgentLottery,
     Instance,
     JointModel,
     PartialOrder,
@@ -95,6 +99,23 @@ def _very_weakly_blocking(his, hers, matching: Matching, man: int, woman: int) -
     return partner_w is None or not hers.prefers(partner_w, man)
 
 
+def _rivals(entry: AgentLottery | WeakOrder, partner: int | None):
+    """The candidates an independent-model agent ranks above ``partner``
+    (None: unmatched) in some realization: the keys of a lottery agent's
+    pick table, or a compact agent's tiers down to the partner's, the
+    partner left out.
+
+    The agent does not certainly prefer its partner to exactly these, so a
+    pair very weakly blocks iff each member is among the other's rivals.
+    """
+    if isinstance(entry, AgentLottery):
+        return entry.beats(partner)
+    if partner is None:
+        return entry.candidates
+    tiers = entry.tiers[: entry.tier_of[partner] + 1]
+    return {c for tier in tiers for c in tier if c != partner}
+
+
 def is_very_weakly_blocking(
     instance: Instance, matching: Matching, man: int, woman: int
 ) -> bool:
@@ -109,19 +130,31 @@ def is_very_weakly_blocking(
     if matching.partner_of_man(man) == woman:
         raise ValidationError(f"pair ({man}, {woman}) is matched, not blocking")
     _reject_joint(instance)
-    his = _certain_relation(instance, man)
-    hers = _certain_relation(instance, instance.n_men + woman)
-    return _very_weakly_blocking(his, hers, matching, man, woman)
+    his = instance.entries[man]
+    hers = instance.entries[instance.n_men + woman]
+    return woman in _rivals(his, matching.partner_of_man(man)) and man in _rivals(
+        hers, matching.partner_of_woman(woman)
+    )
 
 
 def is_certainly_stable(instance: Instance, matching: Matching) -> bool:
-    """True iff the matching is stable in every positive-probability realization."""
+    """True iff the matching is stable in every positive-probability realization.
+
+    Independent models: no pair very weakly blocks. Each woman's rivals are
+    built once, then each man's are walked up to the first blocking pair.
+    """
     instance.validate_matching(matching)
     if isinstance(instance.model, JointModel):
         return all(
             is_stable(profile, matching) for profile, _ in instance.model.profiles
         )
-    return not _blocked(_market(instance), matching)
+    model = instance.model
+    hers = [_rivals(e, matching.partner_of_woman(w)) for w, e in enumerate(model.women)]
+    return not any(
+        m in hers[w]
+        for m, entry in enumerate(model.men)
+        for w in _rivals(entry, matching.partner_of_man(m))
+    )
 
 
 def _blocked(smp: SmpInstance, matching: Matching) -> bool:

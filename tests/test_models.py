@@ -168,6 +168,72 @@ class TestAsProbability:
         assert as_probability(format_probability(Fraction(3, 7))) == Fraction(3, 7)
 
 
+def _general_probability(text: str) -> Fraction:
+    """The general string route of ``as_probability`` for a text without an
+    exponent: ``Fraction(text)``, then the range check, with its messages."""
+    try:
+        prob = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        shown = repr(text)
+        shown = shown if len(shown) <= 40 else shown[:40] + "..."
+        raise ValidationError(f"bad probability {shown}") from None
+    if not 0 <= prob <= 1:
+        raise ValidationError(f"probability {prob} outside [0, 1]")
+    return prob
+
+
+def _outcome(parse, text: str):
+    try:
+        value = parse(text)
+    except ValidationError as exc:
+        return "error", str(exc)
+    return type(value), value
+
+
+PLAIN_RATIO_EDGES = [
+    "0/1", "1/1", "01/02", "3/2", "1/0", "0/0", "+1/2", " 1/2", "1_0/20",
+    "\u0663/4", "1.5/2", "1/2 ", "1/-2", "-1/2", "1//2", "1/2/3", "/2", "1/",
+    "/", "", "00/0000", "0007/0008", "1" * 5000 + "/" + "1" * 5001,
+]
+
+
+class TestPlainRatio:
+    """``as_probability`` reads a plain ASCII "p/q" in [0, 1] without
+    ``Fraction``'s pattern; every string must end as the general route does."""
+
+    @pytest.mark.parametrize("text", PLAIN_RATIO_EDGES)
+    def test_edge_cases_match_the_general_route(self, text):
+        assert _outcome(as_probability, text) == _outcome(_general_probability, text)
+
+    def test_seeded_strings_match_the_general_route(self):
+        rng = random.Random(113)
+        pieces = list("0123456789") + ["/", "+", "-", " ", "_", ".", "\u0663", "00"]
+        texts = []
+        for _ in range(3000):
+            p, q = rng.randrange(60), rng.randrange(60)
+            texts.append(f"{'0' * rng.randrange(3)}{p}/{'0' * rng.randrange(3)}{q}")
+            texts.append("".join(rng.choice(pieces) for _ in range(rng.randint(1, 7))))
+        outcomes = [_outcome(as_probability, text) for text in texts]
+        assert outcomes == [_outcome(_general_probability, text) for text in texts]
+        # accepted ratios and both kinds of refusal are all exercised
+        errors = [value for kind, value in outcomes if kind == "error"]
+        assert sum(kind is Fraction for kind, _ in outcomes) > 1000
+        assert sum(e.startswith("bad probability") for e in errors) > 500
+        assert sum(e.endswith("outside [0, 1]") for e in errors) > 500
+
+    @pytest.mark.parametrize(
+        "value, shown", [(Fraction(3, 2), "3/2"), (Fraction(-1, 3), "-1/3")]
+    )
+    def test_fraction_outside_the_range_is_refused(self, value, shown):
+        with pytest.raises(ValidationError) as caught:
+            as_probability(value)
+        assert str(caught.value) == f"probability {shown} outside [0, 1]"
+
+    def test_fraction_in_range_is_returned_as_is(self):
+        for value in (Fraction(0), Fraction(1), Fraction(2, 7)):
+            assert as_probability(value) is value
+
+
 class TestAgentLottery:
     def test_merges_duplicate_orders(self):
         merged = AgentLottery(
@@ -617,6 +683,12 @@ class TestDominance:
     def test_unknown_candidate(self):
         with pytest.raises(ValidationError):
             dominance_set(example_market(), M0, 5)
+
+    @pytest.mark.parametrize("candidate", [True, False, 1.0, 0.0, "0", None, [0]])
+    def test_candidate_that_is_not_an_index_is_refused(self, candidate):
+        # a bool or float equal to an acceptable index passed the membership test
+        with pytest.raises(ValidationError, match="not acceptable to"):
+            dominance_set(example_market(), M0, candidate)
 
 
 class TestUncertainAgents:

@@ -190,3 +190,55 @@ def test_every_traced_layer_resolves_in_the_package():
         )
     ]
     assert missing == []
+
+
+# The only functions that may build a LinearOrder through the unchecked
+# ``LinearOrder._trusted``: each makes its rankings from agent indices that a
+# public constructor or the JSON layer has already checked, never from a
+# caller's own values. Add a function here only when that holds for it.
+TRUSTED_ORDER_BUILDERS = {
+    "core.py WeakOrder.linear_extensions",
+    "jsonio.py instance_from_json",
+    "jsonio.py instance_from_json.lottery",
+    "models.py _certain_order",
+    "probability.py _partner_first_extension",
+    "reductions.py _lottery",
+    "reductions.py three_color_to_joint.profile",
+}
+
+
+def _scoped_nodes(tree):
+    """(enclosing classes and functions, outermost first, node) for every node."""
+    stack = [((), tree)]
+    while stack:
+        scope, node = stack.pop()
+        yield scope, node
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node,)
+        stack.extend((scope, child) for child in ast.iter_child_nodes(node))
+
+
+def _is_public_classmethod(node) -> bool:
+    return (
+        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and any(getattr(d, "id", None) == "classmethod" for d in node.decorator_list)
+    )
+
+
+def test_unchecked_orders_are_built_only_by_allowed_functions():
+    # every reference counts, called or not, so an alias cannot hide a call
+    found, forbidden = set(), []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for scope, node in _scoped_nodes(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr == "_trusted"):
+                continue
+            name = ".".join(s.name for s in scope) or "<module>"
+            found.add(f"{path.name} {name}")
+            if any(
+                s.name == "__post_init__" or _is_public_classmethod(s) for s in scope
+            ):
+                forbidden.append(f"{path.name}:{node.lineno} {name}")
+    assert forbidden == []
+    assert found == TRUSTED_ORDER_BUILDERS

@@ -54,6 +54,7 @@ from stableprob import (
     super_stable_smp,
     three_color_to_joint,
 )
+from stableprob.jsonio import instance_from_json, instance_to_json
 
 
 def naive_vwb_pairs(smp: SmpInstance, matching: Matching) -> list:
@@ -479,6 +480,26 @@ class TestAgainstReferenceRoute:
                         expected = reference_very_weakly_blocking(smp, mu, m, w)
                         assert is_very_weakly_blocking(inst, mu, m, w) == expected
                         verdicts.append(expected)
+        assert 1000 <= sum(verdicts) <= len(verdicts) - 1000
+
+    def test_json_parsed_instances_agree(self, reference_cases):
+        # a parsed instance starts with no pick tables, so each matching
+        # gets a fresh parse and every table the rule reads is built for it
+        verdicts = []
+        for inst, matchings, smp in reference_cases:
+            document = instance_to_json(inst)
+            for mu in matchings:
+                parsed = instance_from_json(document)[0]
+                assert parsed == inst
+                expected = reference_is_certainly_stable(smp, mu)
+                assert is_certainly_stable(parsed, mu) == expected
+                parsed = instance_from_json(document)[0]
+                for m in range(inst.n_men):
+                    for w in sorted(inst.acceptable_men[m]):
+                        if mu.partner_of_man(m) != w:
+                            expected = reference_very_weakly_blocking(smp, mu, m, w)
+                            assert is_very_weakly_blocking(parsed, mu, m, w) == expected
+                            verdicts.append(expected)
         assert 1000 <= sum(verdicts) <= len(verdicts) - 1000
 
     def test_exists_returns_the_same_matching(self, reference_cases):
