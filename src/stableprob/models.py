@@ -178,15 +178,15 @@ class AgentLottery:
         return len(self.support) == 1
 
 
-def _set_sides(model, kinds: tuple[type, ...], label: str) -> None:
+def _set_sides(model, kind: type, label: str) -> None:
     """Store ``model``'s two sides as tuples, once every entry is checked to
-    be one of ``kinds``; ``label`` names the model and ``kinds[0]`` the
-    entry type in the error."""
+    be a ``kind``; ``label`` names the model and ``kind`` the entry type in
+    the error."""
     for side in ("men", "women"):
         entries = tuple(getattr(model, side))
-        if not all(isinstance(entry, kinds) for entry in entries):
+        if not all(isinstance(entry, kind) for entry in entries):
             raise ValidationError(
-                f"{label} model entries must be of type {kinds[0].__name__}"
+                f"{label} model entries must be of type {kind.__name__}"
             )
         object.__setattr__(model, side, entries)
 
@@ -247,7 +247,7 @@ class LotteryModel:
     women: tuple[AgentLottery, ...]
 
     def __post_init__(self):
-        _set_sides(self, (AgentLottery,), "lottery")
+        _set_sides(self, AgentLottery, "lottery")
 
 
 @dataclass(frozen=True)
@@ -256,7 +256,7 @@ class CompactModel:
     women: tuple[WeakOrder, ...]
 
     def __post_init__(self):
-        _set_sides(self, (WeakOrder,), "compact")
+        _set_sides(self, WeakOrder, "compact")
 
 
 @dataclass(frozen=True)
@@ -494,12 +494,12 @@ class _CertainRelation:
     def prefers(self, a: int, b: int) -> bool:
         return all(map(lt, self.rank[a], self.rank[b]))
 
-    def maximal(self, among: Iterable[int] | None = None) -> list[int]:
+    def maximal(self, among: Iterable[int]) -> list[int]:
         """Candidates with nothing above them within ``among``, ascending."""
         # a certainly preferred candidate sorts first, so a candidate is
         # maximal iff no maximal candidate found before it is above it
         top: list[int] = []
-        for a in sorted(self.rank if among is None else among, key=self.rank.get):
+        for a in sorted(among, key=self.rank.get):
             if not any(self.prefers(b, a) for b in top):
                 top.append(a)
         return sorted(top)
@@ -531,12 +531,12 @@ def certainly_preferred(instance: Instance, agent: AgentId) -> PartialOrder:
 
 def dominance_set(instance: Instance, agent: AgentId, candidate: int) -> frozenset[int]:
     """The candidate plus everyone the agent certainly prefers to it."""
-    relation = certainly_preferred(instance, agent)
+    relation = _certain_relation(instance, instance.index(agent))
     if _non_index((candidate,)) or candidate not in relation.candidates:
         raise ValidationError(f"candidate {candidate} not acceptable to {agent}")
-    return frozenset({candidate}) | {
-        a for a, b in relation.strictly_before if b == candidate
-    }
+    return frozenset(
+        a for a in relation.rank if a == candidate or relation.prefers(a, candidate)
+    )
 
 
 def uncertain_agents(instance: Instance) -> tuple[AgentId, ...]:

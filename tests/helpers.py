@@ -744,6 +744,67 @@ def reference_is_certainly_stable(smp: SmpInstance, matching: Matching) -> bool:
     )
 
 
+def reference_closure(smp: SmpInstance) -> list[set[int]]:
+    """Each man's list at the fixpoint of the proposal-and-deletion closure,
+    recomputing every man's maximal women on every pass."""
+    men_lists = [set(order.candidates) for order in smp.men]
+    women_lists = [set(order.candidates) for order in smp.women]
+
+    def delete(m: int, w: int) -> None:
+        men_lists[m].discard(w)
+        women_lists[w].discard(m)
+
+    changed = True
+    while changed:
+        proposing = True
+        while proposing:
+            proposing = False
+            for m in range(smp.n_men):
+                for w in smp.men[m].maximal(men_lists[m]):
+                    worse = [
+                        m2 for m2 in women_lists[w] if smp.women[w].prefers(m, m2)
+                    ]
+                    for m2 in worse:
+                        delete(m2, w)
+                        proposing = True
+        changed = False
+        engaged: dict[int, list[int]] = {}
+        for m in range(smp.n_men):
+            for w in smp.men[m].maximal(men_lists[m]):
+                engaged.setdefault(w, []).append(m)
+        for w, suitors in engaged.items():
+            if len(suitors) >= 2:
+                for m in suitors:
+                    delete(m, w)
+                    changed = True
+    return men_lists
+
+
+def _reference_blocked(smp: SmpInstance, matching: Matching) -> bool:
+    """True iff some unmatched pair very weakly blocks ``matching``."""
+    return any(
+        reference_very_weakly_blocking(smp, matching, m, w)
+        for m, his in enumerate(smp.men)
+        for w in his.candidates
+        if matching.partner_of_man(m) != w
+    )
+
+
+def reference_super_stable_smp(smp: SmpInstance) -> Matching | None:
+    """The closure's engagement set if every man keeps at most one maximal
+    woman and no pair very weakly blocks it, checked pair by pair; else None."""
+    men_lists = reference_closure(smp)
+    pairs = []
+    for m in range(smp.n_men):
+        maximals = smp.men[m].maximal(men_lists[m])
+        if len(maximals) >= 2:
+            return None
+        if maximals:
+            pairs.append((m, maximals[0]))
+    candidate = Matching.from_pairs(pairs)
+    return None if _reference_blocked(smp, candidate) else candidate
+
+
 # -- reference JSON ingest -----------------------------------------------------
 
 _JSON_MODELS = ("lottery", "compact", "joint")

@@ -1,10 +1,12 @@
-"""Seeded fuzz over every public constructor, and ``is_weakly_stable``.
+"""Seeded fuzz over every public constructor, ``is_weakly_stable`` and the
+value arguments of the certain-stability functions.
 
 Each target gets arguments of its documented type whose contents are
 junk: rows of the wrong width or kind, weights that are no probability,
-indices that are no agent index. Whatever they hold, the only error allowed
-is ``ValidationError``, and an accepted ``PartialOrder`` holds only int
-candidates.
+indices that are no agent index, caps that are no cap. Whatever they hold,
+the only error allowed is ``ValidationError`` (and ``ResourceLimitError``
+for an int cap that the work really exceeds), and an accepted
+``PartialOrder`` holds only int candidates.
 """
 
 import random
@@ -17,26 +19,39 @@ from stableprob import (
     AgentLottery,
     CompactModel,
     Graph,
+    Instance,
     JointModel,
     LinearOrder,
     LotteryModel,
     Matching,
     PartialOrder,
     Profile,
+    ResourceLimitError,
     Side,
     SmpInstance,
     TwoSatInstance,
     ValidationError,
     WeakOrder,
     X3cInstance,
+    certainly_preferred,
+    dominance_set,
+    exists_certainly_stable_matching,
+    is_very_weakly_blocking,
 )
-from stableprob.core import is_weakly_stable
+from stableprob.core import enumerate_stable_matchings, is_weakly_stable
 
 ORDER = LinearOrder((0, 1))
 WEAK = WeakOrder(((0, 1),))
 LOTTERY = AgentLottery.certain(ORDER)
 PROFILE = Profile(men=(LinearOrder((0,)),), women=(LinearOrder((0,)),))
 RELATION = PartialOrder(frozenset({0, 1}), frozenset({(0, 1)}))
+# a 2 x 2 lottery market, and a joint one whose profile has two stable matchings
+REVERSED = LinearOrder((1, 0))
+COIN = AgentLottery(((ORDER, Fraction(1, 2)), (REVERSED, Fraction(1, 2))))
+MARKET = Instance(LotteryModel(men=(COIN, LOTTERY), women=(LOTTERY, LOTTERY)))
+CROSSED = Profile(men=(ORDER, REVERSED), women=(REVERSED, ORDER))
+JOINT = Instance(JointModel(((CROSSED, 1),)))
+JOINT_STABLE = len(enumerate_stable_matchings(CROSSED, cap=None))
 
 # hashable junk, so that it fits in a frozenset as well as in a tuple
 SCALARS = (
@@ -79,6 +94,26 @@ def pairs(rng: random.Random, entry):
     return row(rng, lambda: rng.choice(((entry(), weight(rng)), row(rng))))
 
 
+def market(rng: random.Random) -> Instance:
+    return rng.choice((MARKET, JOINT))
+
+
+def agent(rng: random.Random) -> AgentId:
+    return AgentId(rng.choice((Side.MEN, Side.WOMEN)), index(rng))
+
+
+def exists_with_junk_cap(rng: random.Random):
+    cap = rng.choice((None, 0, 1, JOINT_STABLE, rng.choice(SCALARS)))
+    instance = market(rng)
+    try:
+        return exists_certainly_stable_matching(instance, cap)
+    except ResourceLimitError:
+        # only the joint route enumerates, and only past an int cap
+        if instance is JOINT and type(cap) is int and cap < JOINT_STABLE:
+            return None
+        raise
+
+
 TARGETS = {
     "LinearOrder": lambda rng: LinearOrder(row(rng, lambda: index(rng))),
     "WeakOrder": lambda rng: WeakOrder(row(rng, lambda: row(rng, lambda: index(rng)))),
@@ -118,6 +153,12 @@ TARGETS = {
     "is_weakly_stable": lambda rng: is_weakly_stable(
         row(rng, lambda: WEAK), row(rng, lambda: WEAK), Matching.from_pairs(())
     ),
+    "is_very_weakly_blocking": lambda rng: is_very_weakly_blocking(
+        market(rng), Matching.from_pairs(((0, 0),)), index(rng), index(rng)
+    ),
+    "dominance_set": lambda rng: dominance_set(market(rng), agent(rng), index(rng)),
+    "certainly_preferred": lambda rng: certainly_preferred(market(rng), agent(rng)),
+    "exists_certainly_stable_matching": exists_with_junk_cap,
 }
 
 

@@ -242,3 +242,26 @@ def test_unchecked_orders_are_built_only_by_allowed_functions():
                 forbidden.append(f"{path.name}:{node.lineno} {name}")
     assert forbidden == []
     assert found == TRUSTED_ORDER_BUILDERS
+
+
+def test_only_smp_from_instance_builds_an_smp_instance():
+    # the instance route runs on the agents' relations, so only the public
+    # converter materializes a partial-order market; every reference outside
+    # an annotation counts, so passing the class to a builder counts too
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        hints = {
+            id(node)
+            for owner in ast.walk(tree)
+            for field in ("annotation", "returns")
+            if getattr(owner, field, None) is not None
+            for node in ast.walk(getattr(owner, field))
+        }
+        for scope, node in _scoped_nodes(tree):
+            if not (isinstance(node, ast.Name) and node.id == "SmpInstance"):
+                continue
+            name = ".".join(s.name for s in scope) or "<module>"
+            if id(node) not in hints and name != "smp_from_instance":
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []

@@ -24,8 +24,10 @@ from helpers import (
     random_weak_order,
     reference_certainly_preferred,
     reference_is_certainly_stable,
+    reference_closure,
     reference_smp,
     reference_stable_matchings,
+    reference_super_stable_smp,
     reference_very_weakly_blocking,
 )
 from stableprob import (
@@ -268,6 +270,62 @@ class TestSuperStableSmp:
             assert (result is not None) == feasible
             if result is not None:
                 assert naive_vwb_pairs(smp, result) == []
+
+
+class CountingOrder(PartialOrder):
+    """A ``PartialOrder`` that counts its ``maximal`` calls."""
+
+    calls = 0
+
+    def maximal(self, among=None):
+        CountingOrder.calls += 1
+        return super().maximal(among)
+
+
+class TestClosure:
+    """The closure against the reference that recomputes every list."""
+
+    def test_matches_reference_on_small_incomplete_markets(self):
+        rng = random.Random(107)
+        found = 0
+        for _ in range(400):
+            smp = random_smp(rng, rng.randint(1, 7), complete=rng.random() < 0.3)
+            result = super_stable_smp(smp)
+            assert result == reference_super_stable_smp(smp)
+            found += result is not None
+        assert 40 <= found <= 360
+
+    def test_recomputes_only_lists_that_lost_a_woman(self):
+        rng = random.Random(109)
+        smp = random_smp(rng, 12)
+        men = tuple(CountingOrder(o.candidates, o.strictly_before) for o in smp.men)
+        smp = SmpInstance(men=men, women=smp.women)
+        deletions = sum(len(o.candidates) for o in men) - sum(
+            len(kept) for kept in reference_closure(smp)
+        )
+        CountingOrder.calls = 0
+        result = super_stable_smp(smp)
+        assert 0 < deletions and CountingOrder.calls <= smp.n_men + deletions
+        assert result == reference_super_stable_smp(smp)
+
+    def test_instance_route_matches_reference_on_large_markets(self):
+        # lottery and tied compact markets at n = 32 to 48, on both branches
+        rng = random.Random(103)
+        sizes = (32, 40, 48)
+        markets = [
+            random_perturbed_lottery_instance(rng, n, k, k + 1)
+            for n in sizes
+            for k in (2, 3)
+        ]
+        markets += [random_lottery_instance(rng, n, n, 2, n != 40) for n in sizes]
+        markets += [random_compact_instance(rng, n, n, 3, n != 40) for n in sizes]
+        markets += [_tied_below_partners(rng, n) for n in sizes]
+        found = 0
+        for inst in markets:
+            result = exists_certainly_stable_matching(inst)
+            assert result == reference_super_stable_smp(reference_smp(inst))
+            found += result is not None
+        assert 5 <= found <= len(markets) - 5
 
 
 class TestExistsCertainlyStable:
