@@ -16,6 +16,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .core import DEFAULT_CAP, Side
 from .errors import ResourceLimitError, ValidationError
@@ -165,6 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complete", help="pad an instance to complete lists")
     p.add_argument("instance")
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` and ``run`` share, built on first use: building
+    one costs more than most commands. Parsing leaves a parser as it was,
+    and no caller may change this one."""
+    return build_parser()
 
 
 def _load_instance(path: str):
@@ -356,12 +365,12 @@ def _execute(args) -> CommandResult:
 
 def run(argv=None) -> CommandResult:
     """Parse arguments and execute; the library-level entry point."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return _execute(args)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     result = _execute(args)
     if args.command in ("generate", "complete") and result.status == "ok":
         document = result.payload

@@ -176,6 +176,16 @@ class WeakOrder:
             tiers.append(tier)
         object.__setattr__(self, "tiers", tuple(tiers))
 
+    @classmethod
+    def _trusted(cls, tiers) -> "WeakOrder":
+        """The weak order of ``tiers``, nonempty tuples of agent indices,
+        distinct across tiers, that the package has already checked; each
+        tier is only sorted. Only the package's own builders call it (see
+        tests/test_source_rules.py)."""
+        order = object.__new__(cls)
+        object.__setattr__(order, "tiers", tuple(tuple(sorted(t)) for t in tiers))
+        return order
+
     @cached_property
     def tier_of(self) -> dict[int, int]:
         return {idx: pos for pos, tier in enumerate(self.tiers) for idx in tier}

@@ -12,6 +12,16 @@ from both agents' rows, so parsed instances always satisfy mutual
 acceptability; a joint instance takes each agent's acceptable set from the
 first profile. The three models share this row form until the rows become
 orders, tiers and profiles.
+
+The rows then go straight into the unchecked constructors
+(``LinearOrder._trusted``, ``WeakOrder._trusted``, ``AgentLottery._trusted``
+and ``Instance._trusted``): each row already holds distinct in-range
+indices, an agent's support orders list the same candidates, and the lists
+are mutual, so only what the parser has not proved (a lottery's weights
+being positive and summing to 1, a joint model's profiles agreeing) is
+checked again. A lottery or compact agent whose every listed candidate lists
+it back keeps its rows unfiltered; a joint agent's rows are always filtered
+to its first profile's mutual set.
 """
 
 from __future__ import annotations
@@ -111,12 +121,21 @@ def _listing(model: str, preferences, profiles, name: str, index_of):
     return rows, first
 
 
-def _mutual_rows(mine, theirs) -> list[list[tuple[int, ...]]]:
-    """Each agent's rows without the candidates that do not list it back."""
+def _mutual_rows(mine, theirs, reuse: bool) -> list[list[tuple[int, ...]]]:
+    """Each agent's rows without the candidates that do not list it back.
+
+    With ``reuse``, an agent listed back by every candidate it lists keeps
+    its rows as they are. That holds for lottery and compact rows, which
+    together list exactly the agent's candidate set; a joint agent's rows
+    after the first profile may list more, so they are always filtered.
+    """
     kept = []
     for agent, (rows, listed) in enumerate(mine):
         keep = {other for other in listed if agent in theirs[other][1]}
-        kept.append([tuple(filter(keep.__contains__, row)) for row in rows])
+        if reuse and len(keep) == len(listed):
+            kept.append(rows)
+        else:
+            kept.append([tuple(filter(keep.__contains__, row)) for row in rows])
     return kept
 
 
@@ -170,14 +189,14 @@ def instance_from_json(data) -> tuple[Instance, tuple[str, ...], tuple[str, ...]
 
     men = [_listing(model, preferences, profiles, n, woman_of) for n in men_names]
     women = [_listing(model, preferences, profiles, n, man_of) for n in women_names]
-    men_rows = _mutual_rows(men, women)
-    women_rows = _mutual_rows(women, men)
+    men_rows = _mutual_rows(men, women, model != "joint")
+    women_rows = _mutual_rows(women, men, model != "joint")
 
     if model == "lottery":
 
         def lottery(name, rows) -> AgentLottery:
             label = f"weight in preferences of '{name}'"
-            return AgentLottery(
+            return AgentLottery._trusted(
                 tuple(
                     (LinearOrder._trusted(row), _weight(item["p"], label))
                     for row, item in zip(rows, preferences[name])
@@ -190,8 +209,8 @@ def instance_from_json(data) -> tuple[Instance, tuple[str, ...], tuple[str, ...]
         )
     elif model == "compact":
         payload = CompactModel(
-            men=tuple(WeakOrder(tuple(filter(None, rows))) for rows in men_rows),
-            women=tuple(WeakOrder(tuple(filter(None, rows))) for rows in women_rows),
+            men=tuple(WeakOrder._trusted(filter(None, rows)) for rows in men_rows),
+            women=tuple(WeakOrder._trusted(filter(None, rows)) for rows in women_rows),
         )
     else:
         payload = JointModel(
@@ -206,7 +225,7 @@ def instance_from_json(data) -> tuple[Instance, tuple[str, ...], tuple[str, ...]
                 for k, item in enumerate(profiles)
             )
         )
-    return Instance(payload), men_names, women_names
+    return Instance._trusted(payload), men_names, women_names
 
 
 def _weight(value, label: str) -> Fraction:

@@ -9,8 +9,13 @@ A market instance wraps one payload:
 
 All probabilities are exact rationals end to end. Acceptability must be
 mutual and identical across every realization of an instance; the JSON layer
-intersects one-sided listings before building models, and constructors here
-validate strictly.
+intersects one-sided listings before building models.
+
+The public constructors validate strictly. The unchecked ``_trusted``
+constructors of ``LinearOrder``, ``WeakOrder``, ``AgentLottery`` and
+``Instance`` skip what the package has already proved of their input; only
+the builders listed in tests/test_source_rules.py call them, never on a
+caller's own values.
 """
 
 from __future__ import annotations
@@ -149,6 +154,21 @@ class AgentLottery:
             raise ValidationError("all support orders must rank the same candidates")
         object.__setattr__(self, "_beats", {})
 
+    @classmethod
+    def _trusted(cls, support) -> "AgentLottery":
+        """The lottery over ``support``, a nonempty tuple of (order, Fraction
+        in [0, 1]) pairs whose orders the package has already checked to
+        rank the same candidates. The weights are still merged and checked
+        to be positive and to sum to 1. Only the package's own builders call
+        it (see tests/test_source_rules.py)."""
+        agent = object.__new__(cls)
+        object.__setattr__(agent, "support", support)
+        _set_support(
+            agent, "support", LinearOrder, "lottery", attrgetter("ranking"), True
+        )
+        object.__setattr__(agent, "_beats", {})
+        return agent
+
     def beats(self, partner: int | None) -> dict[int, int]:
         """Per candidate, the bitmask of support orders that rank it above
         ``partner`` (None: unmatched); candidates above it in no order are
@@ -191,7 +211,9 @@ def _set_sides(model, kind: type, label: str) -> None:
         object.__setattr__(model, side, entries)
 
 
-def _set_support(owner, name: str, entry_type: type, label: str, key) -> None:
+def _set_support(
+    owner, name: str, entry_type: type, label: str, key, trusted: bool = False
+) -> None:
     """Store ``owner``'s weighted support, its attribute ``name``, as the
     (entry, weight) pairs with equal entries' weights summed, sorted by
     ``key(entry)``, and with it the support's weight record:
@@ -205,22 +227,27 @@ def _set_support(owner, name: str, entry_type: type, label: str, key) -> None:
 
     The support must be a list or tuple of such pairs, every entry an
     ``entry_type`` with a positive weight, and the weights must sum to
-    exactly 1; ``label`` names the support in the errors.
+    exactly 1; ``label`` names the support in the errors. A ``trusted``
+    support, built by the package from checked values, is known to be such
+    pairs with ``Fraction`` weights in [0, 1]; only the checks from the
+    positive weights on run.
     """
     support = getattr(owner, name)
-    if not isinstance(support, (list, tuple)) or not all(
-        _is_row(item, 2) for item in support
+    if not trusted and (
+        not isinstance(support, (list, tuple))
+        or not all(_is_row(item, 2) for item in support)
     ):
         raise ValidationError(
             f"{label} support must be an array of (entry, weight) pairs"
         )
     merged: dict = {}
     for entry, weight in support:
-        if not isinstance(entry, entry_type):
-            raise ValidationError(
-                f"{label} support must contain {entry_type.__name__} entries"
-            )
-        weight = as_probability(weight)
+        if not trusted:
+            if not isinstance(entry, entry_type):
+                raise ValidationError(
+                    f"{label} support must contain {entry_type.__name__} entries"
+                )
+            weight = as_probability(weight)
         if weight == 0:
             raise ValidationError(f"{label} weights must be positive")
         merged[entry] = merged[entry] + weight if entry in merged else weight
@@ -315,6 +342,15 @@ class Instance:
     def __post_init__(self):
         self.kind  # rejects unknown payload types up front
         _check_mutual(self.acceptable_men, self.acceptable_women)
+
+    @classmethod
+    def _trusted(cls, model: ModelPayload) -> "Instance":
+        """The instance of ``model``, a payload the package has built with
+        mutual acceptability; ``_check_mutual`` does not run. Only the
+        package's own builders call it (see tests/test_source_rules.py)."""
+        instance = object.__new__(cls)
+        object.__setattr__(instance, "model", model)
+        return instance
 
     @property
     def kind(self) -> str:
@@ -743,9 +779,9 @@ def complete_instance(instance: Instance) -> tuple[Instance, Padding]:
     model = instance.model
     if isinstance(model, LotteryModel):
         def complete(entry: AgentLottery) -> AgentLottery:
-            return AgentLottery(
+            return AgentLottery._trusted(
                 tuple(
-                    (LinearOrder(_head_first(o.ranking, total)), w)
+                    (LinearOrder._trusted(_head_first(o.ranking, total)), w)
                     for o, w in entry.support
                 )
             )
@@ -757,12 +793,12 @@ def complete_instance(instance: Instance) -> tuple[Instance, Padding]:
             # certain or it would add blocking randomness of its own
             flat = tuple(c for tier in entry.tiers for c in tier)
             tail = _head_first(flat, total)[len(flat):]
-            return WeakOrder(entry.tiers + tuple((c,) for c in tail))
+            return WeakOrder._trusted(entry.tiers + tuple((c,) for c in tail))
 
         pad = complete(WeakOrder(()))
     else:
         def complete(entry: LinearOrder) -> LinearOrder:
-            return LinearOrder(_head_first(entry.ranking, total))
+            return LinearOrder._trusted(_head_first(entry.ranking, total))
 
         pad = complete(LinearOrder(()))
 
@@ -778,7 +814,7 @@ def complete_instance(instance: Instance) -> tuple[Instance, Padding]:
         )
     else:
         completed = type(model)(men=side(model.men), women=side(model.women))
-    return Instance(completed), padding
+    return Instance._trusted(completed), padding
 
 
 def lift_matching(matching: Matching, padding: Padding) -> Matching:

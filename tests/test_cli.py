@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import ladder_instance, tied_instance
+from stableprob import cli
 from stableprob.cli import main
 from stableprob.jsonio import default_names, instance_from_json, instance_to_json
 from stableprob.jsonio import matching_to_json
@@ -837,3 +838,75 @@ class TestOutputFormat:
         matching = write("mu.json", MU1)
         argv = ("probability", instance, "--matching", matching)
         assert run(*argv) == run(*argv)
+
+
+class TestParserReuse:
+    """``main`` and ``run`` share one parser, and no option value carries
+    from one call into the next: every call answers byte for byte as it
+    does on a fresh ``build_parser()``."""
+
+    @staticmethod
+    def outcome(capsys, entry, argv):
+        """(exit code, ``run``'s payload and diagnostics, stdout, stderr) of
+        ``entry(argv)``."""
+        try:
+            code, result = entry(list(argv)), None
+        except SystemExit as exc:  # --help and argument errors
+            code, result = exc.code, None
+        if isinstance(code, cli.CommandResult):
+            code, result = code.exit_code, (code.payload, code.diagnostics)
+        captured = capsys.readouterr()
+        return code, result, captured.out, captured.err
+
+    def test_interleaved_calls_answer_as_on_a_fresh_parser(
+        self, capsys, monkeypatch, write
+    ):
+        lottery = write("i.json", EXAMPLE)
+        mu = write("mu.json", MU1)
+        three = write("three.json", THREE_ORDERS)
+        identity = write("identity.json", IDENTITY3)
+        one_side = write("one_side.json", ONE_SIDE)
+        main, run = cli.main, cli.run
+        calls = [  # (entry, STABLEPROB_CAP or None, argv)
+            (main, None, ["--pretty", "probability", lottery, "--matching", mu]),
+            (run, None, ["probability", lottery, "--matching", mu, "--method",
+                         "estimate", "--seed", "3"]),
+            (main, None, ["probability", lottery, "--matching", mu]),
+            (main, None, ["probability", lottery, "--matching", mu, "--method",
+                          "estimate"]),
+            (main, None, ["--cap", "1", "nonzero", three, "--matching", identity]),
+            (run, None, ["nonzero", three, "--matching", identity]),
+            (main, "1", ["nonzero", three, "--matching", identity]),
+            (main, "1", ["--cap", "3", "nonzero", three, "--matching", identity]),
+            (main, None, ["nonzero", three, "--matching", identity]),
+            (main, None, ["most-stable", one_side, "--algorithm", "brute"]),
+            (run, None, ["most-stable", one_side, "--uncertain-side", "women"]),
+            (main, None, ["most-stable", one_side]),
+            (main, None, ["--pretty", "most-stable", one_side,
+                          "--uncertain-side", "men"]),
+            (run, "1", ["most-stable", one_side]),
+            (main, None, ["one", lottery, "--matching", mu]),
+            (main, None, ["exists-certain", lottery]),
+            (main, None, ["--pretty", "complete", lottery]),
+            (main, None, ["validate", lottery]),
+            (main, None, ["--help"]),
+            (run, None, ["probability", "--help"]),
+            (main, None, ["frobnicate", lottery]),
+            (run, None, ["--cap", "x", "validate", lottery]),
+            (main, None, ["validate", lottery]),
+        ]
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+        codes = set()
+        for entry, cap, argv in calls:
+            if cap is None:
+                monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+            else:
+                monkeypatch.setenv(cli.CAP_ENV_VAR, cap)
+            shared = self.outcome(capsys, entry, argv)
+            with monkeypatch.context() as fresh:
+                fresh.setattr(cli, "_parser", cli.build_parser)
+                assert self.outcome(capsys, entry, argv) == shared, argv
+            codes.add(shared[0])
+        # the calls reach every exit code, argparse's own exits included
+        assert codes == {0, 1, 2, 3}

@@ -3,6 +3,10 @@
 ``reference_instance_from_json`` in helpers resolves every listing twice, once
 to learn acceptability and once to build the model. On every document the two
 must give the same (instance, men, women) or the same error text.
+
+The parser builds through the unchecked ``_trusted`` constructors, so every
+instance it returns must also survive a rebuild through the public checked
+constructors and compare equal to it.
 """
 
 import random
@@ -14,7 +18,17 @@ from helpers import (
     random_lottery_instance,
     reference_instance_from_json,
 )
-from stableprob import ValidationError
+from stableprob import (
+    AgentLottery,
+    CompactModel,
+    Instance,
+    JointModel,
+    LinearOrder,
+    LotteryModel,
+    Profile,
+    ValidationError,
+    WeakOrder,
+)
 from stableprob.jsonio import instance_from_json, instance_to_json
 
 # m1-w1, m1-w2, m0-w2 and m2-w1 are listed by one side only
@@ -158,3 +172,78 @@ def test_round_trips_with_incomplete_and_one_sided_lists():
         assert _outcome(instance_from_json, document) == expected, document
         if isinstance(expected, tuple):
             assert expected[0] == instance
+
+
+def _rebuilt(instance: Instance) -> Instance:
+    """``instance`` built again through the public checked constructors."""
+    model = instance.model
+
+    def orders(side) -> tuple:
+        return tuple(LinearOrder(order.ranking) for order in side)
+
+    def lottery(entry: AgentLottery) -> AgentLottery:
+        support = entry.support
+        return AgentLottery(tuple((LinearOrder(o.ranking), w) for o, w in support))
+
+    if isinstance(model, LotteryModel):
+        payload = LotteryModel(
+            men=tuple(map(lottery, model.men)), women=tuple(map(lottery, model.women))
+        )
+    elif isinstance(model, CompactModel):
+        payload = CompactModel(
+            men=tuple(WeakOrder(e.tiers) for e in model.men),
+            women=tuple(WeakOrder(e.tiers) for e in model.women),
+        )
+    else:
+        payload = JointModel(
+            tuple(
+                (Profile(men=orders(p.men), women=orders(p.women)), w)
+                for p, w in model.profiles
+            )
+        )
+    return Instance(payload)
+
+
+def _assert_checked_rebuild_agrees(instance: Instance) -> None:
+    rebuilt = _rebuilt(instance)
+    assert rebuilt == instance
+    assert rebuilt.acceptable_men == instance.acceptable_men
+    assert rebuilt.acceptable_women == instance.acceptable_women
+
+
+def test_parsed_instances_survive_a_checked_rebuild():
+    # the mutation fuzz's documents, drawn again from its seed, and the bases
+    rng = random.Random(20261018)
+    documents = list(BASES)
+    for i in range(MUTATIONS):
+        base = BASES[i % 4] if i % 2 else _random_document(rng, i)[1]
+        documents.append(mutate_document(rng, base))
+    parsed = 0
+    for document in documents:
+        outcome = _outcome(instance_from_json, document)
+        if isinstance(outcome, tuple):
+            _assert_checked_rebuild_agrees(outcome[0])
+            parsed += 1
+    assert parsed >= 100
+
+
+def test_large_documents_with_one_sided_listings():
+    # most agents are listed back by all their candidates and keep their
+    # rows; the few with a one-sided listing have theirs filtered
+    rng = random.Random(22)
+    for i in range(9):
+        n_men, n_women = rng.randint(32, 48), rng.randint(32, 48)
+        instance = GENERATORS[i % 3](rng, n_men, n_women, complete=False)
+        document = instance_to_json(instance)
+        for _ in range(rng.randint(2, 5)):
+            _add_one_sided(rng, document)
+        parsed, men, women = instance_from_json(document)
+        assert (parsed, men, women) == reference_instance_from_json(document)
+        _assert_checked_rebuild_agrees(parsed)
+        accepted = parsed.acceptable_men + parsed.acceptable_women
+        listed = [
+            {n for names in _lists_of(document, name) for n in names}
+            for name in document["men"] + document["women"]
+        ]
+        kept = [len(a) == len(b) for a, b in zip(accepted, listed)]
+        assert any(kept) and not all(kept)

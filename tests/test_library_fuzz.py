@@ -1,12 +1,14 @@
 """Seeded fuzz over every public constructor, ``is_weakly_stable`` and the
-value arguments of the certain-stability functions.
+value arguments of the certain-stability, probability and most-stable
+functions.
 
 Each target gets arguments of its documented type whose contents are
 junk: rows of the wrong width or kind, weights that are no probability,
-indices that are no agent index, caps that are no cap. Whatever they hold,
-the only error allowed is ``ValidationError`` (and ``ResourceLimitError``
-for an int cap that the work really exceeds), and an accepted
-``PartialOrder`` holds only int candidates.
+indices that are no agent index, caps that are no cap, methods that are no
+method, generators whose rolls leave [0, 1). Whatever they hold, the only
+error allowed is ``ValidationError`` (and ``ResourceLimitError`` for an int
+cap that the work really exceeds), and an accepted ``PartialOrder`` holds
+only int candidates.
 """
 
 import random
@@ -35,8 +37,13 @@ from stableprob import (
     X3cInstance,
     certainly_preferred,
     dominance_set,
+    estimate_stability_probability,
     exists_certainly_stable_matching,
+    is_stability_probability_nonzero,
     is_very_weakly_blocking,
+    most_stable_brute_force,
+    most_stable_constant_uncertain,
+    stability_probability,
 )
 from stableprob.core import enumerate_stable_matchings, is_weakly_stable
 
@@ -52,6 +59,34 @@ MARKET = Instance(LotteryModel(men=(COIN, LOTTERY), women=(LOTTERY, LOTTERY)))
 CROSSED = Profile(men=(ORDER, REVERSED), women=(REVERSED, ORDER))
 JOINT = Instance(JointModel(((CROSSED, 1),)))
 JOINT_STABLE = len(enumerate_stable_matchings(CROSSED, cap=None))
+MU = Matching.from_pairs(((0, 0), (1, 1)))
+# a 3 x 3 lottery market in which man 0 has three orders and woman 1 two;
+# the pair of the two blocks only when both take their second order, so the
+# nonzero search enters the root, man 0 and woman 1
+THIRD, HALF = Fraction(1, 3), Fraction(1, 2)
+THREE_ORDERS = Instance(
+    LotteryModel(
+        men=(
+            AgentLottery(
+                (
+                    (LinearOrder((0, 1, 2)), THIRD),
+                    (LinearOrder((1, 0, 2)), THIRD),
+                    (LinearOrder((2, 0, 1)), THIRD),
+                )
+            ),
+            AgentLottery.certain(LinearOrder((1, 0, 2))),
+            AgentLottery.certain(LinearOrder((2, 0, 1))),
+        ),
+        women=(
+            AgentLottery.certain(LinearOrder((0, 1, 2))),
+            AgentLottery(
+                ((LinearOrder((1, 0, 2)), HALF), (LinearOrder((0, 1, 2)), HALF))
+            ),
+            AgentLottery.certain(LinearOrder((2, 0, 1))),
+        ),
+    )
+)
+MU3 = Matching.from_pairs(((0, 0), (1, 1), (2, 2)))
 
 # hashable junk, so that it fits in a frozenset as well as in a tuple
 SCALARS = (
@@ -102,16 +137,98 @@ def agent(rng: random.Random) -> AgentId:
     return AgentId(rng.choice((Side.MEN, Side.WOMEN)), index(rng))
 
 
-def exists_with_junk_cap(rng: random.Random):
-    cap = rng.choice((None, 0, 1, JOINT_STABLE, rng.choice(SCALARS)))
-    instance = market(rng)
+def junk_cap(rng: random.Random):
+    return rng.choice((None, 0, 1, 2, 3, JOINT_STABLE, rng.choice(SCALARS)))
+
+
+def capped(call, cap, need):
+    """``call(cap)``, where a ResourceLimitError passes only for an int
+    ``cap`` below ``need()``, the work the call really takes."""
     try:
-        return exists_certainly_stable_matching(instance, cap)
+        return call(cap)
     except ResourceLimitError:
-        # only the joint route enumerates, and only past an int cap
-        if instance is JOINT and type(cap) is int and cap < JOINT_STABLE:
+        if type(cap) is int and cap < need():
             return None
         raise
+
+
+class StuckRandom(random.Random):
+    """A generator whose every roll is ``roll``, in [0, 1) or not."""
+
+    def __init__(self, roll):
+        super().__init__(0)
+        self.roll = roll
+
+    def random(self):
+        return self.roll
+
+
+def exists_with_junk_cap(rng: random.Random):
+    instance = market(rng)
+    # only the joint route enumerates stable matchings
+    need = JOINT_STABLE if instance is JOINT else 0
+    return capped(
+        lambda c: exists_certainly_stable_matching(instance, c),
+        junk_cap(rng),
+        lambda: need,
+    )
+
+
+def probability_with_junk(rng: random.Random):
+    instance = market(rng)
+    method = rng.choice(("auto", "exact", "one-side", "joint", junk(rng)))
+    # a joint model and the one-side route never search; the lottery market's
+    # one uncertain man meets no uncertain woman, so the search enters only
+    # the root
+    need = 1 if instance is MARKET and method in ("auto", "exact") else 0
+    return capped(
+        lambda c: stability_probability(instance, MU, method, c),
+        junk_cap(rng),
+        lambda: need,
+    )
+
+
+def estimate_with_junk(rng: random.Random):
+    instance = market(rng)
+    epsilon = rng.choice(("1/2", Fraction(1, 4), 0.3, junk(rng)))
+    delta = rng.choice(("1/2", "1e-6", Fraction(1, 3), junk(rng)))
+    generator = rng.choice(
+        (None, random.Random(5), StuckRandom(rng.choice((0.0, 1.0, -1.0, 2.5))))
+    )
+
+    def call(c):
+        return estimate_stability_probability(
+            instance, MU, epsilon, delta, generator, c
+        )
+
+    # the cap counts samples, and the estimate reports how many it drew
+    return capped(call, junk_cap(rng), lambda: call(None).samples)
+
+
+def nonzero_with_junk(rng: random.Random):
+    # the joint scan and the 2-SAT route never search
+    instance, matching, need = rng.choice(
+        ((MARKET, MU, 0), (JOINT, MU, 0), (THREE_ORDERS, MU3, 3))
+    )
+    return capped(
+        lambda c: is_stability_probability_nonzero(instance, matching, c),
+        junk_cap(rng),
+        lambda: need,
+    )
+
+
+def most_stable_with_junk(search):
+    # the cap counts the candidates, which the result reports as examined;
+    # scoring one on these markets enters at most the search's root
+    def build(rng: random.Random):
+        instance = market(rng)
+
+        def call(c):
+            return search(instance, c)
+
+        return capped(call, junk_cap(rng), lambda: call(None).examined)
+
+    return build
 
 
 TARGETS = {
@@ -159,6 +276,13 @@ TARGETS = {
     "dominance_set": lambda rng: dominance_set(market(rng), agent(rng), index(rng)),
     "certainly_preferred": lambda rng: certainly_preferred(market(rng), agent(rng)),
     "exists_certainly_stable_matching": exists_with_junk_cap,
+    "stability_probability": probability_with_junk,
+    "estimate_stability_probability": estimate_with_junk,
+    "is_stability_probability_nonzero": nonzero_with_junk,
+    "most_stable_brute_force": most_stable_with_junk(most_stable_brute_force),
+    "most_stable_constant_uncertain": most_stable_with_junk(
+        most_stable_constant_uncertain
+    ),
 }
 
 

@@ -192,18 +192,33 @@ def test_every_traced_layer_resolves_in_the_package():
     assert missing == []
 
 
-# The only functions that may build a LinearOrder through the unchecked
-# ``LinearOrder._trusted``: each makes its rankings from agent indices that a
-# public constructor or the JSON layer has already checked, never from a
+# Per class with an unchecked ``_trusted`` constructor, the only functions
+# that may call it: each builds from agent indices, weights or payloads that
+# a public constructor or the JSON layer has already checked, never from a
 # caller's own values. Add a function here only when that holds for it.
-TRUSTED_ORDER_BUILDERS = {
-    "core.py WeakOrder.linear_extensions",
-    "jsonio.py instance_from_json",
-    "jsonio.py instance_from_json.lottery",
-    "models.py _certain_order",
-    "probability.py _partner_first_extension",
-    "reductions.py _lottery",
-    "reductions.py three_color_to_joint.profile",
+TRUSTED_BUILDERS = {
+    "LinearOrder": {
+        "core.py WeakOrder.linear_extensions",
+        "jsonio.py instance_from_json",
+        "jsonio.py instance_from_json.lottery",
+        "models.py _certain_order",
+        "models.py complete_instance.complete",
+        "probability.py _partner_first_extension",
+        "reductions.py _lottery",
+        "reductions.py three_color_to_joint.profile",
+    },
+    "WeakOrder": {
+        "jsonio.py instance_from_json",
+        "models.py complete_instance.complete",
+    },
+    "AgentLottery": {
+        "jsonio.py instance_from_json.lottery",
+        "models.py complete_instance.complete",
+    },
+    "Instance": {
+        "jsonio.py instance_from_json",
+        "models.py complete_instance",
+    },
 }
 
 
@@ -227,21 +242,31 @@ def _is_public_classmethod(node) -> bool:
 
 
 def test_unchecked_orders_are_built_only_by_allowed_functions():
-    # every reference counts, called or not, so an alias cannot hide a call
-    found, forbidden = set(), []
+    # every reference counts, called or not, so an alias cannot hide a call;
+    # one through anything but the class's own name is filed under None
+    defined, found, forbidden = set(), {}, []
     for path in sorted(SOURCE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for scope, node in _scoped_nodes(tree):
+            if (
+                isinstance(node, ast.FunctionDef)
+                and node.name == "_trusted"
+                and scope
+                and isinstance(scope[-1], ast.ClassDef)
+            ):
+                defined.add(scope[-1].name)
             if not (isinstance(node, ast.Attribute) and node.attr == "_trusted"):
                 continue
+            owner = getattr(node.value, "id", None)
             name = ".".join(s.name for s in scope) or "<module>"
-            found.add(f"{path.name} {name}")
+            found.setdefault(owner, set()).add(f"{path.name} {name}")
             if any(
                 s.name == "__post_init__" or _is_public_classmethod(s) for s in scope
             ):
                 forbidden.append(f"{path.name}:{node.lineno} {name}")
     assert forbidden == []
-    assert found == TRUSTED_ORDER_BUILDERS
+    assert defined == set(TRUSTED_BUILDERS)
+    assert found == TRUSTED_BUILDERS
 
 
 def test_only_smp_from_instance_builds_an_smp_instance():
