@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import permutations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError, ValidationError
 
@@ -364,7 +364,13 @@ def is_stable(profile: Profile, matching: Matching) -> bool:
     return next(iter_blocking_pairs(profile, matching), None) is None
 
 
-def deferred_acceptance(lists: dict[int, list[int]], ranks) -> dict[int, int]:
+def deferred_acceptance(
+    lists: dict[int, list[int]],
+    ranks,
+    held: dict[int, int] | None = None,
+    next_choice: dict[int, int] | None = None,
+    closed: Container[int] = (),
+) -> dict[int, int]:
     """Receiver -> proposer pairs at the end of deferred acceptance.
 
     ``lists`` maps each proposer to the receivers it proposes to, best
@@ -372,16 +378,32 @@ def deferred_acceptance(lists: dict[int, list[int]], ranks) -> dict[int, int]:
     ``ranks[r][p]`` is receiver r's rank of proposer p, lower is better.
     The result is the proposer-optimal stable matching, whatever order the
     proposals are made in.
+
+    A round resumes from the state an earlier one left: ``held``, its
+    receiver -> proposer pairs, and ``next_choice``, each proposer's next
+    position on its list, both updated in place; the result is ``held``.
+    Every proposer that holds no receiver proposes on from its position,
+    skipping the receivers in ``closed``. A fresh round is the resume from
+    the empty state (``held`` None). Take receivers out of a finished round
+    by deleting their pairs from ``held`` and listing them in ``closed``:
+    the resumed round equals a fresh one on the lists without them. Replay
+    the earlier proposals minus those to the removed receivers; every other
+    receiver sees the same proposals in the same order, so this is a valid
+    run on the shorter lists that stops where the resume starts, and the
+    order of proposals does not matter (McVitie and Wilson, 1971).
     """
-    held: dict[int, int] = {}
-    next_choice = dict.fromkeys(lists, 0)
-    free = list(lists)
+    if held is None:
+        held, next_choice = {}, dict.fromkeys(lists, 0)
+    holding = set(held.values())
+    free = [p for p in lists if p not in holding]
     while free:
         p = free.pop()
         order, i = lists[p], next_choice[p]
         while i < len(order):
             r = order[i]
             i += 1
+            if r in closed:
+                continue
             cur = held.get(r)
             if cur is None or ranks[r][p] < ranks[r][cur]:
                 held[r] = p

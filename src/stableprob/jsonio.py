@@ -192,13 +192,14 @@ def instance_from_json(data) -> tuple[Instance, tuple[str, ...], tuple[str, ...]
     men_rows = _mutual_rows(men, women, model != "joint")
     women_rows = _mutual_rows(women, men, model != "joint")
 
+    parsed: dict[str, Fraction] = {}  # weight string -> its probability
     if model == "lottery":
 
         def lottery(name, rows) -> AgentLottery:
             label = f"weight in preferences of '{name}'"
             return AgentLottery._trusted(
                 tuple(
-                    (LinearOrder._trusted(row), _weight(item["p"], label))
+                    (LinearOrder._trusted(row), _weight(item["p"], label, parsed))
                     for row, item in zip(rows, preferences[name])
                 )
             )
@@ -220,7 +221,7 @@ def instance_from_json(data) -> tuple[Instance, tuple[str, ...], tuple[str, ...]
                         men=tuple(LinearOrder._trusted(r[k]) for r in men_rows),
                         women=tuple(LinearOrder._trusted(r[k]) for r in women_rows),
                     ),
-                    _weight(item["p"], "profile weight"),
+                    _weight(item["p"], "profile weight", parsed),
                 )
                 for k, item in enumerate(profiles)
             )
@@ -228,11 +229,20 @@ def instance_from_json(data) -> tuple[Instance, tuple[str, ...], tuple[str, ...]
     return Instance._trusted(payload), men_names, women_names
 
 
-def _weight(value, label: str) -> Fraction:
-    try:
-        return as_probability(value)
-    except ValidationError as exc:
-        raise ValidationError(f"{label}: {exc}") from exc
+def _weight(value, label: str, parsed: dict[str, Fraction]) -> Fraction:
+    """``value`` as a probability, an error prefixed by ``label``. A string
+    is parsed once per document: ``parsed`` keeps the ones seen. Other JSON
+    values are not kept, since 1, 1.0 and true are equal keys but take
+    different paths through ``as_probability``."""
+    prob = parsed.get(value) if type(value) is str else None
+    if prob is None:
+        try:
+            prob = as_probability(value)
+        except ValidationError as exc:
+            raise ValidationError(f"{label}: {exc}") from exc
+        if type(value) is str:
+            parsed[value] = prob
+    return prob
 
 
 def _entry_to_json(entry: AgentLottery | WeakOrder, other):

@@ -390,8 +390,10 @@ class Instance:
         return self._view.men + self._view.women
 
     def index(self, agent: AgentId) -> int:
-        """The agent's id in ``entries``; an agent outside the market raises
-        ValidationError."""
+        """The agent's id in ``entries``; a value that is no ``AgentId``, or
+        an agent outside the market, raises ValidationError."""
+        if not isinstance(agent, AgentId):
+            raise ValidationError(f"not an agent: {agent!r}")
         if agent.side is Side.MEN:
             size, offset = self.n_men, 0
         else:

@@ -7,8 +7,7 @@ of ``itertools.permutations``. Brute force assigns every man, and a leaf is
 the perfect matching itself. The polynomial path assumes all uncertainty
 sits on one side with a bounded number of uncertain agents: it assigns only
 those, and extends each leaf with a stability-optimal assignment of the
-certain agents, computed by deferred acceptance on their ranks, or drops
-the leaf when no extension can be stable.
+certain agents, computed by deferred acceptance on their ranks.
 
 The incumbent starts at probability 0 with no matching. A leaf replaces it
 only on strict improvement, and a partial assignment is pruned when an
@@ -19,8 +18,16 @@ leaf always scores above 0, so starting at 0 loses no maximum. The lottery
 bound reads only the pairs between assigned agents: a pair that blocks in
 every order of one agent deletes the other agent's orders that block with
 it (both: pruned outright), and the bound is the product of the assigned
-agents' remaining mass. Compact and joint models are bounded by 1. Each
-search refuses up front when its leaves outnumber ``cap``.
+agents' remaining mass. Compact and joint markets are bounded by 1.
+
+The polynomial path also bounds a prefix by 0 when a certain pair blocks
+there. Down the depth-first path it keeps the certain men's proposer-optimal
+round on the women not yet assigned, resumed from the parent's round each
+time a woman is taken. Taking a woman away leaves every certain man's
+proposer-optimal partner no better (Gale and Sotomayor, 1985), so a certain
+man and an assigned woman who prefer each other to their partners at a
+prefix do so at every leaf below it, and none of those leaves has a stable
+extension. Each search refuses up front when its leaves outnumber ``cap``.
 """
 
 from __future__ import annotations
@@ -105,21 +112,26 @@ def _lottery_bound(instance: Instance, men):
     return bound
 
 
-def _most_stable(completed: Instance, padding, men, leaf, cap: int | None, what: str):
+def _model_bound(completed: Instance, men):
+    """The lottery bound of ``_lottery_bound``, or the constant 1 for compact
+    and joint markets."""
+    if isinstance(completed.model, LotteryModel):
+        return _lottery_bound(completed, men)
+    return lambda d, women: (1, 1)
+
+
+def _most_stable(completed: Instance, padding, men, bound, leaf, cap: int | None, what: str):
     """Branch and bound over the assignments of ``men`` to the women of the
-    complete, square ``completed``; ``leaf(women)`` turns a full assignment
-    into a candidate matching or None. Returns the first candidate of
-    maximal probability, restricted by ``padding``. More than ``cap``
-    assignments, counted as ``what``, raises ResourceLimitError before any
-    is tried."""
+    complete, square ``completed``. ``bound(d, women)`` is an exact upper
+    bound (numerator, denominator) on every leaf below the prefix that
+    matches ``men[0..d]`` to ``women[0..d]``, called depth first as
+    ``_lottery_bound`` describes; ``leaf(women)`` turns a full assignment
+    into a candidate matching. Returns the first candidate of maximal
+    probability, restricted by ``padding``. More than ``cap`` assignments,
+    counted as ``what``, raises ResourceLimitError before any is tried."""
     n, k = completed.n_men, len(men)
     examined = math.perm(n, k)
     charge(Budget(cap, what), examined)
-    bound = (
-        _lottery_bound(completed, men)
-        if isinstance(completed.model, LotteryModel)
-        else lambda d, women: (1, 1)
-    )
     best, best_p = None, Fraction(0)
     women = [0] * k  # women[d]: the partner of men[d] on the current path
     used = [False] * n
@@ -141,10 +153,9 @@ def _most_stable(completed: Instance, padding, men, leaf, cap: int | None, what:
             next_woman[d] = 0  # every woman tried: back to the previous man
         else:
             candidate = leaf(women)
-            if candidate is not None:
-                p = stability_probability(completed, candidate, cap=cap)
-                if p > best_p:
-                    best, best_p = candidate, p
+            p = stability_probability(completed, candidate, cap=cap)
+            if p > best_p:
+                best, best_p = candidate, p
         d -= 1
         if d >= 0:
             used[women[d]] = False
@@ -169,10 +180,12 @@ def most_stable_brute_force(
     before any is scored.
     """
     completed, padding = complete_instance(instance)
+    men = range(completed.n_men)
     return _most_stable(
         completed,
         padding,
-        range(completed.n_men),
+        men,
+        _model_bound(completed, men),
         lambda women: Matching.from_pairs(enumerate(women)),
         cap,
         "perfect matchings",
@@ -186,17 +199,22 @@ def most_stable_constant_uncertain(
 
     The K = n(n-1)...(n-k+1) injective assignments of the k uncertain
     agents to the other side are searched under the brute-force bound, and
-    ``examined`` is K. A surviving assignment's certain remainder is matched
-    by a proposer-optimal round, discarded when a certain pair already
-    blocks, and otherwise rematched receiver-optimally on lists truncated
-    below any assigned partner that would block; that extension is the most
-    stable one for the fixed assignment, so the best one scored is the
-    overall optimum. Some extension scores above 0: take a stable matching
-    M of any realization; the proposer-optimal round on M's assignment
-    leaves every certain man at least as well off as in M, so a certain
-    pair that blocked the round would block M too. More than ``cap``
-    assignments (None for no limit) raises ResourceLimitError before any is
-    built. Uncertain women are handled on the transposed market.
+    ``examined`` is K. Each prefix also keeps the proposer-optimal round of
+    the certain men on the women it leaves, resumed from its parent's round,
+    and is bounded by 0 when a certain man and an assigned woman block: she
+    prefers him to her uncertain partner and he prefers her to his round
+    partner. Removing women never improves a certain man's proposer-optimal
+    partner, so the pair blocks at every leaf below, where no extension of
+    the assignment is stable. A leaf's certain remainder is rematched
+    receiver-optimally on lists truncated below any assigned partner that
+    would block; that extension is the most stable one for the fixed
+    assignment, so the best one scored is the overall optimum. Some leaf
+    survives: take a stable matching M of any realization; the
+    proposer-optimal rounds on the prefixes of M's assignment leave every
+    certain man at least as well off as in M, so a certain pair that blocked
+    one of them would block M too. More than ``cap`` assignments (None for
+    no limit) raises ResourceLimitError before any is built. Uncertain women
+    are handled on the transposed market.
     """
     uncertain = uncertain_agents(instance)
     sides = {agent.side for agent in uncertain}
@@ -208,44 +226,58 @@ def most_stable_constant_uncertain(
     completed, padding = complete_instance(instance)
     n = completed.n_men
     xs = sorted(agent.index for agent in uncertain)
+    k = len(xs)
     x_set = set(xs)
     certain_men = [m for m in range(n) if m not in x_set]
     men = {m: _certain_order(completed, m) for m in certain_men}
+    men_lists = {m: order.ranking for m, order in men.items()}
     men_rank = {m: order.rank for m, order in men.items()}
     # the completed market is square, so woman w has id n + w
     women = [_certain_order(completed, n + w) for w in range(n)]
     women_rank = [order.rank for order in women]
+    # per depth d, for the prefix assignment[0..d-1] on the current path: the
+    # round (held woman -> certain man, each man's next position on his
+    # list) and cut[m], m's rank of his best assigned woman who prefers him
+    # to her partner; m blocks with her while he holds a worse woman, and
+    # the leaf's receiver-optimal round truncates his list there
+    held, next_choice = {}, dict.fromkeys(certain_men, 0)
+    deferred_acceptance(men_lists, women_rank, held, next_choice)
+    rounds = [(held, next_choice)] + [None] * k
+    cuts = [dict.fromkeys(certain_men, n)] + [None] * k
+    lottery_bound = _model_bound(completed, xs)
 
-    def extend(assignment: list[int]) -> Matching | None:
-        partner_y = dict(zip(assignment, xs))  # assigned woman -> uncertain man
-        held = deferred_acceptance(
-            {m: [w for w in men[m].ranking if w not in partner_y] for m in certain_men},
-            women_rank,
-        )
-        partner = {m: w for w, m in held.items()}  # perfect: the lists are complete
-        # cut[m]: m's rank of his best assigned woman who prefers him to her
-        # partner; a certain pair blocks when m holds a worse partner, and the
-        # receiver-optimal round truncates his list there
-        cut = {}
+    def bound(d: int, assignment: list[int]) -> tuple[int, int]:
+        numerator, denominator = lottery_bound(d, assignment)
+        if not numerator:
+            return 0, 1
+        w, rank_w = assignment[d], women_rank[assignment[d]]
+        held, next_choice = map(dict, rounds[d])
+        held.pop(w, None)
+        deferred_acceptance(men_lists, women_rank, held, next_choice, assignment[: d + 1])
+        cut = dict(cuts[d])
+        x_rank = rank_w[xs[d]]
         for m in certain_men:
-            rank = men_rank[m]
-            cut[m] = min(
-                (rank[w] for w, x in partner_y.items() if women_rank[w][m] < women_rank[w][x]),
-                default=n,
-            )
-            if cut[m] < rank[partner[m]]:
-                return None
+            if rank_w[m] < x_rank and men_rank[m][w] < cut[m]:
+                cut[m] = men_rank[m][w]
+        if any(cut[m] < men_rank[m][w2] for w2, m in held.items()):
+            return 0, 1
+        rounds[d + 1] = held, next_choice
+        cuts[d + 1] = cut
+        return numerator, denominator
+
+    def extend(assignment: list[int]) -> Matching:
+        cut = cuts[k]
         held = deferred_acceptance(
             {
                 w: [m for m in women[w].ranking if m in cut and men_rank[m][w] < cut[m]]
                 for w in range(n)
-                if w not in partner_y
+                if w not in assignment
             },
             men_rank,
         )
         return Matching.from_pairs(list(zip(xs, assignment)) + list(held.items()))
 
-    result = _most_stable(completed, padding, xs, extend, cap, "candidate assignments")
+    result = _most_stable(completed, padding, xs, bound, extend, cap, "candidate assignments")
     if flip:
         result = replace(result, matching=result.matching.transposed())
     return result

@@ -11,6 +11,9 @@ constructors and compare equal to it.
 
 import random
 
+import pytest
+
+import stableprob.jsonio as jsonio
 from helpers import (
     mutate_document,
     random_compact_instance,
@@ -247,3 +250,66 @@ def test_large_documents_with_one_sided_listings():
         ]
         kept = [len(a) == len(b) for a, b in zip(accepted, listed)]
         assert any(kept) and not all(kept)
+
+
+def _two_coins(weights: dict) -> dict:
+    """A 2 x 2 lottery document in which each agent holds its order and the
+    reverse, with the weights ``weights`` gives it (default "1/2" and
+    "1/2"); an agent given one weight holds its order alone."""
+    preferences = {}
+    orders = {"m0": ["w0", "w1"], "m1": ["w0", "w1"], "w0": ["m0", "m1"], "w1": ["m0", "m1"]}
+    for name, order in orders.items():
+        listings = zip((order, order[::-1]), weights.get(name, ("1/2", "1/2")))
+        preferences[name] = [{"order": o, "p": p} for o, p in listings]
+    return {
+        "model": "lottery",
+        "men": ["m0", "m1"],
+        "women": ["w0", "w1"],
+        "preferences": preferences,
+    }
+
+
+def test_each_weight_string_is_parsed_once_per_document(monkeypatch):
+    calls = []
+    original = jsonio.as_probability
+
+    def counting(value):
+        calls.append(value)
+        return original(value)
+
+    monkeypatch.setattr(jsonio, "as_probability", counting)
+    document = _two_coins({"w1": ("1/3", "2/3")})
+    instance, _, _ = instance_from_json(document)
+    assert sorted(calls) == ["1/2", "1/3", "2/3"]
+    assert instance == reference_instance_from_json(document)[0]
+    # a second document parses its strings again
+    instance_from_json(document)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        # an earlier agent's strings are kept; m1's own bad one still names m1
+        ({"m1": ("1/2", "3/2")}, "weight in preferences of 'm1': probability 3/2 outside [0, 1]"),
+        ({"w1": ("x", "1/2")}, "weight in preferences of 'w1': bad probability 'x'"),
+    ],
+)
+def test_a_bad_weight_names_its_own_agent(weights, message):
+    document = _two_coins(weights)
+    with pytest.raises(ValidationError) as caught:
+        instance_from_json(document)
+    assert str(caught.value) == message
+    with pytest.raises(ValidationError) as expected:
+        reference_instance_from_json(document)
+    assert str(expected.value) == message
+
+
+def test_equal_weights_of_other_json_types_keep_their_own_paths():
+    # 1, 1.0 and "1" are one probability; true is none, even after them
+    document = _two_coins({"m0": (1,), "m1": (1.0,), "w0": ("1",), "w1": (0.5, "1/2")})
+    instance, _, _ = instance_from_json(document)
+    assert instance == reference_instance_from_json(document)[0]
+    document["preferences"]["w1"] = [{"order": ["m0", "m1"], "p": True}]
+    with pytest.raises(ValidationError, match="of 'w1': bad probability True"):
+        instance_from_json(document)

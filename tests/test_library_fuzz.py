@@ -1,14 +1,15 @@
 """Seeded fuzz over every public constructor, ``is_weakly_stable`` and the
-value arguments of the certain-stability, probability and most-stable
-functions.
+value arguments of the certain-stability, probability, most-stable,
+conversion and per-agent functions.
 
 Each target gets arguments of its documented type whose contents are
 junk: rows of the wrong width or kind, weights that are no probability,
 indices that are no agent index, caps that are no cap, methods that are no
-method, generators whose rolls leave [0, 1). Whatever they hold, the only
-error allowed is ``ValidationError`` (and ``ResourceLimitError`` for an int
-cap that the work really exceeds), and an accepted ``PartialOrder`` holds
-only int candidates.
+method, generators whose rolls leave [0, 1); an agent argument may also be
+junk of any type. Whatever they hold, the only error allowed is
+``ValidationError`` (and ``ResourceLimitError`` for an int cap that the
+work really exceeds), and an accepted ``PartialOrder`` holds only int
+candidates.
 """
 
 import random
@@ -35,15 +36,20 @@ from stableprob import (
     ValidationError,
     WeakOrder,
     X3cInstance,
+    agent_support,
+    certain_order,
     certainly_preferred,
     dominance_set,
     estimate_stability_probability,
     exists_certainly_stable_matching,
+    expand_compact_to_lottery,
     is_stability_probability_nonzero,
     is_very_weakly_blocking,
+    lottery_to_joint,
     most_stable_brute_force,
     most_stable_constant_uncertain,
     stability_probability,
+    support_size,
 )
 from stableprob.core import enumerate_stable_matchings, is_weakly_stable
 
@@ -60,6 +66,8 @@ CROSSED = Profile(men=(ORDER, REVERSED), women=(REVERSED, ORDER))
 JOINT = Instance(JointModel(((CROSSED, 1),)))
 JOINT_STABLE = len(enumerate_stable_matchings(CROSSED, cap=None))
 MU = Matching.from_pairs(((0, 0), (1, 1)))
+# a 2 x 2 compact market in which every agent ties both candidates
+TIED = Instance(CompactModel(men=(WEAK, WEAK), women=(WEAK, WEAK)))
 # a 3 x 3 lottery market in which man 0 has three orders and woman 1 two;
 # the pair of the two blocks only when both take their second order, so the
 # nonzero search enters the root, man 0 and woman 1
@@ -135,6 +143,11 @@ def market(rng: random.Random) -> Instance:
 
 def agent(rng: random.Random) -> AgentId:
     return AgentId(rng.choice((Side.MEN, Side.WOMEN)), index(rng))
+
+
+def any_agent(rng: random.Random):
+    """An agent of the markets, one outside them, or junk."""
+    return agent(rng) if rng.random() < 0.5 else junk(rng)
 
 
 def junk_cap(rng: random.Random):
@@ -217,6 +230,20 @@ def nonzero_with_junk(rng: random.Random):
     )
 
 
+def expand_with_junk_cap(rng: random.Random):
+    # the cap counts one agent's linear extensions; TIED's agents have two
+    instance = rng.choice((TIED, MARKET))
+    return capped(
+        lambda c: expand_compact_to_lottery(instance, c), junk_cap(rng), lambda: 2
+    )
+
+
+def joint_with_junk_cap(rng: random.Random):
+    # the cap counts joint profiles: MARKET's man 0 has two orders
+    instance = rng.choice((MARKET, JOINT))
+    return capped(lambda c: lottery_to_joint(instance, c), junk_cap(rng), lambda: 2)
+
+
 def most_stable_with_junk(search):
     # the cap counts the candidates, which the result reports as examined;
     # scoring one on these markets enters at most the search's root
@@ -275,6 +302,17 @@ TARGETS = {
     ),
     "dominance_set": lambda rng: dominance_set(market(rng), agent(rng), index(rng)),
     "certainly_preferred": lambda rng: certainly_preferred(market(rng), agent(rng)),
+    "certain_order": lambda rng: certain_order(
+        rng.choice((MARKET, JOINT, TIED)), any_agent(rng)
+    ),
+    "support_size": lambda rng: support_size(
+        rng.choice((MARKET, JOINT, TIED)), any_agent(rng)
+    ),
+    "agent_support": lambda rng: agent_support(
+        rng.choice((MARKET, JOINT, TIED)), any_agent(rng)
+    ),
+    "expand_compact_to_lottery": expand_with_junk_cap,
+    "lottery_to_joint": joint_with_junk_cap,
     "exists_certainly_stable_matching": exists_with_junk_cap,
     "stability_probability": probability_with_junk,
     "estimate_stability_probability": estimate_with_junk,

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -482,6 +483,75 @@ class TestConstantUncertain:
         assert result == reference_constant_uncertain(inst)
         assert result.probability == Fraction(1, 2)
         assert result.matching.partner_of_man(0) == 1
+
+    def test_one_fresh_round_per_scored_candidate(self, monkeypatch):
+        # the proposer-optimal round runs afresh once, at the root, and is
+        # resumed down every path; only each scored leaf's receiver-optimal
+        # round starts from the empty state
+        inst = one_side_uncertain_lottery(random.Random(33), 8, 3, complete=True)
+        fresh = []
+        original = optimization.deferred_acceptance
+
+        def counting(lists, ranks, *state):
+            held, next_choice = (state + (None, None))[:2]
+            if not held and not any((next_choice or {}).values()):
+                fresh.append(lists)
+            return original(lists, ranks, *state)
+
+        monkeypatch.setattr(optimization, "deferred_acceptance", counting)
+        scored = count_scored(monkeypatch)
+        result = most_stable_constant_uncertain(inst)
+        assert len(scored) == 17
+        assert len(fresh) <= 1 + len(scored)
+        assert result == reference_constant_uncertain(inst)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(2, 7),
+        st.integers(1, 3),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_resumed_rounds_equal_fresh_rounds(self, rng, n, k, compact, transpose):
+        # every prefix's round, resumed from its parent's, is the round a
+        # fresh deferred acceptance finds on the lists without the women
+        # taken so far
+        if compact:
+            inst = one_side_uncertain_compact(rng, n, k)
+        else:
+            inst = one_side_uncertain_lottery(rng, n, k, complete=rng.random() < 0.6)
+        if transpose:
+            inst = inst.transposed()
+        original = optimization.deferred_acceptance
+        resumed = []
+
+        def checking(lists, ranks, *state):
+            result = original(lists, ranks, *state)
+            if len(state) == 3:  # held, next positions and the women taken
+                closed = state[2]
+                kept = {p: [r for r in lists[p] if r not in closed] for p in lists}
+                assert result == original(kept, ranks)
+                resumed.append(closed)
+            return result
+
+        with mock.patch.object(optimization, "deferred_acceptance", checking):
+            result = most_stable_constant_uncertain(inst, cap=None)
+        assert result == reference_constant_uncertain(inst)
+        if uncertain_agents(inst):
+            assert resumed  # a leaf scores above 0, so a first prefix resumes
+
+    @pytest.mark.parametrize("n, k", [(8, 2), (8, 4), (9, 3), (10, 2), (10, 4)])
+    def test_matches_the_reference_search_at_eight_to_ten(self, n, k):
+        rng = random.Random(80 + 10 * n + k)
+        markets = [
+            one_side_uncertain_lottery(rng, n, k, complete=True, max_support=3),
+            one_side_uncertain_compact(rng, n, k),
+        ]
+        assert [len(uncertain_agents(market)) for market in markets] == [k, k]
+        for inst in markets + [market.transposed() for market in markets]:
+            result = most_stable_constant_uncertain(inst)
+            assert result == reference_constant_uncertain(inst)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_reference_search(self, seed):
