@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError, ValidationError
@@ -216,6 +216,25 @@ class WeakOrder:
             return True
         theirs = self.tier_of[partner]
         return None if pos == theirs else pos < theirs
+
+    def beats(self, partner: int | None) -> dict[int, bool | None]:
+        """The candidates ranked above ``partner`` (None: unmatched) in some
+        linear extension, in tier order and ascending within a tier, each
+        mapped to ``prefers_over_partner(candidate, partner)``: True for a
+        better tier, None for a tier-mate. Unmatched, every candidate maps
+        to True. The compact counterpart of ``AgentLottery.beats``; nothing
+        is cached, since each caller asks once per agent. A partner that is
+        not a listed candidate raises ValidationError."""
+        if partner is None:
+            return dict.fromkeys(self.tier_of, True)
+        pos = self.tier_of.get(partner) if type(partner) is int else None
+        if pos is None:
+            raise ValidationError(f"partner {partner!r} is not a listed candidate")
+        view = dict.fromkeys(chain.from_iterable(self.tiers[:pos]), True)
+        for mate in self.tiers[pos]:
+            if mate != partner:
+                view[mate] = None
+        return view
 
     def count_linear_extensions(self) -> int:
         return math.prod(math.factorial(len(tier)) for tier in self.tiers)
@@ -542,10 +561,7 @@ def is_weakly_stable(
     _check_lists(men, women, WeakOrder, "tier_of")
     _check_matching([o.tier_of for o in men], [o.tier_of for o in women], matching)
     for m, order in enumerate(men):
-        mu_m = matching.partner_of_man(m)
-        limit = len(order.tiers) if mu_m is None else order.tier_of[mu_m]
-        for tier in order.tiers[:limit]:
-            for w in tier:
-                if women[w].prefers_over_partner(m, matching.partner_of_woman(w)):
-                    return False
+        for w, his in order.beats(matching.partner_of_man(m)).items():
+            if his and women[w].prefers_over_partner(m, matching.partner_of_woman(w)):
+                return False
     return True

@@ -172,14 +172,20 @@ class AgentLottery:
     def beats(self, partner: int | None) -> dict[int, int]:
         """Per candidate, the bitmask of support orders that rank it above
         ``partner`` (None: unmatched); candidates above it in no order are
-        absent."""
+        absent. A partner that is not a listed candidate raises
+        ValidationError; its membership is checked only when its table is
+        built."""
+        if partner is not None and type(partner) is not int:
+            raise ValidationError(f"partner {partner!r} is not a listed candidate")
         table = self._beats.get(partner)
         if table is None:
+            if partner is not None and partner not in self.support[0][0].ranking:
+                raise ValidationError(f"partner {partner!r} is not a listed candidate")
             table = {}
             for i, (order, _) in enumerate(self.support):
                 # a scan: building ``order.rank`` costs more than one lookup
                 ranking = order.ranking
-                if partner in ranking:
+                if partner is not None:
                     ranking = ranking[: ranking.index(partner)]
                 for candidate in ranking:
                     table[candidate] = table.get(candidate, 0) | 1 << i

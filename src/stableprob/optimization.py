@@ -23,11 +23,12 @@ agents' remaining mass. Compact and joint markets are bounded by 1.
 The polynomial path also bounds a prefix by 0 when a certain pair blocks
 there. Down the depth-first path it keeps the certain men's proposer-optimal
 round on the women not yet assigned, resumed from the parent's round each
-time a woman is taken. Taking a woman away leaves every certain man's
-proposer-optimal partner no better (Gale and Sotomayor, 1985), so a certain
-man and an assigned woman who prefer each other to their partners at a
-prefix do so at every leaf below it, and none of those leaves has a stable
-extension. Each search refuses up front when its leaves outnumber ``cap``.
+time a woman is taken, unless the brute-force bound already drops the
+prefix. Taking a woman away leaves every certain man's proposer-optimal
+partner no better (Gale and Sotomayor, 1985), so a certain man and an
+assigned woman who prefer each other to their partners at a prefix do so at
+every leaf below it, and none of those leaves has a stable extension. Each
+search refuses up front when its leaves outnumber ``cap``.
 """
 
 from __future__ import annotations
@@ -66,14 +67,15 @@ class MostStableResult:
 
 
 def _lottery_bound(instance: Instance, men):
-    """``bound(d, women)``: with ``men[0..d]`` of the complete, square
-    lottery ``instance`` matched to ``women[0..d]``, an exact upper bound
-    (numerator, denominator) on the stability probability of every perfect
-    matching that extends them, kept as integers because a Fraction per
-    node costs a gcd. Calls come depth first: the call for depth d > 0
-    follows one for depth d - 1 on the same prefix, whose bound was
-    positive. Each agent's pick tables, numerators and scale are those its
-    ``AgentLottery`` holds, which the leaves' scoring reads too."""
+    """``bound(d, women, incumbent)``: with ``men[0..d]`` of the complete,
+    square lottery ``instance`` matched to ``women[0..d]``, whether an exact
+    upper bound on the stability probability of every perfect matching that
+    extends them exceeds the Fraction ``incumbent``; the bound is kept as
+    integers because a Fraction per node costs a gcd. Calls come depth
+    first: the call for depth d > 0 follows one for depth d - 1 on the same
+    prefix, whose bound exceeded the incumbent. Each agent's pick tables,
+    numerators and scale are those its ``AgentLottery`` holds, which the
+    leaves' scoring reads too."""
     n = instance.n_men
     entries = instance.entries
     full = [(1 << len(entry.support)) - 1 for entry in entries]
@@ -94,10 +96,10 @@ def _lottery_bound(instance: Instance, men):
                 if b_mask:
                     yield a, n + b, a_mask, b_mask
 
-    def bound(d: int, women: list[int]) -> tuple[int, int]:
+    def bound(d: int, women: list[int], incumbent: Fraction) -> bool:
         mask = allowed[d][:]
         if delete_forced_picks(new_pairs(d, women), full, mask) is None:
-            return 0, 1
+            return False
         allowed[d + 1] = mask
         numerator = denominator = 1
         for agent in itertools.chain(men[: d + 1], (n + w for w in women[: d + 1])):
@@ -107,7 +109,7 @@ def _lottery_bound(instance: Instance, men):
                 mass = masses[key] = allowed_mass(entries[agent].numerators, mask[agent])
             numerator *= mass
             denominator *= entries[agent].scale
-        return numerator, denominator
+        return numerator * incumbent.denominator > incumbent.numerator * denominator
 
     return bound
 
@@ -117,18 +119,19 @@ def _model_bound(completed: Instance, men):
     and joint markets."""
     if isinstance(completed.model, LotteryModel):
         return _lottery_bound(completed, men)
-    return lambda d, women: (1, 1)
+    return lambda d, women, incumbent: incumbent < 1
 
 
 def _most_stable(completed: Instance, padding, men, bound, leaf, cap: int | None, what: str):
     """Branch and bound over the assignments of ``men`` to the women of the
-    complete, square ``completed``. ``bound(d, women)`` is an exact upper
-    bound (numerator, denominator) on every leaf below the prefix that
-    matches ``men[0..d]`` to ``women[0..d]``, called depth first as
-    ``_lottery_bound`` describes; ``leaf(women)`` turns a full assignment
-    into a candidate matching. Returns the first candidate of maximal
-    probability, restricted by ``padding``. More than ``cap`` assignments,
-    counted as ``what``, raises ResourceLimitError before any is tried."""
+    complete, square ``completed``. ``bound(d, women, incumbent)`` tells
+    whether an exact upper bound on every leaf below the prefix that
+    matches ``men[0..d]`` to ``women[0..d]`` exceeds the best probability
+    so far, called depth first as ``_lottery_bound`` describes;
+    ``leaf(women)`` turns a full assignment into a candidate matching.
+    Returns the first candidate of maximal probability, restricted by
+    ``padding``. More than ``cap`` assignments, counted as ``what``, raises
+    ResourceLimitError before any is tried."""
     n, k = completed.n_men, len(men)
     examined = math.perm(n, k)
     charge(Budget(cap, what), examined)
@@ -145,8 +148,7 @@ def _most_stable(completed: Instance, padding, men, bound, leaf, cap: int | None
             if w < n:
                 next_woman[d] = w + 1
                 women[d] = w
-                numerator, denominator = bound(d, women)
-                if numerator * best_p.denominator > best_p.numerator * denominator:
+                if bound(d, women, best_p):
                     used[w] = True
                     d += 1
                 continue
@@ -199,22 +201,23 @@ def most_stable_constant_uncertain(
 
     The K = n(n-1)...(n-k+1) injective assignments of the k uncertain
     agents to the other side are searched under the brute-force bound, and
-    ``examined`` is K. Each prefix also keeps the proposer-optimal round of
-    the certain men on the women it leaves, resumed from its parent's round,
-    and is bounded by 0 when a certain man and an assigned woman block: she
-    prefers him to her uncertain partner and he prefers her to his round
-    partner. Removing women never improves a certain man's proposer-optimal
-    partner, so the pair blocks at every leaf below, where no extension of
-    the assignment is stable. A leaf's certain remainder is rematched
-    receiver-optimally on lists truncated below any assigned partner that
-    would block; that extension is the most stable one for the fixed
-    assignment, so the best one scored is the overall optimum. Some leaf
-    survives: take a stable matching M of any realization; the
-    proposer-optimal rounds on the prefixes of M's assignment leave every
-    certain man at least as well off as in M, so a certain pair that blocked
-    one of them would block M too. More than ``cap`` assignments (None for
-    no limit) raises ResourceLimitError before any is built. Uncertain women
-    are handled on the transposed market.
+    ``examined`` is K. Each prefix that bound keeps above the incumbent also
+    keeps the proposer-optimal round of the certain men on the women it
+    leaves, resumed from its parent's round, and is bounded by 0 when a
+    certain man and an assigned woman block: she prefers him to her
+    uncertain partner and he prefers her to his round partner. Removing
+    women never improves a certain man's proposer-optimal partner, so the
+    pair blocks at every leaf below, where no extension of the assignment
+    is stable. A leaf's certain remainder is rematched receiver-optimally
+    on lists truncated below any assigned partner that would block; that
+    extension is the most stable one for the fixed assignment, so the best
+    one scored is the overall optimum. Some leaf survives: take a stable
+    matching M of any realization; the proposer-optimal rounds on the
+    prefixes of M's assignment leave every certain man at least as well off
+    as in M, so a certain pair that blocked one of them would block M too.
+    More than ``cap`` assignments (None for no limit) raises
+    ResourceLimitError before any is built. Uncertain women are handled on
+    the transposed market.
     """
     uncertain = uncertain_agents(instance)
     sides = {agent.side for agent in uncertain}
@@ -246,10 +249,9 @@ def most_stable_constant_uncertain(
     cuts = [dict.fromkeys(certain_men, n)] + [None] * k
     lottery_bound = _model_bound(completed, xs)
 
-    def bound(d: int, assignment: list[int]) -> tuple[int, int]:
-        numerator, denominator = lottery_bound(d, assignment)
-        if not numerator:
-            return 0, 1
+    def bound(d: int, assignment: list[int], incumbent: Fraction) -> bool:
+        if not lottery_bound(d, assignment, incumbent):
+            return False  # dropped before its round is resumed
         w, rank_w = assignment[d], women_rank[assignment[d]]
         held, next_choice = map(dict, rounds[d])
         held.pop(w, None)
@@ -260,10 +262,10 @@ def most_stable_constant_uncertain(
             if rank_w[m] < x_rank and men_rank[m][w] < cut[m]:
                 cut[m] = men_rank[m][w]
         if any(cut[m] < men_rank[m][w2] for w2, m in held.items()):
-            return 0, 1
+            return False
         rounds[d + 1] = held, next_choice
         cuts[d + 1] = cut
-        return numerator, denominator
+        return True
 
     def extend(assignment: list[int]) -> Matching:
         cut = cuts[k]

@@ -4,20 +4,22 @@ Exact values are computed as fractions. For the independent models, one
 matching compiles to a single weighted constraint problem over dense integer
 agent ids: each agent takes a weighted pick (a lottery agent a support order,
 a compact agent the set of its partner's tier-mates ranked ahead of the
-partner), and each pair that can block deletes picks up front or forbids
-combinations of two agents' picks. Agents meet only through constraints, so
-they split into connected components searched one at a time by one iterative
-search: the exact probability multiplies the components' weighted counts, and
-the nonzero decision takes each one's first allowed assignment as its part of
-the witness. With one side certain every pair is a deletion and the answer is
-the free product alone. The joint model weighs its stable profiles, binary
-supports decide nonzero by 2-SAT, and probability one is certain stability.
+partner), read from the agent's ``beats`` view against its partner
+(``AgentLottery.beats``, ``WeakOrder.beats``), and each pair that can block
+deletes picks up front or forbids combinations of two agents' picks. Agents
+meet only through constraints, so they split into connected components
+searched one at a time by one iterative search: the exact probability
+multiplies the components' weighted counts, and the nonzero decision takes
+each one's first allowed assignment as its part of the witness. With one side
+certain every pair is a deletion and the answer is the free product alone.
+The joint model weighs its stable profiles, binary supports decide nonzero by
+2-SAT, and probability one is certain stability.
 
 The Monte Carlo estimator compiles its question once per call too: lottery
 samples draw pick indices through each agent's stored thresholds and test
-them against the compiled model's masks, compact samples build only the
-tiers whose tied candidates decide a pair and compare those; joint samples
-are tested as whole profiles.
+them against the compiled model's masks, compact samples walk each man's
+``WeakOrder.beats`` once, then build only the tiers whose tied candidates
+decide a pair and compare those; joint samples are tested as whole profiles.
 Every sample draws through the same ``models`` rules as ``sample_profile``,
 so seeded estimates are those of testing sampled profiles one by one.
 """
@@ -241,14 +243,15 @@ def _pick_tables(instance: Instance, matching: Matching, budget: Budget):
     of picks in which the agent prefers that candidate to its partner
     (absent when none). A lottery agent picks a support order, and its
     ``AgentLottery`` holds all three. A compact agent's extensions are
-    equally likely, so only the partner's tier-mates are in doubt. Mates
-    who never prefer the agent to their own partner cannot block with it;
-    of the other r, a given set S ranks ahead of the partner with
-    probability |S|! (r - |S|)! / (r + 1)!, the scale. A pick is
-    such an S of the mates whose own side is undecided too; no pick ranks a
-    mate who always prefers the agent ahead, since that would block. The
-    u * 2^u mask entries of u undecided mates are charged to ``budget``
-    before they are built.
+    equally likely, so only the tier-mates of ``WeakOrder.beats`` are in
+    doubt. Mates who never prefer the agent to their own partner cannot
+    block with it; of the other r, a given set S ranks ahead of the partner
+    with probability |S|! (r - |S|)! / (r + 1)!, the scale. A pick is such
+    an S of the mates whose own side is undecided too; no pick ranks a mate
+    who always prefers the agent ahead, since that would block. An
+    unmatched agent has no mates: one pick of scale 1. The u * 2^u mask
+    entries of u undecided mates are charged to ``budget`` before they are
+    built.
     """
     n_men = instance.n_men
     partners = _partners(instance, matching)
@@ -258,16 +261,15 @@ def _pick_tables(instance: Instance, matching: Matching, budget: Budget):
         if isinstance(instance.model, LotteryModel):
             tables.append((entry.scale, entry.numerators, entry.beats(partner)))
             continue
-        if partner is None:
-            tables.append((1, (1,), dict.fromkeys(entry.tier_of, 1)))
-            continue
         # a mate sits on the other side and knows this agent as `me`
         me, base = (agent, n_men) if agent < n_men else (agent - n_men, 0)
-        tier = entry.tier_of[partner]
+        view = entry.beats(partner)
         undecided, r = [], 0
-        for mate in entry.tiers[tier]:
+        for mate, mine in view.items():
+            if mine:  # a better tier: ahead of the partner in every pick
+                continue
             side = entries[base + mate].prefers_over_partner(me, partners[base + mate])
-            if mate != partner and side is not False:
+            if side is not False:
                 r += 1
                 if side is None:
                     undecided.append(mate)
@@ -277,7 +279,7 @@ def _pick_tables(instance: Instance, matching: Matching, budget: Budget):
             math.factorial(s) * math.factorial(r - s) for s in range(len(undecided) + 1)
         ]
         numerators = [by_size[k.bit_count()] for k in range(count)]
-        beats = dict.fromkeys(sum(entry.tiers[:tier], ()), (1 << count) - 1)
+        beats = dict.fromkeys(compress(view, view.values()), (1 << count) - 1)
         for j, mate in enumerate(undecided):  # the picks k with bit j set
             beats[mate] = int(("1" * (1 << j) + "0" * (1 << j)) * (count >> j + 1), 2)
         tables.append((math.factorial(r + 1), numerators, beats))
@@ -556,21 +558,18 @@ def _compact_sampler(instance: Instance, matching: Matching, rng: random.Random)
     blocks = []  # per pair that can block, the shuffle outcomes it needs
     for m in range(n_men):
         partner_m = matching.partner_of_man(m)
-        for w in sorted(instance.acceptable_men[m]):
-            if partner_m == w:
-                continue
+        for w, his in sorted(weak_orders[m].beats(partner_m).items()):
             partner_w = matching.partner_of_woman(w)
-            sides = ((m, w, partner_m), (n_men + w, m, partner_w))
+            hers = weak_orders[n_men + w].prefers_over_partner(m, partner_w)
+            if hers is False:
+                continue
+            sides = ((m, w, partner_m, his), (n_men + w, m, partner_w, hers))
             needs = []
-            for agent, candidate, partner in sides:
-                side = weak_orders[agent].prefers_over_partner(candidate, partner)
-                if side is False:
-                    break
+            for agent, candidate, partner, side in sides:
                 if side is None:  # the shuffle of that tier decides
                     tier = first_tier[agent] + weak_orders[agent].tier_of[candidate]
                     needs.append((tier, candidate, partner))
-            else:
-                blocks.append(tuple(needs))
+            blocks.append(tuple(needs))
     # a pair that needs fewer outcomes blocks more often, so test it first;
     # one that needs none blocks in every extension
     blocks.sort(key=len)
@@ -645,12 +644,8 @@ def is_stability_probability_one(instance: Instance, matching: Matching) -> bool
 
 def _partner_first_extension(weak, partner: int | None) -> LinearOrder:
     ranking = []
-    for tier in weak.tiers:
-        members = list(tier)
-        if partner in members:
-            members.remove(partner)
-            members.insert(0, partner)
-        ranking.extend(members)
+    for tier in weak.tiers:  # the partner's tie is broken partner first
+        ranking += sorted(tier, key=lambda c: c != partner) if partner in tier else tier
     return LinearOrder._trusted(tuple(ranking))
 
 

@@ -5,9 +5,10 @@ probability one exactly when no pair is very weakly blocking under the
 certainly-preferred relations, which reduces the question to finding a
 super-stable matching of a partial-order market. One rule, ``_unblocked``,
 answers "no pair very weakly blocks" for every caller: it reads each agent's
-pick table (lottery), tiers (compact) or relation (a partial-order market)
-once. The search evaluates the relation per pair and never materializes it;
-only ``smp_from_instance`` does, for direct callers. The joint model is
+``beats`` view against its partner (a lottery agent's pick table, a compact
+agent's ``WeakOrder.beats``) or relation (a partial-order market) once. The
+search evaluates the relation per pair and never materializes it; only
+``smp_from_instance`` does, for direct callers. The joint model is
 dependent, so it is handled by intersecting per-profile stable sets instead.
 ``SmpInstance`` runs the same mutual-acceptability check as ``Instance``,
 with the same messages.
@@ -80,19 +81,16 @@ def smp_from_instance(instance: Instance) -> SmpInstance:
 
 def _rivals(entry, partner: int | None):
     """The candidates an agent does not certainly prefer ``partner`` (None:
-    unmatched) to: the keys of a lottery agent's pick table, a compact
-    agent's tiers down to the partner's, or the candidates a relation does
-    not rank below the partner; the partner is left out.
+    unmatched) to: the keys of a lottery agent's pick table or of a compact
+    agent's ``WeakOrder.beats``, or the candidates a relation does not rank
+    below the partner; the partner is left out.
 
     A pair very weakly blocks iff each member is among the other's rivals.
     """
-    if isinstance(entry, AgentLottery):
+    if isinstance(entry, (AgentLottery, WeakOrder)):
         return entry.beats(partner)
     if partner is None:
         return entry.candidates
-    if isinstance(entry, WeakOrder):
-        tiers = entry.tiers[: entry.tier_of[partner] + 1]
-        return {c for tier in tiers for c in tier if c != partner}
     prefers = entry.prefers
     return {c for c in entry.candidates if c != partner and not prefers(partner, c)}
 
@@ -212,7 +210,7 @@ def exists_certainly_stable_matching(
 
     Independent models run the super-stable closure on the
     certainly-preferred relations, evaluated per query, and check its
-    candidate against the agents' pick tables or tiers. The joint model
+    candidate against the agents' ``beats`` views. The joint model
     enumerates the stable set of its first profile and keeps the first
     matching stable everywhere.
     """

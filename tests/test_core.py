@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from helpers import (
     naive_has_block,
     order,
+    random_compact_instance,
+    random_maximal_matching,
     reference_stable_matchings,
     reference_strictly_prefers,
 )
@@ -173,6 +175,30 @@ class TestWeakOrder:
                 if weak.is_strict():
                     strict = LinearOrder(tuple(listed))
                     assert bool(got) == strict.prefers_over_partner(candidate, partner)
+
+    @given(st.data())
+    def test_beats_keeps_the_candidates_the_partner_does_not_beat(self, data):
+        ranking = data.draw(st.permutations(list(range(6))))
+        cuts = data.draw(st.sets(st.integers(1, 5)))
+        bounds = [0, *sorted(cuts), 6]
+        tiers = [ranking[a:b] for a, b in zip(bounds, bounds[1:])]
+        tiers = tiers[: data.draw(st.integers(0, len(tiers)))]
+        weak = WeakOrder(tuple(tuple(tier) for tier in tiers))
+        # tier order, ascending within a tier
+        listed = [c for tier in tiers for c in sorted(tier)]
+        for partner in [None, *listed]:
+            # the partner shares its own tier, but is not above itself
+            others = [c for c in listed if c != partner]
+            sides = {c: weak.prefers_over_partner(c, partner) for c in others}
+            expected = {c: side for c, side in sides.items() if side is not False}
+            view = weak.beats(partner)
+            assert list(view) == list(expected)
+            assert all(view[c] is side for c, side in expected.items())
+
+    @pytest.mark.parametrize("partner", [True, False, 2, -1, 1.0, "0"])
+    def test_beats_refuses_a_partner_that_is_not_listed(self, partner):
+        with pytest.raises(ValidationError, match="is not a listed candidate"):
+            WeakOrder(((0, 1),)).beats(partner)
 
 
 class TestAgentId:
@@ -392,6 +418,28 @@ class TestWeaklyStable:
         men = (WeakOrder(((0,),)),)
         women = (WeakOrder(((0,),)),)
         assert not is_weakly_stable(men, women, Matching.from_pairs([]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_a_pair_by_pair_reference(self, seed):
+        # incomplete compact markets, each matching a random part of a
+        # maximal one, so that some acceptable agents stay unmatched
+        rng = random.Random(90 + seed)
+        outcomes = set()
+        for _ in range(60):
+            n_men, n_women = rng.randint(0, 6), rng.randint(0, 6)
+            inst = random_compact_instance(rng, n_men, n_women, complete=False)
+            men, women = inst.model.men, inst.model.women
+            maximal = random_maximal_matching(rng, inst).sorted_pairs()
+            mu = Matching.from_pairs(p for p in maximal if rng.random() < 0.7)
+            blocked = any(
+                reference_strictly_prefers(men[m], w, mu.partner_of_man(m))
+                and reference_strictly_prefers(women[w], m, mu.partner_of_woman(w))
+                for m in range(n_men)
+                for w in range(n_women)
+            )
+            assert is_weakly_stable(men, women, mu) is not blocked
+            outcomes.add(blocked)
+        assert outcomes == {False, True}
 
 
 @given(st.permutations(list(range(5))), st.permutations(list(range(5))))

@@ -1,6 +1,7 @@
-"""Seeded fuzz over every public constructor, ``is_weakly_stable`` and the
-value arguments of the certain-stability, probability, most-stable,
-conversion and per-agent functions.
+"""Seeded fuzz over every public constructor, ``is_weakly_stable``, the
+``beats`` views of ``AgentLottery`` and ``WeakOrder``, and the value
+arguments of the certain-stability, probability, most-stable, conversion
+and per-agent functions.
 
 Each target gets arguments of its documented type whose contents are
 junk: rows of the wrong width or kind, weights that are no probability,
@@ -8,8 +9,8 @@ indices that are no agent index, caps that are no cap, methods that are no
 method, generators whose rolls leave [0, 1); an agent argument may also be
 junk of any type. Whatever they hold, the only error allowed is
 ``ValidationError`` (and ``ResourceLimitError`` for an int cap that the
-work really exceeds), and an accepted ``PartialOrder`` holds only int
-candidates.
+work really exceeds), an accepted ``PartialOrder`` holds only int
+candidates, and a ``beats`` view answers only None or a listed candidate.
 """
 
 import random
@@ -258,10 +259,26 @@ def most_stable_with_junk(search):
     return build
 
 
+def beats_with_junk(entries):
+    # a junk partner must not be read as a candidate: True as candidate 1,
+    # or an unlisted index as no partner at all
+    def build(rng: random.Random):
+        entry, partner = rng.choice(entries), rng.choice((None, 0, 1, junk(rng)))
+        view = entry.beats(partner)
+        assert partner is None or (
+            type(partner) is int and partner in entry.candidates
+        ), partner
+        return view
+
+    return build
+
+
 TARGETS = {
     "LinearOrder": lambda rng: LinearOrder(row(rng, lambda: index(rng))),
     "WeakOrder": lambda rng: WeakOrder(row(rng, lambda: row(rng, lambda: index(rng)))),
     "AgentLottery": lambda rng: AgentLottery(pairs(rng, lambda: ORDER)),
+    "AgentLottery.beats": beats_with_junk((LOTTERY, COIN)),
+    "WeakOrder.beats": beats_with_junk((WEAK, WeakOrder(((1,), (0,))))),
     "LotteryModel": lambda rng: LotteryModel(
         men=row(rng, lambda: LOTTERY), women=row(rng, lambda: LOTTERY)
     ),

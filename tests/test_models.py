@@ -283,6 +283,16 @@ class TestAgentLottery:
             for numerator, weight in zip(entry.numerators, support_weights):
                 assert Fraction(numerator, entry.scale) == weight
 
+    @pytest.mark.parametrize("partner", [True, False, 7, -1, 1.0, "0"])
+    def test_beats_refuses_a_partner_that_is_not_listed(self, partner):
+        # True would read as candidate 1 and 7 as no partner at all; a table
+        # already built for 1 must not answer for True
+        entry = AgentLottery.certain(order(0, 1))
+        entry.beats(1), entry.beats(0)
+        with pytest.raises(ValidationError, match="is not a listed candidate"):
+            entry.beats(partner)
+        assert set(entry._beats) == {0, 1}
+
     def test_derived_tables_stay_out_of_equality(self):
         support = ((order(0, 1), Fraction(1, 3)), (order(1, 0), Fraction(2, 3)))
         queried, fresh = AgentLottery(support), AgentLottery(support)

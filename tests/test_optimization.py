@@ -505,6 +505,35 @@ class TestConstantUncertain:
         assert len(fresh) <= 1 + len(scored)
         assert result == reference_constant_uncertain(inst)
 
+    def test_rounds_resume_only_for_prefixes_above_the_incumbent(self, monkeypatch):
+        # a prefix whose lottery bound is at most the incumbent is dropped
+        # before its proposer round is resumed; resuming whenever that bound
+        # is positive would take 74 rounds on this market
+        inst = one_side_uncertain_lottery(random.Random(33), 8, 3, complete=True)
+        kept, resumed = [], []
+        lottery_bound = optimization._lottery_bound
+        original = optimization.deferred_acceptance
+
+        def recording_bound(instance, men):
+            bound = lottery_bound(instance, men)
+
+            def recording(*args):
+                kept.append(bound(*args))
+                return kept[-1]
+
+            return recording
+
+        def counting(lists, ranks, *state):
+            if len(state) == 3:  # held, next positions and the women taken
+                resumed.append(kept[-1])  # the verdict of this prefix's bound
+            return original(lists, ranks, *state)
+
+        monkeypatch.setattr(optimization, "_lottery_bound", recording_bound)
+        monkeypatch.setattr(optimization, "deferred_acceptance", counting)
+        result = most_stable_constant_uncertain(inst)
+        assert resumed == [True] * 53
+        assert result == reference_constant_uncertain(inst)
+
     @settings(deadline=None, max_examples=60)
     @given(
         st.randoms(use_true_random=False),

@@ -157,6 +157,24 @@ def test_lottery_picks_and_scales_are_derived_only_in_models():
     assert found == []
 
 
+def test_only_core_slices_weak_order_tiers():
+    # ``WeakOrder.beats`` is the one rule for the candidates above a partner
+    # and the partner's tier-mates, so no other module cuts the tiers itself
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "tiers"
+        ]
+    assert found == []
+
+
 def test_only_models_draws_tie_breaks():
     # the compact tie-break rule lives once, in models.py, so no other
     # module may reach an rng's getrandbits, sample or shuffle, called or
