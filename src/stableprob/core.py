@@ -138,12 +138,16 @@ class LinearOrder:
         """Strictly prefers ``candidate`` to the current partner.
 
         ``partner is None`` means unmatched, which loses to every acceptable
-        candidate. An unacceptable ``candidate`` never wins.
+        candidate. An unacceptable ``candidate`` never wins. A partner that
+        is not a listed candidate raises ValidationError.
         """
-        pos = self.rank.get(candidate)
-        if pos is None:
-            return False
-        return partner is None or pos < self.rank[partner]
+        rank = self.rank
+        if partner is None:
+            return candidate in rank
+        theirs = rank.get(partner) if type(partner) is int else None
+        if theirs is None:
+            raise ValidationError(f"partner {partner!r} is not a listed candidate")
+        return rank.get(candidate, theirs) < theirs
 
 
 @dataclass(frozen=True)
@@ -200,29 +204,13 @@ class WeakOrder:
     def is_strict(self) -> bool:
         return all(len(tier) == 1 for tier in self.tiers)
 
-    def prefers_over_partner(self, candidate: int, partner: int | None) -> bool | None:
-        """Whether ``candidate`` beats the current partner in every linear
-        extension (True), in none (False), or only in those whose tie-break
-        puts it first (None: the two share a tier).
-
-        The truthiness is strict preference, as for ``LinearOrder``:
-        ``partner is None`` means unmatched, which loses to every acceptable
-        candidate, and an unacceptable ``candidate`` never wins.
-        """
-        pos = self.tier_of.get(candidate)
-        if pos is None:
-            return False
-        if partner is None:
-            return True
-        theirs = self.tier_of[partner]
-        return None if pos == theirs else pos < theirs
-
     def beats(self, partner: int | None) -> dict[int, bool | None]:
         """The candidates ranked above ``partner`` (None: unmatched) in some
         linear extension, in tier order and ascending within a tier, each
-        mapped to ``prefers_over_partner(candidate, partner)``: True for a
-        better tier, None for a tier-mate. Unmatched, every candidate maps
-        to True. The compact counterpart of ``AgentLottery.beats``; nothing
+        mapped to True if it beats the partner in every extension (a better
+        tier) or None if only in those whose tie-break puts it first (a
+        tier-mate). Unmatched, every candidate maps to True. This is the
+        compact tie rule, the counterpart of ``AgentLottery.beats``; nothing
         is cached, since each caller asks once per agent. A partner that is
         not a listed candidate raises ValidationError."""
         if partner is None:
@@ -235,6 +223,22 @@ class WeakOrder:
             if mate != partner:
                 view[mate] = None
         return view
+
+    def prefers_over_partner(self, candidate: int, partner: int | None) -> bool | None:
+        """Whether ``candidate`` beats the current partner in every linear
+        extension (True), in none (False), or only in those whose tie-break
+        puts it first (None: the two share a tier, the partner with itself
+        included): the candidate's entry in ``beats(partner)``, so each call
+        builds that view and costs time linear in the list.
+
+        The truthiness is strict preference, as for ``LinearOrder``:
+        ``partner is None`` means unmatched, which loses to every acceptable
+        candidate, and an unacceptable ``candidate`` never wins. A partner
+        that is not a listed candidate raises ValidationError.
+        """
+        # the partner shares its own tier but is absent from its own view
+        absent = None if partner is not None and candidate == partner else False
+        return self.beats(partner).get(candidate, absent)
 
     def count_linear_extensions(self) -> int:
         return math.prod(math.factorial(len(tier)) for tier in self.tiers)
@@ -560,8 +564,9 @@ def is_weakly_stable(
     """
     _check_lists(men, women, WeakOrder, "tier_of")
     _check_matching([o.tier_of for o in men], [o.tier_of for o in women], matching)
+    views = [order.beats(matching.partner_of_woman(w)) for w, order in enumerate(women)]
     for m, order in enumerate(men):
         for w, his in order.beats(matching.partner_of_man(m)).items():
-            if his and women[w].prefers_over_partner(m, matching.partner_of_woman(w)):
+            if his and views[w].get(m):
                 return False
     return True

@@ -61,20 +61,6 @@ def _bad_probability(value) -> ValidationError:
     return ValidationError(f"bad probability {shown}")
 
 
-def _plain_ratio(text: str) -> Fraction | None:
-    """``text`` as a probability if it is ASCII digits "p/q" with 0 < q and
-    p <= q, else None: the form every JSON weight takes, read without
-    ``Fraction``'s pattern match."""
-    p, _, q = text.partition("/")
-    if not (text.isascii() and p.isdigit() and q.isdigit()):
-        return None
-    try:
-        num, den = int(p), int(q)
-    except ValueError:  # more digits than int-to-str conversion allows
-        return None
-    return Fraction(num, den) if 0 < den and num <= den else None
-
-
 def as_probability(value) -> Fraction:
     """Exact probability from Fraction, int, or a "p/q" / decimal string.
 
@@ -83,12 +69,9 @@ def as_probability(value) -> Fraction:
     digit limit in magnitude, the bound Python already puts on the digit
     strings themselves, because ``Fraction`` computes ``10 ** exponent``.
 
-    A ``Fraction`` in [0, 1] and a plain "p/q" string in [0, 1] return
-    after integer compares; every other value, and every error, takes the
-    general route below.
+    A ``Fraction`` in [0, 1] returns after integer compares; every other
+    value, and every error, takes the general route below.
     """
-    if type(value) is str and (prob := _plain_ratio(value)) is not None:
-        return prob
     if isinstance(value, Fraction):
         if 0 <= value.numerator <= value.denominator:
             return value

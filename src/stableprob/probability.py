@@ -5,7 +5,9 @@ matching compiles to a single weighted constraint problem over dense integer
 agent ids: each agent takes a weighted pick (a lottery agent a support order,
 a compact agent the set of its partner's tier-mates ranked ahead of the
 partner), read from the agent's ``beats`` view against its partner
-(``AgentLottery.beats``, ``WeakOrder.beats``), and each pair that can block
+(``AgentLottery.beats``, ``WeakOrder.beats``). A pair can block only when
+each member lists the other in its view, and one walk over the views
+(``_pair_masks``) finds those pairs for every query. Each such pair
 deletes picks up front or forbids combinations of two agents' picks. Agents
 meet only through constraints, so they split into connected components
 searched one at a time by one iterative search: the exact probability
@@ -15,10 +17,11 @@ certain every pair is a deletion and the answer is the free product alone.
 The joint model weighs its stable profiles, binary supports decide nonzero by
 2-SAT, and probability one is certain stability.
 
-The Monte Carlo estimator compiles its question once per call too: lottery
-samples draw pick indices through each agent's stored thresholds and test
-them against the compiled model's masks, compact samples walk each man's
-``WeakOrder.beats`` once, then build only the tiers whose tied candidates
+The Monte Carlo estimator walks the pairs once per call too and keeps, per
+pair that can block, what each side must draw for it to block: lottery
+samples draw the pick indices of the agents some pair needs, through each
+agent's stored thresholds, and test them against the pairs' masks from the
+pick tables; compact samples build only the tiers whose tied candidates
 decide a pair and compare those; joint samples are tested as whole profiles.
 Every sample draws through the same ``models`` rules as ``sample_profile``,
 so seeded estimates are those of testing sampled profiles one by one.
@@ -237,38 +240,45 @@ def _partners(instance: Instance, matching: Matching) -> list[int | None]:
     return partners + [matching.partner_of_woman(w) for w in range(instance.n_women)]
 
 
+def _views(instance: Instance, matching: Matching) -> list[dict]:
+    """Per agent id, the agent's ``beats`` view against its partner: a
+    lottery agent's pick masks (``AgentLottery.beats``), a compact agent's
+    stances (``WeakOrder.beats``)."""
+    pairs = zip(instance.entries, _partners(instance, matching))
+    return [entry.beats(partner) for entry, partner in pairs]
+
+
 def _pick_tables(instance: Instance, matching: Matching, budget: Budget):
-    """Per agent id, (scale, numerators, beats): each pick's weight is its
-    numerator over the scale, and beats maps each candidate to the bitmask
-    of picks in which the agent prefers that candidate to its partner
-    (absent when none). A lottery agent picks a support order, and its
-    ``AgentLottery`` holds all three. A compact agent's extensions are
-    equally likely, so only the tier-mates of ``WeakOrder.beats`` are in
-    doubt. Mates who never prefer the agent to their own partner cannot
-    block with it; of the other r, a given set S ranks ahead of the partner
-    with probability |S|! (r - |S|)! / (r + 1)!, the scale. A pick is such
-    an S of the mates whose own side is undecided too; no pick ranks a mate
-    who always prefers the agent ahead, since that would block. An
-    unmatched agent has no mates: one pick of scale 1. The u * 2^u mask
-    entries of u undecided mates are charged to ``budget`` before they are
-    built.
+    """(scales, numerators, masks), each indexed by agent id: each pick's
+    weight is its numerator over the agent's scale, and the agent's masks
+    map each candidate to the bitmask of picks in which the agent prefers
+    that candidate to its partner (absent when none). A lottery agent picks
+    a support order, and its ``AgentLottery`` holds all three. A compact
+    agent's extensions are equally likely, so only the tier-mates of its
+    ``WeakOrder.beats`` view are in doubt, and each mate's own stance toward
+    the agent is the entry for the agent in the mate's view. Mates who never
+    prefer the agent to their own partner cannot block with it; of the
+    other r, a given set S ranks ahead of the partner with probability
+    |S|! (r - |S|)! / (r + 1)!, the scale. A pick is such an S of the mates
+    whose own side is undecided too; no pick ranks a mate who always
+    prefers the agent ahead, since that would block. An unmatched agent has
+    no mates: one pick of scale 1. The u * 2^u mask entries of u undecided
+    mates are charged to ``budget`` before they are built.
     """
-    n_men = instance.n_men
-    partners = _partners(instance, matching)
     entries = instance.entries
-    tables = []
-    for agent, (entry, partner) in enumerate(zip(entries, partners)):
-        if isinstance(instance.model, LotteryModel):
-            tables.append((entry.scale, entry.numerators, entry.beats(partner)))
-            continue
+    views = _views(instance, matching)
+    if isinstance(instance.model, LotteryModel):
+        return [e.scale for e in entries], [e.numerators for e in entries], views
+    n_men = instance.n_men
+    scales, numerators, masks = [], [], []
+    for agent, view in enumerate(views):
         # a mate sits on the other side and knows this agent as `me`
         me, base = (agent, n_men) if agent < n_men else (agent - n_men, 0)
-        view = entry.beats(partner)
         undecided, r = [], 0
         for mate, mine in view.items():
             if mine:  # a better tier: ahead of the partner in every pick
                 continue
-            side = entries[base + mate].prefers_over_partner(me, partners[base + mate])
+            side = views[base + mate].get(me, False)
             if side is not False:
                 r += 1
                 if side is None:
@@ -278,22 +288,27 @@ def _pick_tables(instance: Instance, matching: Matching, budget: Budget):
         by_size = [
             math.factorial(s) * math.factorial(r - s) for s in range(len(undecided) + 1)
         ]
-        numerators = [by_size[k.bit_count()] for k in range(count)]
         beats = dict.fromkeys(compress(view, view.values()), (1 << count) - 1)
         for j, mate in enumerate(undecided):  # the picks k with bit j set
             beats[mate] = int(("1" * (1 << j) + "0" * (1 << j)) * (count >> j + 1), 2)
-        tables.append((math.factorial(r + 1), numerators, beats))
-    return tables
+        scales.append(math.factorial(r + 1))
+        numerators.append([by_size[k.bit_count()] for k in range(count)])
+        masks.append(beats)
+    return scales, numerators, masks
 
 
-def _pair_masks(tables, n_men: int):
-    """Yield (man id, woman id, a_mask, b_mask) for each pair that can block,
-    by man, then woman: the pair's entries in the two agents' beats."""
+def _pair_masks(views, n_men: int):
+    """Yield (man id, woman id, his, hers) for each pair listed in both
+    members' views: ``views`` holds, per agent id, a dict from candidate to
+    the agent's entry (a pick mask, or a ``WeakOrder.beats`` stance), and
+    his and hers are the two entries. Pairs come by man, each in his view's
+    order, not sorted. Listing decides, not the entry, since a compact tie
+    is None."""
     for m in range(n_men):
-        for w, a_mask in sorted(tables[m][2].items()):
-            b_mask = tables[n_men + w][2].get(m)
-            if b_mask:
-                yield m, n_men + w, a_mask, b_mask
+        for w, his in views[m].items():
+            hers = views[n_men + w]
+            if m in hers:
+                yield m, n_men + w, his, hers[m]
 
 
 def _compile(instance: Instance, matching: Matching, budget: Budget) -> _Model | None:
@@ -305,21 +320,20 @@ def _compile(instance: Instance, matching: Matching, budget: Budget) -> _Model |
     any component is labelled or any mass summed, because most matchings a
     search scores fail that way.
     """
-    tables = _pick_tables(instance, matching, budget)
-    numerators = [agent_numerators for _, agent_numerators, _ in tables]
+    scales, numerators, masks = _pick_tables(instance, matching, budget)
     full = [(1 << len(agent_numerators)) - 1 for agent_numerators in numerators]
     allowed = full[:]
-    two_sided = delete_forced_picks(_pair_masks(tables, instance.n_men), full, allowed)
+    two_sided = delete_forced_picks(_pair_masks(masks, instance.n_men), full, allowed)
     if two_sided is None:
         return None
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in tables]
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in numerators]
     for a, b, a_mask, b_mask in two_sided:
         adjacency[a].append((b, a_mask, b_mask))
         adjacency[b].append((a, b_mask, a_mask))
     order = [agent for agent, edges in enumerate(adjacency) if edges]
     order.sort(key=lambda agent: (-len(adjacency[agent]), agent))
     # each component keeps the global order restricted to its agents
-    label = [-1] * len(tables)
+    label = [-1] * len(numerators)
     components: list[list[int]] = []
     for agent in order:
         if label[agent] < 0:
@@ -335,7 +349,7 @@ def _compile(instance: Instance, matching: Matching, budget: Budget) -> _Model |
     for agent, edges in enumerate(adjacency):
         if not edges:
             free_product *= allowed_mass(numerators[agent], allowed[agent])
-    denominator = math.prod(scale for scale, _, _ in tables)
+    denominator = math.prod(scales)
     return _Model(allowed, adjacency, components, numerators, denominator, free_product)
 
 
@@ -512,38 +526,36 @@ def stability_probability(
 
 
 def _lottery_sampler(instance: Instance, matching: Matching, rng: random.Random):
-    model = _compile(instance, matching, Budget(None, "search nodes"))
-    if model is None:
-
-        def blocked() -> bool:
-            draw_rolls(rng, instance)
-            return False
-
-        return blocked
-    # only agents with a deleted pick or a constraint need their pick
-    picked = [
-        (agent, entry.thresholds, model.allowed[agent])
-        for agent, entry in enumerate(instance.entries)
-        if model.adjacency[agent]
-        or model.allowed[agent] != (1 << len(entry.support)) - 1
-    ]
-    edges = [
-        (a, b, a_mask, b_mask)
-        for a, agent_edges in enumerate(model.adjacency)
-        for b, a_mask, b_mask in agent_edges
-        if a < b
-    ]
-    choice = [0] * len(model.numerators)
+    """A test of one sample: per pair that can block, the masks of the
+    picks each side needs, read from the agents' pick tables; no search
+    model is compiled. A side whose mask is full needs no pick: with one
+    such side the pair deletes the other side's picks, and with two it
+    blocks in every sample. Every sample still draws one roll per agent
+    (``draw_rolls``), whichever picks it reads."""
+    entries = instance.entries
+    full = [(1 << len(entry.numerators)) - 1 for entry in entries]
+    blocks = []  # per pair that can block, the (agent, mask) of the picks it needs
+    for a, b, his, hers in _pair_masks(_views(instance, matching), instance.n_men):
+        sides = ((a, his), (b, hers))
+        # a mask that holds every pick blocks in each, so that side needs none
+        blocks.append(tuple((x, mask) for x, mask in sides if mask != full[x]))
+    # a pair that needs fewer picks blocks more often, so test it first;
+    # one that needs none blocks in every sample
+    blocks.sort(key=len)
+    # only agents that some pair needs read their pick
+    needed = {agent for needs in blocks for agent, _ in needs}
+    picked = [(agent, entries[agent].thresholds) for agent in sorted(needed)]
+    choice = [0] * len(entries)
 
     def stable() -> bool:
         rolls = draw_rolls(rng, instance)
-        for agent, thresholds, allowed in picked:
-            pick = bisect_right(thresholds, rolls[agent])
-            if not allowed >> pick & 1:
-                return False
-            choice[agent] = pick
-        for a, b, a_mask, b_mask in edges:
-            if a_mask >> choice[a] & 1 and b_mask >> choice[b] & 1:
+        for agent, thresholds in picked:
+            choice[agent] = bisect_right(thresholds, rolls[agent])
+        for needs in blocks:
+            for agent, mask in needs:
+                if not mask >> choice[agent] & 1:
+                    break
+            else:
                 return False
         return True
 
@@ -554,22 +566,16 @@ def _compact_sampler(instance: Instance, matching: Matching, rng: random.Random)
     weak_orders = instance.entries
     # per agent, the index of its best tier in the shuffles
     first_tier = list(accumulate((len(weak.tiers) for weak in weak_orders), initial=0))
+    partners = _partners(instance, matching)
     n_men = instance.n_men
     blocks = []  # per pair that can block, the shuffle outcomes it needs
-    for m in range(n_men):
-        partner_m = matching.partner_of_man(m)
-        for w, his in sorted(weak_orders[m].beats(partner_m).items()):
-            partner_w = matching.partner_of_woman(w)
-            hers = weak_orders[n_men + w].prefers_over_partner(m, partner_w)
-            if hers is False:
-                continue
-            sides = ((m, w, partner_m, his), (n_men + w, m, partner_w, hers))
-            needs = []
-            for agent, candidate, partner, side in sides:
-                if side is None:  # the shuffle of that tier decides
-                    tier = first_tier[agent] + weak_orders[agent].tier_of[candidate]
-                    needs.append((tier, candidate, partner))
-            blocks.append(tuple(needs))
+    for m, w, his, hers in _pair_masks(_views(instance, matching), n_men):
+        needs = []
+        for agent, candidate, side in ((m, w - n_men, his), (w, m, hers)):
+            if side is None:  # the shuffle of that tier decides
+                tier = first_tier[agent] + weak_orders[agent].tier_of[candidate]
+                needs.append((tier, candidate, partners[agent]))
+        blocks.append(tuple(needs))
     # a pair that needs fewer outcomes blocks more often, so test it first;
     # one that needs none blocks in every extension
     blocks.sort(key=len)
@@ -601,9 +607,10 @@ def estimate_stability_probability(
 
     The sample count ceil(ln(2/delta) / (2 epsilon^2)) comes from the
     two-sided Hoeffding bound; more than ``cap`` samples (None for no limit)
-    raise ResourceLimitError before any is drawn. Each model compiles the
-    question once: lottery samples draw each agent's pick index and test it
-    against the compiled model's masks; compact samples build only the
+    raise ResourceLimitError before any is drawn. Each model walks the pairs
+    that can block once: lottery samples draw the pick index of each agent
+    some pair needs and test it against the pairs' masks from the pick
+    tables, without compiling a search model; compact samples build only the
     tiers that hold a tied candidate some pair compares, compare those
     candidates, and let every other tier consume the same random bits
     unbuilt. Joint samples test the drawn profile with ``is_stable``. Every
@@ -665,8 +672,7 @@ def _nonzero_2sat_parts(instance: Instance, matching: Matching):
     """
     if not isinstance(instance.model, LotteryModel):
         raise ValidationError("requires a lottery-model instance")
-    tables = _pick_tables(instance, matching, Budget(None, "search nodes"))
-    sizes = [len(numerators) for _, numerators, _ in tables]
+    sizes = [len(entry.support) for entry in instance.entries]
     if any(size > 2 for size in sizes):
         raise ValidationError("requires support of at most two orders per agent")
     first: list[int] = []
@@ -681,7 +687,10 @@ def _nonzero_2sat_parts(instance: Instance, matching: Matching):
         else:
             clauses.append(((v, True), (v + 1, True)))
             clauses.append(((v, False), (v + 1, False)))
-    for a, b, a_mask, b_mask in _pair_masks(tables, instance.n_men):
+    # the pairs in index order, which fixes the clauses' order and so the
+    # witness the solver finds
+    pairs = sorted(_pair_masks(_views(instance, matching), instance.n_men))
+    for a, b, a_mask, b_mask in pairs:
         for i in range(sizes[a]):
             if not a_mask >> i & 1:
                 continue

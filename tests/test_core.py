@@ -104,6 +104,15 @@ class TestLinearOrder:
         assert not o.prefers_over_partner(1, None)
         assert not o.prefers_over_partner(1, 0)
 
+    @pytest.mark.parametrize("partner", [True, False, 2, 5, -1, 1.0, "0"])
+    @pytest.mark.parametrize("candidate", [0, 7])
+    def test_prefers_over_partner_refuses_a_partner_that_is_not_listed(
+        self, candidate, partner
+    ):
+        # an unlisted index is no KeyError, and True is not candidate 1
+        with pytest.raises(ValidationError, match="is not a listed candidate"):
+            LinearOrder((0, 1)).prefers_over_partner(candidate, partner)
+
 
 class TestWeakOrder:
     def test_rejects_empty_tier(self):
@@ -199,6 +208,14 @@ class TestWeakOrder:
     def test_beats_refuses_a_partner_that_is_not_listed(self, partner):
         with pytest.raises(ValidationError, match="is not a listed candidate"):
             WeakOrder(((0, 1),)).beats(partner)
+
+    @pytest.mark.parametrize("partner", [True, False, 2, 5, -1, 1.0, "0"])
+    @pytest.mark.parametrize("candidate", [0, 7])
+    def test_prefers_over_partner_refuses_a_partner_that_is_not_listed(
+        self, candidate, partner
+    ):
+        with pytest.raises(ValidationError, match="is not a listed candidate"):
+            WeakOrder(((0, 1),)).prefers_over_partner(candidate, partner)
 
 
 class TestAgentId:

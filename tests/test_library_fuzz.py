@@ -1,7 +1,8 @@
 """Seeded fuzz over every public constructor, ``is_weakly_stable``, the
-``beats`` views of ``AgentLottery`` and ``WeakOrder``, and the value
-arguments of the certain-stability, probability, most-stable, conversion
-and per-agent functions.
+``beats`` views of ``AgentLottery`` and ``WeakOrder``, the
+``prefers_over_partner`` tests of ``LinearOrder`` and ``WeakOrder``, and
+the value arguments of the certain-stability, probability, most-stable,
+conversion and per-agent functions.
 
 Each target gets arguments of its documented type whose contents are
 junk: rows of the wrong width or kind, weights that are no probability,
@@ -10,7 +11,8 @@ method, generators whose rolls leave [0, 1); an agent argument may also be
 junk of any type. Whatever they hold, the only error allowed is
 ``ValidationError`` (and ``ResourceLimitError`` for an int cap that the
 work really exceeds), an accepted ``PartialOrder`` holds only int
-candidates, and a ``beats`` view answers only None or a listed candidate.
+candidates, and a ``beats`` view or a ``prefers_over_partner`` test
+answers only for a partner that is None or a listed candidate.
 """
 
 import random
@@ -273,12 +275,29 @@ def beats_with_junk(entries):
     return build
 
 
+def prefers_with_junk(entries):
+    # the partner rule of ``beats``, whatever the candidate
+    def build(rng: random.Random):
+        entry, partner = rng.choice(entries), rng.choice((None, 0, 1, junk(rng)))
+        answer = entry.prefers_over_partner(index(rng), partner)
+        assert partner is None or (
+            type(partner) is int and partner in entry.candidates
+        ), partner
+        return answer
+
+    return build
+
+
 TARGETS = {
     "LinearOrder": lambda rng: LinearOrder(row(rng, lambda: index(rng))),
     "WeakOrder": lambda rng: WeakOrder(row(rng, lambda: row(rng, lambda: index(rng)))),
     "AgentLottery": lambda rng: AgentLottery(pairs(rng, lambda: ORDER)),
     "AgentLottery.beats": beats_with_junk((LOTTERY, COIN)),
     "WeakOrder.beats": beats_with_junk((WEAK, WeakOrder(((1,), (0,))))),
+    "LinearOrder.prefers_over_partner": prefers_with_junk((ORDER, REVERSED)),
+    "WeakOrder.prefers_over_partner": prefers_with_junk(
+        (WEAK, WeakOrder(((1,), (0,))))
+    ),
     "LotteryModel": lambda rng: LotteryModel(
         men=row(rng, lambda: LOTTERY), women=row(rng, lambda: LOTTERY)
     ),

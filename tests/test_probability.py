@@ -1,5 +1,7 @@
 """Tests for exact, closed-form, and sampled stability probabilities."""
 
+import hashlib
+import json
 import math
 import random
 import re
@@ -74,6 +76,10 @@ from stableprob import (
 )
 from stableprob import probability
 from stableprob.core import Budget
+
+
+# SHA-256 of the 2-CNFs of ``test_clause_order_is_pinned``
+CLAUSE_PIN = "162a1dcf6249e959c224de71f7f5e1aa5cb069bb79d8c591d49d3bc0ba2f24f6"
 
 
 def compiled(inst, matching):
@@ -965,6 +971,54 @@ class TestExactAgainstExpansions:
         ) == stability_probability_exact(lottery_form, matching, cap=None)
 
 
+class TestPairWalk:
+    """``_pair_masks`` pairs each man's view with each woman's, whatever
+    the views hold: pick masks, or ``WeakOrder.beats`` stances with None
+    for a tie."""
+
+    @staticmethod
+    def assert_walks_the_listed_pairs(views, n_men):
+        walked = list(probability._pair_masks(views, n_men))
+        expected = [
+            (m, n_men + w, views[m][w], views[n_men + w][m])
+            for m in range(n_men)
+            for w in range(len(views) - n_men)
+            if w in views[m] and m in views[n_men + w]
+        ]
+        assert len({pair[:2] for pair in walked}) == len(walked)
+        assert sorted(walked, key=lambda pair: pair[:2]) == expected
+
+    @settings(deadline=None)
+    @given(small_lottery_markets(accepted=MOSTLY))
+    def test_lottery_pick_tables(self, market):
+        inst, matching = market
+        _, _, masks = probability._pick_tables(
+            inst, matching, Budget(None, "search nodes")
+        )
+        self.assert_walks_the_listed_pairs(masks, inst.n_men)
+
+    @settings(deadline=None)
+    @given(small_compact_markets())
+    def test_compact_pick_tables_and_raw_views(self, market):
+        inst, matching = market
+        _, _, masks = probability._pick_tables(
+            inst, matching, Budget(None, "search nodes")
+        )
+        self.assert_walks_the_listed_pairs(masks, inst.n_men)
+        self.assert_walks_the_listed_pairs(
+            probability._views(inst, matching), inst.n_men
+        )
+
+    def test_a_tie_on_both_sides_is_walked(self):
+        # every stance is None, so a walk that tested entries would drop all
+        inst, matching = tied_instance(3)
+        views = probability._views(inst, matching)
+        walked = sorted(probability._pair_masks(views, 3))
+        assert walked == [
+            (m, 3 + w, None, None) for m in range(3) for w in range(3) if m != w
+        ]
+
+
 class TestNonzero:
     def test_running_example_has_witness(self):
         decision, witness = is_stability_probability_nonzero(
@@ -1486,3 +1540,19 @@ class TestBuildNonzero2Sat:
             formula = build_nonzero_2sat(inst, matching)
             satisfiable = solve_2sat(formula) is not None
             assert satisfiable == (exhaustive_probability(inst, matching) > 0)
+
+    def test_clause_order_is_pinned(self):
+        # the clause order decides the witness ``solve_2sat`` finds, and so
+        # the bytes of the CLI's nonzero command; binary lotteries on ragged
+        # markets, some agents unmatched
+        rng = random.Random(2025)
+        formulas = []
+        for _ in range(20):
+            n_men, n_women = rng.randint(2, 7), rng.randint(2, 7)
+            inst = random_lottery_instance(
+                rng, n_men, n_women, max_support=2, complete=rng.random() < 0.5
+            )
+            formula = build_nonzero_2sat(inst, random_maximal_matching(rng, inst))
+            formulas.append([formula.num_variables, formula.clauses])
+        text = json.dumps(formulas)
+        assert hashlib.sha256(text.encode()).hexdigest() == CLAUSE_PIN

@@ -175,6 +175,25 @@ def test_only_core_slices_weak_order_tiers():
     assert found == []
 
 
+def test_only_core_calls_prefers_over_partner():
+    # a pair can block only when each member lists the other in its
+    # ``beats`` view, so other modules read both views instead of testing
+    # one member per pair
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "prefers_over_partner"
+        ]
+    assert found == []
+
+
 def test_only_models_draws_tie_breaks():
     # the compact tie-break rule lives once, in models.py, so no other
     # module may reach an rng's getrandbits, sample or shuffle, called or
