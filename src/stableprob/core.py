@@ -138,9 +138,12 @@ class LinearOrder:
         """Strictly prefers ``candidate`` to the current partner.
 
         ``partner is None`` means unmatched, which loses to every acceptable
-        candidate. An unacceptable ``candidate`` never wins. A partner that
-        is not a listed candidate raises ValidationError.
+        candidate. An unacceptable ``candidate`` never wins. A candidate
+        that is not an int, or a partner that is not a listed candidate,
+        raises ValidationError.
         """
+        if type(candidate) is not int:
+            raise ValidationError(f"bad candidate index {candidate!r}")
         rank = self.rank
         if partner is None:
             return candidate in rank
@@ -233,9 +236,12 @@ class WeakOrder:
 
         The truthiness is strict preference, as for ``LinearOrder``:
         ``partner is None`` means unmatched, which loses to every acceptable
-        candidate, and an unacceptable ``candidate`` never wins. A partner
-        that is not a listed candidate raises ValidationError.
+        candidate, and an unacceptable ``candidate`` never wins. A candidate
+        that is not an int, or a partner that is not a listed candidate,
+        raises ValidationError.
         """
+        if type(candidate) is not int:
+            raise ValidationError(f"bad candidate index {candidate!r}")
         # the partner shares its own tier but is absent from its own view
         absent = None if partner is not None and candidate == partner else False
         return self.beats(partner).get(candidate, absent)
@@ -248,6 +254,33 @@ class WeakOrder:
         pools = [permutations(tier) for tier in self.tiers]
         for combo in product(*pools):
             yield LinearOrder._trusted(tuple(idx for block in combo for idx in block))
+
+
+def _partners(matching: Matching, n_men: int, n_women: int) -> list[int | None]:
+    """Per agent id (men first, then women), the agent's partner in
+    ``matching`` (None: unmatched)."""
+    partners = [matching.partner_of_man(m) for m in range(n_men)]
+    return partners + [matching.partner_of_woman(w) for w in range(n_women)]
+
+
+def _pair_masks(views, n_men: int):
+    """Yield (man id, woman id, his, hers) for each pair listed in both
+    members' views: the one pairing of a man's view with a woman's.
+    ``views`` holds, per agent id (men first, then women), a dict from
+    candidate to the agent's entry (a pick mask, or a ``beats`` stance:
+    True, or None for a tie), and his and hers are the two entries. Pairs
+    come by man, each in his view's order, not sorted. Listing decides, not
+    the entry, since a stance may be None.
+
+    On the agents' ``beats`` views against their partners
+    (``models._views``), a pair is listed in both iff it very weakly
+    blocks: a matching is certainly stable iff the walk yields nothing, and
+    weakly stable iff no pair it yields has both stances True."""
+    for m in range(n_men):
+        for w, his in views[m].items():
+            hers = views[n_men + w]
+            if m in hers:
+                yield m, n_men + w, his, hers[m]
 
 
 def _check_lists(men: Sequence, women: Sequence, kind: type, listed: str) -> None:
@@ -564,9 +597,6 @@ def is_weakly_stable(
     """
     _check_lists(men, women, WeakOrder, "tier_of")
     _check_matching([o.tier_of for o in men], [o.tier_of for o in women], matching)
-    views = [order.beats(matching.partner_of_woman(w)) for w, order in enumerate(women)]
-    for m, order in enumerate(men):
-        for w, his in order.beats(matching.partner_of_man(m)).items():
-            if his and views[w].get(m):
-                return False
-    return True
+    partners = _partners(matching, len(men), len(women))
+    views = [order.beats(p) for order, p in zip(chain(men, women), partners)]
+    return not any(his and hers for _, _, his, hers in _pair_masks(views, len(men)))

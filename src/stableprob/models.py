@@ -45,6 +45,7 @@ from .core import (
     _is_integer,
     _is_row,
     _non_index,
+    _partners,
     charge,
 )
 from .errors import ValidationError
@@ -443,6 +444,17 @@ def _split(instance: Instance, per_id, cls=Profile):
     return cls(men=per_id[:n_men], women=per_id[n_men:])
 
 
+def _views(market, matching: Matching) -> list[dict]:
+    """Per agent id, the agent's ``beats`` view against its partner: a
+    lottery agent's pick masks (``AgentLottery.beats``), a compact agent's
+    stances (``WeakOrder.beats``), or a partial-order agent's
+    (``PartialOrder.beats``). ``market`` is an independent-model
+    ``Instance`` or an ``SmpInstance``; ``core._pair_masks`` pairs the
+    views."""
+    pairs = zip(market.entries, _partners(matching, market.n_men, market.n_women))
+    return [entry.beats(partner) for entry, partner in pairs]
+
+
 @dataclass(frozen=True)
 class PartialOrder:
     """A strict partial order over one agent's acceptable candidates.
@@ -488,6 +500,23 @@ class PartialOrder:
 
     def prefers(self, a: int, b: int) -> bool:
         return (a, b) in self.strictly_before
+
+    def beats(self, partner: int | None) -> dict[int, bool | None]:
+        """The candidates not ranked below ``partner`` (None: unmatched),
+        ascending and with the partner left out, each mapped to True if it
+        is ranked above the partner or None if the two are incomparable;
+        unmatched, every candidate maps to True. This is the contract of
+        ``WeakOrder.beats``. A partner that is not a listed candidate raises
+        ValidationError."""
+        listed = self.candidates
+        if partner is not None and (type(partner) is not int or partner not in listed):
+            raise ValidationError(f"partner {partner!r} is not a listed candidate")
+        before = self.strictly_before
+        return {
+            c: partner is None or (c, partner) in before or None
+            for c in sorted(listed)
+            if c != partner and (partner, c) not in before
+        }
 
     def is_total(self) -> bool:
         n = len(self.candidates)

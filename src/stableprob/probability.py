@@ -6,16 +6,20 @@ agent ids: each agent takes a weighted pick (a lottery agent a support order,
 a compact agent the set of its partner's tier-mates ranked ahead of the
 partner), read from the agent's ``beats`` view against its partner
 (``AgentLottery.beats``, ``WeakOrder.beats``). A pair can block only when
-each member lists the other in its view, and one walk over the views
-(``_pair_masks``) finds those pairs for every query. Each such pair
-deletes picks up front or forbids combinations of two agents' picks. Agents
-meet only through constraints, so they split into connected components
-searched one at a time by one iterative search: the exact probability
-multiplies the components' weighted counts, and the nonzero decision takes
-each one's first allowed assignment as its part of the witness. With one side
-certain every pair is a deletion and the answer is the free product alone.
-The joint model weighs its stable profiles, binary supports decide nonzero by
-2-SAT, and probability one is certain stability.
+each member lists the other in its view, and one walk over the views,
+``core._pair_masks``, finds those pairs for every query: the pick tables,
+the compile, 2-SAT, both samplers, the compact nonzero decision (weak
+stability: no pair whose two stances are both True) and, in
+``superstability``, certain stability (the walk yields no pair). Each pair
+the compile keeps deletes picks up front or forbids combinations of two
+agents' picks. Agents meet only through constraints, so they split into
+connected components searched one at a time by one iterative search: the
+exact probability multiplies the components' weighted counts, and the
+nonzero decision takes each one's first allowed assignment as its part of
+the witness. With one side certain every pair is a deletion and the answer
+is the free product alone. The joint model weighs its stable profiles,
+binary supports decide nonzero by 2-SAT, and probability one is certain
+stability.
 
 The Monte Carlo estimator walks the pairs once per call too and keeps, per
 pair that can block, what each side must draw for it to block: lottery
@@ -46,9 +50,10 @@ from .core import (
     Side,
     _is_integer,
     _is_row,
+    _pair_masks,
+    _partners,
     charge,
     is_stable,
-    is_weakly_stable,
 )
 from .errors import ValidationError
 from .models import (
@@ -59,6 +64,7 @@ from .models import (
     as_probability,
     draw_rolls,
     _split,
+    _views,
     sample_profile,
     side_is_certain,
     tie_breaks,
@@ -234,20 +240,6 @@ def delete_forced_picks(pairs, full: list[int], allowed: list[int]) -> list | No
     return two_sided
 
 
-def _partners(instance: Instance, matching: Matching) -> list[int | None]:
-    """Per agent id, the agent's partner in ``matching`` (None: unmatched)."""
-    partners = [matching.partner_of_man(m) for m in range(instance.n_men)]
-    return partners + [matching.partner_of_woman(w) for w in range(instance.n_women)]
-
-
-def _views(instance: Instance, matching: Matching) -> list[dict]:
-    """Per agent id, the agent's ``beats`` view against its partner: a
-    lottery agent's pick masks (``AgentLottery.beats``), a compact agent's
-    stances (``WeakOrder.beats``)."""
-    pairs = zip(instance.entries, _partners(instance, matching))
-    return [entry.beats(partner) for entry, partner in pairs]
-
-
 def _pick_tables(instance: Instance, matching: Matching, budget: Budget):
     """(scales, numerators, masks), each indexed by agent id: each pick's
     weight is its numerator over the agent's scale, and the agent's masks
@@ -255,60 +247,45 @@ def _pick_tables(instance: Instance, matching: Matching, budget: Budget):
     that candidate to its partner (absent when none). A lottery agent picks
     a support order, and its ``AgentLottery`` holds all three. A compact
     agent's extensions are equally likely, so only the tier-mates of its
-    ``WeakOrder.beats`` view are in doubt, and each mate's own stance toward
-    the agent is the entry for the agent in the mate's view. Mates who never
-    prefer the agent to their own partner cannot block with it; of the
-    other r, a given set S ranks ahead of the partner with probability
-    |S|! (r - |S|)! / (r + 1)!, the scale. A pick is such an S of the mates
-    whose own side is undecided too; no pick ranks a mate who always
-    prefers the agent ahead, since that would block. An unmatched agent has
-    no mates: one pick of scale 1. The u * 2^u mask entries of u undecided
-    mates are charged to ``budget`` before they are built.
+    ``WeakOrder.beats`` view are in doubt. Mates who do not list the agent
+    in their own view never prefer it to their partner and cannot block
+    with it, so the walk over the views (``_pair_masks``) yields the other
+    r, each with its own stance toward the agent; of those, a given set S
+    ranks ahead of the partner with probability |S|! (r - |S|)! / (r + 1)!,
+    the scale. A pick is such an S of the mates whose own side is undecided
+    too (stance None); no pick ranks a mate who always prefers the agent
+    ahead, since that would block. An unmatched agent has no mates: one
+    pick of scale 1. The u * 2^u mask entries of u undecided mates are
+    charged to ``budget`` before they are built.
     """
     entries = instance.entries
     views = _views(instance, matching)
     if isinstance(instance.model, LotteryModel):
         return [e.scale for e in entries], [e.numerators for e in entries], views
     n_men = instance.n_men
+    # per agent, r and its undecided mates, ascending: a man's come in his
+    # view's order and a woman's by man, and all share the partner's tier
+    rs, undecided = [0] * len(views), [[] for _ in views]
+    for m, w, his, hers in _pair_masks(views, n_men):
+        for agent, mate, mine, theirs in ((m, w - n_men, his, hers), (w, m, hers, his)):
+            if mine is None:  # the mate ties with the partner and lists the agent
+                rs[agent] += 1
+                if theirs is None:
+                    undecided[agent].append(mate)
     scales, numerators, masks = [], [], []
-    for agent, view in enumerate(views):
-        # a mate sits on the other side and knows this agent as `me`
-        me, base = (agent, n_men) if agent < n_men else (agent - n_men, 0)
-        undecided, r = [], 0
-        for mate, mine in view.items():
-            if mine:  # a better tier: ahead of the partner in every pick
-                continue
-            side = views[base + mate].get(me, False)
-            if side is not False:
-                r += 1
-                if side is None:
-                    undecided.append(mate)
-        count = 1 << len(undecided)
-        charge(budget, len(undecided) * count)
+    for view, r, mates in zip(views, rs, undecided):
+        count = 1 << len(mates)
+        charge(budget, len(mates) * count)
         by_size = [
-            math.factorial(s) * math.factorial(r - s) for s in range(len(undecided) + 1)
+            math.factorial(s) * math.factorial(r - s) for s in range(len(mates) + 1)
         ]
         beats = dict.fromkeys(compress(view, view.values()), (1 << count) - 1)
-        for j, mate in enumerate(undecided):  # the picks k with bit j set
+        for j, mate in enumerate(mates):  # the picks k with bit j set
             beats[mate] = int(("1" * (1 << j) + "0" * (1 << j)) * (count >> j + 1), 2)
         scales.append(math.factorial(r + 1))
         numerators.append([by_size[k.bit_count()] for k in range(count)])
         masks.append(beats)
     return scales, numerators, masks
-
-
-def _pair_masks(views, n_men: int):
-    """Yield (man id, woman id, his, hers) for each pair listed in both
-    members' views: ``views`` holds, per agent id, a dict from candidate to
-    the agent's entry (a pick mask, or a ``WeakOrder.beats`` stance), and
-    his and hers are the two entries. Pairs come by man, each in his view's
-    order, not sorted. Listing decides, not the entry, since a compact tie
-    is None."""
-    for m in range(n_men):
-        for w, his in views[m].items():
-            hers = views[n_men + w]
-            if m in hers:
-                yield m, n_men + w, his, hers[m]
 
 
 def _compile(instance: Instance, matching: Matching, budget: Budget) -> _Model | None:
@@ -566,8 +543,8 @@ def _compact_sampler(instance: Instance, matching: Matching, rng: random.Random)
     weak_orders = instance.entries
     # per agent, the index of its best tier in the shuffles
     first_tier = list(accumulate((len(weak.tiers) for weak in weak_orders), initial=0))
-    partners = _partners(instance, matching)
     n_men = instance.n_men
+    partners = _partners(matching, n_men, instance.n_women)
     blocks = []  # per pair that can block, the shuffle outcomes it needs
     for m, w, his, hers in _pair_masks(_views(instance, matching), n_men):
         needs = []
@@ -657,7 +634,7 @@ def _partner_first_extension(weak, partner: int | None) -> LinearOrder:
 
 
 def _compact_witness(instance: Instance, matching: Matching) -> Profile:
-    pairs = zip(instance.entries, _partners(instance, matching))
+    pairs = zip(instance.entries, _partners(matching, instance.n_men, instance.n_women))
     return _split(instance, [_partner_first_extension(weak, p) for weak, p in pairs])
 
 
@@ -761,7 +738,10 @@ def is_stability_probability_nonzero(
                 return True, profile
         return False, None
     if isinstance(model, CompactModel):
-        if not is_weakly_stable(model.men, model.women, matching):
+        # weakly stable: no pair whose members both strictly prefer each
+        # other to their partners, that is, both stances True
+        views = _views(instance, matching)
+        if any(his and hers for _, _, his, hers in _pair_masks(views, instance.n_men)):
             return False, None
         return True, _verified(_compact_witness(instance, matching), matching)
     # a lottery whose supports have at most two orders

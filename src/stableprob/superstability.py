@@ -3,15 +3,16 @@
 For the independent models (lottery, compact), a matching has stability
 probability one exactly when no pair is very weakly blocking under the
 certainly-preferred relations, which reduces the question to finding a
-super-stable matching of a partial-order market. One rule, ``_unblocked``,
-answers "no pair very weakly blocks" for every caller: it reads each agent's
-``beats`` view against its partner (a lottery agent's pick table, a compact
-agent's ``WeakOrder.beats``) or relation (a partial-order market) once. The
-search evaluates the relation per pair and never materializes it; only
-``smp_from_instance`` does, for direct callers. The joint model is
-dependent, so it is handled by intersecting per-profile stable sets instead.
-``SmpInstance`` runs the same mutual-acceptability check as ``Instance``,
-with the same messages.
+super-stable matching of a partial-order market. A pair very weakly blocks
+exactly when each member lists the other in its ``beats`` view against its
+partner (a lottery agent's pick table, a compact agent's ``WeakOrder.beats``,
+a partial-order agent's ``PartialOrder.beats``), so every check here is the
+one walk over the views that the exact engine reads, ``core._pair_masks``:
+the matching is certainly stable iff it yields no pair. The search evaluates
+the relation per pair and never materializes it; only ``smp_from_instance``
+does, for direct callers. The joint model is dependent, so it is handled by
+intersecting per-profile stable sets instead. ``SmpInstance`` runs the same
+mutual-acceptability check as ``Instance``, with the same messages.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from .core import (
     DEFAULT_CAP,
     Budget,
     Matching,
-    WeakOrder,
     _non_index,
+    _pair_masks,
     enumerate_stable_matchings,
     is_stable,
 )
 from .errors import ValidationError
 from .models import (
-    AgentLottery,
     Instance,
     JointModel,
     PartialOrder,
@@ -38,6 +38,7 @@ from .models import (
     _check_mutual,
     _set_sides,
     _split,
+    _views,
 )
 
 
@@ -63,6 +64,11 @@ class SmpInstance:
     def n_women(self) -> int:
         return len(self.women)
 
+    @property
+    def entries(self) -> tuple[PartialOrder, ...]:
+        """One order per agent, indexed by agent id as ``Instance.entries``."""
+        return self.men + self.women
+
 
 def _reject_joint(instance: Instance) -> None:
     if isinstance(instance.model, JointModel):
@@ -79,36 +85,6 @@ def smp_from_instance(instance: Instance) -> SmpInstance:
     return _split(instance, [r.partial_order() for r in relations], SmpInstance)
 
 
-def _rivals(entry, partner: int | None):
-    """The candidates an agent does not certainly prefer ``partner`` (None:
-    unmatched) to: the keys of a lottery agent's pick table or of a compact
-    agent's ``WeakOrder.beats``, or the candidates a relation does not rank
-    below the partner; the partner is left out.
-
-    A pair very weakly blocks iff each member is among the other's rivals.
-    """
-    if isinstance(entry, (AgentLottery, WeakOrder)):
-        return entry.beats(partner)
-    if partner is None:
-        return entry.candidates
-    prefers = entry.prefers
-    return {c for c in entry.candidates if c != partner and not prefers(partner, c)}
-
-
-def _unblocked(market, matching: Matching) -> bool:
-    """True iff no pair very weakly blocks ``matching``; ``market`` holds the
-    agents' entries in ``men`` and ``women`` (an independent model or an
-    ``SmpInstance``). Each woman's rivals are built once, then each man's
-    are walked up to the first blocking pair."""
-    women = enumerate(market.women)
-    hers = [_rivals(e, matching.partner_of_woman(w)) for w, e in women]
-    return not any(
-        m in hers[w]
-        for m, entry in enumerate(market.men)
-        for w in _rivals(entry, matching.partner_of_man(m))
-    )
-
-
 def is_very_weakly_blocking(
     instance: Instance, matching: Matching, man: int, woman: int
 ) -> bool:
@@ -123,10 +99,9 @@ def is_very_weakly_blocking(
     if matching.partner_of_man(man) == woman:
         raise ValidationError(f"pair ({man}, {woman}) is matched, not blocking")
     _reject_joint(instance)
-    his = instance.entries[man]
-    hers = instance.entries[instance.n_men + woman]
-    return woman in _rivals(his, matching.partner_of_man(man)) and man in _rivals(
-        hers, matching.partner_of_woman(woman)
+    his, hers = instance.entries[man], instance.entries[instance.n_men + woman]
+    return woman in his.beats(matching.partner_of_man(man)) and man in hers.beats(
+        matching.partner_of_woman(woman)
     )
 
 
@@ -139,12 +114,16 @@ def is_certainly_stable(instance: Instance, matching: Matching) -> bool:
     model = instance.model
     if isinstance(model, JointModel):
         return all(is_stable(profile, matching) for profile, _ in model.profiles)
-    return _unblocked(model, matching)
+    # every pair the walk yields is a tuple, so ``any`` is True iff it yields one
+    return not any(_pair_masks(_views(instance, matching), instance.n_men))
 
 
-def _closure(men, women) -> Matching | None:
-    """The one matching that can be super-stable under the relations ``men``
-    and ``women``, or None when a man keeps several maximal women.
+def _super_stable(market, men, women) -> Matching | None:
+    """The super-stable matching under the relations ``men`` and ``women``
+    of ``market``'s agents, or None if there is none. The closure below
+    leaves one candidate, or none when a man keeps several maximal women,
+    and the candidate is super-stable iff the walk over ``market``'s
+    ``beats`` views yields no pair.
 
     Proposal-and-deletion closure: every man proposes to each maximal woman
     of his current list, which deletes all strictly worse men from her list.
@@ -191,7 +170,8 @@ def _closure(men, women) -> Matching | None:
 
     if any(len(ws) >= 2 for ws in top):
         return None
-    return Matching.from_pairs((m, w) for m, ws in enumerate(top) for w in ws)
+    candidate = Matching.from_pairs((m, w) for m, ws in enumerate(top) for w in ws)
+    return None if any(_pair_masks(_views(market, candidate), market.n_men)) else candidate
 
 
 def super_stable_smp(smp: SmpInstance) -> Matching | None:
@@ -199,8 +179,7 @@ def super_stable_smp(smp: SmpInstance) -> Matching | None:
 
     The closure's candidate, if any, is checked against the orders.
     """
-    candidate = _closure(smp.men, smp.women)
-    return None if candidate is None or not _unblocked(smp, candidate) else candidate
+    return _super_stable(smp, smp.men, smp.women)
 
 
 def exists_certainly_stable_matching(
@@ -224,5 +203,4 @@ def exists_certainly_stable_matching(
         return None
     Budget(cap, "stable matchings")  # no enumeration here; still refuse a bad cap
     relations = [_certain_relation(instance, i) for i in range(len(instance.entries))]
-    candidate = _closure(relations[: instance.n_men], relations[instance.n_men :])
-    return None if candidate is None or not _unblocked(model, candidate) else candidate
+    return _super_stable(instance, relations[: instance.n_men], relations[instance.n_men :])

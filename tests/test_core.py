@@ -11,6 +11,7 @@ from helpers import (
     naive_has_block,
     order,
     random_compact_instance,
+    random_lottery_instance,
     random_maximal_matching,
     reference_stable_matchings,
     reference_strictly_prefers,
@@ -19,12 +20,14 @@ from stableprob import (
     AgentId,
     LinearOrder,
     Matching,
+    PartialOrder,
     Profile,
     ResourceLimitError,
     Side,
     ValidationError,
     WeakOrder,
     blocking_pairs,
+    certainly_preferred,
     enumerate_stable_matchings,
     gale_shapley,
     is_stable,
@@ -216,6 +219,54 @@ class TestWeakOrder:
     ):
         with pytest.raises(ValidationError, match="is not a listed candidate"):
             WeakOrder(((0, 1),)).prefers_over_partner(candidate, partner)
+
+
+@pytest.mark.parametrize("candidate", [True, False, 1.0, "0", [0], None])
+@pytest.mark.parametrize("partner", [None, 0])
+@pytest.mark.parametrize("owner", [LinearOrder((0, 1)), WeakOrder(((0,), (1,)))])
+def test_prefers_over_partner_refuses_a_candidate_that_is_no_index(
+    owner, candidate, partner
+):
+    # True is not candidate 1, and a list raises no bare TypeError
+    with pytest.raises(ValidationError, match="^bad candidate index "):
+        owner.prefers_over_partner(candidate, partner)
+
+
+class TestPartialOrderBeats:
+    @settings(deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["lottery", "compact"]))
+    def test_beats_keeps_the_candidates_the_partner_does_not_beat(self, rng, kind):
+        # each agent's certainly-preferred relation, on incomplete markets
+        n_men, n_women = rng.randint(1, 5), rng.randint(1, 5)
+        if kind == "lottery":
+            inst = random_lottery_instance(rng, n_men, n_women, 3, complete=False)
+        else:
+            inst = random_compact_instance(rng, n_men, n_women, 3, complete=False)
+        for agent in inst.agents():
+            relation = certainly_preferred(inst, agent)
+            entry = inst.entries[inst.index(agent)]
+            listed = sorted(relation.candidates)
+            for partner in [None, *listed]:
+                # ascending; the partner is not above itself, and a candidate
+                # ranked below it is left out
+                expected = {
+                    c: True if partner is None or relation.prefers(c, partner) else None
+                    for c in listed
+                    if c != partner
+                    and (partner is None or not relation.prefers(partner, c))
+                }
+                view = relation.beats(partner)
+                assert list(view) == list(expected)
+                assert all(view[c] is side for c, side in expected.items())
+                if kind == "lottery":
+                    assert view.keys() == entry.beats(partner).keys()
+                else:
+                    assert view == entry.beats(partner)
+
+    @pytest.mark.parametrize("partner", [True, False, 2, -1, 1.0, "0"])
+    def test_beats_refuses_a_partner_that_is_not_listed(self, partner):
+        with pytest.raises(ValidationError, match="is not a listed candidate"):
+            PartialOrder(frozenset({0, 1}), frozenset({(0, 1)})).beats(partner)
 
 
 class TestAgentId:

@@ -1,8 +1,8 @@
 """Seeded fuzz over every public constructor, ``is_weakly_stable``, the
-``beats`` views of ``AgentLottery`` and ``WeakOrder``, the
-``prefers_over_partner`` tests of ``LinearOrder`` and ``WeakOrder``, and
-the value arguments of the certain-stability, probability, most-stable,
-conversion and per-agent functions.
+``beats`` views of ``AgentLottery``, ``WeakOrder`` and ``PartialOrder``,
+the ``prefers_over_partner`` tests of ``LinearOrder`` and ``WeakOrder``,
+and the value arguments of the certain-stability, probability,
+most-stable, conversion and per-agent functions.
 
 Each target gets arguments of its documented type whose contents are
 junk: rows of the wrong width or kind, weights that are no probability,
@@ -11,8 +11,9 @@ method, generators whose rolls leave [0, 1); an agent argument may also be
 junk of any type. Whatever they hold, the only error allowed is
 ``ValidationError`` (and ``ResourceLimitError`` for an int cap that the
 work really exceeds), an accepted ``PartialOrder`` holds only int
-candidates, and a ``beats`` view or a ``prefers_over_partner`` test
-answers only for a partner that is None or a listed candidate.
+candidates, a ``beats`` view or a ``prefers_over_partner`` test answers
+only for a partner that is None or a listed candidate, and a
+``prefers_over_partner`` test only for an int candidate.
 """
 
 import random
@@ -276,10 +277,13 @@ def beats_with_junk(entries):
 
 
 def prefers_with_junk(entries):
-    # the partner rule of ``beats``, whatever the candidate
+    # the partner rule of ``beats``, and a junk candidate must not be read
+    # as one: True as candidate 1
     def build(rng: random.Random):
         entry, partner = rng.choice(entries), rng.choice((None, 0, 1, junk(rng)))
-        answer = entry.prefers_over_partner(index(rng), partner)
+        candidate = rng.choice((0, 1, 2, junk(rng)))
+        answer = entry.prefers_over_partner(candidate, partner)
+        assert type(candidate) is int, candidate
         assert partner is None or (
             type(partner) is int and partner in entry.candidates
         ), partner
@@ -294,6 +298,9 @@ TARGETS = {
     "AgentLottery": lambda rng: AgentLottery(pairs(rng, lambda: ORDER)),
     "AgentLottery.beats": beats_with_junk((LOTTERY, COIN)),
     "WeakOrder.beats": beats_with_junk((WEAK, WeakOrder(((1,), (0,))))),
+    "PartialOrder.beats": beats_with_junk(
+        (RELATION, PartialOrder(frozenset({0, 1}), frozenset()))
+    ),
     "LinearOrder.prefers_over_partner": prefers_with_junk((ORDER, REVERSED)),
     "WeakOrder.prefers_over_partner": prefers_with_junk(
         (WEAK, WeakOrder(((1,), (0,))))

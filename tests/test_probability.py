@@ -36,9 +36,12 @@ from helpers import (
     reference_estimate,
     reference_exact_probability,
     reference_first_witness,
+    reference_is_certainly_stable,
     reference_lottery_one_side,
     reference_search_size,
     reference_solve_2sat,
+    reference_strictly_prefers,
+    reference_super_stable_smp,
     reference_tarjan_scc,
     tied_instance,
     truth_table_count,
@@ -62,20 +65,24 @@ from stableprob import (
     exists_certainly_stable_matching,
     expand_compact_to_lottery,
     gale_shapley,
+    is_certainly_stable,
     is_stability_probability_nonzero,
     is_stability_probability_one,
     is_stable,
     lottery_to_joint,
     sample_profile,
+    smp_from_instance,
     solve_2sat,
     stability_probability,
     stability_probability_compact_one_side_certain,
     stability_probability_exact,
     stability_probability_joint,
     stability_probability_lottery_one_side_certain,
+    super_stable_smp,
 )
 from stableprob import probability
-from stableprob.core import Budget
+from stableprob.core import Budget, _pair_masks
+from stableprob.models import _views
 
 
 # SHA-256 of the 2-CNFs of ``test_clause_order_is_pinned``
@@ -1017,6 +1024,41 @@ class TestPairWalk:
         assert walked == [
             (m, 3 + w, None, None) for m in range(3) for w in range(3) if m != w
         ]
+
+
+class TestDecisionsOnThePairWalk:
+    """Certain stability, the super-stable check and the compact nonzero
+    decision, each read from ``_pair_masks``, against pair-by-pair
+    references on incomplete markets with partial matchings."""
+
+    @staticmethod
+    def assert_certain_stability(inst, matching):
+        smp = smp_from_instance(inst)
+        expected = reference_is_certainly_stable(smp, matching)
+        assert is_certainly_stable(inst, matching) is expected
+        # the check super_stable_smp runs on its candidate, on any matching
+        walked = list(_pair_masks(_views(smp, matching), smp.n_men))
+        assert (walked == []) is expected
+        assert super_stable_smp(smp) == reference_super_stable_smp(smp)
+
+    @settings(deadline=None)
+    @given(small_lottery_markets())
+    def test_lottery_certain_stability(self, market):
+        self.assert_certain_stability(*market)
+
+    @settings(deadline=None)
+    @given(small_compact_markets())
+    def test_compact_certain_stability_and_nonzero(self, market):
+        inst, matching = market
+        self.assert_certain_stability(inst, matching)
+        men, women = inst.model.men, inst.model.women
+        blocked = any(
+            reference_strictly_prefers(men[m], w, matching.partner_of_man(m))
+            and reference_strictly_prefers(women[w], m, matching.partner_of_woman(w))
+            for m in range(inst.n_men)
+            for w in range(inst.n_women)
+        )
+        assert is_stability_probability_nonzero(inst, matching)[0] is not blocked
 
 
 class TestNonzero:

@@ -194,6 +194,33 @@ def test_only_core_calls_prefers_over_partner():
     assert found == []
 
 
+def test_only_the_pair_walk_pairs_beats_views():
+    # a pair very weakly blocks iff each member lists the other in its
+    # ``beats`` view, and ``core._pair_masks`` is the one walk that pairs a
+    # man's view with a woman's. ``models._views`` builds the views it walks
+    # for a market, and ``is_weakly_stable`` for its own ``WeakOrder``
+    # lists; ``prefers_over_partner`` reads one view, and
+    # ``is_very_weakly_blocking`` one pair's two. ``_lottery_bound`` pairs
+    # views itself, since it adds the pairs of each prefix incrementally
+    found = set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for scope, node in _scoped_nodes(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "beats"
+            ):
+                found.add(".".join([path.stem] + [s.name for s in scope]))
+    assert found == {
+        "core.WeakOrder.prefers_over_partner",
+        "core.is_weakly_stable",
+        "models._views",
+        "optimization._lottery_bound.new_pairs",
+        "superstability.is_very_weakly_blocking",
+    }
+
+
 def test_only_models_draws_tie_breaks():
     # the compact tie-break rule lives once, in models.py, so no other
     # module may reach an rng's getrandbits, sample or shuffle, called or
