@@ -748,9 +748,10 @@ def sample_profile(instance: Instance, rng: random.Random) -> Profile:
             for e, roll in zip(instance.entries, rolls)
         ]
     else:
+        # each shuffle permutes a tier of an order already checked
         shuffles = iter(tie_breaks(instance)(rng))
         orders = [
-            LinearOrder(tuple(c for _ in weak.tiers for c in next(shuffles)))
+            LinearOrder._trusted(tuple(c for _ in weak.tiers for c in next(shuffles)))
             for weak in instance.entries
         ]
     return _split(instance, orders)

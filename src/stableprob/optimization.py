@@ -18,7 +18,10 @@ leaf always scores above 0, so starting at 0 loses no maximum. The lottery
 bound reads only the pairs between assigned agents: a pair that blocks in
 every order of one agent deletes the other agent's orders that block with
 it (both: pruned outright), and the bound is the product of the assigned
-agents' remaining mass. Compact and joint markets are bounded by 1.
+agents' remaining mass. It keeps its state per depth: a node fetches the
+two ``beats`` views of its own couple and reads those of every earlier
+couple, and the product runs only over the agents that have lost orders,
+since every other factor is 1. Compact and joint markets are bounded by 1.
 
 The polynomial path also bounds a prefix by 0 when a certain pair blocks
 there. Down the depth-first path it keeps the certain men's proposer-optimal
@@ -33,7 +36,6 @@ search refuses up front when its leaves outnumber ``cap``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -75,34 +77,56 @@ def _lottery_bound(instance: Instance, men):
     first: the call for depth d > 0 follows one for depth d - 1 on the same
     prefix, whose bound exceeded the incumbent. Each agent's pick tables,
     numerators and scale are those its ``AgentLottery`` holds, which the
-    leaves' scoring reads too."""
+    leaves' scoring reads too.
+
+    The state lives per depth, so a node reads its ancestors' instead of
+    fetching it again: the two ``beats`` views of each assigned couple, the
+    orders each agent has left, and the assigned agents that have lost some.
+    A node fetches its own couple's two views and pairs them with every
+    earlier couple's; when no pair is new it keeps its parent's orders
+    without a copy. The product runs only over the agents that have lost
+    orders: any other agent's mass is its whole scale, a factor of 1, so the
+    comparison with the incumbent is unchanged."""
     n = instance.n_men
     entries = instance.entries
     full = [(1 << len(entry.support)) - 1 for entry in entries]
     masses: dict[tuple[int, int], int] = {}  # (agent, orders) -> scaled weight
-    # per depth, each agent's orders that no pair between assigned agents
-    # rules out on its own
+    # per depth, for the prefix above it: each agent's orders that no pair
+    # between assigned agents rules out on its own, and the agents whose
+    # orders are not all left
     allowed = [full] * (len(men) + 1)
+    restricted = [()] * (len(men) + 1)
+    # per depth: its man, his partner, and their views against each other
+    views = [None] * len(men)
 
-    def new_pairs(d: int, women: list[int]):
+    def new_pairs(d: int, women: list[int]) -> list:
         # the pairs the man at depth d adds: him with each earlier man's
         # partner, and each earlier man with his partner
         m, w = men[d], women[d]
-        for d2 in range(d):
-            m2, w2 = men[d2], women[d2]
-            for a, a_partner, b, b_partner in ((m, w, w2, m2), (m2, w2, w, m)):
-                a_mask = entries[a].beats(a_partner).get(b, 0)
-                b_mask = a_mask and entries[n + b].beats(b_partner).get(a, 0)
-                if b_mask:
-                    yield a, n + b, a_mask, b_mask
+        his, hers = entries[m].beats(w), entries[n + w].beats(m)
+        views[d] = m, w, his, hers
+        pairs = []
+        for m2, w2, his2, hers2 in views[:d]:
+            if (a_mask := his.get(w2, 0)) and (b_mask := hers2.get(m, 0)):
+                pairs.append((m, n + w2, a_mask, b_mask))
+            if (a_mask := his2.get(w, 0)) and (b_mask := hers.get(m2, 0)):
+                pairs.append((m2, n + w, a_mask, b_mask))
+        return pairs
 
     def bound(d: int, women: list[int], incumbent: Fraction) -> bool:
-        mask = allowed[d][:]
-        if delete_forced_picks(new_pairs(d, women), full, mask) is None:
-            return False
-        allowed[d + 1] = mask
+        pairs = new_pairs(d, women)
+        mask, cut = allowed[d], restricted[d]
+        if pairs:
+            mask = mask[:]
+            if delete_forced_picks(pairs, full, mask) is None:
+                return False
+            for pair in pairs:
+                for agent in pair[:2]:
+                    if mask[agent] != full[agent] and agent not in cut:
+                        cut += (agent,)
+        allowed[d + 1], restricted[d + 1] = mask, cut
         numerator = denominator = 1
-        for agent in itertools.chain(men[: d + 1], (n + w for w in women[: d + 1])):
+        for agent in cut:
             key = agent, mask[agent]
             mass = masses.get(key)
             if mass is None:

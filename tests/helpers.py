@@ -1088,6 +1088,45 @@ def reference_most_stable(instance: Instance) -> MostStableResult:
     )
 
 
+def reference_lottery_bound(
+    instance: Instance, men, women, incumbent: Fraction
+) -> bool:
+    """Whether the most-stable lottery bound of the prefix that matches
+    ``men[i]`` to ``women[i]`` in the complete, square lottery ``instance``
+    exceeds ``incumbent``, recomputed from scratch: four ``beats`` lookups
+    per pair of couples give the masks of the two cross pairs; a pair that
+    blocks in every order of one agent deletes the other's orders that block
+    with it (in every order of both: no leaf below is stable), and the bound
+    is the product, over every assigned agent, of the weight of its orders
+    left."""
+    n = instance.n_men
+    entries = instance.entries
+    assigned = list(men[: len(women)]) + [n + w for w in women]
+    full = {agent: (1 << len(entries[agent].support)) - 1 for agent in assigned}
+    left = dict(full)
+    for j in range(len(women)):
+        for i in range(j):
+            for man, his, woman, hers in (
+                (men[j], women[j], women[i], men[i]),
+                (men[i], women[i], women[j], men[j]),
+            ):
+                man_mask = entries[man].beats(his).get(woman, 0)
+                woman_mask = entries[n + woman].beats(hers).get(man, 0)
+                if not (man_mask and woman_mask):
+                    continue
+                if man_mask == full[man] and woman_mask == full[n + woman]:
+                    return False
+                if man_mask == full[man]:
+                    left[n + woman] &= ~woman_mask
+                elif woman_mask == full[n + woman]:
+                    left[man] &= ~man_mask
+    bound = Fraction(1)
+    for agent, orders in left.items():
+        weights = [w for i, (_, w) in enumerate(entries[agent].support) if orders >> i & 1]
+        bound *= sum(weights, Fraction(0))
+    return bound > incumbent
+
+
 def reference_constant_uncertain(instance: Instance) -> MostStableResult:
     """The constant-uncertain search with both rounds run by ``gale_shapley``
     on sub-profiles of validated orders, women handled by a recursive call

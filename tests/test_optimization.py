@@ -25,6 +25,7 @@ from helpers import (
     random_perturbed_lottery_instance,
     reference_beats,
     reference_constant_uncertain,
+    reference_lottery_bound,
     reference_most_stable,
 )
 from stableprob import (
@@ -39,6 +40,7 @@ from stableprob import (
     ResourceLimitError,
     ValidationError,
     WeakOrder,
+    complete_instance,
     estimate_stability_probability,
     is_stability_probability_nonzero,
     most_stable_brute_force,
@@ -304,6 +306,90 @@ class TestBranchAndBound:
         assert result.probability == max(
             stability_probability(inst, mu) for mu in scored
         )
+
+
+class TestLotteryBound:
+    """``_lottery_bound`` keeps its state per depth: at every node of a
+    depth-first walk its verdict must equal the bound recomputed from
+    scratch for the node's prefix."""
+
+    @staticmethod
+    def walk(instance: Instance, rng: random.Random) -> None:
+        """Walk the prefixes of the completed ``instance`` depth first in
+        ``permutations`` order, descending where the bound exceeds an
+        incumbent drawn from the leaves' probabilities, and check each
+        verdict against ``reference_lottery_bound``."""
+        completed = complete_instance(instance)[0]
+        n = completed.n_men
+        leaves = sorted(
+            {Fraction(0)}
+            | {
+                stability_probability(completed, Matching.from_pairs(enumerate(p)), cap=None)
+                for p in itertools.permutations(range(n))
+            }
+        )
+        men = range(n)
+        bound = optimization._lottery_bound(completed, men)
+        women: list[int] = []
+
+        def descend() -> None:
+            d = len(women)
+            for w in range(n):
+                if w in women:
+                    continue
+                women.append(w)
+                incumbent = rng.choice(leaves)
+                verdict = bound(d, women, incumbent)
+                assert verdict == reference_lottery_bound(completed, men, women, incumbent)
+                if verdict and d + 1 < n:
+                    descend()
+                women.pop()
+
+        descend()
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 5), st.integers(0, 2**32))
+    def test_matches_the_reference_on_complete_markets(self, n, seed):
+        # both sides uncertain, so pairs that block in only some orders of
+        # both agents occur
+        rng = random.Random(seed)
+        self.walk(random_lottery_instance(rng, n, n, max_support=3), rng)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 5), st.integers(1, 5), st.integers(0, 2**32))
+    def test_matches_the_reference_on_completed_markets(self, n_men, n_women, seed):
+        rng = random.Random(seed)
+        instance = random_lottery_instance(rng, n_men, n_women, max_support=3, complete=False)
+        self.walk(instance, rng)
+
+    def test_a_node_fetches_only_its_own_views(self, monkeypatch):
+        # a node fetches its couple's two views and reads the earlier
+        # couples' from their depths; scoring a leaf fetches one per agent
+        n = 6
+        inst = one_side_uncertain_lottery(random.Random(31), n, 3, complete=True)
+        expected = reference_most_stable(inst)
+        scored = count_scored(monkeypatch)
+        fetches, nodes = [], []
+        beats, lottery_bound = AgentLottery.beats, optimization._lottery_bound
+
+        def counting_beats(entry, partner):
+            fetches.append(partner)
+            return beats(entry, partner)
+
+        def counting_bound(instance, men):
+            bound = lottery_bound(instance, men)
+
+            def counted(d, women, incumbent):
+                nodes.append(d)
+                return bound(d, women, incumbent)
+
+            return counted
+
+        monkeypatch.setattr(AgentLottery, "beats", counting_beats)
+        monkeypatch.setattr(optimization, "_lottery_bound", counting_bound)
+        assert most_stable_brute_force(inst) == expected
+        assert scored and max(nodes) == n - 1
+        assert len(fetches) <= 2 * len(nodes) + 2 * n * len(scored)
 
 
 class TestConstantUncertain:

@@ -267,6 +267,7 @@ TRUSTED_BUILDERS = {
         "jsonio.py instance_from_json.lottery",
         "models.py _certain_order",
         "models.py complete_instance.complete",
+        "models.py sample_profile",
         "probability.py _partner_first_extension",
         "reductions.py _lottery",
         "reductions.py three_color_to_joint.profile",
