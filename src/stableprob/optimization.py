@@ -18,10 +18,12 @@ leaf always scores above 0, so starting at 0 loses no maximum. The lottery
 bound reads only the pairs between assigned agents: a pair that blocks in
 every order of one agent deletes the other agent's orders that block with
 it (both: pruned outright), and the bound is the product of the assigned
-agents' remaining mass. It keeps its state per depth: a node fetches the
-two ``beats`` views of its own couple and reads those of every earlier
-couple, and the product runs only over the agents that have lost orders,
-since every other factor is 1. Compact and joint markets are bounded by 1.
+agents' remaining mass. A node fetches the two ``beats`` views of its own
+couple and reads those of every earlier couple, and the rest of its state
+is one record per depth. A node with no new pair reuses its parent's record
+and product; one with new pairs recomputes the product over only the
+agents that have lost orders, since every other factor is 1. No mass is
+memoized. Compact and joint markets are bounded by 1.
 
 The polynomial path also bounds a prefix by 0 when a certain pair blocks
 there. Down the depth-first path it keeps the certain men's proposer-optimal
@@ -79,27 +81,25 @@ def _lottery_bound(instance: Instance, men):
     numerators and scale are those its ``AgentLottery`` holds, which the
     leaves' scoring reads too.
 
-    The state lives per depth, so a node reads its ancestors' instead of
-    fetching it again: the two ``beats`` views of each assigned couple, the
-    orders each agent has left, and the assigned agents that have lost some.
-    A node fetches its own couple's two views and pairs them with every
-    earlier couple's; when no pair is new it keeps its parent's orders
-    without a copy. The product runs only over the agents that have lost
-    orders: any other agent's mass is its whole scale, a factor of 1, so the
-    comparison with the incumbent is unchanged."""
-    n = instance.n_men
-    entries = instance.entries
+    A node fetches its own couple's two ``beats`` views and pairs them with
+    every earlier couple's, kept per depth. The rest of its state is one
+    record per depth: the orders each agent has left, the assigned agents
+    that have lost some, and the product of those agents' masses over that
+    of their scales. A node with no new pair takes its parent's record
+    whole; one with new pairs copies the orders, deletes the forced picks
+    and recomputes the product over its restricted agents. Any other
+    agent's mass is its whole scale, a factor of 1, so the comparison with
+    the incumbent is unchanged; no mass is memoized."""
+    n, entries = instance.n_men, instance.entries
     full = [(1 << len(entry.support)) - 1 for entry in entries]
-    masses: dict[tuple[int, int], int] = {}  # (agent, orders) -> scaled weight
-    # per depth, for the prefix above it: each agent's orders that no pair
-    # between assigned agents rules out on its own, and the agents whose
-    # orders are not all left
-    allowed = [full] * (len(men) + 1)
-    restricted = [()] * (len(men) + 1)
     # per depth: its man, his partner, and their views against each other
     views = [None] * len(men)
+    # per depth, for the prefix above it: each agent's orders that no pair
+    # between assigned agents rules out on its own, the agents whose orders
+    # are not all left, and the product of their masses and of their scales
+    state = [(full, (), 1, 1)] + [None] * len(men)
 
-    def new_pairs(d: int, women: list[int]) -> list:
+    def bound(d: int, women: list[int], incumbent: Fraction) -> bool:
         # the pairs the man at depth d adds: him with each earlier man's
         # partner, and each earlier man with his partner
         m, w = men[d], women[d]
@@ -111,28 +111,21 @@ def _lottery_bound(instance: Instance, men):
                 pairs.append((m, n + w2, a_mask, b_mask))
             if (a_mask := his2.get(w, 0)) and (b_mask := hers.get(m2, 0)):
                 pairs.append((m2, n + w, a_mask, b_mask))
-        return pairs
-
-    def bound(d: int, women: list[int], incumbent: Fraction) -> bool:
-        pairs = new_pairs(d, women)
-        mask, cut = allowed[d], restricted[d]
+        state[d + 1] = state[d]
         if pairs:
-            mask = mask[:]
+            mask, cut = state[d][0][:], state[d][1]
             if delete_forced_picks(pairs, full, mask) is None:
                 return False
             for pair in pairs:
                 for agent in pair[:2]:
                     if mask[agent] != full[agent] and agent not in cut:
                         cut += (agent,)
-        allowed[d + 1], restricted[d + 1] = mask, cut
-        numerator = denominator = 1
-        for agent in cut:
-            key = agent, mask[agent]
-            mass = masses.get(key)
-            if mass is None:
-                mass = masses[key] = allowed_mass(entries[agent].numerators, mask[agent])
-            numerator *= mass
-            denominator *= entries[agent].scale
+            numerator = denominator = 1
+            for agent in cut:
+                numerator *= allowed_mass(entries[agent].numerators, mask[agent])
+                denominator *= entries[agent].scale
+            state[d + 1] = mask, cut, numerator, denominator
+        numerator, denominator = state[d + 1][2:]
         return numerator * incumbent.denominator > incumbent.numerator * denominator
 
     return bound
@@ -262,37 +255,35 @@ def most_stable_constant_uncertain(
     # the completed market is square, so woman w has id n + w
     women = [_certain_order(completed, n + w) for w in range(n)]
     women_rank = [order.rank for order in women]
-    # per depth d, for the prefix assignment[0..d-1] on the current path: the
-    # round (held woman -> certain man, each man's next position on his
-    # list) and cut[m], m's rank of his best assigned woman who prefers him
-    # to her partner; m blocks with her while he holds a worse woman, and
-    # the leaf's receiver-optimal round truncates his list there
+    # per depth d, for the prefix assignment[0..d-1] on the current path, one
+    # record: the round (held woman -> certain man, each man's next position
+    # on his list) and cut, where cut[m] is m's rank of his best assigned
+    # woman who prefers him to her partner; m blocks with her while he holds
+    # a worse woman, and the leaf's receiver-optimal round truncates his
+    # list there
     held, next_choice = {}, dict.fromkeys(certain_men, 0)
     deferred_acceptance(men_lists, women_rank, held, next_choice)
-    rounds = [(held, next_choice)] + [None] * k
-    cuts = [dict.fromkeys(certain_men, n)] + [None] * k
+    rounds = [(held, next_choice, dict.fromkeys(certain_men, n))] + [None] * k
     lottery_bound = _model_bound(completed, xs)
 
     def bound(d: int, assignment: list[int], incumbent: Fraction) -> bool:
         if not lottery_bound(d, assignment, incumbent):
             return False  # dropped before its round is resumed
         w, rank_w = assignment[d], women_rank[assignment[d]]
-        held, next_choice = map(dict, rounds[d])
+        held, next_choice, cut = map(dict, rounds[d])
         held.pop(w, None)
         deferred_acceptance(men_lists, women_rank, held, next_choice, assignment[: d + 1])
-        cut = dict(cuts[d])
         x_rank = rank_w[xs[d]]
         for m in certain_men:
             if rank_w[m] < x_rank and men_rank[m][w] < cut[m]:
                 cut[m] = men_rank[m][w]
         if any(cut[m] < men_rank[m][w2] for w2, m in held.items()):
             return False
-        rounds[d + 1] = held, next_choice
-        cuts[d + 1] = cut
+        rounds[d + 1] = held, next_choice, cut
         return True
 
     def extend(assignment: list[int]) -> Matching:
-        cut = cuts[k]
+        cut = rounds[k][2]
         held = deferred_acceptance(
             {
                 w: [m for m in women[w].ranking if m in cut and men_rank[m][w] < cut[m]]

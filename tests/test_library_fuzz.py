@@ -2,18 +2,23 @@
 ``beats`` views of ``AgentLottery``, ``WeakOrder`` and ``PartialOrder``,
 the ``prefers_over_partner`` tests of ``LinearOrder`` and ``WeakOrder``,
 and the value arguments of the certain-stability, probability,
-most-stable, conversion and per-agent functions.
+most-stable, conversion and per-agent functions, of
+``enumerate_stable_matchings``, ``gale_shapley``, ``side_is_certain``,
+``as_probability``, the matching checks and ``lift_matching`` and
+``restrict_matching``.
 
 Each target gets arguments of its documented type whose contents are
 junk: rows of the wrong width or kind, weights that are no probability,
 indices that are no agent index, caps that are no cap, methods that are no
-method, generators whose rolls leave [0, 1); an agent argument may also be
-junk of any type. Whatever they hold, the only error allowed is
-``ValidationError`` (and ``ResourceLimitError`` for an int cap that the
-work really exceeds), an accepted ``PartialOrder`` holds only int
-candidates, a ``beats`` view or a ``prefers_over_partner`` test answers
-only for a partner that is None or a listed candidate, and a
-``prefers_over_partner`` test only for an int candidate.
+method, sides that are no side, probabilities past the int-to-str limit,
+matchings with out-of-range or unacceptable pairs, generators whose rolls
+leave [0, 1); an agent argument may also be junk of any type. Whatever
+they hold, the only error allowed is ``ValidationError`` (and
+``ResourceLimitError`` for an int cap that the work really exceeds), an
+accepted ``PartialOrder`` holds only int candidates, a ``beats`` view or
+a ``prefers_over_partner`` test answers only for a partner that is None or
+a listed candidate, and a ``prefers_over_partner`` test only for an int
+candidate.
 """
 
 import random
@@ -41,21 +46,35 @@ from stableprob import (
     WeakOrder,
     X3cInstance,
     agent_support,
+    as_probability,
+    blocking_pairs,
+    build_nonzero_2sat,
     certain_order,
     certainly_preferred,
+    complete_instance,
     dominance_set,
+    enumerate_stable_matchings,
     estimate_stability_probability,
     exists_certainly_stable_matching,
     expand_compact_to_lottery,
+    gale_shapley,
+    is_certainly_stable,
     is_stability_probability_nonzero,
+    is_stability_probability_one,
+    is_stable,
     is_very_weakly_blocking,
+    lift_matching,
     lottery_to_joint,
     most_stable_brute_force,
     most_stable_constant_uncertain,
+    restrict_matching,
+    side_is_certain,
     stability_probability,
+    stability_probability_exact,
     support_size,
+    validate_matching,
 )
-from stableprob.core import enumerate_stable_matchings, is_weakly_stable
+from stableprob.core import is_weakly_stable
 
 ORDER = LinearOrder((0, 1))
 WEAK = WeakOrder(((0, 1),))
@@ -99,6 +118,17 @@ THREE_ORDERS = Instance(
     )
 )
 MU3 = Matching.from_pairs(((0, 0), (1, 1), (2, 2)))
+# a 2 x 2 lottery market, and its profile, in which man 0 and woman 1 do not
+# list each other, so completing it pads their lists
+ONLY_0, ONLY_1 = LinearOrder((0,)), LinearOrder((1,))
+PARTIAL = Instance(
+    LotteryModel(
+        men=(AgentLottery.certain(ONLY_0), COIN),
+        women=(COIN, AgentLottery.certain(ONLY_1)),
+    )
+)
+PARTIAL_PROFILE = Profile(men=(ONLY_0, ORDER), women=(REVERSED, ONLY_1))
+PADDING = complete_instance(PARTIAL)[1]
 
 # hashable junk, so that it fits in a frozenset as well as in a tuple
 SCALARS = (
@@ -152,6 +182,30 @@ def agent(rng: random.Random) -> AgentId:
 def any_agent(rng: random.Random):
     """An agent of the markets, one outside them, or junk."""
     return agent(rng) if rng.random() < 0.5 else junk(rng)
+
+
+def side(rng: random.Random):
+    return rng.choice((Side.MEN, Side.WOMEN, junk(rng)))
+
+
+def loose_matching(rng: random.Random) -> Matching:
+    """A matching whose agents may lie outside a market and whose pairs may
+    be unacceptable there."""
+    ids = (0, 1, 2, 3, 10**20)
+    men = rng.sample(ids, rng.randint(0, 3))
+    return Matching.from_pairs(zip(men, rng.sample(ids, len(men))))
+
+
+def probability_value(rng: random.Random):
+    # digit strings longer than the int-to-str limit, and exponents beyond it
+    return rng.choice(
+        (
+            junk(rng), "1" * 5000, "0." + "1" * 5000, "1/" + "1" * 5000,
+            "1e4300", "1e-4300", "1e99999", "1e-99999", "1e" + "9" * 5000,
+            "1" * 5000 + "e-5000", "0.5e1", "-0", " 1/2 ", "1/2/3", "1_0e-1",
+            1e308, 5e-324, -0.0, 10**5000, Fraction(10**5000, 10**5000 + 1),
+        )
+    )
 
 
 def junk_cap(rng: random.Random):
@@ -222,6 +276,26 @@ def estimate_with_junk(rng: random.Random):
     return capped(call, junk_cap(rng), lambda: call(None).samples)
 
 
+def enumerate_with_junk_cap(rng: random.Random):
+    profile = rng.choice((PROFILE, CROSSED, PARTIAL_PROFILE))
+    return capped(
+        lambda c: enumerate_stable_matchings(profile, c),
+        junk_cap(rng),
+        lambda: len(enumerate_stable_matchings(profile, None)),
+    )
+
+
+def exact_with_junk_cap(rng: random.Random):
+    instance = market(rng)
+    # as for method "exact" in ``probability_with_junk``
+    need = 1 if instance is MARKET else 0
+    return capped(
+        lambda c: stability_probability_exact(instance, MU, c),
+        junk_cap(rng),
+        lambda: need,
+    )
+
+
 def nonzero_with_junk(rng: random.Random):
     # the joint scan and the 2-SAT route never search
     instance, matching, need = rng.choice(
@@ -258,6 +332,14 @@ def most_stable_with_junk(search):
             return search(instance, c)
 
         return capped(call, junk_cap(rng), lambda: call(None).examined)
+
+    return build
+
+
+def with_loose_matching(target, markets):
+    # out-of-range agents and unacceptable pairs must be refused, not read
+    def build(rng: random.Random):
+        return target(rng.choice(markets), loose_matching(rng))
 
     return build
 
@@ -364,6 +446,33 @@ TARGETS = {
     "most_stable_constant_uncertain": most_stable_with_junk(
         most_stable_constant_uncertain
     ),
+    "enumerate_stable_matchings": enumerate_with_junk_cap,
+    "stability_probability_exact": exact_with_junk_cap,
+    "gale_shapley": lambda rng: gale_shapley(
+        rng.choice((PROFILE, CROSSED, PARTIAL_PROFILE)), side(rng)
+    ),
+    "side_is_certain": lambda rng: side_is_certain(
+        rng.choice((MARKET, JOINT, TIED, PARTIAL)), side(rng)
+    ),
+    "as_probability": lambda rng: as_probability(probability_value(rng)),
+    "is_certainly_stable": with_loose_matching(
+        is_certainly_stable, (MARKET, JOINT, TIED, PARTIAL)
+    ),
+    "is_stability_probability_one": with_loose_matching(
+        is_stability_probability_one, (MARKET, JOINT, TIED, PARTIAL)
+    ),
+    "blocking_pairs": with_loose_matching(
+        blocking_pairs, (PROFILE, CROSSED, PARTIAL_PROFILE)
+    ),
+    "is_stable": with_loose_matching(is_stable, (PROFILE, CROSSED, PARTIAL_PROFILE)),
+    "validate_matching": with_loose_matching(
+        validate_matching, (PROFILE, CROSSED, PARTIAL_PROFILE)
+    ),
+    "build_nonzero_2sat": with_loose_matching(
+        build_nonzero_2sat, (MARKET, JOINT, TIED, PARTIAL)
+    ),
+    "lift_matching": lambda rng: lift_matching(loose_matching(rng), PADDING),
+    "restrict_matching": lambda rng: restrict_matching(loose_matching(rng), PADDING),
 }
 
 

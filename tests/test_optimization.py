@@ -314,11 +314,12 @@ class TestLotteryBound:
     scratch for the node's prefix."""
 
     @staticmethod
-    def walk(instance: Instance, rng: random.Random) -> None:
-        """Walk the prefixes of the completed ``instance`` depth first in
-        ``permutations`` order, descending where the bound exceeds an
-        incumbent drawn from the leaves' probabilities, and check each
-        verdict against ``reference_lottery_bound``."""
+    def walk(instance: Instance, rng: random.Random, men=None) -> None:
+        """Walk the prefixes that match ``men`` (default: all men) of the
+        completed ``instance`` depth first in ``permutations`` order,
+        descending where the bound exceeds an incumbent drawn from the
+        leaves' probabilities, and check each verdict against
+        ``reference_lottery_bound``."""
         completed = complete_instance(instance)[0]
         n = completed.n_men
         leaves = sorted(
@@ -328,7 +329,7 @@ class TestLotteryBound:
                 for p in itertools.permutations(range(n))
             }
         )
-        men = range(n)
+        men = range(n) if men is None else men
         bound = optimization._lottery_bound(completed, men)
         women: list[int] = []
 
@@ -341,7 +342,7 @@ class TestLotteryBound:
                 incumbent = rng.choice(leaves)
                 verdict = bound(d, women, incumbent)
                 assert verdict == reference_lottery_bound(completed, men, women, incumbent)
-                if verdict and d + 1 < n:
+                if verdict and d + 1 < len(men):
                     descend()
                 women.pop()
 
@@ -361,6 +362,18 @@ class TestLotteryBound:
         rng = random.Random(seed)
         instance = random_lottery_instance(rng, n_men, n_women, max_support=3, complete=False)
         self.walk(instance, rng)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 5), st.integers(1, 5), st.booleans(), st.integers(0, 2**32))
+    def test_matches_the_reference_on_subsets_of_men(self, n_men, n_women, complete, seed):
+        # the constant-uncertain search bounds only its sorted uncertain
+        # men, so the walk stops above the leaves
+        rng = random.Random(seed)
+        instance = random_lottery_instance(
+            rng, n_men, n_men if complete else n_women, max_support=3, complete=complete
+        )
+        n = complete_instance(instance)[0].n_men
+        self.walk(instance, rng, sorted(rng.sample(range(n), rng.randint(1, n))))
 
     def test_a_node_fetches_only_its_own_views(self, monkeypatch):
         # a node fetches its couple's two views and reads the earlier

@@ -200,8 +200,9 @@ def test_only_the_pair_walk_pairs_beats_views():
     # man's view with a woman's. ``models._views`` builds the views it walks
     # for a market, and ``is_weakly_stable`` for its own ``WeakOrder``
     # lists; ``prefers_over_partner`` reads one view, and
-    # ``is_very_weakly_blocking`` one pair's two. ``_lottery_bound`` pairs
-    # views itself, since it adds the pairs of each prefix incrementally
+    # ``is_very_weakly_blocking`` one pair's two. ``_lottery_bound``'s
+    # ``bound`` pairs views itself, since each node adds only the pairs its
+    # own couple makes with the earlier couples of its prefix
     found = set()
     for path in sorted(SOURCE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -216,7 +217,7 @@ def test_only_the_pair_walk_pairs_beats_views():
         "core.WeakOrder.prefers_over_partner",
         "core.is_weakly_stable",
         "models._views",
-        "optimization._lottery_bound.new_pairs",
+        "optimization._lottery_bound.bound",
         "superstability.is_very_weakly_blocking",
     }
 
