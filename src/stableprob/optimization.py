@@ -23,7 +23,10 @@ couple and reads those of every earlier couple, and the rest of its state
 is one record per depth. A node with no new pair reuses its parent's record
 and product; one with new pairs recomputes the product over only the
 agents that have lost orders, since every other factor is 1. No mass is
-memoized. Compact and joint markets are bounded by 1.
+memoized. The same rule bounds compact markets, each agent taken as one
+pick: a pair whose two ``beats`` stances are both True blocks in every
+extension and bounds its prefix by 0, and any other prefix is bounded by 1.
+Joint markets are bounded by 1.
 
 The polynomial path also bounds a prefix by 0 when a certain pair blocks
 there. Down the depth-first path it keeps the certain men's proposer-optimal
@@ -46,7 +49,6 @@ from .core import DEFAULT_CAP, Budget, Matching, Side, charge, deferred_acceptan
 from .errors import ValidationError
 from .models import (
     Instance,
-    LotteryModel,
     _certain_order,
     complete_instance,
     restrict_matching,
@@ -72,14 +74,18 @@ class MostStableResult:
 
 def _lottery_bound(instance: Instance, men):
     """``bound(d, women, incumbent)``: with ``men[0..d]`` of the complete,
-    square lottery ``instance`` matched to ``women[0..d]``, whether an exact
-    upper bound on the stability probability of every perfect matching that
+    square ``instance`` matched to ``women[0..d]``, whether an exact upper
+    bound on the stability probability of every perfect matching that
     extends them exceeds the Fraction ``incumbent``; the bound is kept as
     integers because a Fraction per node costs a gcd. Calls come depth
     first: the call for depth d > 0 follows one for depth d - 1 on the same
-    prefix, whose bound exceeded the incumbent. Each agent's pick tables,
-    numerators and scale are those its ``AgentLottery`` holds, which the
-    leaves' scoring reads too.
+    prefix, whose bound exceeded the incumbent. A lottery agent's pick
+    tables, numerators and scale are those its ``AgentLottery`` holds, which
+    the leaves' scoring reads too. A compact agent is one pick, so a
+    ``WeakOrder.beats`` stance of True is its full mask and a tie (None)
+    forms no pair: a pair with both stances True blocks in every extension
+    and drops the prefix, and the bound is otherwise 1. A joint market is
+    bounded by the constant 1.
 
     A node fetches its own couple's two ``beats`` views and pairs them with
     every earlier couple's, kept per depth. The rest of its state is one
@@ -90,8 +96,10 @@ def _lottery_bound(instance: Instance, men):
     and recomputes the product over its restricted agents. Any other
     agent's mass is its whole scale, a factor of 1, so the comparison with
     the incumbent is unchanged; no mass is memoized."""
-    n, entries = instance.n_men, instance.entries
-    full = [(1 << len(entry.support)) - 1 for entry in entries]
+    kind, n, entries = instance.kind, instance.n_men, instance.entries
+    if kind == "joint":
+        return lambda d, women, incumbent: incumbent < 1
+    full = [1 if kind == "compact" else (1 << len(e.support)) - 1 for e in entries]
     # per depth: its man, his partner, and their views against each other
     views = [None] * len(men)
     # per depth, for the prefix above it: each agent's orders that no pair
@@ -129,14 +137,6 @@ def _lottery_bound(instance: Instance, men):
         return numerator * incumbent.denominator > incumbent.numerator * denominator
 
     return bound
-
-
-def _model_bound(completed: Instance, men):
-    """The lottery bound of ``_lottery_bound``, or the constant 1 for compact
-    and joint markets."""
-    if isinstance(completed.model, LotteryModel):
-        return _lottery_bound(completed, men)
-    return lambda d, women, incumbent: incumbent < 1
 
 
 def _most_stable(completed: Instance, padding, men, bound, leaf, cap: int | None, what: str):
@@ -204,7 +204,7 @@ def most_stable_brute_force(
         completed,
         padding,
         men,
-        _model_bound(completed, men),
+        _lottery_bound(completed, men),
         lambda women: Matching.from_pairs(enumerate(women)),
         cap,
         "perfect matchings",
@@ -264,7 +264,7 @@ def most_stable_constant_uncertain(
     held, next_choice = {}, dict.fromkeys(certain_men, 0)
     deferred_acceptance(men_lists, women_rank, held, next_choice)
     rounds = [(held, next_choice, dict.fromkeys(certain_men, n))] + [None] * k
-    lottery_bound = _model_bound(completed, xs)
+    lottery_bound = _lottery_bound(completed, xs)
 
     def bound(d: int, assignment: list[int], incumbent: Fraction) -> bool:
         if not lottery_bound(d, assignment, incumbent):

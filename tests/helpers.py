@@ -1091,18 +1091,25 @@ def reference_most_stable(instance: Instance) -> MostStableResult:
 def reference_lottery_bound(
     instance: Instance, men, women, incumbent: Fraction
 ) -> bool:
-    """Whether the most-stable lottery bound of the prefix that matches
-    ``men[i]`` to ``women[i]`` in the complete, square lottery ``instance``
+    """Whether the most-stable bound of the prefix that matches ``men[i]``
+    to ``women[i]`` in the complete, square lottery or compact ``instance``
     exceeds ``incumbent``, recomputed from scratch: four ``beats`` lookups
     per pair of couples give the masks of the two cross pairs; a pair that
     blocks in every order of one agent deletes the other's orders that block
     with it (in every order of both: no leaf below is stable), and the bound
     is the product, over every assigned agent, of the weight of its orders
-    left."""
+    left. A compact agent is one order of weight 1 whose mask is its
+    ``WeakOrder.beats`` stance: True blocks in every extension, and a tie
+    (None) never does, so the bound is 0 when a pair has both stances True
+    and 1 otherwise."""
     n = instance.n_men
     entries = instance.entries
     assigned = list(men[: len(women)]) + [n + w for w in women]
-    full = {agent: (1 << len(entries[agent].support)) - 1 for agent in assigned}
+    if instance.kind == "compact":
+        supports = {agent: ((None, Fraction(1)),) for agent in assigned}
+    else:
+        supports = {agent: entries[agent].support for agent in assigned}
+    full = {agent: (1 << len(supports[agent])) - 1 for agent in assigned}
     left = dict(full)
     for j in range(len(women)):
         for i in range(j):
@@ -1122,7 +1129,7 @@ def reference_lottery_bound(
                     left[man] &= ~man_mask
     bound = Fraction(1)
     for agent, orders in left.items():
-        weights = [w for i, (_, w) in enumerate(entries[agent].support) if orders >> i & 1]
+        weights = [w for i, (_, w) in enumerate(supports[agent]) if orders >> i & 1]
         bound *= sum(weights, Fraction(0))
     return bound > incumbent
 

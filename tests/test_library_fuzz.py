@@ -91,6 +91,14 @@ JOINT_STABLE = len(enumerate_stable_matchings(CROSSED, cap=None))
 MU = Matching.from_pairs(((0, 0), (1, 1)))
 # a 2 x 2 compact market in which every agent ties both candidates
 TIED = Instance(CompactModel(men=(WEAK, WEAK), women=(WEAK, WEAK)))
+# a 2 x 2 compact market tied on the men's side only, so both most-stable
+# searches run on it; man 1 and woman 0 block the identity for certain
+MEN_TIED = Instance(
+    CompactModel(
+        men=(WEAK, WeakOrder(((0,), (1,)))),
+        women=(WeakOrder(((1,), (0,))),) * 2,
+    )
+)
 # a 3 x 3 lottery market in which man 0 has three orders and woman 1 two;
 # the pair of the two blocks only when both take their second order, so the
 # nonzero search enters the root, man 0 and woman 1
@@ -326,7 +334,7 @@ def most_stable_with_junk(search):
     # the cap counts the candidates, which the result reports as examined;
     # scoring one on these markets enters at most the search's root
     def build(rng: random.Random):
-        instance = market(rng)
+        instance = rng.choice((MARKET, JOINT, MEN_TIED))
 
         def call(c):
             return search(instance, c)

@@ -307,6 +307,24 @@ class TestBranchAndBound:
             stability_probability(inst, mu) for mu in scored
         )
 
+    def test_pruned_compact_candidates_are_not_scored(self, monkeypatch):
+        # a compact pair whose two stances are both True blocks in every
+        # extension, which rules out most prefixes of both searches
+        inst = random_compact_instance(random.Random(31), 6, 6, complete=True)
+        scored = count_scored(monkeypatch)
+        result = most_stable_brute_force(inst)
+        assert result.examined == 720
+        assert len(scored) < 72
+        assert len(set(scored)) == len(scored)
+        assert result == reference_most_stable(inst)
+        inst = one_side_uncertain_compact(random.Random(32), 8, 3)
+        scored.clear()
+        result = most_stable_constant_uncertain(inst)
+        assert result.examined == 336
+        assert len(scored) < 42
+        assert len(set(scored)) == len(scored)
+        assert result == reference_constant_uncertain(inst)
+
 
 class TestLotteryBound:
     """``_lottery_bound`` keeps its state per depth: at every node of a
@@ -372,6 +390,26 @@ class TestLotteryBound:
         instance = random_lottery_instance(
             rng, n_men, n_men if complete else n_women, max_support=3, complete=complete
         )
+        n = complete_instance(instance)[0].n_men
+        self.walk(instance, rng, sorted(rng.sample(range(n), rng.randint(1, n))))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 5), st.integers(0, 2**32))
+    def test_matches_the_reference_on_complete_compact_markets(self, n, seed):
+        # ties on both sides, so pairs with one stance None occur
+        rng = random.Random(seed)
+        instance = random_compact_instance(rng, n, n)
+        self.walk(instance, rng)
+        self.walk(instance, rng, sorted(rng.sample(range(n), rng.randint(1, n))))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 5), st.integers(1, 5), st.integers(0, 2**32))
+    def test_matches_the_reference_on_completed_compact_markets(
+        self, n_men, n_women, seed
+    ):
+        rng = random.Random(seed)
+        instance = random_compact_instance(rng, n_men, n_women, complete=False)
+        self.walk(instance, rng)
         n = complete_instance(instance)[0].n_men
         self.walk(instance, rng, sorted(rng.sample(range(n), rng.randint(1, n))))
 
