@@ -202,8 +202,8 @@ class _Model(NamedTuple):
     adjacency: list[list[tuple[int, int, int]]]  # (other, my_mask, other_mask)
     components: list[list[int]]  # constrained agents by component, in search order
     numerators: list  # per agent, each pick's weight times the agent's scale
-    denominator: int  # product of the agents' scales
-    free_product: int  # scaled allowed weight of the unconstrained agents
+    denominator: int  # product of the scales of the agents _compile keeps
+    free_product: int  # scaled allowed weight of the unconstrained agents it keeps
 
 
 def allowed_mass(numerators: list[int], bits: int) -> int:
@@ -295,7 +295,10 @@ def _compile(instance: Instance, matching: Matching, budget: Budget) -> _Model |
     (``delete_forced_picks``); the remaining pairs become two-sided
     constraints. Returns None as soon as stability is impossible, before
     any component is labelled or any mass summed, because most matchings a
-    search scores fail that way.
+    search scores fail that way. Lottery numerators sum to the scale, so
+    an unconstrained lottery agent with every order left is a factor of 1
+    and is left out of ``denominator`` and ``free_product`` alike; compact
+    agents always stay, since a pick set can weigh less than the scale.
     """
     scales, numerators, masks = _pick_tables(instance, matching, budget)
     full = [(1 << len(agent_numerators)) - 1 for agent_numerators in numerators]
@@ -322,11 +325,15 @@ def _compile(instance: Instance, matching: Matching, budget: Budget) -> _Model |
                         label[other] = label[agent]
                         stack.append(other)
         components[label[agent]].append(agent)
-    free_product = 1
+    # factors of 1 are left out, as optimization._lottery_bound leaves them
+    lottery = isinstance(instance.model, LotteryModel)
+    free_product = denominator = 1
     for agent, edges in enumerate(adjacency):
+        if lottery and not edges and allowed[agent] == full[agent]:
+            continue
+        denominator *= scales[agent]
         if not edges:
             free_product *= allowed_mass(numerators[agent], allowed[agent])
-    denominator = math.prod(scales)
     return _Model(allowed, adjacency, components, numerators, denominator, free_product)
 
 
@@ -469,10 +476,11 @@ def stability_probability(
     is stable. Independent models are summed over the agents' picks in
     integer arithmetic over a common denominator: always-blocking picks
     are deleted up front, agents untouched by two-sided constraints
-    contribute a closed factor, and the rest are searched one connected
-    component at a time. ``cap`` bounds the search nodes entered, the root
-    included, over all components, and the compact pick tables' entries
-    (None for no limit), not the number of realizations.
+    contribute a closed factor (none at all for a lottery agent that keeps
+    every order), and the rest are searched one connected component at a
+    time. ``cap`` bounds the search nodes entered, the root included, over
+    all components, and the compact pick tables' entries (None for no
+    limit), not the number of realizations.
 
     Methods: "auto" and "exact" dispatch as above. "joint" requires a
     joint model. "one-side" requires an independent model with one side

@@ -7,6 +7,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -1223,10 +1224,10 @@ class TestAgainstReferenceEngine:
     exhaustive oracle cannot reach."""
 
     @staticmethod
-    def perturbed_cases(seed: int, count: int):
+    def perturbed_cases(seed: int, count: int, sizes=(8, 16)):
         rng = random.Random(seed)
         for _ in range(count):
-            inst = random_perturbed_lottery_instance(rng, rng.randint(8, 16), 3, 4)
+            inst = random_perturbed_lottery_instance(rng, rng.randint(*sizes), 3, 4)
             if rng.random() < 0.75:
                 matching = gale_shapley(modal_profile(inst))
             else:
@@ -1249,7 +1250,11 @@ class TestAgainstReferenceEngine:
 
     def test_exact_on_perturbed_lotteries(self):
         interior = 0
-        for inst, matching in self.perturbed_cases(41, 150):
+        # most agents of the larger markets are free with every order left
+        cases = chain(
+            self.perturbed_cases(41, 150), self.perturbed_cases(46, 15, (24, 48))
+        )
+        for inst, matching in cases:
             value = stability_probability_exact(inst, matching, cap=None)
             assert value == reference_exact_probability(inst, matching)
             interior += 0 < value < 1
@@ -1453,6 +1458,71 @@ class TestComponents:
         assert witness == reference_first_witness(inst, mu)
         with pytest.raises(ResourceLimitError):
             is_stability_probability_nonzero(inst, mu, nodes - 1)
+
+
+class TestFreeFactors:
+    """A free lottery agent with every order left is a factor of 1 and joins
+    neither product; compact agents always join both."""
+
+    def test_unblockable_lottery_matching_has_no_factors(self):
+        # every order ranks the partner first, so no pair can block
+        n = 3
+        agents = [
+            lottery(((k, *rest), "1/3"), ((k, *rest[::-1]), "2/3"))
+            for k in range(n)
+            for rest in [[c for c in range(n) if c != k]]
+        ]
+        inst = lottery_instance(agents, agents)
+        mu = Matching.from_pairs((k, k) for k in range(n))
+        model = compiled(inst, mu)
+        assert model.denominator == 1 == model.free_product
+        assert model.components == []
+        assert stability_probability_exact(inst, mu) == 1
+
+    def test_forced_deletion_keeps_only_that_agent(self):
+        # w1 always prefers m0, so m0's first order goes; m1 and w0 keep
+        # both their orders and stay out of the products
+        inst = lottery_instance(
+            men=[
+                lottery(((1, 0, 2), "1/3"), ((0, 1, 2), "2/3")),
+                lottery(((1, 0, 2), "1/4"), ((1, 2, 0), "3/4")),
+                certain(2, 0, 1),
+            ],
+            women=[
+                lottery(((0, 1, 2), "1/5"), ((0, 2, 1), "4/5")),
+                certain(0, 1, 2),
+                certain(2, 0, 1),
+            ],
+        )
+        mu = Matching.from_pairs((k, k) for k in range(3))
+        model = compiled(inst, mu)
+        assert model.allowed[0].bit_count() == 1
+        assert model.denominator == inst.entries[0].scale == 3
+        assert model.free_product == 2
+        assert stability_probability_exact(inst, mu) == Fraction(2, 3)
+        assert exhaustive_probability(inst, mu) == Fraction(2, 3)
+
+    def test_compact_agents_keep_their_scales(self):
+        # m0 ties w0 with w1, who always prefers him: his one pick (w0
+        # ahead) weighs 1 of his scale 2, though nothing constrains him
+        inst = compact_instance([[[0, 1]], [[1], [0]]], [[[0], [1]], [[0], [1]]])
+        mu = Matching.from_pairs([(0, 0), (1, 1)])
+        model = compiled(inst, mu)
+        assert model.numerators[0] == [1] and not model.adjacency[0]
+        assert model.denominator == 2 and model.free_product == 1
+        assert stability_probability_exact(inst, mu) == Fraction(1, 2)
+        assert exhaustive_probability(inst, mu) == Fraction(1, 2)
+        rng, checked = random.Random(53), 0
+        for _ in range(30):
+            inst = random_compact_instance(rng, 5, 5, max_tie=3)
+            mu = random_maximal_matching(rng, inst)
+            model = compiled(inst, mu)
+            if model is not None:
+                budget = Budget(None, "search nodes")
+                scales, _, _ = probability._pick_tables(inst, mu, budget)
+                assert model.denominator == math.prod(scales)
+                checked += 1
+        assert checked >= 5
 
 
 class TestWorkBudget:
