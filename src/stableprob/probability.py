@@ -14,12 +14,12 @@ stability: no pair whose two stances are both True) and, in
 the compile keeps deletes picks up front or forbids combinations of two
 agents' picks. Agents meet only through constraints, so they split into
 connected components searched one at a time by one iterative search: the
-exact probability multiplies the components' weighted counts, and the
-nonzero decision takes each one's first allowed assignment as its part of
-the witness. With one side certain every pair is a deletion and the answer
-is the free product alone. The joint model weighs its stable profiles,
-binary supports decide nonzero by 2-SAT, and probability one is certain
-stability.
+exact probability multiplies the components' weighted counts, a star's in
+closed form, and the nonzero decision takes each one's first allowed
+assignment as its part of the witness. With one side certain every pair is
+a deletion and the answer is the free product alone. The joint model weighs
+its stable profiles, binary supports decide nonzero by 2-SAT, and
+probability one is certain stability.
 
 The Monte Carlo estimator walks the pairs once per call too and keeps, per
 pair that can block, what each side must draw for it to block: lottery
@@ -38,7 +38,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from typing import NamedTuple
 
 from .core import (
@@ -114,17 +114,27 @@ class TwoSatInstance:
 
 
 def _tarjan_scc(graph: list[list[int]]) -> list[int]:
-    """Component ids in reverse topological order (sinks get smaller ids).
+    """Component ids in reverse topological order (sinks get smaller ids)
+    of a graph given as one edge list per node: ``_scc`` over its flat
+    arrays."""
+    return _scc(list(accumulate(map(len, graph), initial=0)), list(chain(*graph)))
 
-    The work stack holds each open node with an iterator over its edges. A
-    node is on Tarjan's stack exactly while it is indexed and has no
-    component yet.
+
+def _scc(start: list[int], targets: list[int]) -> list[int]:
+    """Tarjan's component ids of the graph whose node v has the edges
+    ``targets[start[v]:start[v + 1]]``, in reverse topological order.
+
+    Each open node on the work stack scans its edges from ``next_edge``, so
+    the loop holds only ints. A node is on Tarjan's stack exactly while it
+    is indexed and has no component yet.
     """
-    n = len(graph)
+    n = len(start) - 1
     index = [-1] * n
     low = [0] * n
     comp = [-1] * n
+    next_edge = start[:n]
     stack: list[int] = []
+    work: list[int] = []
     counter = 0
     comp_count = 0
     for root in range(n):
@@ -133,15 +143,19 @@ def _tarjan_scc(graph: list[list[int]]) -> list[int]:
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        work = [(root, iter(graph[root]))]
+        work.append(root)
         while work:
-            node, edges = work[-1]
-            for child in edges:
+            node = work[-1]
+            edge, end = next_edge[node], start[node + 1]
+            while edge < end:
+                child = targets[edge]
+                edge += 1
                 if index[child] == -1:
+                    next_edge[node] = edge
                     index[child] = low[child] = counter
                     counter += 1
                     stack.append(child)
-                    work.append((child, iter(graph[child])))
+                    work.append(child)
                     break
                 if comp[child] == -1 and index[child] < low[node]:
                     low[node] = index[child]
@@ -155,7 +169,7 @@ def _tarjan_scc(graph: list[list[int]]) -> list[int]:
                             break
                     comp_count += 1
                 if work:
-                    parent = work[-1][0]
+                    parent = work[-1]
                     low[parent] = min(low[parent], low[node])
     return comp
 
@@ -163,13 +177,24 @@ def _tarjan_scc(graph: list[list[int]]) -> list[int]:
 def solve_2sat(formula: TwoSatInstance) -> list[bool] | None:
     """A satisfying assignment of the formula, or None if unsatisfiable."""
     n = formula.num_variables
-    graph: list[list[int]] = [[] for _ in range(2 * n)]
     # literal (v, polarity) is node 2 * v + (not polarity); its negation is
-    # node 2 * v + polarity, and each clause gives two implications
+    # node 2 * v + polarity, and each clause gives two implications, kept
+    # in clause order as flat arrays: out-degrees first, then the targets
+    degree = [0] * (2 * n)
     for (v1, p1), (v2, p2) in formula.clauses:
-        graph[2 * v1 + p1].append(2 * v2 + (not p2))
-        graph[2 * v2 + p2].append(2 * v1 + (not p1))
-    comp = _tarjan_scc(graph)
+        degree[2 * v1 + p1] += 1
+        degree[2 * v2 + p2] += 1
+    start = list(accumulate(degree, initial=0))
+    fill = start[:-1]
+    targets = [0] * start[-1]
+    for (v1, p1), (v2, p2) in formula.clauses:
+        tail = 2 * v1 + p1
+        targets[fill[tail]] = 2 * v2 + (not p2)
+        fill[tail] += 1
+        tail = 2 * v2 + p2
+        targets[fill[tail]] = 2 * v1 + (not p1)
+        fill[tail] += 1
+    comp = _scc(start, targets)
     assignment = []
     for variable in range(n):
         positive, negative = comp[2 * variable], comp[2 * variable + 1]
@@ -279,9 +304,15 @@ def _pick_tables(instance: Instance, matching: Matching, budget: Budget):
         by_size = [
             math.factorial(s) * math.factorial(r - s) for s in range(len(mates) + 1)
         ]
-        beats = dict.fromkeys(compress(view, view.values()), (1 << count) - 1)
-        for j, mate in enumerate(mates):  # the picks k with bit j set
-            beats[mate] = int(("1" * (1 << j) + "0" * (1 << j)) * (count >> j + 1), 2)
+        # the view lists the undecided mates in the same order as ``mates``
+        beats, j, full = {}, 0, (1 << count) - 1
+        for candidate, stance in view.items():
+            if stance:
+                beats[candidate] = full
+            elif j < len(mates) and mates[j] == candidate:
+                half = 1 << j  # the picks with bit j set
+                beats[candidate] = int(("1" * half + "0" * half) * (count >> j + 1), 2)
+                j += 1
         scales.append(math.factorial(r + 1))
         numerators.append([by_size[k.bit_count()] for k in range(count)])
         masks.append(beats)
@@ -393,18 +424,64 @@ def _walk(model: _Model, order: list[int], choice: list[int], budget: Budget):
             return
 
 
+def _star(model: _Model, order: list[int]) -> tuple[int, int]:
+    """(weight, nodes) of a star component: ``sum(_walk(...))`` over
+    ``order`` and the nodes that walk enters, in closed form.
+
+    Every agent after the hub ``order[0]`` is a leaf that meets the hub
+    alone, so once the hub has its pick i, leaf l keeps its allowed picks
+    but those that block with i, whatever the other leaves take: m_l(i) of
+    mass and c_l(i) picks. The weight sums n_i * m_1(i) * ... * m_k(i)
+    over the hub's allowed picks, and the walk enters 1 + c_1(i) +
+    c_1(i) c_2(i) + ... + c_1(i) ... c_k(i) nodes under each, the leaves
+    taken in ``order``.
+    """
+    hub, allowed, numerators = order[0], model.allowed, model.numerators
+    leaves = []  # per leaf: the hub's mask, then mass and count kept and cut
+    for leaf in order[1:]:
+        ((_, mine, hub_mask),) = model.adjacency[leaf]
+        bits, weights = allowed[leaf], numerators[leaf]
+        cut = bits & mine
+        mass, cut_mass = allowed_mass(weights, bits), allowed_mass(weights, cut)
+        leaves.append((hub_mask, mass, bits.bit_count(), cut_mass, cut.bit_count()))
+    weight = nodes = 0
+    bits = allowed[hub]
+    for i, n in enumerate(numerators[hub]):
+        if not bits >> i & 1:
+            continue
+        path = 1
+        nodes += 1
+        for hub_mask, mass, count, cut_mass, cut_count in leaves:
+            if hub_mask >> i & 1:
+                mass, count = mass - cut_mass, count - cut_count
+            n *= mass
+            path *= count
+            nodes += path
+        weight += n
+    return weight, nodes
+
+
 def _count(model: _Model | None, budget: Budget) -> Fraction:
     """Total weight of the blocking-free realizations of a compiled model:
     the free product times each component's summed weight, up to a zero.
-    The root and every node the component searches enter are charged to
-    ``budget``, as in the nonzero search."""
+    A star component (``_star``), two agents included, is summed in closed
+    form and every other one is searched by ``_walk``. The root and every
+    node the searches enter, or would enter in a star, are charged to
+    ``budget``, as in the nonzero search, so a cap refuses the same models
+    either way."""
     if model is None:
         return Fraction(0)
     choice = [0] * len(model.numerators)
     charge(budget)  # the root of the whole search
     total = model.free_product
+    adjacency = model.adjacency
     for order in model.components:
-        total *= sum(_walk(model, order, choice, budget))
+        if all(len(adjacency[leaf]) == 1 for leaf in order[1:]):
+            weight, nodes = _star(model, order)
+            charge(budget, nodes)
+            total *= weight
+        else:
+            total *= sum(_walk(model, order, choice, budget))
         if not total:
             break
     return Fraction(total, model.denominator)
@@ -477,10 +554,13 @@ def stability_probability(
     integer arithmetic over a common denominator: always-blocking picks
     are deleted up front, agents untouched by two-sided constraints
     contribute a closed factor (none at all for a lottery agent that keeps
-    every order), and the rest are searched one connected component at a
-    time. ``cap`` bounds the search nodes entered, the root included, over
-    all components, and the compact pick tables' entries (None for no
-    limit), not the number of realizations.
+    every order), and the rest are counted one connected component at a
+    time: a star component (one agent whose other agents each meet it
+    alone, two agents included) in closed form, any other by search.
+    ``cap`` bounds the search nodes entered, the root included, over all
+    components, a star counting the nodes its search would enter, and the
+    compact pick tables' entries (None for no limit), not the number of
+    realizations.
 
     Methods: "auto" and "exact" dispatch as above. "joint" requires a
     joint model. "one-side" requires an independent model with one side
