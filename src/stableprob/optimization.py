@@ -18,7 +18,12 @@ leaf always scores above 0, so starting at 0 loses no maximum. The lottery
 bound reads only the pairs between assigned agents: a pair that blocks in
 every order of one agent deletes the other agent's orders that block with
 it (both: pruned outright), and the bound is the product of the assigned
-agents' remaining mass. A node fetches the two ``beats`` views of its own
+agents' remaining mass. Once every agent of a lottery market is assigned
+and no pair on the path blocks in only some orders of both its agents,
+that product is the leaf's exact probability, so the leaf is scored from
+the record with no compile; any other leaf goes to
+``stability_probability``, and a ``Matching`` is built only for the
+winner. A node fetches the two ``beats`` views of its own
 couple and reads those of every earlier couple, and the rest of its state
 is one record per depth. A node with no new pair reuses its parent's record
 and product; one with new pairs recomputes the product over only the
@@ -35,8 +40,11 @@ time a woman is taken, unless the brute-force bound already drops the
 prefix. Taking a woman away leaves every certain man's proposer-optimal
 partner no better (Gale and Sotomayor, 1985), so a certain man and an
 assigned woman who prefer each other to their partners at a prefix do so at
-every leaf below it, and none of those leaves has a stable extension. Each
-search refuses up front when its leaves outnumber ``cap``.
+every leaf below it, and none of those leaves has a stable extension. A
+leaf's certain couples continue the same bound, which stops once the leaf
+cannot beat the incumbent; with the women certain no pair is two-sided,
+so a lottery leaf with a perfect extension is scored from its record.
+Each search refuses up front when its leaves outnumber ``cap``.
 """
 
 from __future__ import annotations
@@ -73,39 +81,50 @@ class MostStableResult:
 
 
 def _lottery_bound(instance: Instance, men):
-    """``bound(d, women, incumbent)``: with ``men[0..d]`` of the complete,
-    square ``instance`` matched to ``women[0..d]``, whether an exact upper
-    bound on the stability probability of every perfect matching that
-    extends them exceeds the Fraction ``incumbent``; the bound is kept as
-    integers because a Fraction per node costs a gcd. Calls come depth
-    first: the call for depth d > 0 follows one for depth d - 1 on the same
-    prefix, whose bound exceeded the incumbent. A lottery agent's pick
-    tables, numerators and scale are those its ``AgentLottery`` holds, which
-    the leaves' scoring reads too. A compact agent is one pick, so a
-    ``WeakOrder.beats`` stance of True is its full mask and a tie (None)
-    forms no pair: a pair with both stances True blocks in every extension
-    and drops the prefix, and the bound is otherwise 1. A joint market is
-    bounded by the constant 1.
+    """``(bound, exact)`` over the complete, square ``instance``.
+
+    ``bound(d, women, incumbent)``: with ``men[0..d]`` matched to
+    ``women[0..d]``, whether an exact upper bound on the stability
+    probability of every perfect matching that extends them exceeds the
+    Fraction ``incumbent``; the bound is kept as integers because a
+    Fraction per node costs a gcd. Calls come depth first: the call for
+    depth d > 0 follows one for depth d - 1 on the same prefix, whose bound
+    exceeded the incumbent. A lottery agent's pick tables, numerators and
+    scale are those its ``AgentLottery`` holds. A compact agent is one
+    pick, so a ``WeakOrder.beats`` stance of True is its full mask and a
+    tie (None) forms no pair: a pair with both stances True blocks in every
+    extension and drops the prefix, and the bound is otherwise 1. A joint
+    market is bounded by the constant 1.
+
+    ``exact()``: after a call for the last depth of a lottery market
+    returned True, the exact stability probability of the perfect matching
+    that ``men`` and ``women`` make, or None when some pair on the path
+    blocks in only some orders of both its agents (or the market is not a
+    lottery). With every couple paired once and every forced deletion the
+    one ``probability._compile`` makes, a path with no such pair compiles to
+    no constraint, and the bound is the free product ``_count`` returns.
 
     A node fetches its own couple's two ``beats`` views and pairs them with
     every earlier couple's, kept per depth. The rest of its state is one
     record per depth: the orders each agent has left, the assigned agents
-    that have lost some, and the product of those agents' masses over that
-    of their scales. A node with no new pair takes its parent's record
-    whole; one with new pairs copies the orders, deletes the forced picks
-    and recomputes the product over its restricted agents. Any other
+    that have lost some, the product of those agents' masses over that of
+    their scales, and whether a pair that blocks in only some orders of
+    both agents has been met. A node with no new pair takes its parent's
+    record whole; one with new pairs copies the orders, deletes the forced
+    picks and recomputes the product over its restricted agents. Any other
     agent's mass is its whole scale, a factor of 1, so the comparison with
     the incumbent is unchanged; no mass is memoized."""
     kind, n, entries = instance.kind, instance.n_men, instance.entries
     if kind == "joint":
-        return lambda d, women, incumbent: incumbent < 1
+        return (lambda d, women, incumbent: incumbent < 1), lambda: None
     full = [1 if kind == "compact" else (1 << len(e.support)) - 1 for e in entries]
     # per depth: its man, his partner, and their views against each other
     views = [None] * len(men)
     # per depth, for the prefix above it: each agent's orders that no pair
     # between assigned agents rules out on its own, the agents whose orders
-    # are not all left, and the product of their masses and of their scales
-    state = [(full, (), 1, 1)] + [None] * len(men)
+    # are not all left, the product of their masses and of their scales,
+    # and whether a two-sided pair has been met
+    state = [(full, (), 1, 1, False)] + [None] * len(men)
 
     def bound(d: int, women: list[int], incumbent: Fraction) -> bool:
         # the pairs the man at depth d adds: him with each earlier man's
@@ -121,8 +140,9 @@ def _lottery_bound(instance: Instance, men):
                 pairs.append((m2, n + w, a_mask, b_mask))
         state[d + 1] = state[d]
         if pairs:
-            mask, cut = state[d][0][:], state[d][1]
-            if delete_forced_picks(pairs, full, mask) is None:
+            mask, cut, two_sided = state[d][0][:], state[d][1], state[d][4]
+            kept = delete_forced_picks(pairs, full, mask)
+            if kept is None:
                 return False
             for pair in pairs:
                 for agent in pair[:2]:
@@ -132,11 +152,24 @@ def _lottery_bound(instance: Instance, men):
             for agent in cut:
                 numerator *= allowed_mass(entries[agent].numerators, mask[agent])
                 denominator *= entries[agent].scale
-            state[d + 1] = mask, cut, numerator, denominator
-        numerator, denominator = state[d + 1][2:]
+            state[d + 1] = mask, cut, numerator, denominator, two_sided or bool(kept)
+        numerator, denominator = state[d + 1][2:4]
         return numerator * incumbent.denominator > incumbent.numerator * denominator
 
-    return bound
+    def exact() -> Fraction | None:
+        _, _, numerator, denominator, two_sided = state[len(men)]
+        if kind == "compact" or two_sided:
+            return None
+        return Fraction(numerator, denominator)
+
+    return bound, exact
+
+
+def _score_from_scratch(completed: Instance, pairs, cap: int | None) -> Fraction:
+    """The stability probability of the matching ``pairs``, compiled and
+    counted by ``stability_probability`` with its own ``cap`` on search
+    nodes: the one score for a leaf that the bound's record cannot give."""
+    return stability_probability(completed, Matching.from_pairs(pairs), cap=cap)
 
 
 def _most_stable(completed: Instance, padding, men, bound, leaf, cap: int | None, what: str):
@@ -144,11 +177,14 @@ def _most_stable(completed: Instance, padding, men, bound, leaf, cap: int | None
     complete, square ``completed``. ``bound(d, women, incumbent)`` tells
     whether an exact upper bound on every leaf below the prefix that
     matches ``men[0..d]`` to ``women[0..d]`` exceeds the best probability
-    so far, called depth first as ``_lottery_bound`` describes;
-    ``leaf(women)`` turns a full assignment into a candidate matching.
-    Returns the first candidate of maximal probability, restricted by
-    ``padding``. More than ``cap`` assignments, counted as ``what``, raises
-    ResourceLimitError before any is tried."""
+    so far, called depth first as ``_lottery_bound`` describes.
+    ``leaf(women, incumbent)`` scores a full assignment: the pairs of its
+    candidate matching and their exact probability, or None for the
+    probability when the candidate cannot exceed the best so far,
+    ``incumbent``. Returns the first candidate of maximal probability,
+    restricted by ``padding``; a ``Matching`` is built only for it. More
+    than ``cap`` assignments, counted as ``what``, raises ResourceLimitError
+    before any is tried."""
     n, k = completed.n_men, len(men)
     examined = math.perm(n, k)
     charge(Budget(cap, what), examined)
@@ -171,18 +207,16 @@ def _most_stable(completed: Instance, padding, men, bound, leaf, cap: int | None
                 continue
             next_woman[d] = 0  # every woman tried: back to the previous man
         else:
-            candidate = leaf(women)
-            p = stability_probability(completed, candidate, cap=cap)
-            if p > best_p:
-                best, best_p = candidate, p
+            pairs, p = leaf(women, best_p)
+            if p is not None and p > best_p:
+                best, best_p = pairs, p
         d -= 1
         if d >= 0:
             used[women[d]] = False
     if best is None:
         raise RuntimeError("internal error: no candidate scored above 0")
-    return MostStableResult(
-        matching=restrict_matching(best, padding), probability=best_p, examined=examined
-    )
+    matching = restrict_matching(Matching.from_pairs(best), padding)
+    return MostStableResult(matching=matching, probability=best_p, examined=examined)
 
 
 def most_stable_brute_force(
@@ -194,21 +228,23 @@ def most_stable_brute_force(
     is a most stable matching of the original instance with the same
     probability. Ties go to the first matching in pair-sorted lexicographic
     order. ``examined`` is n!, pruned matchings included; only matchings the
-    bound cannot rule out are scored, each with its own ``cap`` on search
+    bound cannot rule out are scored. A lottery leaf reads its probability
+    from the bound's record unless a pair on its path blocks in only some
+    orders of both agents; that leaf, and every compact or joint one, is
+    scored by ``stability_probability`` with its own ``cap`` on search
     nodes. More than ``cap`` perfect matchings raises ResourceLimitError
     before any is scored.
     """
     completed, padding = complete_instance(instance)
     men = range(completed.n_men)
-    return _most_stable(
-        completed,
-        padding,
-        men,
-        _lottery_bound(completed, men),
-        lambda women: Matching.from_pairs(enumerate(women)),
-        cap,
-        "perfect matchings",
-    )
+    bound, exact = _lottery_bound(completed, men)
+
+    def leaf(women: list[int], incumbent: Fraction):
+        pairs = list(enumerate(women))
+        p = exact()
+        return pairs, _score_from_scratch(completed, pairs, cap) if p is None else p
+
+    return _most_stable(completed, padding, men, bound, leaf, cap, "perfect matchings")
 
 
 def most_stable_constant_uncertain(
@@ -228,7 +264,13 @@ def most_stable_constant_uncertain(
     is stable. A leaf's certain remainder is rematched receiver-optimally
     on lists truncated below any assigned partner that would block; that
     extension is the most stable one for the fixed assignment, so the best
-    one scored is the overall optimum. Some leaf survives: take a stable
+    one scored is the overall optimum. A perfect extension of a lottery
+    leaf continues the bound over the certain couples, so it stops as soon
+    as the leaf cannot exceed the incumbent, and otherwise reads its
+    probability from the bound's record: the women are certain, so every
+    pair blocks outright or deletes orders. Any other extension, and every
+    compact or joint one, is scored by ``stability_probability`` with its
+    own ``cap`` on search nodes. Some leaf survives: take a stable
     matching M of any realization; the proposer-optimal rounds on the
     prefixes of M's assignment leave every certain man at least as well off
     as in M, so a certain pair that blocked one of them would block M too.
@@ -264,7 +306,7 @@ def most_stable_constant_uncertain(
     held, next_choice = {}, dict.fromkeys(certain_men, 0)
     deferred_acceptance(men_lists, women_rank, held, next_choice)
     rounds = [(held, next_choice, dict.fromkeys(certain_men, n))] + [None] * k
-    lottery_bound = _lottery_bound(completed, xs)
+    lottery_bound, exact = _lottery_bound(completed, xs + certain_men)
 
     def bound(d: int, assignment: list[int], incumbent: Fraction) -> bool:
         if not lottery_bound(d, assignment, incumbent):
@@ -282,7 +324,7 @@ def most_stable_constant_uncertain(
         rounds[d + 1] = held, next_choice, cut
         return True
 
-    def extend(assignment: list[int]) -> Matching:
+    def leaf(assignment: list[int], incumbent: Fraction):
         cut = rounds[k][2]
         held = deferred_acceptance(
             {
@@ -292,9 +334,18 @@ def most_stable_constant_uncertain(
             },
             men_rank,
         )
-        return Matching.from_pairs(list(zip(xs, assignment)) + list(held.items()))
+        # in the order of the bound's men: the assigned, then the certain
+        pairs = list(zip(xs, assignment)) + [(m, held[m]) for m in certain_men if m in held]
+        if len(pairs) == n:
+            partners = [w for _, w in pairs]
+            if not all(lottery_bound(d, partners, incumbent) for d in range(k, n)):
+                return pairs, None
+            p = exact()
+            if p is not None:
+                return pairs, p
+        return pairs, _score_from_scratch(completed, pairs, cap)
 
-    result = _most_stable(completed, padding, xs, bound, extend, cap, "candidate assignments")
+    result = _most_stable(completed, padding, xs, bound, leaf, cap, "candidate assignments")
     if flip:
         result = replace(result, matching=result.matching.transposed())
     return result

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import stableprob.optimization as optimization
 import stableprob.probability as probability
+from stableprob.core import Budget
 from helpers import (
     MU_IDENTITY,
     certain,
@@ -150,16 +151,37 @@ def small_markets(draw):
     return Instance(JointModel(tuple(zip(profiles, weights(k)))))
 
 
-def count_scored(monkeypatch) -> list:
-    """Record the matchings the searches score, in order."""
-    scored = []
-    original = optimization.stability_probability
+def on_leaves(monkeypatch, record) -> None:
+    """Call ``record(completed, matching, probability, incumbent, compiled)``
+    at every leaf either search scores, in order: ``probability`` is the
+    leaf's score (None when it cannot exceed the ``incumbent``), and
+    ``compiled`` tells whether ``stability_probability`` scored it rather
+    than the bound's record."""
+    most_stable, score = optimization._most_stable, optimization.stability_probability
+    compiled = []
 
-    def counting(instance, matching, *args, **kwargs):
-        scored.append(matching)
-        return original(instance, matching, *args, **kwargs)
+    def counting(*args, **kwargs):
+        compiled.append(True)
+        return score(*args, **kwargs)
+
+    def recording(completed, padding, men, bound, leaf, *args):
+        def recorded(women, incumbent):
+            compiled.clear()
+            pairs, p = leaf(women, incumbent)
+            record(completed, Matching.from_pairs(pairs), p, incumbent, bool(compiled))
+            return pairs, p
+
+        return most_stable(completed, padding, men, bound, recorded, *args)
 
     monkeypatch.setattr(optimization, "stability_probability", counting)
+    monkeypatch.setattr(optimization, "_most_stable", recording)
+
+
+def count_scored(monkeypatch) -> list:
+    """Record the matchings the searches score, in order, whether from the
+    bound's record or by ``stability_probability``."""
+    scored = []
+    on_leaves(monkeypatch, lambda completed, matching, *_: scored.append(matching))
     return scored
 
 
@@ -348,7 +370,7 @@ class TestLotteryBound:
             }
         )
         men = range(n) if men is None else men
-        bound = optimization._lottery_bound(completed, men)
+        bound, exact = optimization._lottery_bound(completed, men)
         women: list[int] = []
 
         def descend() -> None:
@@ -362,9 +384,25 @@ class TestLotteryBound:
                 assert verdict == reference_lottery_bound(completed, men, women, incumbent)
                 if verdict and d + 1 < len(men):
                     descend()
+                elif verdict and len(men) == n:
+                    TestLotteryBound.check_exact(completed, women, exact())
                 women.pop()
 
         descend()
+
+    @staticmethod
+    def check_exact(completed: Instance, women: list[int], p) -> None:
+        """At a perfect matching whose bound exceeded the incumbent, the
+        record gives its exact probability exactly when the compiled model
+        has no two-sided constraint, and only in a lottery market."""
+        if completed.kind != "lottery":
+            assert p is None
+            return
+        matching = Matching.from_pairs(enumerate(women))
+        model = probability._compile(completed, matching, Budget(None, "search nodes"))
+        assert model is not None and (p is None) == bool(model.components)
+        if p is not None:
+            assert p == stability_probability(completed, matching, cap=None)
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 5), st.integers(0, 2**32))
@@ -415,7 +453,8 @@ class TestLotteryBound:
 
     def test_a_node_fetches_only_its_own_views(self, monkeypatch):
         # a node fetches its couple's two views and reads the earlier
-        # couples' from their depths; scoring a leaf fetches one per agent
+        # couples' from their depths; a leaf scored from the bound's record
+        # fetches none
         n = 6
         inst = one_side_uncertain_lottery(random.Random(31), n, 3, complete=True)
         expected = reference_most_stable(inst)
@@ -428,19 +467,101 @@ class TestLotteryBound:
             return beats(entry, partner)
 
         def counting_bound(instance, men):
-            bound = lottery_bound(instance, men)
+            bound, exact = lottery_bound(instance, men)
 
             def counted(d, women, incumbent):
                 nodes.append(d)
                 return bound(d, women, incumbent)
 
-            return counted
+            return counted, exact
 
         monkeypatch.setattr(AgentLottery, "beats", counting_beats)
         monkeypatch.setattr(optimization, "_lottery_bound", counting_bound)
         assert most_stable_brute_force(inst) == expected
         assert scored and max(nodes) == n - 1
-        assert len(fetches) <= 2 * len(nodes) + 2 * n * len(scored)
+        assert len(fetches) <= 2 * len(nodes)
+
+
+class TestLeavesFromTheRecord:
+    """A lottery leaf whose path met no pair that blocks in only some orders
+    of both its agents reads its probability from the bound's record; any
+    other leaf is compiled by ``stability_probability``. Every record score
+    must be the leaf's exact probability, and a constant-uncertain leaf
+    that the continued bound drops must be no better than the incumbent."""
+
+    @staticmethod
+    def search(search, instance: Instance) -> tuple:
+        """Run ``search`` on ``instance`` and check every leaf it scores;
+        returns the result and the leaves as ``on_leaves`` records them."""
+        leaves = []
+        with pytest.MonkeyPatch.context() as patch:
+            on_leaves(patch, lambda *leaf: leaves.append(leaf))
+            result = search(instance, cap=None)
+        for completed, matching, p, incumbent, _ in leaves:
+            exact = stability_probability(completed, matching, cap=None)
+            assert exact <= incumbent if p is None else p == exact
+        return result, leaves
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.integers(1, 5), st.integers(1, 5), st.booleans(), st.booleans(), st.integers(0, 2**32)
+    )
+    def test_brute_force_on_lottery_markets(self, n_men, n_women, complete, one_side, seed):
+        # incomplete and unequal markets included; with the women certain
+        # no pair is two-sided, so no leaf is compiled
+        inst = random_lottery_instance(
+            random.Random(seed), n_men, n_women, max_support=3, complete=complete
+        )
+        if one_side:
+            women = [certain(*e.support[0][0].ranking) for e in inst.model.women]
+            inst = lottery_instance(inst.model.men, women)
+        result, leaves = self.search(most_stable_brute_force, inst)
+        assert result == reference_most_stable(inst)
+        assert leaves
+        if one_side:
+            assert not any(compiled for *_, compiled in leaves)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.integers(1, 6), st.integers(1, 3), st.booleans(), st.booleans(), st.integers(0, 2**32)
+    )
+    def test_constant_uncertain_on_lottery_markets(self, n, k, complete, transpose, seed):
+        # only a leaf whose extension leaves an agent unmatched is compiled
+        inst = one_side_uncertain_lottery(
+            random.Random(seed), n, k, complete=complete, max_support=3
+        )
+        if transpose:
+            inst = inst.transposed()
+        result, leaves = self.search(most_stable_constant_uncertain, inst)
+        assert result == reference_constant_uncertain(inst)
+        assert leaves
+        for completed, matching, p, _, compiled in leaves:
+            assert compiled == (len(matching) < completed.n_men)
+
+    def test_a_two_sided_pair_takes_the_fallback(self):
+        # the identity, scored first: man 0 prefers woman 1 to his partner
+        # in one of his orders and she him to hers in one of hers
+        inst = example_market()
+        result, leaves = self.search(most_stable_brute_force, inst)
+        assert result == reference_most_stable(inst)
+        _, matching, p, _, compiled = leaves[0]
+        assert matching == MU_IDENTITY and compiled
+        assert p == stability_probability(inst, MU_IDENTITY) > 0
+
+    def test_one_side_lottery_leaves_compile_nothing(self, monkeypatch):
+        inst = one_side_uncertain_lottery(random.Random(31), 6, 3, complete=True)
+        expected = reference_most_stable(inst)
+        compiled = []
+        original = probability._compile
+
+        def counting(*args):
+            compiled.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(probability, "_compile", counting)
+        assert most_stable_brute_force(inst) == expected
+        assert most_stable_constant_uncertain(inst).probability == expected.probability
+        assert compiled == []
 
 
 class TestConstantUncertain:
@@ -652,13 +773,13 @@ class TestConstantUncertain:
         original = optimization.deferred_acceptance
 
         def recording_bound(instance, men):
-            bound = lottery_bound(instance, men)
+            bound, exact = lottery_bound(instance, men)
 
             def recording(*args):
                 kept.append(bound(*args))
                 return kept[-1]
 
-            return recording
+            return recording, exact
 
         def counting(lists, ranks, *state):
             if len(state) == 3:  # held, next positions and the women taken

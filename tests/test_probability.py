@@ -55,6 +55,7 @@ from stableprob import (
     Instance,
     LinearOrder,
     Matching,
+    Profile,
     ResourceLimitError,
     Side,
     TwoSatInstance,
@@ -895,6 +896,17 @@ def draw_partial_matching(draw, accept, maximal=st.just(False)) -> Matching:
     return Matching.from_pairs(chosen)
 
 
+def draw_matching(draw, accept, maximal, men, women, realize) -> Matching:
+    """As a drawn boolean picks: the men-proposing stable matching of a
+    realization that ``realize`` draws agent by agent, which always
+    compiles to a model, or ``draw_partial_matching``'s matching."""
+    if draw(st.booleans()):
+        return gale_shapley(
+            Profile(tuple(map(realize, men)), tuple(map(realize, women)))
+        )
+    return draw_partial_matching(draw, accept, maximal)
+
+
 # three in four pairs acceptable, so that more agents meet in constraints
 MOSTLY = st.integers(0, 3).map(bool)
 
@@ -904,7 +916,7 @@ def small_lottery_markets(
     draw, max_n: int = 5, accepted=st.booleans(), maximal=st.just(False)
 ):
     """Lottery markets with n <= max_n a side, supports <= 3, incomplete
-    lists, and a partial matching."""
+    lists, and a partial matching or one stable in some realization."""
     n_men, n_women = draw(st.integers(1, max_n)), draw(st.integers(1, max_n))
     accept = [[draw(accepted) for _ in range(n_women)] for _ in range(n_men)]
 
@@ -921,13 +933,17 @@ def small_lottery_markets(
 
     men = [agent([w for w in range(n_women) if accept[m][w]]) for m in range(n_men)]
     women = [agent([m for m in range(n_men) if accept[m][w]]) for w in range(n_women)]
-    return lottery_instance(men, women), draw_partial_matching(draw, accept, maximal)
+    matching = draw_matching(
+        draw, accept, maximal, men, women, lambda a: draw(st.sampled_from(a.support))[0]
+    )
+    return lottery_instance(men, women), matching
 
 
 @st.composite
 def small_compact_markets(draw):
     """Compact markets with n <= 3 a side, ties of up to 3, incomplete
-    lists, and a partial or maximal matching."""
+    lists, and a partial or maximal matching or one stable in some
+    realization."""
     n_men, n_women = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     accept = [[draw(MOSTLY) for _ in range(n_women)] for _ in range(n_men)]
 
@@ -942,7 +958,11 @@ def small_compact_markets(draw):
 
     men = [weak([w for w in range(n_women) if accept[m][w]]) for m in range(n_men)]
     women = [weak([m for m in range(n_men) if accept[m][w]]) for w in range(n_women)]
-    matching = draw_partial_matching(draw, accept, st.booleans())
+
+    def extension(order: WeakOrder) -> LinearOrder:
+        return LinearOrder(tuple(c for tier in order.tiers for c in draw(st.permutations(tier))))
+
+    matching = draw_matching(draw, accept, st.booleans(), men, women, extension)
     return Instance(CompactModel(tuple(men), tuple(women))), matching
 
 

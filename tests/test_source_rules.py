@@ -222,6 +222,20 @@ def test_only_the_pair_walk_pairs_beats_views():
     }
 
 
+def test_most_stable_search_compiles_only_through_its_fallback():
+    # a leaf the bound's record can score reads it from there, so the
+    # search reaches ``stability_probability`` only through the one score
+    # for the leaves the record cannot give; every reference counts
+    path = SOURCE / "optimization.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = {
+        ".".join(s.name for s in scope) or "<module>"
+        for scope, node in _scoped_nodes(tree)
+        if getattr(node, "id", getattr(node, "attr", None)) == "stability_probability"
+    }
+    assert found == {"_score_from_scratch"}
+
+
 def test_only_models_draws_tie_breaks():
     # the compact tie-break rule lives once, in models.py, so no other
     # module may reach an rng's getrandbits, sample or shuffle, called or
