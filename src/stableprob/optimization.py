@@ -1,50 +1,57 @@
 """Searching for a matching with the highest stability probability.
 
-Both searches run one depth-first branch and bound over the injective
-assignments of a list of men to the women of the completed market. Each
-man in turn tries the unused women in ascending order, which is the order
-of ``itertools.permutations``. Brute force assigns every man, and a leaf is
-the perfect matching itself. The polynomial path assumes all uncertainty
-sits on one side with a bounded number of uncertain agents: it assigns only
-those, and extends each leaf with a stability-optimal assignment of the
-certain agents, computed by deferred acceptance on their ranks.
+Both searches run one depth-first branch and bound, ``_most_stable``, over
+a list of men: each of the first k in turn tries the unused women in
+ascending order, which is the order of ``itertools.permutations``, and the
+men after them take the women that an ``extend`` rule gives for that
+assignment, one try per depth. Brute force searches every man, and a leaf
+is the perfect matching itself. The polynomial path assumes all
+uncertainty sits on one side with a bounded number of uncertain agents: it
+searches only those, and forces the certain agents' partners to a
+stability-optimal extension, computed by deferred acceptance on their
+ranks.
 
-The incumbent starts at probability 0 with no matching. A leaf replaces it
-only on strict improvement, and a partial assignment is pruned when an
-exact upper bound on all its completions is at most the incumbent, so only
-surviving leaves are scored and the first maximum in ``permutations``
-order wins, as in a plain scan; ``examined`` still counts every leaf. Some
-leaf always scores above 0, so starting at 0 loses no maximum. The lottery
-bound reads only the pairs between assigned agents: a pair that blocks in
-every order of one agent deletes the other agent's orders that block with
-it (both: pruned outright), and the bound is the product of the assigned
-agents' remaining mass. Once every agent of a lottery market is assigned
-and no pair on the path blocks in only some orders of both its agents,
-that product is the leaf's exact probability, so the leaf is scored from
-the record with no compile; any other leaf goes to
-``stability_probability``, and a ``Matching`` is built only for the
-winner. A node fetches the two ``beats`` views of its own
-couple and reads those of every earlier couple, and the rest of its state
-is one record per depth. A node with no new pair reuses its parent's record
-and product; one with new pairs recomputes the product over only the
-agents that have lost orders, since every other factor is 1. No mass is
-memoized. The same rule bounds compact markets, each agent taken as one
-pick: a pair whose two ``beats`` stances are both True blocks in every
-extension and bounds its prefix by 0, and any other prefix is bounded by 1.
-Joint markets are bounded by 1.
+The incumbent starts at probability 0 with no matching. A full matching
+replaces it only on strict improvement, and a prefix at any depth, forced
+or not, is pruned when an exact upper bound on all its completions is at
+most the incumbent, so only surviving matchings are scored and the first
+maximum in ``permutations`` order wins, as in a plain scan; ``examined``
+still counts every assignment of the first k. Some leaf always scores
+above 0, so starting at 0 loses no maximum. The lottery bound reads only
+the pairs between assigned agents: a pair that blocks in every order of
+one agent deletes the other agent's orders that block with it (both:
+pruned outright), and the bound is the product of the assigned agents'
+remaining mass. Once every agent of a lottery market is assigned and no
+pair on the path blocks in only some orders of both its agents, that
+product is the matching's exact probability. One rule scores every full
+matching: that record when it holds, else ``stability_probability``; a
+``Matching`` is built only for the winner and for the matchings compiled.
+A node fetches the two ``beats`` views of its own couple and reads those
+of every earlier couple, and the rest of its state is one record per
+depth. A node with no new pair reuses its parent's record and product; one
+with new pairs recomputes the product over only the agents that have lost
+orders, since every other factor is 1. No mass is memoized. The same rule
+bounds compact markets, each agent taken as one pick: a pair whose two
+``beats`` stances are both True blocks in every extension and bounds its
+prefix by 0, and any other prefix is bounded by 1. Joint markets are
+bounded by 1.
 
-The polynomial path also bounds a prefix by 0 when a certain pair blocks
-there. Down the depth-first path it keeps the certain men's proposer-optimal
-round on the women not yet assigned, resumed from the parent's round each
-time a woman is taken, unless the brute-force bound already drops the
-prefix. Taking a woman away leaves every certain man's proposer-optimal
-partner no better (Gale and Sotomayor, 1985), so a certain man and an
-assigned woman who prefer each other to their partners at a prefix do so at
-every leaf below it, and none of those leaves has a stable extension. A
-leaf's certain couples continue the same bound, which stops once the leaf
-cannot beat the incumbent; with the women certain no pair is two-sided,
-so a lottery leaf with a perfect extension is scored from its record.
-Each search refuses up front when its leaves outnumber ``cap``.
+The polynomial path also bounds a prefix of uncertain men by 0 when a
+certain pair blocks there. Down the depth-first path it keeps the certain
+men's proposer-optimal round on the women not yet assigned, resumed from
+the parent's round each time a woman is taken, unless the brute-force
+bound already drops the prefix. Taking a woman away leaves every certain
+man's proposer-optimal partner no better (Gale and Sotomayor, 1985), so a
+certain man and an assigned woman who prefer each other to their partners
+at a prefix do so at every leaf below it, and none of those leaves has a
+stable extension. The forced tail is the receiver-optimal round on lists
+truncated below any assigned partner that would block. At a full
+assignment that survives, the proposer-optimal round is a perfect matching
+inside those lists, so by the rural-hospitals theorem the receiver-optimal
+one is perfect too, and the bound goes on over the forced couples like any
+other; with the women certain no pair is two-sided, so a lottery leaf is
+scored from its record. Each search refuses up front when its
+assignments outnumber ``cap``.
 """
 
 from __future__ import annotations
@@ -165,31 +172,27 @@ def _lottery_bound(instance: Instance, men):
     return bound, exact
 
 
-def _score_from_scratch(completed: Instance, pairs, cap: int | None) -> Fraction:
-    """The stability probability of the matching ``pairs``, compiled and
-    counted by ``stability_probability`` with its own ``cap`` on search
-    nodes: the one score for a leaf that the bound's record cannot give."""
-    return stability_probability(completed, Matching.from_pairs(pairs), cap=cap)
-
-
-def _most_stable(completed: Instance, padding, men, bound, leaf, cap: int | None, what: str):
-    """Branch and bound over the assignments of ``men`` to the women of the
-    complete, square ``completed``. ``bound(d, women, incumbent)`` tells
-    whether an exact upper bound on every leaf below the prefix that
-    matches ``men[0..d]`` to ``women[0..d]`` exceeds the best probability
-    so far, called depth first as ``_lottery_bound`` describes.
-    ``leaf(women, incumbent)`` scores a full assignment: the pairs of its
-    candidate matching and their exact probability, or None for the
-    probability when the candidate cannot exceed the best so far,
-    ``incumbent``. Returns the first candidate of maximal probability,
-    restricted by ``padding``; a ``Matching`` is built only for it. More
-    than ``cap`` assignments, counted as ``what``, raises ResourceLimitError
-    before any is tried."""
-    n, k = completed.n_men, len(men)
+def _most_stable(completed: Instance, padding, men, k: int, bound, exact, extend, cap, what):
+    """Branch and bound over the matchings of the complete, square
+    ``completed`` in which ``men[:k]`` take distinct women and ``men[k:]``,
+    the forced tail, take the women ``extend(women[:k])`` lists for them
+    (``extend`` is None when k is every man). ``bound(d, women,
+    incumbent)`` tells whether an exact upper bound on every matching below
+    the prefix that matches ``men[0..d]`` to ``women[0..d]`` exceeds the
+    best probability so far. It is called at every depth, forced ones
+    included, depth first as ``_lottery_bound`` describes; a forced depth
+    is tried once. One rule scores a full matching: ``exact()``, or
+    ``stability_probability`` with its own ``cap`` on search nodes when
+    that is None; it replaces the best only on strict improvement. Returns
+    the first matching of maximal probability, restricted by ``padding``;
+    a ``Matching`` is built only for it and for the matchings compiled.
+    More than ``cap`` assignments of ``men[:k]``, counted as ``what``,
+    raises ResourceLimitError before any is tried."""
+    n = completed.n_men
     examined = math.perm(n, k)
     charge(Budget(cap, what), examined)
     best, best_p = None, Fraction(0)
-    women = [0] * k  # women[d]: the partner of men[d] on the current path
+    women = [0] * n  # women[d]: the partner of men[d] on the current path
     used = [False] * n
     next_woman = [0] * k
     d = 0
@@ -207,15 +210,22 @@ def _most_stable(completed: Instance, padding, men, bound, leaf, cap: int | None
                 continue
             next_woman[d] = 0  # every woman tried: back to the previous man
         else:
-            pairs, p = leaf(women, best_p)
-            if p is not None and p > best_p:
-                best, best_p = pairs, p
+            if extend:
+                women[k:] = extend(women[:k])
+            # the forced tail: one try per depth, then the full matching
+            if all(bound(tail, women, best_p) for tail in range(k, n)):
+                p = exact()
+                if p is None:
+                    matching = Matching.from_pairs(zip(men, women))
+                    p = stability_probability(completed, matching, cap=cap)
+                if p > best_p:
+                    best, best_p = women[:], p
         d -= 1
         if d >= 0:
             used[women[d]] = False
     if best is None:
         raise RuntimeError("internal error: no candidate scored above 0")
-    matching = restrict_matching(Matching.from_pairs(best), padding)
+    matching = restrict_matching(Matching.from_pairs(zip(men, best)), padding)
     return MostStableResult(matching=matching, probability=best_p, examined=examined)
 
 
@@ -236,15 +246,11 @@ def most_stable_brute_force(
     before any is scored.
     """
     completed, padding = complete_instance(instance)
-    men = range(completed.n_men)
-    bound, exact = _lottery_bound(completed, men)
-
-    def leaf(women: list[int], incumbent: Fraction):
-        pairs = list(enumerate(women))
-        p = exact()
-        return pairs, _score_from_scratch(completed, pairs, cap) if p is None else p
-
-    return _most_stable(completed, padding, men, bound, leaf, cap, "perfect matchings")
+    n = completed.n_men
+    bound, exact = _lottery_bound(completed, range(n))
+    return _most_stable(
+        completed, padding, range(n), n, bound, exact, None, cap, "perfect matchings"
+    )
 
 
 def most_stable_constant_uncertain(
@@ -261,16 +267,18 @@ def most_stable_constant_uncertain(
     uncertain partner and he prefers her to his round partner. Removing
     women never improves a certain man's proposer-optimal partner, so the
     pair blocks at every leaf below, where no extension of the assignment
-    is stable. A leaf's certain remainder is rematched receiver-optimally
-    on lists truncated below any assigned partner that would block; that
-    extension is the most stable one for the fixed assignment, so the best
-    one scored is the overall optimum. A perfect extension of a lottery
-    leaf continues the bound over the certain couples, so it stops as soon
-    as the leaf cannot exceed the incumbent, and otherwise reads its
-    probability from the bound's record: the women are certain, so every
-    pair blocks outright or deletes orders. Any other extension, and every
-    compact or joint one, is scored by ``stability_probability`` with its
-    own ``cap`` on search nodes. Some leaf survives: take a stable
+    is stable. A leaf's certain men are forced to the receiver-optimal
+    round on lists truncated below any assigned partner that would block;
+    that extension is the most stable one for the fixed assignment, so the
+    best one scored is the overall optimum. It is perfect: the last
+    prefix's proposer-optimal round is a perfect matching inside those
+    lists, and by the rural-hospitals theorem every stable matching of
+    them matches the same agents. The bound goes on over the forced
+    couples, so it stops as soon as the leaf cannot exceed the incumbent,
+    and a lottery leaf reads its probability from the bound's record: the
+    women are certain, so every pair blocks outright or deletes orders.
+    Compact and joint leaves are scored by ``stability_probability`` with
+    its own ``cap`` on search nodes. Some leaf survives: take a stable
     matching M of any realization; the proposer-optimal rounds on the
     prefixes of M's assignment leave every certain man at least as well off
     as in M, so a certain pair that blocked one of them would block M too.
@@ -301,8 +309,8 @@ def most_stable_constant_uncertain(
     # record: the round (held woman -> certain man, each man's next position
     # on his list) and cut, where cut[m] is m's rank of his best assigned
     # woman who prefers him to her partner; m blocks with her while he holds
-    # a worse woman, and the leaf's receiver-optimal round truncates his
-    # list there
+    # a worse woman, and the forced tail's receiver-optimal round truncates
+    # his list there
     held, next_choice = {}, dict.fromkeys(certain_men, 0)
     deferred_acceptance(men_lists, women_rank, held, next_choice)
     rounds = [(held, next_choice, dict.fromkeys(certain_men, n))] + [None] * k
@@ -311,6 +319,8 @@ def most_stable_constant_uncertain(
     def bound(d: int, assignment: list[int], incumbent: Fraction) -> bool:
         if not lottery_bound(d, assignment, incumbent):
             return False  # dropped before its round is resumed
+        if d >= k:
+            return True  # a certain couple of the forced tail
         w, rank_w = assignment[d], women_rank[assignment[d]]
         held, next_choice, cut = map(dict, rounds[d])
         held.pop(w, None)
@@ -324,7 +334,7 @@ def most_stable_constant_uncertain(
         rounds[d + 1] = held, next_choice, cut
         return True
 
-    def leaf(assignment: list[int], incumbent: Fraction):
+    def extend(assignment: list[int]) -> list[int]:
         cut = rounds[k][2]
         held = deferred_acceptance(
             {
@@ -334,18 +344,12 @@ def most_stable_constant_uncertain(
             },
             men_rank,
         )
-        # in the order of the bound's men: the assigned, then the certain
-        pairs = list(zip(xs, assignment)) + [(m, held[m]) for m in certain_men if m in held]
-        if len(pairs) == n:
-            partners = [w for _, w in pairs]
-            if not all(lottery_bound(d, partners, incumbent) for d in range(k, n)):
-                return pairs, None
-            p = exact()
-            if p is not None:
-                return pairs, p
-        return pairs, _score_from_scratch(completed, pairs, cap)
+        return [held[m] for m in certain_men]
 
-    result = _most_stable(completed, padding, xs, bound, leaf, cap, "candidate assignments")
+    result = _most_stable(
+        completed, padding, xs + certain_men, k, bound, exact, extend, cap,
+        "candidate assignments",
+    )
     if flip:
         result = replace(result, matching=result.matching.transposed())
     return result

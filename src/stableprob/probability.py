@@ -38,7 +38,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 from .core import (
@@ -114,27 +114,17 @@ class TwoSatInstance:
 
 
 def _tarjan_scc(graph: list[list[int]]) -> list[int]:
-    """Component ids in reverse topological order (sinks get smaller ids)
-    of a graph given as one edge list per node: ``_scc`` over its flat
-    arrays."""
-    return _scc(list(accumulate(map(len, graph), initial=0)), list(chain(*graph)))
+    """Component ids in reverse topological order (sinks get smaller ids).
 
-
-def _scc(start: list[int], targets: list[int]) -> list[int]:
-    """Tarjan's component ids of the graph whose node v has the edges
-    ``targets[start[v]:start[v + 1]]``, in reverse topological order.
-
-    Each open node on the work stack scans its edges from ``next_edge``, so
-    the loop holds only ints. A node is on Tarjan's stack exactly while it
-    is indexed and has no component yet.
+    The work stack holds each open node with an iterator over its edges. A
+    node is on Tarjan's stack exactly while it is indexed and has no
+    component yet.
     """
-    n = len(start) - 1
+    n = len(graph)
     index = [-1] * n
     low = [0] * n
     comp = [-1] * n
-    next_edge = start[:n]
     stack: list[int] = []
-    work: list[int] = []
     counter = 0
     comp_count = 0
     for root in range(n):
@@ -143,19 +133,15 @@ def _scc(start: list[int], targets: list[int]) -> list[int]:
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        work.append(root)
+        work = [(root, iter(graph[root]))]
         while work:
-            node = work[-1]
-            edge, end = next_edge[node], start[node + 1]
-            while edge < end:
-                child = targets[edge]
-                edge += 1
+            node, edges = work[-1]
+            for child in edges:
                 if index[child] == -1:
-                    next_edge[node] = edge
                     index[child] = low[child] = counter
                     counter += 1
                     stack.append(child)
-                    work.append(child)
+                    work.append((child, iter(graph[child])))
                     break
                 if comp[child] == -1 and index[child] < low[node]:
                     low[node] = index[child]
@@ -169,7 +155,7 @@ def _scc(start: list[int], targets: list[int]) -> list[int]:
                             break
                     comp_count += 1
                 if work:
-                    parent = work[-1]
+                    parent = work[-1][0]
                     low[parent] = min(low[parent], low[node])
     return comp
 
@@ -177,24 +163,13 @@ def _scc(start: list[int], targets: list[int]) -> list[int]:
 def solve_2sat(formula: TwoSatInstance) -> list[bool] | None:
     """A satisfying assignment of the formula, or None if unsatisfiable."""
     n = formula.num_variables
+    graph: list[list[int]] = [[] for _ in range(2 * n)]
     # literal (v, polarity) is node 2 * v + (not polarity); its negation is
-    # node 2 * v + polarity, and each clause gives two implications, kept
-    # in clause order as flat arrays: out-degrees first, then the targets
-    degree = [0] * (2 * n)
+    # node 2 * v + polarity, and each clause gives two implications
     for (v1, p1), (v2, p2) in formula.clauses:
-        degree[2 * v1 + p1] += 1
-        degree[2 * v2 + p2] += 1
-    start = list(accumulate(degree, initial=0))
-    fill = start[:-1]
-    targets = [0] * start[-1]
-    for (v1, p1), (v2, p2) in formula.clauses:
-        tail = 2 * v1 + p1
-        targets[fill[tail]] = 2 * v2 + (not p2)
-        fill[tail] += 1
-        tail = 2 * v2 + p2
-        targets[fill[tail]] = 2 * v1 + (not p1)
-        fill[tail] += 1
-    comp = _scc(start, targets)
+        graph[2 * v1 + p1].append(2 * v2 + (not p2))
+        graph[2 * v2 + p2].append(2 * v1 + (not p1))
+    comp = _tarjan_scc(graph)
     assignment = []
     for variable in range(n):
         positive, negative = comp[2 * variable], comp[2 * variable + 1]
@@ -426,15 +401,17 @@ def _walk(model: _Model, order: list[int], choice: list[int], budget: Budget):
 
 def _star(model: _Model, order: list[int]) -> tuple[int, int]:
     """(weight, nodes) of a star component: ``sum(_walk(...))`` over
-    ``order`` and the nodes that walk enters, in closed form.
+    ``order`` in closed form, and the work that form does.
 
     Every agent after the hub ``order[0]`` is a leaf that meets the hub
     alone, so once the hub has its pick i, leaf l keeps its allowed picks
     but those that block with i, whatever the other leaves take: m_l(i) of
     mass and c_l(i) picks. The weight sums n_i * m_1(i) * ... * m_k(i)
-    over the hub's allowed picks, and the walk enters 1 + c_1(i) +
-    c_1(i) c_2(i) + ... + c_1(i) ... c_k(i) nodes under each, the leaves
-    taken in ``order``.
+    over the hub's allowed picks, and each such pick is charged 1 + c_1(i)
+    + c_2(i) + ..., the leaves taken in ``order`` up to and including the
+    first with c_l(i) = 0. That is linear in the leaves where a walk
+    enters 1 + c_1(i) + c_1(i) c_2(i) + ... nodes; it is never more, and
+    the same for a star of one leaf.
     """
     hub, allowed, numerators = order[0], model.allowed, model.numerators
     leaves = []  # per leaf: the hub's mask, then mass and count kept and cut
@@ -449,14 +426,14 @@ def _star(model: _Model, order: list[int]) -> tuple[int, int]:
     for i, n in enumerate(numerators[hub]):
         if not bits >> i & 1:
             continue
-        path = 1
         nodes += 1
         for hub_mask, mass, count, cut_mass, cut_count in leaves:
             if hub_mask >> i & 1:
                 mass, count = mass - cut_mass, count - cut_count
             n *= mass
-            path *= count
-            nodes += path
+            nodes += count
+            if not count:
+                break
         weight += n
     return weight, nodes
 
@@ -465,10 +442,9 @@ def _count(model: _Model | None, budget: Budget) -> Fraction:
     """Total weight of the blocking-free realizations of a compiled model:
     the free product times each component's summed weight, up to a zero.
     A star component (``_star``), two agents included, is summed in closed
-    form and every other one is searched by ``_walk``. The root and every
-    node the searches enter, or would enter in a star, are charged to
-    ``budget``, as in the nonzero search, so a cap refuses the same models
-    either way."""
+    form and charged its hub picks and their leaves' compatible picks;
+    every other one is searched by ``_walk``. The root and every node the
+    searches enter are charged to ``budget``, as in the nonzero search."""
     if model is None:
         return Fraction(0)
     choice = [0] * len(model.numerators)
@@ -558,8 +534,8 @@ def stability_probability(
     time: a star component (one agent whose other agents each meet it
     alone, two agents included) in closed form, any other by search.
     ``cap`` bounds the search nodes entered, the root included, over all
-    components, a star counting the nodes its search would enter, and the
-    compact pick tables' entries (None for no limit), not the number of
+    components, a star counting each hub pick and the compatible picks of
+    its leaves, and the compact pick tables' entries (None for no limit), not the number of
     realizations.
 
     Methods: "auto" and "exact" dispatch as above. "joint" requires a

@@ -583,6 +583,15 @@ class TestWorkCap:
             "more than 3 stable matchings; raise the cap to proceed"
         ]
 
+    def test_a_cap_below_one_is_invalid_input(self, run_json, write, monkeypatch):
+        code, doc, _ = self.nonzero(run_json, write, "--cap", "0")
+        assert code == 2 and doc["status"] == "invalid-input"
+        assert doc["diagnostics"] == ["the cap must be a positive integer"]
+        monkeypatch.setenv("STABLEPROB_CAP", "-3")
+        code, doc, _ = self.nonzero(run_json, write)
+        assert code == 2 and doc["status"] == "invalid-input"
+        assert doc["diagnostics"] == ["the cap must be a positive integer"]
+
     def test_env_var_reaches_nonzero_and_most_stable(
         self, run_json, write, monkeypatch
     ):
@@ -818,6 +827,22 @@ class TestComplete:
         generated.write_text(json.dumps(doc), encoding="utf-8")
         code, out, _ = run_json("validate", str(generated))
         assert code == 0 and out["status"] == "ok"
+
+    def test_a_taken_padding_name_gains_an_underscore(self, run_json, write):
+        # two men and one woman named as the first padded woman would be
+        taken = {
+            "model": "lottery",
+            "men": ["a", "b"],
+            "women": ["pw0"],
+            "preferences": {
+                "a": [{"order": ["pw0"], "p": "1"}],
+                "b": [{"order": [], "p": "1"}],
+                "pw0": [{"order": ["a"], "p": "1"}],
+            },
+        }
+        code, doc, _ = run_json("complete", write("i.json", taken))
+        assert code == 0
+        assert doc["men"] == ["a", "b"] and doc["women"] == ["pw0", "_pw0"]
 
     def test_already_complete_instance_is_unchanged_in_size(self, run_json, write):
         code, doc, err = run_json("complete", write("i.json", EXAMPLE))

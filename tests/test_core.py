@@ -118,6 +118,10 @@ class TestLinearOrder:
 
 
 class TestWeakOrder:
+    def test_accepts_exactly_its_listed_candidates(self):
+        weak = WeakOrder(((2, 0), (3,)))
+        assert [weak.accepts(c) for c in range(5)] == [True, False, True, True, False]
+
     def test_rejects_empty_tier(self):
         with pytest.raises(ValidationError):
             WeakOrder(((0,), ()))

@@ -476,6 +476,9 @@ MALFORMED_LISTS = [
     (lambda: relation({0, 1}, [(True, 0)]), "pair (True, 0) outside candidate set"),
     (lambda: relation({True}), "bad candidate index True"),
     (lambda: relation({0.0}), "bad candidate index 0.0"),
+    (lambda: relation({0, 1}, [(0, 1), (1, 0)]), "antisymmetry violated on (0, 1)"),
+    (lambda: relation({0, 1, 2}, [(0, 1), (1, 2)]),
+     "transitivity violated: (0, 1) and (1, 2)"),
     (lambda: SmpInstance(men=[relation({True})], women=[relation(()), relation({0})]),
      "bad candidate index True"),
     (lambda: SmpInstance(men=["x"], women=[]),
@@ -519,6 +522,10 @@ class TestInstance:
     def test_kind(self):
         assert example_market().kind == "lottery"
         assert compact_instance([[(0,)]], [[(0,)]]).kind == "compact"
+
+    def test_rejects_an_unknown_payload(self):
+        with pytest.raises(ValidationError, match="^unknown model payload object$"):
+            Instance(object())
 
     def test_transposed_involution(self):
         inst = example_market()

@@ -153,27 +153,39 @@ def small_markets(draw):
 
 def on_leaves(monkeypatch, record) -> None:
     """Call ``record(completed, matching, probability, incumbent, compiled)``
-    at every leaf either search scores, in order: ``probability`` is the
-    leaf's score (None when it cannot exceed the ``incumbent``), and
+    at every leaf either search enters, in order: a full assignment in
+    brute force, an extension of the uncertain men's assignment in the
+    constant-uncertain search. ``probability`` is the leaf's score (None
+    when the bound over the extension's certain couples drops it), and
     ``compiled`` tells whether ``stability_probability`` scored it rather
     than the bound's record."""
     most_stable, score = optimization._most_stable, optimization.stability_probability
-    compiled = []
+    last = [[], Fraction(0)]  # the women and incumbent of the last bound call
 
-    def counting(*args, **kwargs):
-        compiled.append(True)
-        return score(*args, **kwargs)
+    def compiling(completed, matching, cap):
+        p = score(completed, matching, cap=cap)
+        record(completed, matching, p, last[1], True)
+        return p
 
-    def recording(completed, padding, men, bound, leaf, *args):
-        def recorded(women, incumbent):
-            compiled.clear()
-            pairs, p = leaf(women, incumbent)
-            record(completed, Matching.from_pairs(pairs), p, incumbent, bool(compiled))
-            return pairs, p
+    def recording(completed, padding, men, k, bound, exact, *args):
+        def bounded(d, women, incumbent):
+            last[:] = women, incumbent
+            kept = bound(d, women, incumbent)
+            if d >= k and not kept:
+                matching = Matching.from_pairs(zip(men, women))
+                record(completed, matching, None, incumbent, False)
+            return kept
 
-        return most_stable(completed, padding, men, bound, recorded, *args)
+        def scored():
+            p = exact()
+            if p is not None:
+                matching = Matching.from_pairs(zip(men, last[0]))
+                record(completed, matching, p, last[1], False)
+            return p
 
-    monkeypatch.setattr(optimization, "stability_probability", counting)
+        return most_stable(completed, padding, men, k, bounded, scored, *args)
+
+    monkeypatch.setattr(optimization, "stability_probability", compiling)
     monkeypatch.setattr(optimization, "_most_stable", recording)
 
 
@@ -526,7 +538,8 @@ class TestLeavesFromTheRecord:
         st.integers(1, 6), st.integers(1, 3), st.booleans(), st.booleans(), st.integers(0, 2**32)
     )
     def test_constant_uncertain_on_lottery_markets(self, n, k, complete, transpose, seed):
-        # only a leaf whose extension leaves an agent unmatched is compiled
+        # every extension is perfect and no pair is two-sided, so no leaf
+        # is compiled
         inst = one_side_uncertain_lottery(
             random.Random(seed), n, k, complete=complete, max_support=3
         )
@@ -536,7 +549,7 @@ class TestLeavesFromTheRecord:
         assert result == reference_constant_uncertain(inst)
         assert leaves
         for completed, matching, p, _, compiled in leaves:
-            assert compiled == (len(matching) < completed.n_men)
+            assert len(matching) == completed.n_men and not compiled
 
     def test_a_two_sided_pair_takes_the_fallback(self):
         # the identity, scored first: man 0 prefers woman 1 to his partner

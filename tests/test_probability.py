@@ -1558,11 +1558,35 @@ def walked_count(model) -> tuple[Fraction, int]:
     return Fraction(total, model.denominator), budget.used
 
 
+def star_charge(model, order) -> int:
+    """The nodes ``_star`` charges, counted pick by pick: per allowed hub
+    pick, 1 plus, leaf by leaf in ``order``, the allowed picks of the leaf
+    that do not block with it, up to the first leaf with none."""
+    hub, nodes = order[0], 0
+    for i in range(len(model.numerators[hub])):
+        if not model.allowed[hub] >> i & 1:
+            continue
+        nodes += 1
+        for leaf in order[1:]:
+            ((_, mine, hub_mask),) = model.adjacency[leaf]
+            kept = [
+                j
+                for j in range(len(model.numerators[leaf]))
+                if model.allowed[leaf] >> j & 1 and not (mine >> j & 1 and hub_mask >> i & 1)
+            ]
+            nodes += len(kept)
+            if not kept:
+                break
+    return nodes
+
+
 class TestStarComponents:
     """A star component, agents after the first meeting it alone, is summed
-    in closed form (``_star``): its weight and node count must be those of
-    ``_walk``, and ``_count`` must charge what a walk of every component
-    would.
+    in closed form (``_star``): its weight must be that of ``_walk``, and
+    its charge, each hub pick and its leaves' compatible picks up to the
+    first leaf with none, must be at most the walk's nodes and equal to
+    them for one leaf. ``_count`` must give the value a walk of every
+    component gives, for at most the walk's nodes.
 
     Compact markets reach neither a forced deletion nor a zero-weight star:
     a compact pair stays two-sided only when both stances are None, and a
@@ -1588,10 +1612,16 @@ class TestStarComponents:
         for order in stars:
             budget = Budget(None, "search nodes")
             weight = sum(probability._walk(model, order, choice, budget))
-            assert probability._star(model, order) == (weight, budget.used)
+            assert probability._star(model, order) == (weight, star_charge(model, order))
+            assert star_charge(model, order) <= budget.used
+            if len(order) == 2:
+                assert star_charge(model, order) == budget.used
         budget = Budget(None, "search nodes")
         value = probability._count(model, budget)
-        assert (value, budget.used) == walked_count(model)
+        walked_value, walked_nodes = walked_count(model)
+        assert value == walked_value and budget.used <= walked_nodes
+        if all(len(order) <= 2 for order in model.components):
+            assert budget.used == walked_nodes
         return [(model, order) for order in stars]
 
     @settings(deadline=None, max_examples=300)
@@ -1742,11 +1772,13 @@ class TestWorkBudget:
         with pytest.raises(ResourceLimitError):
             stability_probability_exact(inst, mu, cap=nodes - 1)
 
-    def test_a_star_is_charged_the_nodes_its_walk_would_enter(self):
+    def test_a_star_is_charged_its_leaves_picks_not_their_products(self):
         # man 0's orders prefer woman 1, both women, or neither to his
-        # partner; woman 1 keeps 1 or 2 of her orders under each, and woman
-        # 2 keeps 3, 1 and 3. The root, then per order of his the order, her
-        # kept orders, and under each of those woman 2's: 1 + 5 + 3 + 9
+        # partner; under those orders woman 1 keeps 1, 1 and 2 of hers and
+        # woman 2 keeps 3, 1 and 3. A walk would enter the root, his
+        # orders, hers and woman 2's under each of hers: 1 + 3 + 4 + 10.
+        # The closed form is charged the root, his orders and each woman's
+        # kept orders: 1 + 3 + 4 + 7
         inst = lottery_instance(
             men=[
                 lottery(((1, 0, 2), "1/2"), ((2, 1, 0), "1/4"), ((0, 1, 2), "1/4")),
@@ -1762,10 +1794,37 @@ class TestWorkBudget:
         mu = Matching.from_pairs((k, k) for k in range(3))
         model = compiled(inst, mu)
         assert model.components == [[0, 4, 5]]
-        nodes = 1 + 5 + 3 + 9
-        assert walked_count(model) == (Fraction(13, 20), nodes)
+        assert walked_count(model) == (Fraction(13, 20), 1 + 3 + 4 + 10)
+        nodes = 1 + 3 + 4 + 7
         value = stability_probability_exact(inst, mu, cap=nodes)
         assert value == Fraction(13, 20) == exhaustive_probability(inst, mu)
+        with pytest.raises(ResourceLimitError):
+            stability_probability_exact(inst, mu, cap=nodes - 1)
+
+    @pytest.mark.parametrize("leaves", [20, 24])
+    def test_a_wide_star_is_answered_at_the_default_cap(self, leaves):
+        # woman 0, the hub, ranks her partner first or last; man l ranks
+        # his partner, woman l, or her first. The pair blocks only when
+        # both put the other first, so the matching is stable when she
+        # does not or every man does not. A walk under her first order
+        # would enter 2^(leaves + 1) - 1 nodes; the closed form is charged
+        # 1 + 2 * leaves, and 1 + leaves under her second
+        men = [certain(0)] + [
+            lottery(((l, 0), "1/2"), ((0, l), "1/2")) for l in range(1, leaves + 1)
+        ]
+        women = [
+            lottery(
+                ((0, *range(1, leaves + 1)), "1/2"), ((*range(1, leaves + 1), 0), "1/2")
+            )
+        ] + [certain(l) for l in range(1, leaves + 1)]
+        inst = lottery_instance(men, women)
+        mu = Matching.from_pairs((a, a) for a in range(leaves + 1))
+        model = compiled(inst, mu)
+        assert model.components == [[leaves + 1, *range(1, leaves + 1)]]
+        expected = Fraction(1, 2) + Fraction(1, 2 ** (leaves + 1))
+        nodes = 1 + (1 + 2 * leaves) + (1 + leaves)
+        assert stability_probability_exact(inst, mu) == expected
+        assert stability_probability_exact(inst, mu, cap=nodes) == expected
         with pytest.raises(ResourceLimitError):
             stability_probability_exact(inst, mu, cap=nodes - 1)
 

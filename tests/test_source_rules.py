@@ -233,7 +233,52 @@ def test_most_stable_search_compiles_only_through_its_fallback():
         for scope, node in _scoped_nodes(tree)
         if getattr(node, "id", getattr(node, "attr", None)) == "stability_probability"
     }
-    assert found == {"_score_from_scratch"}
+    assert found == {"_most_stable"}
+
+
+def test_only_the_search_calls_the_lottery_bound():
+    # ``_lottery_bound``'s closures keep one record per depth and must be
+    # called depth first, which ``_most_stable`` does at every depth. The
+    # constant-uncertain search wraps the bound in its own ``bound``, which
+    # it hands to ``_most_stable`` too; a second caller would break the
+    # order. Every reference to the closures' names counts: a call, or an
+    # argument of ``_most_stable``
+    path = SOURCE / "optimization.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    closures = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and getattr(getattr(node.value, "func", None), "id", None) == "_lottery_bound"
+        for target in ast.walk(node.targets[0])
+        if isinstance(target, ast.Name)
+    }
+    assert closures == {"bound", "exact", "lottery_bound"}
+    allowed = set()  # the Name nodes that are a call's callee or hand a closure on
+    calls, stray = set(), []
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Call):
+            if getattr(node.func, "id", None) in closures:
+                calls.add((".".join(s.name for s in scope), node.func.id))
+                allowed.add(id(node.func))
+            if getattr(node.func, "id", None) == "_most_stable":
+                allowed.update(id(arg) for arg in node.args)
+    for scope, node in _scoped_nodes(tree):
+        where = ".".join(s.name for s in scope)
+        if (
+            isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)
+            and node.id in closures
+            and id(node) not in allowed
+            and where != "_lottery_bound"
+        ):
+            stray.append(f"{where}:{node.lineno}")
+    assert calls == {
+        ("_most_stable", "bound"),
+        ("_most_stable", "exact"),
+        ("most_stable_constant_uncertain.bound", "lottery_bound"),
+    }
+    assert stray == []
 
 
 def test_only_models_draws_tie_breaks():
