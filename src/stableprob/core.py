@@ -186,11 +186,14 @@ class WeakOrder:
     @classmethod
     def _trusted(cls, tiers) -> "WeakOrder":
         """The weak order of ``tiers``, nonempty tuples of agent indices,
-        distinct across tiers, that the package has already checked; each
-        tier is only sorted. Only the package's own builders call it (see
-        tests/test_source_rules.py)."""
+        distinct across tiers, that the package has already checked; only
+        the tiers of two or more are sorted. Only the package's own builders
+        call it (see tests/test_source_rules.py)."""
         order = object.__new__(cls)
-        object.__setattr__(order, "tiers", tuple(tuple(sorted(t)) for t in tiers))
+        tiers = tuple(tiers)
+        if sum(map(len, tiers)) > len(tiers):  # some tier holds a tie
+            tiers = tuple(t if len(t) < 2 else tuple(sorted(t)) for t in tiers)
+        object.__setattr__(order, "tiers", tiers)
         return order
 
     @cached_property

@@ -4,29 +4,34 @@ The file schema names agents with opaque unique strings; indices follow the
 order of the "men" and "women" arrays. Probabilities parse exactly from "p/q"
 or finite-decimal strings and serialize back as "p/q".
 
-An instance document is read in one pass. Every agent's lists (its lottery's
-support orders, its compact tiers, or its order in every joint profile) turn
-into rows of opposite-side indices as they are checked, so each listed name is
-looked up once. A pair listed by only one of its two agents is then dropped
-from both agents' rows, so parsed instances always satisfy mutual
-acceptability; a joint instance takes each agent's acceptable set from the
-first profile. The three models share this row form until the rows become
-orders, tiers and profiles.
+An instance document is read in one pass per agent. Each lottery support
+entry or compact agent is checked and resolved into rows of opposite-side
+indices in one loop (``_lottery_listing``, ``_compact_listing``): each
+listed name is looked up once, and a strict compact list becomes its 1-tuple
+tiers without slicing. Errors come in a fixed order: every listing first,
+men then women, then each lottery agent's weights, agent by agent.
+
+A pair listed by only one of its two agents is then dropped from both
+agents' rows, so parsed instances always satisfy mutual acceptability; a
+joint instance takes each agent's acceptable set from the first profile.
+The mutual pairs are found once, from the men's side (``_mutual``), and an
+agent whose every listed candidate lists it back keeps its rows unfiltered.
 
 The rows then go straight into the unchecked constructors
-(``LinearOrder._trusted``, ``WeakOrder._trusted``, ``AgentLottery._trusted``
-and ``Instance._trusted``): each row already holds distinct in-range
-indices, an agent's support orders list the same candidates, and the lists
-are mutual, so only what the parser has not proved (a lottery's weights
-being positive and summing to 1, a joint model's profiles agreeing) is
-checked again. A lottery or compact agent whose every listed candidate lists
-it back keeps its rows unfiltered; a joint agent's rows are always filtered
-to its first profile's mutual set.
+(``AgentLottery._trusted``, ``WeakOrder._trusted``, ``LinearOrder._trusted``
+for joint profiles, and ``Instance._trusted``): each row already holds
+distinct in-range indices, an agent's support orders list the same
+candidates, and the lists are mutual, so only what the parser has not
+proved is checked again: a lottery's weights being positive and summing to
+1, which ``AgentLottery._trusted`` checks as it merges equal rows and builds
+the weight record once, and a joint model's profiles agreeing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import contains
 
 from .core import LinearOrder, Matching, Profile, WeakOrder
 from .errors import ValidationError
@@ -42,6 +47,8 @@ from .models import (
 
 _MODELS = ("lottery", "compact", "joint")
 _INSTANCE_KEYS = {"model", "men", "women", "preferences", "designated_matching"}
+_ORDER_P = {"order", "p"}  # the keys of a lottery support entry
+_TIERS = {"tiers"}  # the keys of a compact agent's entry
 
 
 def default_names(count: int, prefix: str) -> tuple[str, ...]:
@@ -59,84 +66,129 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _row(names, label: str, index_of) -> tuple[tuple[int, ...], set[int]]:
-    """Index row of one listed order, and its candidate set."""
-    _require(isinstance(names, list), f"{label} must be an array of names")
+def _resolve(names, label: str, index_of) -> tuple[tuple[int, ...], set[int]]:
+    """Index row of one listed order, and its candidate set; ``index_of``
+    maps the other side's names to their indices."""
     try:  # runs once per listed order: find what is wrong only on failure
-        row = tuple([index_of[name] for name in names])
+        if not isinstance(names, list):
+            raise TypeError
+        row = tuple(map(index_of.__getitem__, names))
     except (KeyError, TypeError):  # only strings are keys of ``index_of``
-        _require(
-            all(isinstance(n, str) for n in names),
-            f"{label} must be an array of names",
-        )
-        name = next(n for n in names if n not in index_of)
-        raise ValidationError(f"{label} references unknown agent '{name}'") from None
+        raise _unresolved(names, label, index_of) from None
     listed = set(row)
     _require(len(listed) == len(row), f"{label} repeats an agent")
     return row, listed
 
 
-def _listing(model: str, preferences, profiles, name: str, index_of):
-    """One agent's rows and the candidate set it lists, before the mutual
-    intersection: support orders, tiers, or one order per joint profile."""
+def _unresolved(names, label: str, index_of) -> ValidationError:
+    """The error for a listed order that does not resolve: not an array of
+    names, or a name of no agent on the other side."""
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        return ValidationError(f"{label} must be an array of names")
+    unknown = next(n for n in names if n not in index_of)
+    return ValidationError(f"{label} references unknown agent '{unknown}'")
+
+
+def _lottery_listing(entry, name: str, index_of):
+    """One lottery agent's support rows, the candidate set they rank, and
+    its weights as the document writes them, parsed later. Each order is
+    resolved as ``_resolve`` does, inline: this loop runs once per support
+    entry of the document."""
     label = f"preferences of '{name}'"
-    if model == "joint":
-        checked = [_row(p["orders"][name], label, index_of) for p in profiles]
-        return [row for row, _ in checked], checked[0][1]
-    entry = preferences[name]
-    if model == "compact":
-        _require(
-            isinstance(entry, dict) and set(entry) == {"tiers"},
-            f"{label} must be an object with a 'tiers' array",
-        )
-        tiers = entry["tiers"]
-        _require(isinstance(tiers, list), f"{label} 'tiers' must be an array")
-        for tier in tiers:
-            _require(isinstance(tier, list), f"{label} tiers must be arrays")
-        flat, listed = _row([n for tier in tiers for n in tier], label, index_of)
-        rows, start = [], 0
-        for tier in tiers:
-            rows.append(flat[start : start + len(tier)])
-            start += len(tier)
-        return rows, listed
     _require(
         isinstance(entry, list) and entry,
         f"{label} must be a nonempty array of support orders",
     )
-    rows, first = [], None
+    rows, values, first, lookup = [], [], None, index_of.__getitem__
     for item in entry:
-        _require(
-            isinstance(item, dict) and set(item) == {"order", "p"},
-            f"{label} entries must be objects with 'order' and 'p'",
-        )
-        row, listed = _row(item["order"], label, index_of)
+        if not isinstance(item, dict) or item.keys() != _ORDER_P:
+            message = f"{label} entries must be objects with 'order' and 'p'"
+            raise ValidationError(message)
+        names = item["order"]
+        try:
+            if not isinstance(names, list):
+                raise TypeError
+            row = tuple(map(lookup, names))
+        except (KeyError, TypeError):
+            raise _unresolved(names, label, index_of) from None
+        listed = set(row)
+        if len(listed) != len(row):
+            raise ValidationError(f"{label} repeats an agent")
         if first is None:
             first = listed
-        else:
-            _require(
-                listed == first,
-                f"support orders of '{name}' must rank the same candidates",
-            )
+        elif listed != first:
+            message = f"support orders of '{name}' must rank the same candidates"
+            raise ValidationError(message)
         rows.append(row)
-    return rows, first
+        values.append(item["p"])
+    return rows, first, values
 
 
-def _mutual_rows(mine, theirs, reuse: bool) -> list[list[tuple[int, ...]]]:
-    """Each agent's rows without the candidates that do not list it back.
+def _compact_listing(entry, name: str, index_of):
+    """One compact agent's tiers as index rows and the candidate set they
+    list. All its names are resolved as one flat order. A list of non-empty
+    singleton tiers (a strict list) becomes that order's 1-tuples; any other
+    is cut back into its tiers, empty ones included."""
+    label = f"preferences of '{name}'"
+    _require(
+        isinstance(entry, dict) and entry.keys() == _TIERS,
+        f"{label} must be an object with a 'tiers' array",
+    )
+    tiers = entry["tiers"]
+    _require(isinstance(tiers, list), f"{label} 'tiers' must be an array")
+    _require(all(map(isinstance, tiers, repeat(list))), f"{label} tiers must be arrays")
+    flat, listed = _resolve(list(chain.from_iterable(tiers)), label, index_of)
+    if len(flat) == len(tiers) and all(tiers):
+        return list(zip(flat)), listed
+    rows, start = [], 0
+    for tier in tiers:
+        end = start + len(tier)
+        rows.append(flat[start:end])
+        start = end
+    return rows, listed
 
-    With ``reuse``, an agent listed back by every candidate it lists keeps
-    its rows as they are. That holds for lottery and compact rows, which
-    together list exactly the agent's candidate set; a joint agent's rows
-    after the first profile may list more, so they are always filtered.
-    """
-    kept = []
-    for agent, (rows, listed) in enumerate(mine):
-        keep = {other for other in listed if agent in theirs[other][1]}
-        if reuse and len(keep) == len(listed):
-            kept.append(rows)
+
+def _joint_listing(profiles, name: str, index_of):
+    """One joint agent's order in every profile, and the candidate set of
+    its first profile's order."""
+    label = f"preferences of '{name}'"
+    checked = [_resolve(p["orders"][name], label, index_of) for p in profiles]
+    return [row for row, _ in checked], checked[0][1]
+
+
+def _kept(mine, theirs) -> tuple[list[set[int] | None], int]:
+    """Per agent of one side, the candidates it lists that list it back, or
+    None when all of them do; and the number of such mutual pairs.
+    ``mine`` and ``theirs`` hold each agent's listed candidate set. When
+    every agent of the other side lists the whole of this side, all do."""
+    if all(len(listed) == len(mine) for listed in theirs):
+        return [None] * len(mine), sum(map(len, mine))
+    keeps, pairs = [], 0
+    for agent, listed in enumerate(mine):
+        count = sum(map(contains, map(theirs.__getitem__, listed), repeat(agent)))
+        pairs += count
+        if count == len(listed):
+            keeps.append(None)
         else:
-            kept.append([tuple(filter(keep.__contains__, row)) for row in rows])
-    return kept
+            keeps.append({other for other in listed if agent in theirs[other]})
+    return keeps, pairs
+
+
+def _mutual(men, women) -> tuple[list, list]:
+    """Each side's ``_kept`` sets. The mutual pairs are counted once, from
+    the men's side: when they are as many as the women's listings, every
+    woman's candidates list her back and none of her rows needs filtering."""
+    men_keep, pairs = _kept(men, women)
+    if pairs == sum(map(len, women)):
+        return men_keep, [None] * len(women)
+    return men_keep, _kept(women, men)[0]
+
+
+def _filtered(rows, keep: set[int] | None) -> list[tuple[int, ...]]:
+    """``rows`` without the candidates outside ``keep`` (None: keep all)."""
+    if keep is None:
+        return rows
+    return [tuple(filter(keep.__contains__, row)) for row in rows]
 
 
 def instance_from_json(data) -> tuple[Instance, tuple[str, ...], tuple[str, ...]]:
@@ -160,7 +212,7 @@ def instance_from_json(data) -> tuple[Instance, tuple[str, ...], tuple[str, ...]
 
     preferences = data["preferences"]
     _require(isinstance(preferences, dict), "'preferences' must be an object")
-    profiles = None
+    parsed: dict[str, Fraction] = {}  # weight string -> its probability
     if model == "joint":
         _require(
             set(preferences) == {"profiles"},
@@ -181,39 +233,17 @@ def instance_from_json(data) -> tuple[Instance, tuple[str, ...], tuple[str, ...]
                 and set(item["orders"]) == set(all_names),
                 "each profile must list orders for every agent exactly once",
             )
-    else:
-        _require(
-            set(preferences) == set(all_names),
-            "'preferences' must list every agent exactly once",
-        )
+        men = [_joint_listing(profiles, n, woman_of) for n in men_names]
+        women = [_joint_listing(profiles, n, man_of) for n in women_names]
+        men_keep, women_keep = _mutual([m[1] for m in men], [w[1] for w in women])
 
-    men = [_listing(model, preferences, profiles, n, woman_of) for n in men_names]
-    women = [_listing(model, preferences, profiles, n, man_of) for n in women_names]
-    men_rows = _mutual_rows(men, women, model != "joint")
-    women_rows = _mutual_rows(women, men, model != "joint")
+        def joint_rows(listing, keep) -> list[tuple[int, ...]]:
+            # rows after the first profile may list more than its candidates
+            rows, listed = listing
+            return _filtered(rows, listed if keep is None else keep)
 
-    parsed: dict[str, Fraction] = {}  # weight string -> its probability
-    if model == "lottery":
-
-        def lottery(name, rows) -> AgentLottery:
-            label = f"weight in preferences of '{name}'"
-            return AgentLottery._trusted(
-                tuple(
-                    (LinearOrder._trusted(row), _weight(item["p"], label, parsed))
-                    for row, item in zip(rows, preferences[name])
-                )
-            )
-
-        payload = LotteryModel(
-            men=tuple(map(lottery, men_names, men_rows)),
-            women=tuple(map(lottery, women_names, women_rows)),
-        )
-    elif model == "compact":
-        payload = CompactModel(
-            men=tuple(WeakOrder._trusted(filter(None, rows)) for rows in men_rows),
-            women=tuple(WeakOrder._trusted(filter(None, rows)) for rows in women_rows),
-        )
-    else:
+        men_rows = list(map(joint_rows, men, men_keep))
+        women_rows = list(map(joint_rows, women, women_keep))
         payload = JointModel(
             profiles=tuple(
                 (
@@ -225,6 +255,40 @@ def instance_from_json(data) -> tuple[Instance, tuple[str, ...], tuple[str, ...]
                 )
                 for k, item in enumerate(profiles)
             )
+        )
+        return Instance._trusted(payload), men_names, women_names
+
+    _require(
+        set(preferences) == set(all_names),
+        "'preferences' must list every agent exactly once",
+    )
+    read = _lottery_listing if model == "lottery" else _compact_listing
+    men = [read(preferences[n], n, woman_of) for n in men_names]
+    women = [read(preferences[n], n, man_of) for n in women_names]
+    men_keep, women_keep = _mutual([m[1] for m in men], [w[1] for w in women])
+    if model == "lottery":
+
+        def lottery(name, listing, keep) -> AgentLottery:
+            rows, _, values = listing
+            label = f"weight in preferences of '{name}'"
+            weights = [_weight(value, label, parsed) for value in values]
+            return AgentLottery._trusted(zip(_filtered(rows, keep), weights))
+
+        payload = LotteryModel(
+            men=tuple(map(lottery, men_names, men, men_keep)),
+            women=tuple(map(lottery, women_names, women, women_keep)),
+        )
+    else:
+        # empty tiers, listed so or emptied by the filter, are dropped
+        payload = CompactModel(
+            men=tuple(
+                WeakOrder._trusted(filter(None, _filtered(rows, keep)))
+                for (rows, _), keep in zip(men, men_keep)
+            ),
+            women=tuple(
+                WeakOrder._trusted(filter(None, _filtered(rows, keep)))
+                for (rows, _), keep in zip(women, women_keep)
+            ),
         )
     return Instance._trusted(payload), men_names, women_names
 

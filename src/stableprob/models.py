@@ -27,8 +27,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, product
-from operator import attrgetter, lt
+from itertools import accumulate, product, repeat
+from operator import attrgetter, eq, lt, truediv
 from typing import Container, Iterable, Union
 
 from .core import (
@@ -118,7 +118,7 @@ class AgentLottery:
     candidate set, so acceptability is certain even when the order is not.
 
     Every query reads the agent through the support's weight record (see
-    ``_set_support``: ``scale``, ``numerators`` and ``thresholds``) and
+    ``_set_record``: ``scale``, ``numerators`` and ``thresholds``) and
     through ``beats(partner)``, the agent's pick table against one partner,
     built on the first query with that partner; all are kept on the object
     outside its equality, hash and repr. The agent keeps at most one table
@@ -140,16 +140,28 @@ class AgentLottery:
 
     @classmethod
     def _trusted(cls, support) -> "AgentLottery":
-        """The lottery over ``support``, a nonempty tuple of (order, Fraction
-        in [0, 1]) pairs whose orders the package has already checked to
-        rank the same candidates. The weights are still merged and checked
-        to be positive and to sum to 1. Only the package's own builders call
-        it (see tests/test_source_rules.py)."""
+        """The lottery over ``support``, (row, weight) pairs whose rows are
+        tuples of distinct agent indices ranking the same candidates and
+        whose weights are ``Fraction`` values in [0, 1], as the package has
+        already checked. Equal rows are merged on the tuples, one order is
+        built per distinct row, and the weight record is built once
+        (``_set_record``); only that the weights are positive and sum to 1
+        is checked. Only the package's own builders call it (see
+        tests/test_source_rules.py)."""
+        pairs = sorted(support)  # by row, so equal rows end up adjacent
+        rows = [row for row, _ in pairs]
+        weights = [weight for _, weight in pairs]
+        if not all(weights):
+            raise ValidationError("lottery weights must be positive")
+        if any(map(eq, rows, rows[1:])):
+            merged: dict = {}
+            for row, weight in pairs:
+                merged[row] = merged[row] + weight if row in merged else weight
+            rows, weights = list(merged), list(merged.values())
         agent = object.__new__(cls)
-        object.__setattr__(agent, "support", support)
-        _set_support(
-            agent, "support", LinearOrder, "lottery", attrgetter("ranking"), True
-        )
+        orders = map(LinearOrder._trusted, rows)
+        object.__setattr__(agent, "support", tuple(zip(orders, weights)))
+        _set_record(agent, weights, "lottery")
         object.__setattr__(agent, "_beats", {})
         return agent
 
@@ -201,12 +213,43 @@ def _set_sides(model, kind: type, label: str) -> None:
         object.__setattr__(model, side, entries)
 
 
-def _set_support(
-    owner, name: str, entry_type: type, label: str, key, trusted: bool = False
-) -> None:
+def _set_support(owner, name: str, entry_type: type, label: str, key) -> None:
     """Store ``owner``'s weighted support, its attribute ``name``, as the
     (entry, weight) pairs with equal entries' weights summed, sorted by
-    ``key(entry)``, and with it the support's weight record:
+    ``key(entry)``, and with it the support's weight record
+    (``_set_record``). The support must be a list or tuple of such pairs,
+    every entry an ``entry_type`` with a positive weight, and the weights
+    must sum to exactly 1; ``label`` names the support in the errors.
+    ``AgentLottery._trusted`` builds the same record from rows the package
+    has already checked.
+    """
+    support = getattr(owner, name)
+    if not isinstance(support, (list, tuple)) or not all(
+        _is_row(item, 2) for item in support
+    ):
+        raise ValidationError(
+            f"{label} support must be an array of (entry, weight) pairs"
+        )
+    merged: dict = {}
+    for entry, weight in support:
+        if not isinstance(entry, entry_type):
+            raise ValidationError(
+                f"{label} support must contain {entry_type.__name__} entries"
+            )
+        weight = as_probability(weight)
+        if weight == 0:
+            raise ValidationError(f"{label} weights must be positive")
+        merged[entry] = merged[entry] + weight if entry in merged else weight
+    if not merged:
+        raise ValidationError(f"empty {label} support")
+    pairs = tuple(sorted(merged.items(), key=lambda item: key(item[0])))
+    _set_record(owner, [weight for _, weight in pairs], label)
+    object.__setattr__(owner, name, pairs)
+
+
+def _set_record(owner, weights: list[Fraction], label: str) -> None:
+    """Store the weight record of a merged, sorted support whose weights,
+    in support order, are ``weights``, positive ``Fraction`` values:
 
     - ``scale``, the lcm of the weights' denominators;
     - ``numerators``, each weight times ``scale``;
@@ -215,44 +258,18 @@ def _set_support(
       first whose running sum exceeds it, else the last. Every weighted
       draw in the package maps its ``rng.random()`` through these.
 
-    The support must be a list or tuple of such pairs, every entry an
-    ``entry_type`` with a positive weight, and the weights must sum to
-    exactly 1; ``label`` names the support in the errors. A ``trusted``
-    support, built by the package from checked values, is known to be such
-    pairs with ``Fraction`` weights in [0, 1]; only the checks from the
-    positive weights on run.
+    Weights that do not sum to exactly 1 raise ValidationError, ``label``
+    naming the support.
     """
-    support = getattr(owner, name)
-    if not trusted and (
-        not isinstance(support, (list, tuple))
-        or not all(_is_row(item, 2) for item in support)
-    ):
-        raise ValidationError(
-            f"{label} support must be an array of (entry, weight) pairs"
-        )
-    merged: dict = {}
-    for entry, weight in support:
-        if not trusted:
-            if not isinstance(entry, entry_type):
-                raise ValidationError(
-                    f"{label} support must contain {entry_type.__name__} entries"
-                )
-            weight = as_probability(weight)
-        if weight == 0:
-            raise ValidationError(f"{label} weights must be positive")
-        merged[entry] = merged[entry] + weight if entry in merged else weight
-    if not merged:
-        raise ValidationError(f"empty {label} support")
-    pairs = tuple(sorted(merged.items(), key=lambda item: key(item[0])))
     # set here, not as cached properties: through Python 3.11 those take a
     # lock on first use, which costs more than the lcm itself
-    scale = math.lcm(*(w.denominator for _, w in pairs))
-    numerators = tuple(w.numerator * (scale // w.denominator) for _, w in pairs)
+    ratios = [weight.as_integer_ratio() for weight in weights]
+    scale = math.lcm(*[d for _, d in ratios])
+    numerators = tuple([n * (scale // d) for n, d in ratios])
     if sum(numerators) != scale:
         raise ValidationError(f"{label} weights must sum to exactly 1")
     # n / scale is float(weight): both round the same rational correctly
-    thresholds = tuple(accumulate(n / scale for n in numerators))[:-1]
-    object.__setattr__(owner, name, pairs)
+    thresholds = tuple(accumulate(map(truediv, numerators[:-1], repeat(scale))))
     object.__setattr__(owner, "scale", scale)
     object.__setattr__(owner, "numerators", numerators)
     object.__setattr__(owner, "thresholds", thresholds)
@@ -281,7 +298,7 @@ class JointModel:
     """A distribution over whole profiles; the one dependent model.
 
     Duplicate profiles are merged and the profiles stored sorted by their
-    rankings, with the weight record of ``_set_support`` kept outside
+    rankings, with the weight record of ``_set_record`` kept outside
     equality, hash and repr, as for ``AgentLottery``.
     """
 
@@ -801,10 +818,7 @@ def complete_instance(instance: Instance) -> tuple[Instance, Padding]:
     if isinstance(model, LotteryModel):
         def complete(entry: AgentLottery) -> AgentLottery:
             return AgentLottery._trusted(
-                tuple(
-                    (LinearOrder._trusted(_head_first(o.ranking, total)), w)
-                    for o, w in entry.support
-                )
+                (_head_first(o.ranking, total), w) for o, w in entry.support
             )
 
         pad = complete(AgentLottery.certain(LinearOrder(())))

@@ -438,6 +438,44 @@ def _star(model: _Model, order: list[int]) -> tuple[int, int]:
     return weight, nodes
 
 
+def _star_witness(
+    model: _Model, order: list[int], choice: list[int]
+) -> tuple[bool, int]:
+    """(found, nodes) of a star component: ``next(_walk(...), None)`` over
+    ``order`` in closed form, and the work that form does.
+
+    The walk's first solution gives the hub ``order[0]`` its first allowed
+    pick under which every leaf keeps an allowed pick that does not block
+    with it, and each leaf the first such pick; when there is one, it is
+    written to ``choice``. A hub pick tried before it is charged as
+    ``_star`` charges it, 1 plus each leaf's compatible picks up to the
+    first leaf with none, and the pick taken 1 plus one node per leaf, the
+    walk's own path down: never more than the walk enters, and the same
+    for a star of one leaf.
+    """
+    hub, allowed = order[0], model.allowed
+    leaves = []  # per leaf: the hub's mask, its allowed picks, those that never block
+    for leaf in order[1:]:
+        ((_, mine, hub_mask),) = model.adjacency[leaf]
+        leaves.append((hub_mask, allowed[leaf], allowed[leaf] & ~mine))
+    nodes, bits = 0, allowed[hub]
+    while bits:
+        i = (bits & -bits).bit_length() - 1
+        bits &= bits - 1
+        picks = []
+        for hub_mask, free, kept in leaves:
+            picks.append(kept if hub_mask >> i & 1 else free)
+            if not picks[-1]:
+                nodes += 1 + sum(map(int.bit_count, picks))
+                break
+        else:
+            choice[hub] = i
+            for leaf, left in zip(order[1:], picks):
+                choice[leaf] = (left & -left).bit_length() - 1
+            return True, nodes + len(order)
+    return False, nodes
+
+
 def _count(model: _Model | None, budget: Budget) -> Fraction:
     """Total weight of the blocking-free realizations of a compiled model:
     the free product times each component's summed weight, up to a zero.
@@ -768,8 +806,14 @@ def _nonzero_backtracking(
     # is the restriction of the first solution along the global order
     choice = [(bits & -bits).bit_length() - 1 for bits in model.allowed]
     charge(budget)  # the root of the whole search
+    adjacency = model.adjacency
     for order in model.components:
-        if next(_walk(model, order, choice, budget), None) is None:
+        if all(len(adjacency[leaf]) == 1 for leaf in order[1:]):  # a star
+            found, nodes = _star_witness(model, order, choice)
+            charge(budget, nodes)
+        else:
+            found = next(_walk(model, order, choice, budget), None) is not None
+        if not found:
             return False, None
     profile = _profile_from_choices(instance, choice)
     return True, _verified(profile, matching)
@@ -784,10 +828,11 @@ def is_stability_probability_nonzero(
     itself verified stable. Compact instances reduce to weak stability with
     a partner-first tie-break, joint instances scan their profiles, lottery
     instances with binary supports go through 2-SAT, and larger supports
-    search the compiled model for its first allowed assignment. ``cap``
-    bounds that search's nodes entered, the root included, over all
-    components, as in ``stability_probability`` (None for no limit);
-    the other routes do not search.
+    search the compiled model for its first allowed assignment, a star
+    component in closed form (``_star_witness``). ``cap`` bounds that
+    search's nodes entered, the root included, over all components, as in
+    ``stability_probability`` (None for no limit); the other routes do not
+    search.
     """
     instance.validate_matching(matching)
     model = instance.model

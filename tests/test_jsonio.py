@@ -6,7 +6,8 @@ must give the same (instance, men, women) or the same error text.
 
 The parser builds through the unchecked ``_trusted`` constructors, so every
 instance it returns must also survive a rebuild through the public checked
-constructors and compare equal to it.
+constructors, compare equal to it, and carry the same weight records, which
+equality does not compare.
 """
 
 import random
@@ -94,6 +95,7 @@ JOINT_ONE_SIDED = {
 BASES = (ONE_SIDED_LOTTERY, ONE_SIDED_COMPACT, JOINT_EXTRA, JOINT_ONE_SIDED)
 GENERATORS = (random_lottery_instance, random_compact_instance, random_joint_instance)
 MUTATIONS = 6000
+CLI_SIZE_DOCUMENTS, CLI_SIZE_MUTATIONS = 30, 10  # n = 32-48, as the CLI reads
 
 
 def _outcome(parse, document):
@@ -175,6 +177,7 @@ def test_round_trips_with_incomplete_and_one_sided_lists():
         assert _outcome(instance_from_json, document) == expected, document
         if isinstance(expected, tuple):
             assert expected[0] == instance
+            _assert_checked_rebuild_agrees(instance_from_json(document)[0])
 
 
 def _rebuilt(instance: Instance) -> Instance:
@@ -207,11 +210,22 @@ def _rebuilt(instance: Instance) -> Instance:
     return Instance(payload)
 
 
+def _records(instance: Instance) -> list:
+    """Each weighted support's record, which equality does not compare:
+    every lottery agent's, or the joint model's."""
+    model = instance.model
+    if isinstance(model, CompactModel):
+        return []
+    owners = [model] if isinstance(model, JointModel) else model.men + model.women
+    return [(o.scale, o.numerators, o.thresholds) for o in owners]
+
+
 def _assert_checked_rebuild_agrees(instance: Instance) -> None:
     rebuilt = _rebuilt(instance)
     assert rebuilt == instance
     assert rebuilt.acceptable_men == instance.acceptable_men
     assert rebuilt.acceptable_women == instance.acceptable_women
+    assert _records(rebuilt) == _records(instance)
 
 
 def test_parsed_instances_survive_a_checked_rebuild():
@@ -250,6 +264,76 @@ def test_large_documents_with_one_sided_listings():
         ]
         kept = [len(a) == len(b) for a, b in zip(accepted, listed)]
         assert any(kept) and not all(kept)
+
+
+def test_mutated_cli_size_documents_parse_as_the_two_pass_parser_does():
+    # the shortcuts that only larger documents take: strict lists of
+    # singleton tiers, a side whose every agent lists the whole other side,
+    # and the mutual pairs counted from the men's side
+    rng = random.Random(20261022)
+    parsed, errors = 0, set()
+    for i in range(CLI_SIZE_DOCUMENTS):
+        n_men, n_women = rng.randint(32, 48), rng.randint(32, 48)
+        complete = i % 3 != 2
+        if i % 2:
+            max_tie = rng.choice([1, 3])
+            instance = random_compact_instance(rng, n_men, n_women, max_tie, complete)
+        else:
+            instance = random_lottery_instance(rng, n_men, n_women, complete=complete)
+        document = instance_to_json(instance)
+        for _ in range(rng.randint(0, 3)):
+            _add_one_sided(rng, document)
+        assert instance_from_json(document) == reference_instance_from_json(document)
+        for _ in range(CLI_SIZE_MUTATIONS):
+            mutated = mutate_document(rng, document)
+            expected = _outcome(reference_instance_from_json, mutated)
+            outcome = _outcome(instance_from_json, mutated)
+            assert outcome == expected
+            if isinstance(expected, str):
+                errors.add(expected)
+            else:
+                _assert_checked_rebuild_agrees(outcome[0])
+                parsed += 1
+    # most mutations break a document, and most errors name an agent
+    assert parsed >= 10 and len(errors) >= 100, (parsed, len(errors))
+
+
+def test_weight_records_of_merged_rows_and_mixed_weight_types():
+    # m0 lists one order twice; m1's two orders become one once w2, who
+    # does not list him, is dropped; the weights mix ints, floats, decimal
+    # strings and fractions
+    document = {
+        "model": "lottery",
+        "men": ["m0", "m1", "m2"],
+        "women": ["w0", "w1", "w2"],
+        "preferences": {
+            "m0": [
+                {"order": ["w0", "w1"], "p": "1/2"},
+                {"order": ["w1", "w0"], "p": 0.25},
+                {"order": ["w0", "w1"], "p": "0.25"},
+            ],
+            "m1": [
+                {"order": ["w2", "w0", "w1"], "p": "1/3"},
+                {"order": ["w0", "w2", "w1"], "p": "2/3"},
+            ],
+            "m2": [{"order": ["w2"], "p": 1}],
+            "w0": [{"order": ["m0", "m1"], "p": 1.0}],
+            "w1": [{"order": ["m1", "m0"], "p": "1/2"}, {"order": ["m0", "m1"], "p": 0.5}],
+            "w2": [{"order": ["m2"], "p": "1"}],
+        },
+    }
+    instance, _, _ = instance_from_json(document)
+    assert instance == reference_instance_from_json(document)[0]
+    _assert_checked_rebuild_agrees(instance)
+    certain_record = (1, (1,), ())
+    assert _records(instance) == [
+        (4, (3, 1), (0.75,)),
+        certain_record,
+        certain_record,
+        certain_record,
+        (2, (1, 1), (0.5,)),
+        certain_record,
+    ]
 
 
 def _two_coins(weights: dict) -> dict:

@@ -415,6 +415,28 @@ class TestWeightRecord:
             assert_weight_record(entry, entry.support)
             assert (entry.scale, entry.numerators, entry.thresholds) == (1, (1,), ())
 
+    def test_rows_give_the_record_of_the_checked_constructor(self):
+        # the unchecked constructor takes index rows; equal rows merge
+        rng = random.Random(79)
+        for _ in range(300):
+            candidates = rng.sample(range(8), rng.randint(0, 6))
+            orders = random_linear_orders(rng, candidates, rng.randint(1, 5))
+            support = random_support(rng, orders)
+            checked = AgentLottery(tuple(support))
+            rows = AgentLottery._trusted((o.ranking, w) for o, w in support)
+            assert rows == checked
+            assert (rows.scale, rows.numerators, rows.thresholds) == (
+                checked.scale,
+                checked.numerators,
+                checked.thresholds,
+            )
+        for support, message in [
+            ([((0, 1), Fraction(1)), ((1, 0), Fraction(0))], "lottery weights must be positive"),
+            ([((0,), Fraction(1, 2)), ((0,), Fraction(1, 3))], "lottery weights must sum"),
+        ]:
+            with pytest.raises(ValidationError, match=message):
+                AgentLottery._trusted(support)
+
     def test_joint_record(self):
         rng = random.Random(73)
         for _ in range(150):

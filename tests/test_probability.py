@@ -1580,13 +1580,43 @@ def star_charge(model, order) -> int:
     return nodes
 
 
+def witness_charge(model, order) -> int:
+    """The nodes ``_star_witness`` charges, counted pick by pick: per hub
+    pick tried, as ``star_charge`` counts it, until the first under which
+    every leaf keeps a pick; that one costs 1 plus one node per leaf."""
+    hub, nodes = order[0], 0
+    for i in range(len(model.numerators[hub])):
+        if not model.allowed[hub] >> i & 1:
+            continue
+        counts = []
+        for leaf in order[1:]:
+            ((_, mine, hub_mask),) = model.adjacency[leaf]
+            counts.append(
+                sum(
+                    1
+                    for j in range(len(model.numerators[leaf]))
+                    if model.allowed[leaf] >> j & 1
+                    and not (mine >> j & 1 and hub_mask >> i & 1)
+                )
+            )
+            if not counts[-1]:
+                break
+        if all(counts):
+            return nodes + len(order)
+        nodes += 1 + sum(counts)
+    return nodes
+
+
 class TestStarComponents:
     """A star component, agents after the first meeting it alone, is summed
     in closed form (``_star``): its weight must be that of ``_walk``, and
     its charge, each hub pick and its leaves' compatible picks up to the
     first leaf with none, must be at most the walk's nodes and equal to
     them for one leaf. ``_count`` must give the value a walk of every
-    component gives, for at most the walk's nodes.
+    component gives, for at most the walk's nodes. The nonzero search
+    closes a star too (``_star_witness``): its picks must be the walk's
+    first solution, or none when the walk finds none, for at most the
+    nodes the walk enters to find it, and as many for one leaf.
 
     Compact markets reach neither a forced deletion nor a zero-weight star:
     a compact pair stays two-sided only when both stances are None, and a
@@ -1616,6 +1646,15 @@ class TestStarComponents:
             assert star_charge(model, order) <= budget.used
             if len(order) == 2:
                 assert star_charge(model, order) == budget.used
+            walked, picked = [-1] * len(choice), [-1] * len(choice)
+            budget = Budget(None, "search nodes")
+            found = next(probability._walk(model, order, walked, budget), None) is not None
+            nodes = witness_charge(model, order)
+            assert probability._star_witness(model, order, picked) == (found, nodes)
+            assert picked == (walked if found else [-1] * len(choice))
+            assert nodes <= budget.used
+            if len(order) == 2:
+                assert nodes == budget.used
         budget = Budget(None, "search nodes")
         value = probability._count(model, budget)
         walked_value, walked_nodes = walked_count(model)
@@ -1827,6 +1866,41 @@ class TestWorkBudget:
         assert stability_probability_exact(inst, mu, cap=nodes) == expected
         with pytest.raises(ResourceLimitError):
             stability_probability_exact(inst, mu, cap=nodes - 1)
+
+    @pytest.mark.parametrize("leaves", [20, 24])
+    def test_a_wide_star_without_a_witness_is_answered_at_the_default_cap(self, leaves):
+        # woman 0, the hub, has three orders: C ranks her admirer a above
+        # her partner and goes; A and B rank man k, the last leaf, above
+        # him. Men 1 .. k - 1 prefer her in one of their two orders, but
+        # only C prefers them back, so both their orders stay compatible.
+        # Man k's second order ranks w', who always prefers him, above his
+        # partner and goes; his first ranks the hub first, so it blocks
+        # with A and with B. A walk enters about 2^k nodes per hub pick;
+        # the closed form charges 1 + 2 * (k - 1) per pick
+        k, a, m2 = leaves, leaves + 1, leaves + 2
+        middle = list(range(1, k))
+        men = [certain(0)]
+        men += [lottery(((l, 0), "1/2"), ((0, l), "1/2")) for l in middle]
+        men += [lottery(((0, k, m2), "1/2"), ((m2, k, 0), "1/2"))]
+        men += [certain(0, a), certain(m2)]
+        hub = lottery(
+            ((k, 0, *middle, a), "1/3"),
+            ((k, 0, *middle[::-1], a), "1/3"),
+            ((a, *middle, 0, k), "1/3"),
+        )
+        women = [hub] + [certain(l) for l in range(1, k + 1)]
+        women += [certain(a), certain(k, m2)]
+        inst = lottery_instance(men, women)
+        mu = Matching.from_pairs((x, x) for x in range(k + 3))
+        model = compiled(inst, mu)
+        assert model.components == [[inst.n_men, *range(1, k + 1)]]
+        assert model.allowed[k] == 0b01 and model.allowed[inst.n_men].bit_count() == 2
+        nodes = 1 + 2 * (1 + 2 * (k - 1))
+        assert is_stability_probability_nonzero(inst, mu) == (False, None)
+        assert is_stability_probability_nonzero(inst, mu, cap=nodes) == (False, None)
+        with pytest.raises(ResourceLimitError):
+            is_stability_probability_nonzero(inst, mu, cap=nodes - 1)
+        assert stability_probability_exact(inst, mu) == 0
 
     def test_a_cap_above_the_realizations_can_refuse(self):
         # four realizations; the root, the man's two picks, then three of

@@ -324,7 +324,7 @@ TRUSTED_BUILDERS = {
     "LinearOrder": {
         "core.py WeakOrder.linear_extensions",
         "jsonio.py instance_from_json",
-        "jsonio.py instance_from_json.lottery",
+        "models.py AgentLottery._trusted",
         "models.py _certain_order",
         "models.py complete_instance.complete",
         "models.py sample_profile",
